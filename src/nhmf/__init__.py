@@ -9,7 +9,7 @@ symbolic category-O bookkeeping for the modules these forms generate.
 
 __version__ = "0.1.0"
 
-from .series import NearlyHolomorphicForm, series_add, series_mul, depth
+from .series import NearlyHolomorphicForm
 from .pi_scalar import PiScalar
 from .operators import (
     InfinitesimalCharacter,
@@ -17,6 +17,8 @@ from .operators import (
     casimir,
     casimir_eigenvalue,
     infinitesimal_character,
+    iterate_lower,
+    iterate_raise,
     lower_analytic,
     lower_weight,
     raise_analytic,
@@ -37,9 +39,6 @@ from .decompose import (
     Level1Basis,
     character_split,
     decompose,
-    is_holomorphic,
-    iterate_lower,
-    iterate_raise,
     leading_column_factor,
 )
 from .laurent import (
@@ -64,7 +63,6 @@ from .quadratic import (
     collection_of,
     enumerate_definite_spaces,
     hilbert_symbol,
-    is_coherent,
     is_local_square,
     local_invariants,
     reducibility,

@@ -25,19 +25,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .decompose import iterate_lower, iterate_raise
+from .arith import as_fraction, frac_to_str, is_integral
 from .errors import AmbiguousModuleError, DomainError
 from .generators import eisenstein2
-from .operators import infinitesimal_character, raise_weight
-from .series import NearlyHolomorphicForm, frac_to_str
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _is_int(x: Fraction) -> bool:
-    return x.denominator == 1
+from .operators import (
+    InfinitesimalCharacter,
+    infinitesimal_character,
+    iterate_lower,
+    iterate_raise,
+    scalar_ratio,
+)
+from .series import NearlyHolomorphicForm
 
 
 @dataclass(frozen=True)
@@ -58,13 +56,9 @@ class ModuleClass:
         return None
 
     @property
-    def character(self):
-        from .operators import InfinitesimalCharacter
-
+    def character(self) -> InfinitesimalCharacter:
         if self.kind == "trivial":
             return InfinitesimalCharacter.of(2)
-        if self.kind == "finite":
-            return InfinitesimalCharacter.of(self.lam)
         return InfinitesimalCharacter.of(self.lam)
 
     def render(self) -> str:
@@ -96,8 +90,8 @@ def trivial() -> ModuleClass:
 
 
 def finite(k) -> ModuleClass:
-    k = _frac(k)
-    if not _is_int(k) or k < 2:
+    k = as_fraction(k)
+    if not is_integral(k) or k < 2:
         raise DomainError(f"finite-dimensional class needs integer k >= 2, got {k}")
     if k == 2:
         return trivial()
@@ -105,29 +99,29 @@ def finite(k) -> ModuleClass:
 
 
 def simple(lam) -> ModuleClass:
-    lam = _frac(lam)
-    if _is_int(lam) and lam <= 0:
+    lam = as_fraction(lam)
+    if is_integral(lam) and lam <= 0:
         return finite(2 - lam)
     return ModuleClass("simple", lam)
 
 
 def verma(lam) -> ModuleClass:
-    lam = _frac(lam)
-    if _is_int(lam) and lam <= 0:
+    lam = as_fraction(lam)
+    if is_integral(lam) and lam <= 0:
         return ModuleClass("verma", lam)
     return simple(lam)  # irreducible Verma
 
 
 def dual_verma(lam) -> ModuleClass:
-    lam = _frac(lam)
-    if _is_int(lam) and lam <= 0:
+    lam = as_fraction(lam)
+    if is_integral(lam) and lam <= 0:
         return ModuleClass("dual_verma", lam)
     return simple(lam)
 
 
 def projective(lam) -> ModuleClass:
-    lam = _frac(lam)
-    if _is_int(lam) and lam >= 2:
+    lam = as_fraction(lam)
+    if is_integral(lam) and lam >= 2:
         return ModuleClass("projective", lam)
     return simple(lam)  # semisimple block: P = N = L
 
@@ -163,9 +157,9 @@ class BlockClassification:
 
 def classify_block(lam) -> BlockClassification:
     """The indecomposables of the block of chi_lam, with its exact sequences."""
-    lam = _frac(lam)
+    lam = as_fraction(lam)
     rep = max(lam, 2 - lam)
-    if not _is_int(rep):
+    if not is_integral(rep):
         return BlockClassification(rep, (simple(rep), simple(2 - rep)), ())
     if rep == 1:
         return BlockClassification(rep, (simple(1),), ())
@@ -181,15 +175,6 @@ def classify_block(lam) -> BlockClassification:
         (simple(rep), projective(rep), verma(2 - rep)),
     )
     return BlockClassification(rep, classes, sequences)
-
-
-def _scalar_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm):
-    """c with f = c*g coefficientwise, or None."""
-    if g.is_zero:
-        return Fraction(0) if f.is_zero else None
-    (r, n), lead = g.terms()[0]
-    c = f.coefficient(r, n) / lead if not f.is_zero else Fraction(0)
-    return c if (f - g * c).is_zero else None
 
 
 def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClass:
@@ -229,16 +214,16 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClas
         if not seed.is_constant_series():
             raise ambiguous("weight-0 lowered seed is not constant")
         e2_image = iterate_raise(eisenstein2(f.truncation), m - 1)
-        c = _scalar_ratio(f, e2_image)
+        c = scalar_ratio(f, e2_image)
         if c is None:
             raise ambiguous("form is not a multiple of the raised weight-two seed")
         return dual_verma(0)
 
     probe = iterate_raise(seed, m)
-    ratio = _scalar_ratio(iterate_lower(probe, m), seed)
+    ratio = scalar_ratio(iterate_lower(probe, m), seed)
     if ratio is None or ratio == 0:
         raise ambiguous("operator orbit is inconsistent with a cyclic seed")
-    if _scalar_ratio(f, probe) is None and m > 0:
+    if scalar_ratio(f, probe) is None and m > 0:
         raise ambiguous("form is not a pure raised image of its lowered seed")
 
     if w >= 1:
@@ -418,7 +403,7 @@ def integral_parallel_filter(lams) -> tuple[bool, Optional[tuple[int, ...]]]:
     The dot action of a sign vector w is (w . lam)_i = eps_i (lam_i - 1) + 1.
     On success returns the parallel representative normalized into Z^d_{>=1}.
     """
-    lams = [_frac(x) for x in lams]
+    lams = [as_fraction(x) for x in lams]
     d = len(lams)
     if d == 0:
         raise DomainError("empty weight tuple")
@@ -428,7 +413,7 @@ def integral_parallel_filter(lams) -> tuple[bool, Optional[tuple[int, ...]]]:
             (s if mask & (1 << i) == 0 else -s) + 1 for i, s in enumerate(shifted)
         ]
         first = image[0]
-        if all(v == first for v in image) and _is_int(first):
+        if all(v == first for v in image) and is_integral(first):
             rep = int(max(first, 2 - first))
             return True, (rep,) * d
     return False, None

@@ -10,11 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
+from .arith import frac_to_str
 from .category_o import catalog, identify_module
 from .decompose import decompose
 from .errors import FormFileError, NhmfError, UsageError
@@ -32,7 +34,7 @@ from .quadratic import (
     reducibility,
     relevant_places,
 )
-from .series import NearlyHolomorphicForm, frac_to_str
+from .series import NearlyHolomorphicForm
 from .verify import run_all
 
 COMMANDS = (
@@ -198,6 +200,13 @@ def _frac_arg(text: str) -> Fraction:
         raise UsageError(f"bad rational argument {text!r}") from exc
 
 
+def _int_arg(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise UsageError(f"bad integer argument {text!r}") from exc
+
+
 def _dispatch(args) -> dict:
     cmd = args.command
     if cmd == "eis":
@@ -290,7 +299,7 @@ def _dispatch_local(args) -> dict:
             unramified=not args.ramified,
             real_sign=args.real_sign,
         )
-        residue = "real" if args.q == "real" else int(args.q)
+        residue = "real" if args.q == "real" else _int_arg(args.q)
         verdict = reducibility(residue, mu, _frac_arg(args.s_re), _frac_arg(args.s_im))
         return verdict.to_json()
     raise UsageError(
@@ -299,7 +308,11 @@ def _dispatch_local(args) -> dict:
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Dispatch one command; never raises on domain errors, returns them."""
+    """Dispatch one command; never raises, returns errors as results.
+
+    An exception that is not an NhmfError is a defect of the engine and is
+    returned with the code ``internal``.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -332,6 +345,13 @@ def run(argv: list[str]) -> CommandResult:
             "error",
             {"error": exc.code, "message": str(exc), **extra},
             code=exc.code,
+        )
+    except Exception as exc:
+        return CommandResult(
+            "error",
+            {"error": "internal", "message": f"{type(exc).__name__}: {exc}"},
+            [traceback.format_exc()],
+            code="internal",
         )
 
 

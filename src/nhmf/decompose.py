@@ -29,32 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
+from .arith import frac_to_str, solve_exact
 from .errors import DecompositionError, InsufficientTruncationError
 from .generators import eisenstein2, level1_basis
-from .operators import InfinitesimalCharacter, lower_weight, raise_weight
-from .series import NearlyHolomorphicForm, frac_to_str
-
-
-def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
-    """delta^(l) = delta_(k+2l-2) o ... o delta_k; l = 0 is the identity."""
-    if ell < 0:
-        raise ValueError("iteration count must be >= 0")
-    for _ in range(ell):
-        f = raise_weight(f)
-    return f
-
-
-def iterate_lower(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
-    if ell < 0:
-        raise ValueError("iteration count must be >= 0")
-    for _ in range(ell):
-        f = lower_weight(f)
-    return f
-
-
-def is_holomorphic(f: NearlyHolomorphicForm) -> bool:
-    """True iff depth(f) = 0, equivalently lower_weight(f) = 0."""
-    return f.depth == 0
+from .operators import InfinitesimalCharacter, iterate_raise
+from .series import NearlyHolomorphicForm
 
 
 def leading_column_factor(w: int, ell: int) -> Fraction:
@@ -126,43 +105,6 @@ class Decomposition:
         return doc
 
 
-def _solve_in_span(
-    target: dict[int, Fraction],
-    basis: list[NearlyHolomorphicForm],
-    truncation: int,
-) -> Optional[list[Fraction]]:
-    """Exact solve of target = sum x_i * basis_i on q-coefficients 0..truncation."""
-    rows = []
-    for n in range(truncation + 1):
-        rows.append(
-            [g.coefficient(0, n) for g in basis] + [target.get(n, Fraction(0))]
-        )
-    ncols = len(basis)
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = 1 / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for i in range(len(rows)):
-            if i != row and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[row])]
-        pivots.append((row, col))
-        row += 1
-    solution = [Fraction(0)] * ncols
-    for r, c in pivots:
-        solution[c] = rows[r][ncols]
-    # Inconsistent system: a nonzero RHS below the pivot rows.
-    for i in range(row, len(rows)):
-        if rows[i][ncols]:
-            return None
-    return solution
-
-
 def decompose(
     f: NearlyHolomorphicForm,
     basis_provider: Optional[Callable[[int], list[NearlyHolomorphicForm]]] = None,
@@ -176,7 +118,7 @@ def decompose(
     """
     if basis_provider is None:
         basis_provider = Level1Basis(f.truncation)
-    sturm = getattr(basis_provider, "sturm_bound", lambda w: w // 12 + 1)
+    sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
 
     if f.is_zero:
         return Decomposition(None, f.truncation, (), None)
@@ -217,9 +159,10 @@ def decompose(
             raise InsufficientTruncationError(
                 f"basis for weight {w} truncated below the input truncation {trunc}"
             )
+        basis = [b if b.truncation == trunc else b.truncate(trunc) for b in basis]
         factor = leading_column_factor(w, p)
         target = {n: c / factor for n, c in top.items()}
-        solution = _solve_in_span(target, basis, trunc) if basis else None
+        solution = solve_exact([b.x_column(0) for b in basis], target) if basis else None
         if solution is None:
             if not any(top.values()):
                 raise AssertionError("empty top column in peeling loop")

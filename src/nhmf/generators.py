@@ -43,10 +43,16 @@ def divisor_power_sum(n: int, e: int) -> int:
     return acc
 
 
+def _check_truncation(truncation: int) -> None:
+    if not isinstance(truncation, int) or truncation < 0:
+        raise DomainError(f"truncation must be a non-negative integer, got {truncation!r}")
+
+
 def eisenstein(k: int, truncation: int) -> NearlyHolomorphicForm:
     """E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n for even k >= 4; depth 0."""
     if k % 2 or k < 4:
         raise DomainError(f"eisenstein requires even k >= 4, got {k}")
+    _check_truncation(truncation)
     factor = Fraction(-2 * k) / bernoulli(k)
     coeffs = {(0, 0): Fraction(1)}
     for n in range(1, truncation + 1):
@@ -56,6 +62,7 @@ def eisenstein(k: int, truncation: int) -> NearlyHolomorphicForm:
 
 def eisenstein2(truncation: int) -> NearlyHolomorphicForm:
     """The weight-two nearly holomorphic Eisenstein series 12X - 1 + 24 sum sigma_1(n) q^n."""
+    _check_truncation(truncation)
     coeffs = {(1, 0): Fraction(12), (0, 0): Fraction(-1)}
     for n in range(1, truncation + 1):
         coeffs[(0, n)] = Fraction(24 * divisor_power_sum(n, 1))
@@ -126,6 +133,7 @@ def theta_series(q_form: BinaryForm, truncation: int) -> NearlyHolomorphicForm:
     """
     if not q_form.is_positive_definite:
         raise DomainError(f"theta series requires a positive definite form, got {q_form}")
+    _check_truncation(truncation)
     disc = -q_form.discriminant
     # Q(x, y) >= disc*x^2/(4c) and >= disc*y^2/(4a), giving the search box.
     xmax = isqrt(4 * q_form.c * truncation // disc) + 1

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .arith import as_fraction, prime_power_base
 from .errors import (
     DomainError,
     InsufficientLaurentPrecisionError,
@@ -40,10 +41,6 @@ from .errors import (
 from .pi_scalar import PiScalar
 
 INFINITE_ORDER = math.inf
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -71,15 +68,15 @@ class LaurentScalar:
 
     @classmethod
     def zero(cls, point) -> "LaurentScalar":
-        return cls(_frac(point), INFINITE_ORDER, None, True)
+        return cls(as_fraction(point), INFINITE_ORDER, None, True)
 
     @classmethod
     def of(cls, point, order: int, leading: PiScalar) -> "LaurentScalar":
-        return cls(_frac(point), order, leading, True)
+        return cls(as_fraction(point), order, leading, True)
 
     @classmethod
     def order_only(cls, point, order: int) -> "LaurentScalar":
-        return cls(_frac(point), order, None, False)
+        return cls(as_fraction(point), order, None, False)
 
     @property
     def is_zero(self) -> bool:
@@ -149,30 +146,26 @@ class LaurentScalar:
         }
 
 
-def _factorial(n: int) -> int:
-    return math.factorial(n)
-
-
 def gamma_at(s0) -> LaurentScalar:
     """Laurent data of Gamma(s) at a half-integer point.
 
     Poles at non-positive integers have order -1 and residue (-1)^n / n!;
     half-integer values are exact rational multiples of sqrt(pi).
     """
-    s0 = _frac(s0)
+    s0 = as_fraction(s0)
     if s0.denominator == 1:
         n = int(s0)
         if n > 0:
-            return LaurentScalar.of(s0, 0, PiScalar.rational(_factorial(n - 1)))
-        residue = Fraction((-1) ** (-n), _factorial(-n))
+            return LaurentScalar.of(s0, 0, PiScalar.rational(math.factorial(n - 1)))
+        residue = Fraction((-1) ** (-n), math.factorial(-n))
         return LaurentScalar.of(s0, -1, PiScalar.rational(residue))
     if s0.denominator == 2:
         n = int(s0 - Fraction(1, 2))  # s0 = n + 1/2
         if n >= 0:
-            c = Fraction(_factorial(2 * n), 4**n * _factorial(n))
+            c = Fraction(math.factorial(2 * n), 4**n * math.factorial(n))
         else:
             m = -n
-            c = Fraction((-4) ** m * _factorial(m), _factorial(2 * m))
+            c = Fraction((-4) ** m * math.factorial(m), math.factorial(2 * m))
         return LaurentScalar.of(s0, 0, PiScalar.pi_power(Fraction(1, 2), c))
     raise DomainError(f"gamma Laurent data certified at half-integers only, got {s0}")
 
@@ -189,7 +182,7 @@ def zeta_ratio_at(
     ratio); other characters and degrees carry certified orders only, and
     points outside the certified range demand caller-supplied data.
     """
-    s0 = _frac(s0)
+    s0 = as_fraction(s0)
     if ramified_L_data is not None:
         if ramified_L_data.point != s0:
             raise DomainError(
@@ -236,7 +229,7 @@ def zeta_ratio_at(
 def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     """Laurent data of the d-th power of
     pi * (-i)^ell * 2^(1-s) * Gamma(s) / (Gamma(alpha) Gamma(beta)) at s0."""
-    s0 = _frac(s0)
+    s0 = as_fraction(s0)
     if s0.denominator != 1:
         raise DomainError(
             f"archimedean factor certified at integer points only, got {s0}"
@@ -288,12 +281,12 @@ def unramified_intertwining_constant(q: int, mu, s0) -> Fraction:
             mu = Fraction(mu)
         except ValueError as exc:
             raise DomainError(f"unsupported root-of-unity tag {mu!r}") from exc
-    mu = _frac(mu)
+    mu = as_fraction(mu)
     if mu not in (Fraction(1), Fraction(-1)):
         raise DomainError(
             f"only the rational roots of unity +-1 are supported, got {mu}"
         )
-    s0 = _frac(s0)
+    s0 = as_fraction(s0)
     exp = -s0 * e
     if exp.denominator != 1:
         raise DomainError(f"q^(-s0) is irrational for q = {q}, s0 = {s0}")
@@ -305,23 +298,6 @@ def unramified_intertwining_constant(q: int, mu, s0) -> Fraction:
             order=-1,
         )
     return (1 - mu * t / q) / denom
-
-
-def prime_power_base(q: int) -> int:
-    """The prime p with q = p^e; DomainError if q is not a prime power."""
-    if not isinstance(q, int) or q < 2:
-        raise DomainError(f"residue cardinality must be a prime power >= 2, got {q}")
-    n = q
-    for p in range(2, n + 1):
-        if p * p > n:
-            p = n
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            if n != 1:
-                raise DomainError(f"{q} is not a prime power")
-            return p
-    raise DomainError(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)

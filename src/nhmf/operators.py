@@ -59,6 +59,23 @@ def lower_weight(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     return NearlyHolomorphicForm(f.weight - 2 if merged else None, f.truncation, merged)
 
 
+def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
+    """delta^(l) = delta_(k+2l-2) o ... o delta_k; l = 0 is the identity."""
+    if ell < 0:
+        raise ValueError("iteration count must be >= 0")
+    for _ in range(ell):
+        f = raise_weight(f)
+    return f
+
+
+def iterate_lower(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
+    if ell < 0:
+        raise ValueError("iteration count must be >= 0")
+    for _ in range(ell):
+        f = lower_weight(f)
+    return f
+
+
 class ScaledForm(NamedTuple):
     """A PiScalar multiple of a form: the value is scalar * form."""
 
@@ -119,15 +136,28 @@ def _rational_sqrt(c: Fraction) -> Fraction | None:
     return None
 
 
+def _leading_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fraction:
+    # The c for which f and c*g agree at the first term of the nonzero g.
+    (r, n), lead = g.terms()[0]
+    return f.coefficient(r, n) / lead if not f.is_zero else Fraction(0)
+
+
+def scalar_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fraction | None:
+    """c with f = c*g coefficientwise, or None."""
+    if g.is_zero:
+        return Fraction(0) if f.is_zero else None
+    c = _leading_ratio(f, g)
+    return c if (f - g * c).is_zero else None
+
+
 def casimir_eigenvalue(f: NearlyHolomorphicForm) -> Fraction:
     """The scalar c with casimir(f) = c*f; NonEigenformError otherwise."""
     if f.is_zero:
         raise NonEigenformError("zero form has no eigenvalue")
     cf = casimir(f)
-    (r, n), lead = f.terms()[0]
-    c = cf.coefficient(r, n) / lead if not cf.is_zero else Fraction(0)
-    residual = cf - f * c
-    if not residual.is_zero:
+    c = scalar_ratio(cf, f)
+    if c is None:
+        residual = cf - f * _leading_ratio(cf, f)
         raise NonEigenformError("form is not a Casimir eigenvector", residual=residual)
     return c
 

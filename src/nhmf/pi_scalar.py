@@ -15,18 +15,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
+from .arith import as_fraction
 
 
 def _coeff(c) -> tuple[Fraction, Fraction]:
     if isinstance(c, tuple):
         re, im = c
-        return _frac(re), _frac(im)
-    return _frac(c), Fraction(0)
+        return as_fraction(re), as_fraction(im)
+    return as_fraction(c), Fraction(0)
 
 
 class PiScalar:
@@ -36,7 +32,7 @@ class PiScalar:
         data: dict[Fraction, tuple[Fraction, Fraction]] = {}
         if terms:
             for e, c in terms.items():
-                e = _frac(e)
+                e = as_fraction(e)
                 if e.denominator not in (1, 2):
                     raise ValueError(f"pi-exponent {e} is not a half-integer")
                 re, im = _coeff(c)
@@ -60,11 +56,11 @@ class PiScalar:
 
     @classmethod
     def rational(cls, c) -> "PiScalar":
-        return cls({Fraction(0): _frac(c)})
+        return cls({Fraction(0): as_fraction(c)})
 
     @classmethod
     def gaussian(cls, re, im) -> "PiScalar":
-        return cls({Fraction(0): (_frac(re), _frac(im))})
+        return cls({Fraction(0): (as_fraction(re), as_fraction(im))})
 
     @classmethod
     def imaginary_unit(cls) -> "PiScalar":
@@ -72,7 +68,7 @@ class PiScalar:
 
     @classmethod
     def pi_power(cls, e, coeff=1, imag=0) -> "PiScalar":
-        return cls({_frac(e): (_frac(coeff), _frac(imag))})
+        return cls({as_fraction(e): (as_fraction(coeff), as_fraction(imag))})
 
     @classmethod
     def sqrt_pi(cls) -> "PiScalar":
@@ -118,9 +114,8 @@ class PiScalar:
     def __add__(self, other):
         if not isinstance(other, PiScalar):
             return NotImplemented
-        data = {e: c for e, c in self._terms.items()}
         out = PiScalar()
-        merged: dict[Fraction, tuple[Fraction, Fraction]] = dict(data)
+        merged: dict[Fraction, tuple[Fraction, Fraction]] = dict(self._terms)
         for e, (re, im) in other._terms.items():
             if e in merged:
                 re, im = merged[e][0] + re, merged[e][1] + im

@@ -25,26 +25,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from .arith import (
+    as_fraction,
+    frac_to_str,
+    is_integral,
+    is_prime,
+    prime_factors,
+    prime_power_base,
+)
 from .errors import DomainError, InvariantViolationError
-
-
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
 
 
 @dataclass(frozen=True, order=True)
@@ -86,7 +75,7 @@ class Place:
 
 
 def padic_valuation(x: Fraction, p: int) -> int:
-    x = _frac(x)
+    x = as_fraction(x)
     if x == 0:
         raise DomainError("valuation of zero")
     v = 0
@@ -102,7 +91,7 @@ def padic_valuation(x: Fraction, p: int) -> int:
 
 
 def unit_part(x: Fraction, p: int) -> Fraction:
-    return _frac(x) / Fraction(p) ** padic_valuation(x, p)
+    return as_fraction(x) / Fraction(p) ** padic_valuation(x, p)
 
 
 def _unit_mod(u: Fraction, modulus: int) -> int:
@@ -128,7 +117,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
     p = 2:  (-1)^(eps(u_a) eps(u_b) + alpha omega(u_b) + beta omega(u_a))
             with eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
     """
-    a, b = _frac(a), _frac(b)
+    a, b = as_fraction(a), as_fraction(b)
     if a == 0 or b == 0:
         raise DomainError("Hilbert symbol needs nonzero arguments")
     if v.kind == "real":
@@ -147,7 +136,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
 
 
 def is_local_square(x, v: Place) -> bool:
-    x = _frac(x)
+    x = as_fraction(x)
     if x == 0:
         raise DomainError("square test needs a nonzero argument")
     if v.kind == "real":
@@ -169,8 +158,8 @@ class QuadSpace2D:
     a2: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a1", _frac(self.a1))
-        object.__setattr__(self, "a2", _frac(self.a2))
+        object.__setattr__(self, "a1", as_fraction(self.a1))
+        object.__setattr__(self, "a2", as_fraction(self.a2))
         if self.a1 == 0 or self.a2 == 0:
             raise DomainError("degenerate quadratic space")
 
@@ -179,8 +168,6 @@ class QuadSpace2D:
         return -self.a1 * self.a2
 
     def to_json(self) -> dict:
-        from .series import frac_to_str
-
         return {"a1": frac_to_str(self.a1), "a2": frac_to_str(self.a2)}
 
 
@@ -217,19 +204,11 @@ def local_invariants(space: QuadSpace2D, v: Place) -> LocalInvariant:
 def relevant_places(*values: Fraction) -> list[Place]:
     """2, the real place, and every odd prime dividing a numerator or
     denominator: outside these all symbols of the given values are +1."""
-    primes = set()
+    primes = {2}
     for x in values:
-        x = _frac(x)
-        for n in (abs(x.numerator), x.denominator):
-            d = 2
-            while d * d <= n:
-                while n % d == 0:
-                    primes.add(d)
-                    n //= d
-                d += 1
-            if n > 1:
-                primes.add(n)
-    primes.add(2)
+        x = as_fraction(x)
+        primes.update(prime_factors(abs(x.numerator)))
+        primes.update(prime_factors(x.denominator))
     return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
 
 
@@ -242,7 +221,7 @@ class Collection:
     epsilons: tuple[tuple[Place, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "discriminant", _frac(self.discriminant))
+        object.__setattr__(self, "discriminant", as_fraction(self.discriminant))
         if self.discriminant == 0:
             raise DomainError("discriminant must be nonzero")
         seen = set()
@@ -256,7 +235,7 @@ class Collection:
 
     @classmethod
     def of(cls, discriminant, epsilons: dict) -> "Collection":
-        return cls(_frac(discriminant), tuple(epsilons.items()))
+        return cls(as_fraction(discriminant), tuple(epsilons.items()))
 
     def epsilon_at(self, place: Place) -> int:
         for pl, e in self.epsilons:
@@ -271,8 +250,6 @@ class Collection:
         return Collection.of(self.discriminant, eps)
 
     def to_json(self) -> dict:
-        from .series import frac_to_str
-
         return {
             "discriminant": frac_to_str(self.discriminant),
             "epsilons": {pl.render(): e for pl, e in self.epsilons},
@@ -341,10 +318,6 @@ def check_coherence(collection: Collection) -> CoherenceResult:
     return CoherenceResult(True, witness)
 
 
-def is_coherent(collection: Collection) -> CoherenceResult:
-    return check_coherence(collection)
-
-
 def enumerate_definite_spaces(discriminant, support_bound: int) -> list[Collection]:
     """All coherent collections of definite type (signature (2,0) at the real
     place) with the given negative discriminant class and finite support in
@@ -353,7 +326,7 @@ def enumerate_definite_spaces(discriminant, support_bound: int) -> list[Collecti
     These are exactly the even-cardinality subsets of the primes where the
     discriminant character is locally nontrivial.
     """
-    delta = _frac(discriminant)
+    delta = as_fraction(discriminant)
     if delta >= 0:
         raise DomainError("definite binary spaces need a negative discriminant")
     candidates = [
@@ -418,10 +391,6 @@ class ReducibilityVerdict:
         return doc
 
 
-def _is_int(x: Fraction) -> bool:
-    return x.denominator == 1
-
-
 def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> ReducibilityVerdict:
     """Reducibility of the degenerate principal series I(mu, s).
 
@@ -437,10 +406,10 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
     exists: s in 2 Z_{>=0} with mu = sgn, or s in -1 + 2 Z_{>=0} with mu
     trivial, together with the constituents.
     """
-    sigma, tau = _frac(s_re), _frac(s_im)
+    sigma, tau = as_fraction(s_re), as_fraction(s_im)
 
     if residue == "real":
-        if mu.order == "other" or not _is_int(sigma) or tau != 0:
+        if mu.order == "other" or not is_integral(sigma) or tau != 0:
             return ReducibilityVerdict("real", False, (), None, pfinite=False)
         n = int(sigma)
         is_sgn = mu.real_sign == 1
@@ -477,8 +446,6 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
         return ReducibilityVerdict("real", False, (), None, pfinite=False)
 
     q = int(residue)
-    from .laurent import prime_power_base
-
     prime_power_base(q)  # validates prime power
     label = str(q)
 
@@ -487,7 +454,7 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
 
     if mu.order == 2 and not mu.unramified:
         # Ramified quadratic: reducible on the full lattice sigma = 0, tau in Z.
-        if sigma == 0 and _is_int(tau):
+        if sigma == 0 and is_integral(tau):
             return ReducibilityVerdict(
                 label, True, ("R(V+)", "R(V-)"), "direct_sum"
             )
@@ -497,7 +464,7 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
     # twisted by the unramified sign character, i.e. s_im shifted by 1.
     shift = 1 if mu.order == 2 else 0
     tau_eff = tau + shift
-    if not _is_int(tau_eff):
+    if not is_integral(tau_eff):
         return ReducibilityVerdict(label, False, (), None)
     t = int(tau_eff) % 2
     if sigma == 0 and t == 1:
@@ -527,8 +494,6 @@ def unramified_eigenvalue(q: int, chi_nontrivial_unramified: bool, epsilon: int)
     Trivial chi has L(0, chi) with a pole, so no eigenvalue is certified;
     ramified data (epsilon factors != 1) is out of the certified domain.
     """
-    from .laurent import prime_power_base
-
     prime_power_base(q)
     if epsilon not in (1, -1):
         raise DomainError("epsilon must be +-1")

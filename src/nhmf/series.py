@@ -22,12 +22,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .arith import frac_to_str
 from .errors import FormFileError, WeightMismatchError
-
-
-def frac_to_str(c: Fraction) -> str:
-    c = Fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 def frac_from_str(s: str) -> Fraction:
@@ -265,16 +261,3 @@ class NearlyHolomorphicForm:
             coeffs[(r, n)] = value
         return cls(weight if coeffs else None, trunc, coeffs)
 
-
-# Functional aliases matching the operation-level surface.
-
-def series_add(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm):
-    return f + g
-
-
-def series_mul(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm):
-    return f * g
-
-
-def depth(f: NearlyHolomorphicForm) -> int:
-    return f.depth

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from nhmf.category_o import catalog, classify_block, dual_verma, identify_module, simple, trivial
-from nhmf.decompose import decompose, iterate_lower, iterate_raise
+from nhmf.decompose import decompose
 from nhmf.generators import (
     BinaryForm,
     eisenstein2,
@@ -21,6 +21,8 @@ from nhmf.laurent import constant_term_report
 from nhmf.operators import (
     casimir,
     infinitesimal_character,
+    iterate_lower,
+    iterate_raise,
     lower_analytic,
     lower_weight,
     raise_weight,
@@ -40,7 +42,7 @@ from nhmf.quadratic import (
     unramified_eigenvalue,
 )
 from nhmf.series import NearlyHolomorphicForm
-from nhmf.verify import solvability_oracle
+from nhmf.verify import random_decomposable, solvability_oracle
 
 
 @contextmanager
@@ -87,34 +89,12 @@ def test_criterion_02_vanishing_orders():
             assert constant_term_report(2, d, "trivial").verdict.kind == "PureSection"
 
 
-def _random_assembled(rng, trunc):
-    weight = rng.choice(range(4, 26, 2))
-    f = NearlyHolomorphicForm.zero(trunc)
-    used = set()
-    for _ in range(rng.randrange(1, 4)):
-        ell = rng.randrange(0, min(5, max(0, (weight - 4) // 2)) + 1)
-        w = weight - 2 * ell
-        basis = level1_basis(w, trunc)
-        if not basis or ell in used:
-            continue
-        used.add(ell)
-        g = NearlyHolomorphicForm.zero(trunc)
-        for b in basis:
-            g = g + b * Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
-        f = f + iterate_raise(g, ell)
-    if rng.random() < 0.4 and (weight - 2) // 2 <= 5:
-        f = f + iterate_raise(eisenstein2(trunc), (weight - 2) // 2) * Fraction(
-            rng.randrange(-4, 5), rng.choice([1, 2])
-        )
-    return f
-
-
 def test_criterion_03_structure_roundtrip():
     with criterion(3, "structure decomposition round-trip x200", 30.0):
         rng = random.Random(20240926)
         done = 0
         while done < 200:
-            f = _random_assembled(rng, 30)
+            f = random_decomposable(rng, 30)
             if f.is_zero:
                 continue
             done += 1

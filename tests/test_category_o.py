@@ -17,9 +17,9 @@ from nhmf.category_o import (
     trivial,
     verma,
 )
-from nhmf.decompose import iterate_raise
 from nhmf.errors import AmbiguousModuleError, DomainError, NonEigenformError
 from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
+from nhmf.operators import iterate_raise
 from nhmf.series import NearlyHolomorphicForm
 
 

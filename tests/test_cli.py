@@ -3,7 +3,11 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+import nhmf.cli
 from nhmf.cli import main, run
+from nhmf.errors import ERROR_CODES
 from nhmf.series import NearlyHolomorphicForm
 
 
@@ -149,6 +153,36 @@ class TestErrors:
         assert main(["e2", "--trunc", "3"]) == 0
         capsys.readouterr()
         assert main(["eis", "--k", "5", "--trunc", "3"]) == 1
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["eis", "--k", "4", "--trunc", "-1"], "out-of-domain"),
+            (["e2", "--trunc", "-1"], "out-of-domain"),
+            (["theta", "--a", "1", "--b", "0", "--c", "1", "--trunc", "-3"], "out-of-domain"),
+            (["local", "reducible", "--q", "abc"], "usage"),
+        ],
+    )
+    def test_bad_arguments_get_typed_errors(self, argv, code, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["error"] in ERROR_CODES and doc["error"] == code
+
+    def test_unexpected_exception_is_internal(self, monkeypatch, capsys):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(nhmf.cli, "catalog", boom)
+        result = run(["catalog", "--d", "1", "--k", "2"])
+        assert not result.ok and result.code == "internal"
+        assert result.payload["error"] == "internal"
+        assert result.payload["message"] == "RuntimeError: boom"
+        assert "RuntimeError: boom" in result.diagnostics[0]
+        assert main(["catalog", "--d", "1", "--k", "2"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "internal"
 
 
 def test_output_deterministic(capsys):

@@ -5,17 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from nhmf.decompose import (
-    character_split,
-    decompose,
-    is_holomorphic,
-    iterate_raise,
-    leading_column_factor,
-)
+from nhmf.decompose import character_split, decompose, leading_column_factor
 from nhmf.errors import DecompositionError, InsufficientTruncationError
 from nhmf.generators import eisenstein, eisenstein2, level1_basis
-from nhmf.operators import infinitesimal_character, raise_weight
+from nhmf.operators import infinitesimal_character, iterate_raise, raise_weight
 from nhmf.series import NearlyHolomorphicForm
+from nhmf.verify import random_decomposable
 
 from conftest import oracle_raise
 
@@ -121,33 +116,11 @@ class TestDecomposeErrors:
         assert dec.reassemble().is_zero
 
 
-def random_assembled_form(rng, trunc):
-    weight = rng.choice(range(4, 26, 2))
-    f = NearlyHolomorphicForm.zero(trunc)
-    used = set()
-    for _ in range(rng.randrange(1, 4)):
-        ell = rng.randrange(0, min(5, max(0, (weight - 4) // 2)) + 1)
-        w = weight - 2 * ell
-        basis = level1_basis(w, trunc)
-        if not basis or ell in used:
-            continue
-        used.add(ell)
-        g = NearlyHolomorphicForm.zero(trunc)
-        for b in basis:
-            g = g + b * Fraction(rng.randrange(-6, 7), rng.choice([1, 2, 3]))
-        f = f + iterate_raise(g, ell)
-    if rng.random() < 0.4 and (weight - 2) // 2 <= 5:
-        f = f + iterate_raise(eisenstein2(trunc), (weight - 2) // 2) * Fraction(
-            rng.randrange(-4, 5), rng.choice([1, 2])
-        )
-    return f
-
-
 def test_roundtrip_random_sample():
     rng = random.Random(421)
     done = 0
     while done < 30:
-        f = random_assembled_form(rng, 30)
+        f = random_decomposable(rng, 30)
         if f.is_zero:
             continue
         done += 1
@@ -161,7 +134,7 @@ def test_roundtrip_random_sample():
 def test_uniqueness_term_by_term():
     rng = random.Random(99)
     for _ in range(12):
-        f = random_assembled_form(rng, 26)
+        f = random_decomposable(rng, 26)
         if f.is_zero:
             continue
         d1 = decompose(f)
@@ -170,9 +143,9 @@ def test_uniqueness_term_by_term():
 
 
 def test_is_holomorphic():
-    assert is_holomorphic(eisenstein(4, 5))
-    assert not is_holomorphic(eisenstein2(5))
-    assert not is_holomorphic(raise_weight(eisenstein(4, 5)))
+    assert eisenstein(4, 5).is_holomorphic
+    assert not eisenstein2(5).is_holomorphic
+    assert not raise_weight(eisenstein(4, 5)).is_holomorphic
 
 
 def test_character_stratification_of_eigenforms():
@@ -219,4 +192,15 @@ def test_user_supplied_basis_provider():
     f = iterate_raise(g2, 1) * 3
     dec = decompose(f, Provider())
     assert dec.terms == ((1, g2 * 3),)
+    assert dec.reassemble() == f
+
+
+def test_basis_above_input_truncation():
+    # A provider may hand out forms computed to a higher precision; the
+    # solve must use only the coefficients up to the input's truncation.
+    trunc = 12
+    e4, e6 = eisenstein(4, trunc), eisenstein(6, trunc)
+    f = iterate_raise(e4, 2) + iterate_raise(e6, 1) + e4 * e4
+    dec = decompose(f, lambda w: level1_basis(w, trunc + 10))
+    assert dec.terms == decompose(f).terms
     assert dec.reassemble() == f

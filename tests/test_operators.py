@@ -12,12 +12,13 @@ from nhmf.operators import (
     casimir,
     casimir_eigenvalue,
     infinitesimal_character,
+    iterate_lower,
+    iterate_raise,
     lower_analytic,
     lower_weight,
     raise_analytic,
     raise_weight,
 )
-from nhmf.decompose import iterate_lower, iterate_raise
 from nhmf.pi_scalar import PiScalar
 from nhmf.series import NearlyHolomorphicForm
 

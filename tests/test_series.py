@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nhmf.errors import FormFileError, WeightMismatchError
 from nhmf.pi_scalar import PiScalar
-from nhmf.series import NearlyHolomorphicForm, depth, series_add, series_mul
+from nhmf.series import NearlyHolomorphicForm
 from nhmf.generators import eisenstein
 
 from conftest import brute_divisor_sum
@@ -20,23 +20,23 @@ def form_of(weight, trunc, coeffs):
 class TestAdd:
     def test_identity(self):
         f = form_of(2, 6, {(1, 0): 12, (0, 1): 24})
-        assert series_add(f, NearlyHolomorphicForm.zero(6)) == f
+        assert f + NearlyHolomorphicForm.zero(6) == f
 
     def test_cancellation(self):
         f = form_of(2, 6, {(1, 0): 12, (0, 0): -1})
         one = form_of(2, 6, {(0, 0): 1})
-        assert series_add(f, one) == form_of(2, 6, {(1, 0): 12})
+        assert f + one == form_of(2, 6, {(1, 0): 12})
 
     def test_e4_plus_e4(self):
         e4 = eisenstein(4, 8)
-        total = series_add(e4, e4)
+        total = e4 + e4
         assert total.coefficient(0, 0) == 2
         # divisor-sum oracle: q-coefficient is 2 * 240 * sigma_3(1)
         assert total.coefficient(0, 1) == 2 * 240 * brute_divisor_sum(1, 3) == 480
 
     def test_weight_mismatch(self):
         with pytest.raises(WeightMismatchError):
-            series_add(form_of(2, 4, {(0, 0): 1}), form_of(4, 4, {(0, 0): 1}))
+            form_of(2, 4, {(0, 0): 1}) + form_of(4, 4, {(0, 0): 1})
 
     def test_zero_has_any_weight(self):
         z = NearlyHolomorphicForm.zero(9)
@@ -50,7 +50,7 @@ class TestMul:
     def test_identity(self):
         f = form_of(4, 6, {(2, 3): Fraction(5, 7)})
         one = form_of(0, 6, {(0, 0): 1})
-        assert series_mul(f, one) == f
+        assert f * one == f
 
     def test_x_times_x(self):
         x = NearlyHolomorphicForm.monomial(2, 5, r=1)
@@ -59,7 +59,7 @@ class TestMul:
     def test_e4_squared_is_weight8_eisenstein(self):
         # convolution oracle to q^3 against 1 + 480 sum sigma_7(n) q^n
         e4 = eisenstein(4, 3)
-        sq = series_mul(e4, e4)
+        sq = e4 * e4
         assert sq.weight == 8
         assert sq.coefficient(0, 0) == 1
         for n in (1, 2, 3):
@@ -74,18 +74,18 @@ class TestMul:
 
 class TestDepth:
     def test_holomorphic(self):
-        assert depth(eisenstein(4, 5)) == 0
+        assert eisenstein(4, 5).depth == 0
 
     def test_weight_two_series(self):
         from nhmf.generators import eisenstein2
 
-        assert depth(eisenstein2(5)) == 1
+        assert eisenstein2(5).depth == 1
 
     def test_monomial(self):
-        assert depth(NearlyHolomorphicForm.monomial(0, 5, r=2, n=3)) == 2
+        assert NearlyHolomorphicForm.monomial(0, 5, r=2, n=3).depth == 2
 
     def test_zero(self):
-        assert depth(NearlyHolomorphicForm.zero(4)) == 0
+        assert NearlyHolomorphicForm.zero(4).depth == 0
 
 
 coeff_strategy = st.fractions(
