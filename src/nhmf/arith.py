@@ -1,12 +1,14 @@
 """Exact arithmetic helpers shared by every layer.
 
-Rational coercion and rendering, integer factoring by trial division, and the
-one exact linear solver of the package.  Nothing here knows about forms.
+Rational coercion and rendering, integer factoring (trial division, then
+Pollard rho for large cofactors) and the one exact linear solver of the
+package.  Nothing here knows about forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .errors import DomainError
@@ -25,6 +27,16 @@ def frac_to_str(c: Fraction) -> str:
     return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
+# Trial division stops below this bound; a cofactor it leaves composite goes
+# to Pollard rho.  Every n <= 2^32 is factored by trial division alone.
+_TRIAL_BOUND = 1 << 16
+
+# Miller-Rabin with the first 13 prime bases is exact below
+# 3317044064679887385961981 (Sorenson and Webster, 2015); above that it is a
+# strong probable-prime test with these bases.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def prime_factors(n: int):
     """The prime factors of n in ascending order, with multiplicity; none for n < 2."""
     if n < 2:
@@ -33,13 +45,71 @@ def prime_factors(n: int):
         yield 2
         n //= 2
     d = 3
-    while d * d <= n:
+    while d * d <= n and d < _TRIAL_BOUND:
         while n % d == 0:
             yield d
             n //= d
         d += 2
-    if n > 1:
-        yield n
+    if d * d > n:
+        if n > 1:
+            yield n
+    else:
+        yield from sorted(_large_factors(n))
+
+
+def _large_factors(n: int) -> list[int]:
+    # n > 1 has no prime factor below _TRIAL_BOUND.
+    if _is_strong_probable_prime(n):
+        return [n]
+    c = 1
+    while (g := _pollard_rho(n, c)) == n:
+        c += 1
+    return _large_factors(g) + _large_factors(n // g)
+
+
+def _is_strong_probable_prime(n: int) -> bool:
+    # n odd and above every base.
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_rho(n: int, c: int) -> int:
+    """A divisor of the odd composite n by Brent's cycle search on x^2 + c;
+    n itself when this c fails."""
+    y, r, q, g = 2, 1, 1, 1
+    while g == 1:
+        x = y
+        for _ in range(r):
+            y = (y * y + c) % n
+        k = 0
+        while k < r and g == 1:
+            ys = y
+            for _ in range(min(128, r - k)):
+                y = (y * y + c) % n
+                q = q * abs(x - y) % n
+            g = gcd(q, n)
+            k += 128
+        r *= 2
+    if g == n:
+        # The batched product hit 0 mod n: redo the last batch one step at a time.
+        g = 1
+        while g == 1:
+            ys = (ys * ys + c) % n
+            g = gcd(abs(x - ys), n)
+    return g
 
 
 def is_prime(n: int) -> bool:

@@ -367,12 +367,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     if result.ok:
         text = _serialize(result.payload, result.json_indent)
-        if result.out_path:
+        if not result.out_path:
+            print(text)
+            return 0
+        try:
             with open(result.out_path, "w", encoding="utf-8") as handle:
                 handle.write(text + "\n")
-        else:
-            print(text)
-        return 0
+            return 0
+        except OSError as exc:
+            result = CommandResult(
+                "error",
+                {"error": UsageError.code, "message": f"cannot write --out {result.out_path}: {exc.strerror or exc}"},
+                code=UsageError.code,
+                json_indent=result.json_indent,
+            )
     doc = {"status": "error", **result.payload, "diagnostics": result.diagnostics}
     print(_serialize(doc, result.json_indent), file=sys.stderr)
     return 1

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .arith import frac_to_str, solve_exact
@@ -54,20 +55,33 @@ def _e2_column_factor(m: int) -> Fraction:
 
 
 class Level1Basis:
-    """Default basis provider: weight w -> monomial basis of M_w(SL_2(Z))."""
+    """Default basis provider: weight w -> monomial basis of M_w(SL_2(Z)).
+
+    Each weight's basis is built once; every call returns a fresh list of the
+    (immutable) forms.  The instance also holds the weight-two Eisenstein
+    series at its truncation.
+    """
 
     def __init__(self, truncation: int):
         self.truncation = truncation
+        self.eisenstein2 = eisenstein2(truncation)
         self._cache: dict[int, list[NearlyHolomorphicForm]] = {}
 
     def __call__(self, w: int) -> list[NearlyHolomorphicForm]:
         if w not in self._cache:
             self._cache[w] = level1_basis(w, self.truncation)
-        return self._cache[w]
+        return list(self._cache[w])
 
     @staticmethod
     def sturm_bound(w: int) -> int:
         return w // 12 + 1
+
+
+@lru_cache(maxsize=4)
+def shared_level1_basis(truncation: int) -> Level1Basis:
+    """The Level1Basis of a truncation shared by decompose, reassemble and
+    character_split, kept for the few most recent truncations."""
+    return Level1Basis(truncation)
 
 
 @dataclass(frozen=True)
@@ -91,7 +105,8 @@ class Decomposition:
             out = out + iterate_raise(g, ell)
         if self.e2_term is not None:
             m, c = self.e2_term
-            out = out + iterate_raise(eisenstein2(self.truncation), m) * c
+            e2 = shared_level1_basis(self.truncation).eisenstein2
+            out = out + iterate_raise(e2, m) * c
         return out
 
     def to_json(self) -> dict:
@@ -116,12 +131,11 @@ def decompose(
     monomial basis.  Residuals outside the span raise DecompositionError
     carrying the residual (the usual sign of a wrong level or basis).
     """
-    if basis_provider is None:
-        basis_provider = Level1Basis(f.truncation)
-    sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
-
     if f.is_zero:
         return Decomposition(None, f.truncation, (), None)
+    if basis_provider is None:
+        basis_provider = shared_level1_basis(f.truncation)
+    sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
 
     k = f.weight
     trunc = f.truncation
@@ -146,7 +160,8 @@ def decompose(
             m = p - 1
             c = top.get(0, Fraction(0)) / _e2_column_factor(m)
             e2_term = (m, c)
-            rem = rem - iterate_raise(eisenstein2(trunc), m) * c
+            e2 = shared_level1_basis(trunc).eisenstein2
+            rem = rem - iterate_raise(e2, m) * c
             continue
 
         if trunc < sturm(max(w, 0)):
@@ -209,5 +224,6 @@ def character_split(
         add(InfinitesimalCharacter.of(g.weight), iterate_raise(g, ell))
     if dec.e2_term is not None:
         m, c = dec.e2_term
-        add(InfinitesimalCharacter.of(2), iterate_raise(eisenstein2(f.truncation), m) * c)
+        e2 = shared_level1_basis(f.truncation).eisenstein2
+        add(InfinitesimalCharacter.of(2), iterate_raise(e2, m) * c)
     return parts

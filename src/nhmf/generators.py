@@ -14,22 +14,32 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, isqrt
 
 from .errors import DomainError
 from .series import NearlyHolomorphicForm
 
 
-@lru_cache(maxsize=None)
+# B_0, B_1, ... as computed so far; odd indices above 1 hold 0.
+_BERNOULLI = [Fraction(1), Fraction(-1, 2)]
+
+
 def bernoulli(m: int) -> Fraction:
-    """B_m with B_1 = -1/2, by the standard recurrence."""
-    if m == 0:
-        return Fraction(1)
-    acc = Fraction(0)
-    for j in range(m):
-        acc += comb(m + 1, j) * bernoulli(j)
-    return -acc / (m + 1)
+    """B_m with B_1 = -1/2, by the standard recurrence over the even indices."""
+    if m < 0:
+        raise DomainError(f"bernoulli requires m >= 0, got {m}")
+    table = _BERNOULLI
+    while len(table) <= m:
+        j = len(table)
+        if j % 2:
+            table.append(Fraction(0))
+            continue
+        # sum_{i < j} C(j + 1, i) B_i, with B_i = 0 for odd i > 1
+        acc = 1 - Fraction(j + 1, 2)
+        for i in range(2, j, 2):
+            acc += comb(j + 1, i) * table[i]
+        table.append(-acc / (j + 1))
+    return table[m]
 
 
 def divisor_power_sum(n: int, e: int) -> int:
@@ -54,55 +64,51 @@ def eisenstein(k: int, truncation: int) -> NearlyHolomorphicForm:
         raise DomainError(f"eisenstein requires even k >= 4, got {k}")
     _check_truncation(truncation)
     factor = Fraction(-2 * k) / bernoulli(k)
-    coeffs = {(0, 0): Fraction(1)}
-    for n in range(1, truncation + 1):
-        coeffs[(0, n)] = factor * divisor_power_sum(n, k - 1)
-    return NearlyHolomorphicForm(k, truncation, coeffs)
+    p, d = factor.numerator, factor.denominator
+    col = [d] + [p * divisor_power_sum(n, k - 1) for n in range(1, truncation + 1)]
+    return NearlyHolomorphicForm._from_columns(k, truncation, d, [col])
 
 
 def eisenstein2(truncation: int) -> NearlyHolomorphicForm:
     """The weight-two nearly holomorphic Eisenstein series 12X - 1 + 24 sum sigma_1(n) q^n."""
     _check_truncation(truncation)
-    coeffs = {(1, 0): Fraction(12), (0, 0): Fraction(-1)}
-    for n in range(1, truncation + 1):
-        coeffs[(0, n)] = Fraction(24 * divisor_power_sum(n, 1))
-    return NearlyHolomorphicForm(2, truncation, coeffs)
-
-
-def _power(f: NearlyHolomorphicForm, e: int, truncation: int) -> NearlyHolomorphicForm:
-    out = NearlyHolomorphicForm.constant(1, truncation)
-    for _ in range(e):
-        out = out * f
-    return out
+    col = [-1] + [24 * divisor_power_sum(n, 1) for n in range(1, truncation + 1)]
+    top = [12] + [0] * truncation
+    return NearlyHolomorphicForm._from_columns(2, truncation, 1, [col, top])
 
 
 def level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicForm]:
     """The monomials E4^a E6^b with 4a + 6b = k, a spanning set of M_k(SL_2(Z)).
 
-    Empty for k odd, k = 2 or k < 0; [1] for k = 0.
+    Empty for k odd, k = 2 or k < 0; [1] for k = 0.  The powers of E4 and E6
+    are built incrementally, one product per power, and each monomial with
+    a, b > 0 takes one more product.
     """
-    if k < 0 or k % 2:
+    exponents = [(a, (k - 4 * a) // 6) for a in range(k // 4, -1, -1) if (k - 4 * a) % 6 == 0]
+    if not exponents:
         return []
-    basis = []
-    e4 = eisenstein(4, truncation) if k >= 4 else None
-    e6 = eisenstein(6, truncation) if k >= 6 else None
-    for a in range(k // 4, -1, -1):
-        rem = k - 4 * a
-        if rem % 6:
-            continue
-        b = rem // 6
-        g = _power(e4, a, truncation) if a else NearlyHolomorphicForm.constant(1, truncation)
-        if b:
-            g = g * _power(e6, b, truncation)
-        basis.append(g)
-    return basis
+    one = NearlyHolomorphicForm.constant(1, truncation)
+
+    def powers(w: int, top: int) -> list[NearlyHolomorphicForm]:
+        # [1, E_w, E_w^2, ..., E_w^top]
+        out = [one]
+        if top:
+            e = eisenstein(w, truncation)
+            out.append(e)
+            while len(out) <= top:
+                out.append(out[-1] * e)
+        return out
+
+    e4 = powers(4, exponents[0][0])
+    e6 = powers(6, exponents[-1][1])
+    return [e4[a] * e6[b] if a and b else (e4[a] if a else e6[b]) for a, b in exponents]
 
 
 def delta_cusp(truncation: int) -> NearlyHolomorphicForm:
     """The normalized weight-12 cusp form (E4^3 - E6^2)/1728."""
     e4 = eisenstein(4, truncation)
     e6 = eisenstein(6, truncation)
-    return (_power(e4, 3, truncation) - _power(e6, 2, truncation)) * Fraction(1, 1728)
+    return (e4 * e4 * e4 - e6 * e6) * Fraction(1, 1728)
 
 
 @dataclass(frozen=True)
@@ -144,5 +150,4 @@ def theta_series(q_form: BinaryForm, truncation: int) -> NearlyHolomorphicForm:
             v = q_form(x, y)
             if v <= truncation:
                 counts[v] += 1
-    coeffs = {(0, n): Fraction(cnt) for n, cnt in enumerate(counts) if cnt}
-    return NearlyHolomorphicForm(1, truncation, coeffs)
+    return NearlyHolomorphicForm._from_columns(1, truncation, 1, [counts])

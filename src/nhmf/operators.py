@@ -6,6 +6,9 @@ integer monomial rules, extended linearly:
     raise_weight  (delta_k):  X^r q^n  ->  n X^r q^n + (r - k) X^(r+1) q^n
     lower_weight  (Lambda):   X^r q^n  ->  r X^(r-1) q^n
 
+Both act column by column on the integer storage of :mod:`series`, over an
+unchanged common denominator.
+
 These are the rational-preserving normalizations.  The analytic operators
 
     R_k = k/y + 2i d/dz,      L_k = -2i y^2 d/dzbar
@@ -28,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import NonEigenformError, NonRationalCharacterError
@@ -40,23 +44,24 @@ def raise_weight(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     if f.is_zero:
         return f
     k = f.weight
-    merged: dict[tuple[int, int], Fraction] = {}
-    for (r, n), c in f.terms():
-        if n:
-            key = (r, n)
-            merged[key] = merged.get(key, Fraction(0)) + n * c
-        if r != k:
-            key = (r + 1, n)
-            merged[key] = merged.get(key, Fraction(0)) + (r - k) * c
-    return NearlyHolomorphicForm(k + 2 if merged else None, f.truncation, merged)
+    cols = f._cols
+    ns = range(f.truncation + 1)
+    out = []
+    for r, col in enumerate(cols):
+        image = list(map(mul, ns, col))
+        if r and r - 1 != k:
+            image = list(map(add, image, map((r - 1 - k).__mul__, cols[r - 1])))
+        out.append(image)
+    out.append(list(map((len(cols) - 1 - k).__mul__, cols[-1])))
+    return NearlyHolomorphicForm._from_columns(k + 2, f.truncation, f._den, out)
 
 
 def lower_weight(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     """Lambda: weight k -> k - 2; annihilates exactly the holomorphic forms."""
     if f.is_zero:
         return f
-    merged = {(r - 1, n): r * c for (r, n), c in f.terms() if r}
-    return NearlyHolomorphicForm(f.weight - 2 if merged else None, f.truncation, merged)
+    out = [list(map(r.__mul__, col)) for r, col in enumerate(f._cols) if r]
+    return NearlyHolomorphicForm._from_columns(f.weight - 2, f.truncation, f._den, out)
 
 
 def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:

@@ -1,6 +1,7 @@
 """Shared arithmetic helpers: factoring against brute force, the exact solver."""
 
 from fractions import Fraction
+from math import isqrt, prod
 
 import pytest
 
@@ -49,6 +50,50 @@ def test_prime_power_base_against_brute_force():
     for bad in (1, 0, -4, "9", 2.0):
         with pytest.raises(DomainError, match="prime power >= 2"):
             prime_power_base(bad)
+
+
+def trial_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+# Primes near 1e9, above the 2^16 trial-division bound of prime_factors.
+BIG_PRIMES = [p for p in range(10**9 - 130, 10**9 + 100) if trial_is_prime(p)]
+
+
+def test_semiprimes_of_primes_near_1e9():
+    assert len(BIG_PRIMES) >= 8
+    for p, q in zip(BIG_PRIMES, BIG_PRIMES[1:]):
+        assert list(prime_factors(p * q)) == [p, q]
+        assert list(prime_factors(q * p * 12)) == [2, 2, 3, p, q]
+    assert list(prime_factors(1000000016000000063)) == [1000000007, 1000000009]
+
+
+def test_squares_and_cubes_of_large_primes():
+    for p in BIG_PRIMES[:4] + [65537, 65539]:
+        assert list(prime_factors(p * p)) == [p, p]
+        assert list(prime_factors(7 * p * p)) == [7, p, p]
+    assert list(prime_factors(65537**3)) == [65537] * 3
+
+
+def test_carmichael_numbers():
+    # Chernick numbers (6k+1)(12k+1)(18k+1) with all three factors prime are
+    # Carmichael numbers; the last three have every factor above 2^16.
+    for k in (1, 6, 35, 10975, 11045, 11060):
+        factors = [6 * k + 1, 12 * k + 1, 18 * k + 1]
+        assert all(trial_is_prime(p) for p in factors)
+        n = prod(factors)
+        assert all((n - 1) % (p - 1) == 0 for p in factors)  # Korselt
+        assert list(prime_factors(n)) == factors
+        assert not is_prime(n)
+    for n, factors in ((561, [3, 11, 17]), (41041, [7, 11, 13, 41])):
+        assert list(prime_factors(n)) == factors
+
+
+def test_large_primes_are_prime():
+    for p in BIG_PRIMES + [2**31 - 1, 2**61 - 1, 4294967311]:
+        assert list(prime_factors(p)) == [p]
+        assert is_prime(p)
+    assert list(prime_factors(2**64 + 1)) == [274177, 67280421310721]
 
 
 class TestSolveExact:

@@ -1,6 +1,7 @@
 """CLI dispatcher: JSON I/O, determinism, error codes, exit behavior."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,16 @@ class TestErrors:
         doc = json.loads(err)
         assert doc["error"] in ERROR_CODES and doc["error"] == code
 
+    def test_unwritable_out_gets_typed_error(self, tmp_path, capsys):
+        target = tmp_path / "missing_dir" / "x.json"
+        assert main(["e2", "--trunc", "3", "--out", str(target)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        doc = json.loads(err)
+        assert doc["status"] == "error" and doc["error"] == "usage"
+        assert str(target) in doc["message"]
+        assert not target.exists()
+
     def test_unexpected_exception_is_internal(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
@@ -183,6 +194,16 @@ class TestErrors:
         assert main(["catalog", "--d", "1", "--k", "2"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err)["error"] == "internal"
+
+
+def test_invariants_of_large_semiprime_are_fast(capsys):
+    # 1000000007 * 1000000009: beyond trial division, within Pollard rho.
+    start = time.perf_counter()
+    assert main(["local", "invariants", "1000000016000000063", "1"]) == 0
+    elapsed = time.perf_counter() - start
+    places = [p["place"] for p in json.loads(capsys.readouterr().out)["places"]]
+    assert "1000000007" in places and "1000000009" in places
+    assert elapsed < 2.0
 
 
 def test_output_deterministic(capsys):

@@ -1,11 +1,22 @@
 """Structure decomposition: peeling, round-trips, error paths."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nhmf.decompose import character_split, decompose, leading_column_factor
+import nhmf.series
+from nhmf.decompose import (
+    character_split,
+    decompose,
+    leading_column_factor,
+    shared_level1_basis,
+)
 from nhmf.errors import DecompositionError, InsufficientTruncationError
 from nhmf.generators import eisenstein, eisenstein2, level1_basis
 from nhmf.operators import infinitesimal_character, iterate_raise, raise_weight
@@ -204,3 +215,49 @@ def test_basis_above_input_truncation():
     dec = decompose(f, lambda w: level1_basis(w, trunc + 10))
     assert dec.terms == decompose(f).terms
     assert dec.reassemble() == f
+
+
+def test_shared_basis_does_not_leak_between_calls():
+    rng = random.Random(7)
+    forms = [f for f in (random_decomposable(rng, 30) for _ in range(6)) if not f.is_zero]
+    before = [decompose(f).to_json() for f in forms]
+    provider = shared_level1_basis(30)
+    for w in range(0, 31, 2):
+        provider(w).clear()
+        provider(w).append(NearlyHolomorphicForm.zero(30))
+        level1_basis(w, 30).clear()
+    assert [decompose(f).to_json() for f in forms] == before
+    assert [decompose(f).reassemble() for f in forms] == forms
+
+
+_FRESH_DECOMPOSE = """
+import json, sys
+from nhmf.decompose import decompose
+from nhmf.series import NearlyHolomorphicForm
+docs = json.load(sys.stdin)
+print(json.dumps([decompose(NearlyHolomorphicForm.from_doc(d)).to_json() for d in docs]))
+"""
+
+
+def test_decompose_across_truncations_matches_fresh_processes():
+    # Decomposing at trunc 30 and then at trunc 12 in one process gives what
+    # a fresh process gives for each truncation alone.
+    rng = random.Random(12)
+    forms = [f for f in (random_decomposable(rng, 30) for _ in range(5)) if not f.is_zero]
+    in_process = {}
+    for trunc in (30, 12):
+        in_process[trunc] = [decompose(f.truncate(trunc)).to_json() for f in forms]
+    src = str(Path(nhmf.series.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for trunc in (30, 12):
+        docs = [f.truncate(trunc).to_doc() for f in forms]
+        proc = subprocess.run(
+            [sys.executable, "-c", _FRESH_DECOMPOSE],
+            input=json.dumps(docs),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+            check=True,
+        )
+        assert json.loads(proc.stdout) == in_process[trunc]

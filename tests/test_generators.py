@@ -1,6 +1,7 @@
 """Generators: Eisenstein series, level-1 basis, theta series."""
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -27,6 +28,15 @@ def test_bernoulli_values():
     assert bernoulli(4) == Fraction(-1, 30)
     assert bernoulli(6) == Fraction(1, 42)
     assert bernoulli(12) == Fraction(-691, 2730)
+
+    # The plain recurrence over every index, B_m = -sum_{j<m} C(m+1, j) B_j / (m+1).
+    reference = []
+    for m in range(61):
+        acc = sum((comb(m + 1, j) * reference[j] for j in range(m)), Fraction(0))
+        reference.append(Fraction(1) if m == 0 else -acc / (m + 1))
+    assert [bernoulli(m) for m in range(61)] == reference
+    with pytest.raises(DomainError):
+        bernoulli(-1)
 
 
 def test_divisor_power_sum_against_brute_force():

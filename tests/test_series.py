@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhmf.errors import FormFileError, WeightMismatchError
+from nhmf.operators import casimir, lower_weight, raise_weight
 from nhmf.pi_scalar import PiScalar
 from nhmf.series import NearlyHolomorphicForm
 from nhmf.generators import eisenstein
@@ -197,8 +198,143 @@ class TestFormFile:
                 {"weight": 2, "truncation": 3, "terms": [[0, 9, "1"]]}
             )
 
+    def test_rejects_documents_past_the_dense_size_limit(self):
+        for trunc, r in ((10**7, 0), (0, 10**6), (1000, 999)):
+            with pytest.raises(FormFileError, match="stored coefficients"):
+                NearlyHolomorphicForm.from_doc(
+                    {"weight": 2, "truncation": trunc, "terms": [[r, 0, "1"]]}
+                )
+        # The zero form stores nothing, whatever its truncation.
+        assert NearlyHolomorphicForm.from_doc(
+            {"weight": 2, "truncation": 10**7, "terms": []}
+        ).is_zero
+
     def test_rejects_bad_rational(self):
         with pytest.raises(FormFileError):
             NearlyHolomorphicForm.from_doc(
                 {"weight": 2, "truncation": 3, "terms": [[0, 0, "x"]]}
             )
+
+
+# -- the integer column core against a dict-of-Fraction reference model --------
+#
+# A model form is (weight, truncation, {(r, n): c}) with only nonzero c and
+# n <= truncation; weight is None exactly for the zero form.
+
+
+def model_of(weight, trunc, coeffs):
+    data = {key: Fraction(c) for key, c in coeffs.items() if key[1] <= trunc and c}
+    return (weight if data else None, trunc, data)
+
+
+def model_add(f, g):
+    weight = f[0] if f[0] is not None else g[0]
+    trunc = min(f[1], g[1])
+    data = {}
+    for src in (f[2], g[2]):
+        for key, c in src.items():
+            data[key] = data.get(key, Fraction(0)) + c
+    return model_of(weight, trunc, data)
+
+
+def model_scale(f, c):
+    return model_of(f[0], f[1], {key: v * c for key, v in f[2].items()})
+
+
+def model_mul(f, g):
+    trunc = min(f[1], g[1])
+    data = {}
+    for (r1, n1), c1 in f[2].items():
+        for (r2, n2), c2 in g[2].items():
+            key = (r1 + r2, n1 + n2)
+            data[key] = data.get(key, Fraction(0)) + c1 * c2
+    weight = f[0] + g[0] if f[2] and g[2] else None
+    return model_of(weight, trunc, data)
+
+
+def model_raise(f):
+    k, data = f[0], {}
+    for (r, n), c in f[2].items():
+        data[(r, n)] = data.get((r, n), Fraction(0)) + n * c
+        data[(r + 1, n)] = data.get((r + 1, n), Fraction(0)) + (r - k) * c
+    return model_of(k + 2 if f[2] else None, f[1], data)
+
+
+def model_lower(f):
+    data = {(r - 1, n): r * c for (r, n), c in f[2].items() if r}
+    return model_of(f[0] - 2 if data else None, f[1], data)
+
+
+def model_casimir(f):
+    if not f[2]:
+        return f
+    k = f[0]
+    return model_add(model_scale(f, k * k - 2 * k), model_scale(model_raise(model_lower(f)), 4))
+
+
+def matches(form, model):
+    # Equal and equally hashed to the form built from the model's terms: the
+    # storage of every result is canonical.
+    weight, trunc, data = model
+    built = NearlyHolomorphicForm(weight, trunc, data)
+    return (
+        form == built
+        and hash(form) == hash(built)
+        and form.weight == weight
+        and form.truncation == trunc
+        and form.terms() == sorted(data.items())
+        and form.depth == max((r for r, _ in data), default=0)
+        and all(form.x_column(r) == {n: c for (rr, n), c in data.items() if rr == r} for r in range(5))
+    )
+
+
+model_coeffs = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@st.composite
+def model_forms(draw, weight):
+    trunc = draw(st.integers(0, 9))
+    coeffs = draw(
+        st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 12)), model_coeffs, max_size=8)
+    )
+    return model_of(weight, trunc, coeffs)
+
+
+def form_from_model(model):
+    return NearlyHolomorphicForm(model[0], model[1], model[2])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(-2, 8).flatmap(lambda w: st.tuples(model_forms(w), model_forms(w))),
+    model_forms(4),
+    model_coeffs,
+    st.integers(0, 9),
+)
+def test_integer_core_matches_reference_model(fg, h, c, t):
+    mf, mg = fg
+    f, g, hf = form_from_model(mf), form_from_model(mg), form_from_model(h)
+    assert matches(f, mf) and matches(g, mg)
+    assert matches(f + g, model_add(mf, mg))
+    assert matches(f - g, model_add(mf, model_scale(mg, -1)))
+    assert matches(f * c, model_scale(mf, c)) and matches(c * f, model_scale(mf, c))
+    assert matches(f * 3, model_scale(mf, 3))
+    assert matches(f * hf, model_mul(mf, h)) and matches(hf * f, model_mul(h, mf))
+    if t <= f.truncation:
+        assert matches(f.truncate(t), model_of(mf[0], t, mf[2]))
+    assert matches(raise_weight(f), model_raise(mf))
+    assert matches(lower_weight(f), model_lower(mf))
+    assert matches(casimir(f), model_casimir(mf))
+    # Equality and hashing follow the model exactly.
+    assert (f == g) == (mf == mg)
+    twin = NearlyHolomorphicForm(mf[0], mf[1], dict(f.terms()))
+    assert twin == f and hash(twin) == hash(f)
+    assert (f - f).is_zero and (f - f) == NearlyHolomorphicForm.zero(f.truncation)
+    # The form file round trip.
+    doc = f.to_doc()
+    assert doc["terms"] == [[r, n, str(v)] for (r, n), v in sorted(mf[2].items())]
+    assert NearlyHolomorphicForm.from_doc(doc) == f
+    assert NearlyHolomorphicForm.from_doc(doc).to_doc() == doc
