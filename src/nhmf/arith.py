@@ -31,14 +31,20 @@ def frac_to_str(c: Fraction) -> str:
 # to Pollard rho.  Every n <= 2^32 is factored by trial division alone.
 _TRIAL_BOUND = 1 << 16
 
-# Miller-Rabin with the first 13 prime bases is exact below
-# 3317044064679887385961981 (Sorenson and Webster, 2015); above that it is a
-# strong probable-prime test with these bases.
+# Miller-Rabin with the first 13 prime bases is exact below _MR_EXACT_BOUND
+# (Sorenson and Webster, 2015).  The bound itself is a strong pseudoprime to
+# all 13 bases, so a cofactor at or above it that passes is refused instead
+# of being reported as prime.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BOUND = 3317044064679887385961981
 
 
 def prime_factors(n: int):
-    """The prime factors of n in ascending order, with multiplicity; none for n < 2."""
+    """The prime factors of n in ascending order, with multiplicity; none for n < 2.
+
+    DomainError when a factor left by trial division passes Miller-Rabin at
+    or above _MR_EXACT_BOUND, where passing does not prove it prime.
+    """
     if n < 2:
         return
     while n % 2 == 0:
@@ -60,6 +66,10 @@ def prime_factors(n: int):
 def _large_factors(n: int) -> list[int]:
     # n > 1 has no prime factor below _TRIAL_BOUND.
     if _is_strong_probable_prime(n):
+        if n >= _MR_EXACT_BOUND:
+            raise DomainError(
+                f"cannot factor {n}: primality is decided only below {_MR_EXACT_BOUND}"
+            )
         return [n]
     c = 1
     while (g := _pollard_rho(n, c)) == n:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul, neg
+from operator import add, neg
 
 from .arith import frac_to_str
 from .errors import FormFileError, WeightMismatchError
@@ -54,27 +54,27 @@ def _scaled(col, s: int, length: int):
 
 
 def _convolve_into(acc: list, a, b) -> None:
-    """acc[n] += sum of a[i] * b[n - i] for every n < len(acc), skipping zero entries."""
+    """acc[n] += sum of a[i] * b[n - i] for every n < len(acc): one scaled
+    shift of b per nonzero entry of a, the factor with more zero entries."""
     length = len(acc)
     a, b = a[:length], b[:length]
     if a.count(0) < b.count(0):
         a, b = b, a
-    nonzero = [(i, x) for i, x in enumerate(a) if x]
-    if 4 * len(nonzero) <= length:
-        # Sparse a: one scaled shift of b per nonzero entry.
-        for i, x in nonzero:
+    for i, x in enumerate(a):
+        if x:
             acc[i:] = map(add, acc[i:], map(x.__mul__, b[: length - i]))
-    else:
-        # Dense a and b: one dot product per output coefficient.
-        rev = b[::-1]
-        for n in range(length):
-            acc[n] += sum(map(mul, a[: n + 1], rev[length - 1 - n :]))
 
 
 class NearlyHolomorphicForm:
     __slots__ = ("_weight", "_trunc", "_den", "_cols")
 
     def __init__(self, weight, truncation: int, coeffs=None):
+        """The form sum of c * X^r q^n over coeffs {(r, n): c}, dropping n > truncation.
+
+        Storage is dense: a nonzero form holds (depth + 1) * (truncation + 1)
+        ints however few of its terms are nonzero, so even a monomial at a
+        large truncation costs memory in proportion to that truncation.
+        """
         if not isinstance(truncation, int) or truncation < 0:
             raise ValueError(f"truncation must be a non-negative integer, got {truncation!r}")
         data: dict[tuple[int, int], Fraction] = {}

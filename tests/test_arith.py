@@ -96,6 +96,25 @@ def test_large_primes_are_prime():
     assert list(prime_factors(2**64 + 1)) == [274177, 67280421310721]
 
 
+def test_past_the_exact_miller_rabin_bound_is_refused_never_prime():
+    # The smallest strong pseudoprime to the first 13 prime bases; both
+    # factors are above the trial-division bound.
+    n = 3317044064679887385961981
+    assert n == 1287836182261 * 2575672364521
+    for big in (n, 2**89 - 1, 3 * n):
+        with pytest.raises(DomainError, match="primality is decided only below"):
+            list(prime_factors(big))
+    for call in (is_prime, prime_power_base):
+        with pytest.raises(DomainError, match="primality is decided only below"):
+            call(n)
+    # A small factor settles the question before the cofactor is tested.
+    assert not is_prime(3 * n)
+    with pytest.raises(DomainError, match="is not a prime power"):
+        prime_power_base(2 * n)
+    # Just below the bound Miller-Rabin is exact.
+    assert list(prime_factors(n - 2)) == [17, 1709, 1366183751, 83570142193]
+
+
 class TestSolveExact:
     def test_unique_solution_int_keys(self):
         cols = [{0: Fraction(1), 1: Fraction(2)}, {1: Fraction(1), 2: Fraction(3)}]

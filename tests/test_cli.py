@@ -206,6 +206,20 @@ def test_invariants_of_large_semiprime_are_fast(capsys):
     assert elapsed < 2.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["local", "invariants", "3317044064679887385961981", "1"],
+        ["local", "reducible", "--q", "3317044064679887385961981"],
+    ],
+)
+def test_composite_past_the_primality_bound_is_not_a_place(argv, capsys):
+    # 1287836182261 * 2575672364521, a strong pseudoprime to every base used.
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "out-of-domain"
+
+
 def test_output_deterministic(capsys):
     assert main(["catalog", "--d", "1", "--k", "2"]) == 0
     first = capsys.readouterr().out
