@@ -1,14 +1,17 @@
 """Exact arithmetic helpers shared by every layer.
 
 Rational coercion and rendering, integer factoring (trial division, then
-Pollard rho for large cofactors) and the one exact linear solver of the
-package.  Nothing here knows about forms.
+Pollard rho with a step budget for large cofactors), and the one elimination
+routine of the package: the reduced echelon form of integer vectors, on which
+the exact linear solver and decompose's span test are built.  Nothing here
+knows about forms.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from itertools import count
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import DomainError
@@ -37,6 +40,12 @@ _TRIAL_BOUND = 1 << 16
 # of being reported as prime.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BOUND = 3317044064679887385961981
+
+# Pollard rho gives up on a cofactor after this many steps of x -> x^2 + c,
+# refusing it as out of domain.  Rho takes about the square root of the
+# smallest prime factor in steps, so factors up to about 10^10 are found;
+# the refusal comes after about 0.7 s on a 2-core x86 host (Python 3.11).
+_RHO_STEPS = 1 << 19
 
 
 def prime_factors(n: int):
@@ -71,9 +80,7 @@ def _large_factors(n: int) -> list[int]:
                 f"cannot factor {n}: primality is decided only below {_MR_EXACT_BOUND}"
             )
         return [n]
-    c = 1
-    while (g := _pollard_rho(n, c)) == n:
-        c += 1
+    g = _pollard_rho(n)
     return _large_factors(g) + _large_factors(n // g)
 
 
@@ -96,30 +103,39 @@ def _is_strong_probable_prime(n: int) -> bool:
     return True
 
 
-def _pollard_rho(n: int, c: int) -> int:
-    """A divisor of the odd composite n by Brent's cycle search on x^2 + c;
-    n itself when this c fails."""
-    y, r, q, g = 2, 1, 1, 1
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(128, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = gcd(q, n)
-            k += 128
-        r *= 2
-    if g == n:
-        # The batched product hit 0 mod n: redo the last batch one step at a time.
-        g = 1
+def _pollard_rho(n: int) -> int:
+    """A proper divisor of the odd composite n by Brent's cycle search on
+    x^2 + c for c = 1, 2, ...; DomainError once the search has taken
+    _RHO_STEPS steps in all without one."""
+    steps = 0
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
         while g == 1:
-            ys = (ys * ys + c) % n
-            g = gcd(abs(x - ys), n)
-    return g
+            if steps >= _RHO_STEPS:
+                raise DomainError(
+                    f"cannot factor {n}: no factor found in {_RHO_STEPS} Pollard rho steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            steps += 2 * r
+            r *= 2
+        if g == n:
+            # The batched product hit 0 mod n: redo the last batch one step at a time.
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def is_prime(n: int) -> bool:
@@ -139,38 +155,79 @@ def prime_power_base(q: int) -> int:
     return p
 
 
+def reduced_echelon(vectors, width: int) -> list[tuple[int, list[int]]]:
+    """The reduced echelon form of the span of integer vectors, as (pivot, row) pairs.
+
+    Pivots are sought among the first width entries.  Each row is primitive,
+    positive at its own pivot and 0 at every other row's pivot.  A vector
+    that vanishes in the first width entries once reduced by the rows before
+    it adds no row, so the rows come only from the vectors independent of
+    those before them there.
+    """
+    rows: list[tuple[int, list[int]]] = []
+    for v in vectors:
+        v = reduce_by(rows, v)
+        pivot = next((i for i in range(width) if v[i]), None)
+        if pivot is None:
+            continue
+        if v[pivot] < 0:
+            v = [-x for x in v]
+        rows = [(p, _eliminate(r, v, pivot) if r[pivot] else r) for p, r in rows]
+        rows.append((pivot, list(v)))
+    return rows
+
+
+def reduce_by(rows, v) -> list[int]:
+    """v less its components along the rows of a reduced echelon form, times
+    a positive integer.  Every pivot entry is cleared, so the result vanishes
+    in the entries the pivots were sought in exactly when v lies in the span
+    of the rows there."""
+    for pivot, r in rows:
+        if v[pivot]:
+            v = _eliminate(v, r, pivot)
+    return v
+
+
+def _eliminate(v, r, pivot: int) -> list[int]:
+    # r[pivot] * v - v[pivot] * r, made primitive: clears v's entry at the
+    # pivot and scales v by a positive factor, since r[pivot] > 0.
+    a, b = r[pivot], v[pivot]
+    out = [a * x - b * y for x, y in zip(v, r)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
 def solve_exact(columns, target) -> Optional[list[Fraction]]:
     """Solve target = sum x_i columns_i over Fraction dicts; None if outside.
 
     Columns and target map the same kind of key (an int, an (r, n) pair, ...)
-    to coefficients; a missing key is 0.  Gauss-Jordan elimination with free
-    variables set to 0, so an independent set of columns gives the unique
-    solution.
+    to coefficients; a missing key is 0.  Free variables are set to 0, so an
+    independent set of columns gives the unique solution.
+
+    Each column i, times the lcm d_i of its denominators, is extended by its
+    coordinates (d_i at slot i) and a 0; the target, times d, by zero
+    coordinates and d.  Every vector (key part, coordinates, scale) then has
+    key part = sum coordinates_i * columns_i + scale * target, and reducing
+    the target by the reduced echelon form of the columns keeps that
+    identity, so a target reduced to a zero key part gives
+    target = sum (-coordinates_i / scale) * columns_i.
     """
     keys = sorted(set(target) | {k for col in columns for k in col})
-    rows = [
-        [col.get(key, Fraction(0)) for col in columns] + [target.get(key, Fraction(0))]
-        for key in keys
-    ]
-    ncols = len(columns)
-    row = 0
-    pivots = []
-    for col in range(ncols):
-        pivot = next((i for i in range(row, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[row], rows[pivot] = rows[pivot], rows[row]
-        inv = 1 / rows[row][col]
-        rows[row] = [v * inv for v in rows[row]]
-        for i in range(len(rows)):
-            if i != row and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[row])]
-        pivots.append((row, col))
-        row += 1
-    if any(rows[i][ncols] for i in range(row, len(rows))):
+    width, ncols = len(keys), len(columns)
+
+    def cleared(col) -> tuple[list[int], int]:
+        values = [as_fraction(col.get(key, 0)) for key in keys]
+        den = lcm(*(x.denominator for x in values))
+        return [(x * den).numerator for x in values], den
+
+    vectors = []
+    for i, col in enumerate(columns):
+        v, den = cleared(col)
+        tail = [0] * (ncols + 1)
+        tail[i] = den
+        vectors.append(v + tail)
+    t, den = cleared(target)
+    rest = reduce_by(reduced_echelon(vectors, width), t + [0] * ncols + [den])
+    if any(rest[:width]):
         return None
-    sol = [Fraction(0)] * ncols
-    for r, c in pivots:
-        sol[c] = rows[r][ncols]
-    return sol
+    return [Fraction(-x, rest[-1]) for x in rest[width:-1]]

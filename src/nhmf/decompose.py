@@ -10,7 +10,16 @@ weight-(k-2p) holomorphic seed up to the combinatorial factor
 
 which is computed from the raising monomial rule itself and vanishes only for
 weight-0 seeds with l >= 1 (and those contribute nothing, so it is never
-divided by).  Depth strictly decreases, so peeling ends in depth+1 steps.
+divided by).  The seed is therefore the top column over c(w, p), read off
+with no linear solve.  Depth strictly decreases, so peeling ends in depth+1
+steps.
+
+The seed must lie in the span of the basis of its weight.  Each basis is put
+once in reduced echelon form, one primitive integer row per pivot q-index
+(for the level-1 monomials this is the Miller basis q^i + O(q^dim)), and the
+top column is tested against it by integer elimination over all truncation+1
+coefficients, not only the first dim: a column that agrees with a modular
+form up to q^(dim-1) and not beyond is refused.
 
 A weight-2 seed at the top depth cannot be matched at level 1 (there are no
 holomorphic weight-two forms there); the weight-two Eisenstein series instead
@@ -28,30 +37,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import Callable, Optional
 
-from .arith import frac_to_str, solve_exact
+from .arith import frac_to_str, reduce_by, reduced_echelon
 from .errors import DecompositionError, InsufficientTruncationError
 from .generators import eisenstein2, level1_basis
 from .operators import InfinitesimalCharacter, iterate_raise
 from .series import NearlyHolomorphicForm
 
 
-def leading_column_factor(w: int, ell: int) -> Fraction:
+def leading_column_factor(w: int, ell: int) -> int:
     """c(w, l): the X^l column of delta^(l) g is c(w, l) * g for holomorphic g of weight w."""
-    acc = Fraction(1)
-    for j in range(ell):
-        acc *= -(w + j)
-    return acc
+    return prod(-(w + j) for j in range(ell))
 
 
-def _e2_column_factor(m: int) -> Fraction:
+def _e2_column_factor(m: int) -> int:
     # Top X-column of delta^(m) applied to the weight-two Eisenstein series:
     # the seed column is 12 at depth 1, each step j multiplies by -(1 + j).
-    acc = Fraction(12)
-    for j in range(m):
-        acc *= -(1 + j)
-    return acc
+    return 12 * leading_column_factor(1, m)
 
 
 class Level1Basis:
@@ -82,6 +86,17 @@ def shared_level1_basis(truncation: int) -> Level1Basis:
     """The Level1Basis of a truncation shared by decompose, reassemble and
     character_split, kept for the few most recent truncations."""
     return Level1Basis(truncation)
+
+
+@lru_cache(maxsize=128)
+def _echelon(basis: tuple[NearlyHolomorphicForm, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """The reduced echelon form of the q-series of a truncated basis, one
+    primitive integer row per pivot q-index; for the level-1 monomials, the
+    Miller basis q^i + O(q^dim) up to scaling.  Built once per basis, and
+    immutable, since every caller shares it."""
+    cols = [b._cols[0] for b in basis if not b.is_zero]
+    rows = reduced_echelon(cols, len(cols[0]) if cols else 0)
+    return tuple((pivot, tuple(row)) for pivot, row in rows)
 
 
 @dataclass(frozen=True)
@@ -146,19 +161,19 @@ def decompose(
     while not rem.is_zero:
         p = rem.depth
         w = k - 2 * p
-        top = rem.x_column(p)
+        top = rem._cols[p]
 
         if w == 0 and p >= 1:
             # Only the weight-two Eisenstein seed can put a constant column
             # at this depth: record c * delta^(p-1) of it.
-            if any(n for n in top if n):
+            if any(top[1:]):
                 raise DecompositionError(
                     "depth-top column of weight-0 type is not constant; "
                     "not decomposable over supplied basis",
                     residual=rem,
                 )
             m = p - 1
-            c = top.get(0, Fraction(0)) / _e2_column_factor(m)
+            c = Fraction(top[0], rem._den * _e2_column_factor(m))
             e2_term = (m, c)
             e2 = shared_level1_basis(trunc).eisenstein2
             rem = rem - iterate_raise(e2, m) * c
@@ -174,27 +189,18 @@ def decompose(
             raise InsufficientTruncationError(
                 f"basis for weight {w} truncated below the input truncation {trunc}"
             )
-        basis = [b if b.truncation == trunc else b.truncate(trunc) for b in basis]
-        factor = leading_column_factor(w, p)
-        target = {n: c / factor for n, c in top.items()}
-        solution = solve_exact([b.x_column(0) for b in basis], target) if basis else None
-        if solution is None:
-            if not any(top.values()):
-                raise AssertionError("empty top column in peeling loop")
-            raise DecompositionError(
-                "not decomposable over supplied basis",
-                residual=rem,
-            )
-        g = NearlyHolomorphicForm.zero(trunc)
-        for x, b in zip(solution, basis):
-            g = g + b * x
-        if g.is_zero:
+        rows = _echelon(tuple(b.truncate(trunc) for b in basis))
+        if any(reduce_by(rows, top)):
             raise DecompositionError(
                 "not decomposable over supplied basis", residual=rem
             )
+        # The top column is c(w, p) times the seed's q-series.
+        factor = leading_column_factor(w, p)
+        seed = list(top) if factor > 0 else [-x for x in top]
+        g = NearlyHolomorphicForm._from_columns(w, trunc, rem._den * abs(factor), [seed])
         new_rem = rem - iterate_raise(g, p)
         if not new_rem.is_zero and new_rem.depth >= p:
-            # Top column matched only partially: seed not in span.
+            # The raised seed must cancel the whole top column.
             raise DecompositionError(
                 "not decomposable over supplied basis", residual=rem
             )

@@ -8,6 +8,13 @@ stays literal.  Classical objects are derived from it by negation.
 
 Theta series use naive lattice enumeration, quadratic in the radius; fine at
 desk scale.
+
+Every generator refuses, before any work, a weight (or Bernoulli index) above
+MAX_WEIGHT and a truncation above MAX_TRUNCATION with DomainError.  At the
+bounds, on a 2-core x86 host with Python 3.11, a cold bernoulli(MAX_WEIGHT)
+takes about 0.3 s, eisenstein(4, MAX_TRUNCATION) about 0.04 s and
+eisenstein(MAX_WEIGHT, MAX_TRUNCATION) about 0.5 s more; the products behind
+level1_basis grow with the square of the truncation.
 """
 
 from __future__ import annotations
@@ -20,14 +27,20 @@ from .errors import DomainError
 from .series import NearlyHolomorphicForm
 
 
+# Largest weight, and Bernoulli index, a generator accepts.
+MAX_WEIGHT = 500
+
+# Largest q-truncation a generator accepts.
+MAX_TRUNCATION = 10_000
+
 # B_0, B_1, ... as computed so far; odd indices above 1 hold 0.
 _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 
 def bernoulli(m: int) -> Fraction:
     """B_m with B_1 = -1/2, by the standard recurrence over the even indices."""
-    if m < 0:
-        raise DomainError(f"bernoulli requires m >= 0, got {m}")
+    if not 0 <= m <= MAX_WEIGHT:
+        raise DomainError(f"bernoulli requires 0 <= m <= {MAX_WEIGHT}, got {m}")
     table = _BERNOULLI
     while len(table) <= m:
         j = len(table)
@@ -54,14 +67,22 @@ def divisor_power_sum(n: int, e: int) -> int:
 
 
 def _check_truncation(truncation: int) -> None:
-    if not isinstance(truncation, int) or truncation < 0:
-        raise DomainError(f"truncation must be a non-negative integer, got {truncation!r}")
+    if not isinstance(truncation, int) or not 0 <= truncation <= MAX_TRUNCATION:
+        raise DomainError(
+            f"truncation must be an integer in 0..{MAX_TRUNCATION}, got {truncation!r}"
+        )
+
+
+def _check_weight(k: int) -> None:
+    if k > MAX_WEIGHT:
+        raise DomainError(f"weight must be at most {MAX_WEIGHT}, got {k}")
 
 
 def eisenstein(k: int, truncation: int) -> NearlyHolomorphicForm:
     """E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n for even k >= 4; depth 0."""
     if k % 2 or k < 4:
         raise DomainError(f"eisenstein requires even k >= 4, got {k}")
+    _check_weight(k)
     _check_truncation(truncation)
     factor = Fraction(-2 * k) / bernoulli(k)
     p, d = factor.numerator, factor.denominator
@@ -84,6 +105,8 @@ def level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicForm]:
     are built incrementally, one product per power, and each monomial with
     a, b > 0 takes one more product.
     """
+    _check_weight(k)
+    _check_truncation(truncation)
     exponents = [(a, (k - 4 * a) // 6) for a in range(k // 4, -1, -1) if (k - 4 * a) % 6 == 0]
     if not exponents:
         return []

@@ -1,5 +1,6 @@
 """Shared arithmetic helpers: factoring against brute force, the exact solver."""
 
+import random
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -146,3 +147,72 @@ class TestSolveExact:
     def test_free_columns_are_zero(self):
         cols = [{0: Fraction(1)}, {0: Fraction(2)}]
         assert solve_exact(cols, {0: Fraction(3)}) == [Fraction(3), Fraction(0)]
+
+
+def gauss_jordan_reference(columns, target):
+    """Fraction Gauss-Jordan elimination over the sorted keys, free
+    variables set to 0: the contract solve_exact must keep."""
+    keys = sorted(set(target) | {k for col in columns for k in col})
+    rows = [
+        [col.get(k, Fraction(0)) for col in columns] + [target.get(k, Fraction(0))]
+        for k in keys
+    ]
+    ncols, row, pivots = len(columns), 0, []
+    for col in range(ncols):
+        pivot = next((i for i in range(row, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[row], rows[pivot] = rows[pivot], rows[row]
+        rows[row] = [v / rows[row][col] for v in rows[row]]
+        for i in range(len(rows)):
+            if i != row and rows[i][col]:
+                c = rows[i][col]
+                rows[i] = [a - c * b for a, b in zip(rows[i], rows[row])]
+        pivots.append((row, col))
+        row += 1
+    if any(rows[i][ncols] for i in range(row, len(rows))):
+        return None
+    sol = [Fraction(0)] * ncols
+    for r, c in pivots:
+        sol[c] = rows[r][ncols]
+    return sol
+
+
+def test_solve_exact_matches_gauss_jordan_reference():
+    # Small random systems with repeated, scaled and zero columns, and
+    # targets both inside the span and (mostly) outside it.
+    rng = random.Random(5)
+
+    def value():
+        return Fraction(rng.randrange(-4, 5), rng.choice([1, 1, 2, 3]))
+
+    seen = {True: 0, False: 0}
+    for _ in range(300):
+        keys = rng.sample(range(8), rng.randrange(1, 6))
+        columns = []
+        for _ in range(rng.randrange(0, 5)):
+            kind = rng.random()
+            if columns and kind < 0.2:
+                columns.append({k: v * 2 for k, v in rng.choice(columns).items()})
+            elif kind < 0.3:
+                columns.append({})
+            else:
+                columns.append({k: value() for k in keys if rng.random() < 0.7})
+        if rng.random() < 0.5:
+            target = {}
+            for col in columns:
+                x = value()
+                for k, v in col.items():
+                    target[k] = target.get(k, Fraction(0)) + x * v
+        else:
+            target = {k: value() for k in rng.sample(range(9), 3)}
+        want = gauss_jordan_reference(columns, target)
+        assert solve_exact(columns, target) == want
+        seen[want is None] += 1
+    assert seen[True] > 30 and seen[False] > 30
+
+
+def test_pollard_rho_budget_leaves_factors_near_1e10():
+    # The step budget refuses 16-digit factor pairs (see test_cli) but not these.
+    assert list(prime_factors(9999999967 * 10000000019)) == [9999999967, 10000000019]
+    assert list(prime_factors(99999999977 * 100000000003)) == [99999999977, 100000000003]

@@ -1,8 +1,11 @@
 """CLI dispatcher: JSON I/O, determinism, error codes, exit behavior."""
 
 import json
+import re
+import shlex
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -226,3 +229,66 @@ def test_output_deterministic(capsys):
     assert main(["catalog", "--d", "1", "--k", "2"]) == 0
     second = capsys.readouterr().out
     assert first == second and first.strip()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eis", "--k", "3000", "--trunc", "2"],
+        ["eis", "--k", "4", "--trunc", "100000000"],
+        ["local", "invariants", "1000000000003038000000000111037", "1"],
+    ],
+)
+def test_inputs_past_the_size_bounds_are_refused_quickly(argv, capsys):
+    # A weight past MAX_WEIGHT, a truncation past MAX_TRUNCATION, and a
+    # product of two 16-digit primes past the Pollard rho step budget.
+    start = time.perf_counter()
+    assert main(argv) == 1
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "out-of-domain"
+
+
+def readme_cli_examples():
+    """(argv, comment) for each `nhmf` line of the README's CLI block; a
+    comment-only line continues the comment of the command above it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            argv = shlex.split(command)
+            assert argv[0] == "nhmf", line
+            examples.append((argv[1:], comment.strip()))
+        elif comment.strip():
+            argv, above = examples[-1]
+            examples[-1] = (argv, f"{above} {comment.strip()}".strip())
+    return examples
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
+    # Every README CLI line exits 0, in order (later lines read e2.json);
+    # a result its comment states is checked against the output.
+    monkeypatch.chdir(tmp_path)
+    examples = readme_cli_examples()
+    assert len(examples) == 17
+    checked = 0
+    for argv, comment in examples:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        doc = json.loads(out) if out else None
+        if comment.startswith("{"):
+            assert doc == json.loads(comment), argv
+            checked += 1
+        elif argv[:2] == ["local", "hilbert"]:
+            assert doc["symbol"] == int(re.search(r"= (-?1)$", comment).group(1))
+            checked += 1
+        elif argv[0] == "constant-term":
+            kind = re.match(r"(\w+)", comment).group(1)
+            assert doc["verdict"]["kind"] == kind, argv
+            if "leading" in comment:
+                assert doc["verdict"]["leading"] == comment.split("leading ")[1]
+            checked += 1
+    assert checked == 5
+    assert json.loads((tmp_path / "e2.json").read_text())["weight"] == 2

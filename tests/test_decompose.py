@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nhmf.series
+from nhmf.arith import solve_exact
 from nhmf.decompose import (
     character_split,
     decompose,
@@ -18,7 +19,7 @@ from nhmf.decompose import (
     shared_level1_basis,
 )
 from nhmf.errors import DecompositionError, InsufficientTruncationError
-from nhmf.generators import eisenstein, eisenstein2, level1_basis
+from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
 from nhmf.operators import infinitesimal_character, iterate_raise, raise_weight
 from nhmf.series import NearlyHolomorphicForm
 from nhmf.verify import random_decomposable
@@ -215,6 +216,12 @@ def test_basis_above_input_truncation():
     dec = decompose(f, lambda w: level1_basis(w, trunc + 10))
     assert dec.terms == decompose(f).terms
     assert dec.reassemble() == f
+    # Two forms that differ only past the truncation are dependent there.
+    e8 = level1_basis(8, trunc + 10)[0]
+    past = e8 + NearlyHolomorphicForm.monomial(8, trunc + 10, 0, trunc + 5)
+    g = iterate_raise(e8.truncate(trunc), 2)
+    dec = decompose(g, lambda w: [past, e8] if w == 8 else level1_basis(w, trunc + 10))
+    assert dec.terms == decompose(g).terms == ((2, e8.truncate(trunc)),)
 
 
 def test_shared_basis_does_not_leak_between_calls():
@@ -228,6 +235,134 @@ def test_shared_basis_does_not_leak_between_calls():
         level1_basis(w, 30).clear()
     assert [decompose(f).to_json() for f in forms] == before
     assert [decompose(f).reassemble() for f in forms] == forms
+
+
+def test_column_off_the_span_past_the_first_dim_coefficients_is_refused():
+    # M_12 has dimension 2: E4^3 + q^20 agrees with E4^3 on q^0 and q^1 (so
+    # on the Miller pivots), and leaves the span only at q^20.
+    trunc = 30
+    e4 = eisenstein(4, trunc)
+    bad = e4 * e4 * e4 + NearlyHolomorphicForm.monomial(12, trunc, 0, 20)
+    for p in (0, 1, 3):
+        f = iterate_raise(bad, p) + iterate_raise(eisenstein(6, trunc), p + 3)
+        with pytest.raises(DecompositionError) as err:
+            decompose(f)
+        assert err.value.data["residual"] == f - iterate_raise(eisenstein(6, trunc), p + 3)
+
+
+def test_user_basis_with_linearly_dependent_forms():
+    trunc = 30
+
+    def provider(w):
+        basis = level1_basis(w, trunc)
+        zero = NearlyHolomorphicForm.zero(trunc)
+        return [b * 3 for b in basis] + basis + [sum(basis, zero), zero]
+
+    rng = random.Random(31)
+    for _ in range(10):
+        f = random_decomposable(rng, trunc)
+        dec = decompose(f, provider)
+        assert dec == decompose(f)
+        assert dec.reassemble() == f
+    off = iterate_raise(NearlyHolomorphicForm.monomial(8, trunc, 0, 20) + eisenstein(8, trunc), 2)
+    with pytest.raises(DecompositionError):
+        decompose(off, provider)
+
+
+def test_user_basis_with_pivots_past_the_dimension():
+    # Cusp forms only at weight 12 (pivot q^1), and a weight-2 "basis" of
+    # q^3 + q^7 and q^5 - q^3 (pivots q^3 and q^5).
+    trunc = 20
+    g_a = NearlyHolomorphicForm(2, trunc, {(0, 3): 1, (0, 7): 1})
+    g_b = NearlyHolomorphicForm(2, trunc, {(0, 5): 1, (0, 3): -1})
+
+    class Provider:
+        @staticmethod
+        def sturm_bound(w):
+            return 8
+
+        def __call__(self, w):
+            if w == 2:
+                return [g_a, g_b]
+            if w == 12:
+                return [delta_cusp(trunc) * 5]
+            return level1_basis(w, trunc)
+
+    seed = g_a * 2 + g_b * Fraction(-1, 3)
+    delta = delta_cusp(trunc)
+    f = iterate_raise(seed, 5) + delta * 7
+    dec = decompose(f, Provider())
+    assert dec.terms == ((0, delta * 7), (5, seed))
+    assert dec.reassemble() == f
+    for bad in (
+        iterate_raise(NearlyHolomorphicForm.monomial(2, trunc, 0, 3), 5),
+        eisenstein(12, trunc),
+    ):
+        with pytest.raises(DecompositionError) as err:
+            decompose(bad, Provider())
+        assert err.value.data["residual"] == bad
+
+
+def reference_decompose(f, provider):
+    """The peeling of decompose with each seed solved by solve_exact over the
+    Fraction q-series of the basis: (terms, e2_term), or the residual of a
+    DecompositionError."""
+    if f.is_zero:
+        return (), None
+    k, trunc, rem = f.weight, f.truncation, f
+    terms, e2_term = [], None
+    while not rem.is_zero:
+        p = rem.depth
+        w = k - 2 * p
+        top = rem.x_column(p)
+        if w == 0 and p >= 1:
+            if any(top.keys() - {0}):
+                raise DecompositionError("reference", residual=rem)
+            c = top.get(0, Fraction(0)) / (12 * leading_column_factor(1, p - 1))
+            e2_term = (p - 1, c)
+            rem = rem - iterate_raise(eisenstein2(trunc), p - 1) * c
+            continue
+        basis = [b.truncate(trunc) for b in provider(w)] if w >= 0 else []
+        x = solve_exact([b.x_column(0) for b in basis], top)
+        if x is None:
+            raise DecompositionError("reference", residual=rem)
+        factor = leading_column_factor(w, p)
+        g = sum((b * (xi / factor) for xi, b in zip(x, basis)), NearlyHolomorphicForm.zero(trunc))
+        rem = rem - iterate_raise(g, p)
+        assert rem.is_zero or rem.depth < p
+        terms.append((p, g))
+    return tuple(sorted(terms, key=lambda t: t[0])), e2_term
+
+
+def test_decompose_agrees_with_solve_exact_reference():
+    # Decomposable forms, and the same forms with one stray coefficient,
+    # under the level-1 basis and a dependent provider.
+    trunc = 30
+    rng = random.Random(2718)
+    providers = [
+        lambda w: level1_basis(w, trunc),
+        lambda w: level1_basis(w, trunc) + [b * -2 for b in level1_basis(w, trunc)],
+    ]
+    verdicts = {"ok": 0, "refused": 0}
+    for i in range(60):
+        f = random_decomposable(rng, trunc)
+        if i % 2:
+            r, n = rng.randrange(f.depth + 2), rng.randrange(trunc + 1)
+            c = rng.choice([1, -2, Fraction(1, 3)])
+            f = f + NearlyHolomorphicForm.monomial(f.weight or 4, trunc, r, n, c)
+        provider = providers[i % 4 // 2]
+        try:
+            want = reference_decompose(f, provider)
+        except DecompositionError as exc:
+            with pytest.raises(DecompositionError) as err:
+                decompose(f, provider)
+            assert err.value.data["residual"] == exc.data["residual"]
+            verdicts["refused"] += 1
+        else:
+            dec = decompose(f, provider)
+            assert (dec.terms, dec.e2_term) == want
+            verdicts["ok"] += 1
+    assert verdicts["ok"] >= 20 and verdicts["refused"] >= 10
 
 
 _FRESH_DECOMPOSE = """

@@ -7,6 +7,8 @@ import pytest
 
 from nhmf.errors import DomainError
 from nhmf.generators import (
+    MAX_TRUNCATION,
+    MAX_WEIGHT,
     BinaryForm,
     bernoulli,
     delta_cusp,
@@ -167,3 +169,30 @@ def test_quasimodular_closure_under_raising():
     from nhmf.verify import check_quasimodular_closure
 
     assert check_quasimodular_closure().passed
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bernoulli(MAX_WEIGHT + 1),
+        lambda: eisenstein(MAX_WEIGHT + 2, 2),
+        lambda: level1_basis(MAX_WEIGHT + 2, 2),
+        lambda: eisenstein(4, MAX_TRUNCATION + 1),
+        lambda: eisenstein2(MAX_TRUNCATION + 1),
+        lambda: level1_basis(12, MAX_TRUNCATION + 1),
+        lambda: theta_series(BinaryForm(1, 0, 1), MAX_TRUNCATION + 1),
+        lambda: delta_cusp(MAX_TRUNCATION + 1),
+    ],
+)
+def test_past_the_size_bounds_is_out_of_domain(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_at_the_size_bounds_generators_answer():
+    assert eisenstein2(MAX_TRUNCATION).truncation == MAX_TRUNCATION
+    assert eisenstein(4, MAX_TRUNCATION).coefficient(0, MAX_TRUNCATION) == 240 * divisor_power_sum(
+        MAX_TRUNCATION, 3
+    )
+    assert eisenstein(MAX_WEIGHT, 1).coefficient(0, 0) == 1
+    assert len(level1_basis(MAX_WEIGHT, 0)) == MAX_WEIGHT // 12 + 1
