@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -368,7 +369,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     if result.ok:
         text = _serialize(result.payload, result.json_indent)
         if not result.out_path:
-            print(text)
+            try:
+                print(text)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # The reader has gone (`nhmf verify | head`): point stdout at
+                # devnull so that the flush at interpreter exit cannot fail too.
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                return 1
             return 0
         try:
             with open(result.out_path, "w", encoding="utf-8") as handle:

@@ -15,7 +15,13 @@ column per X-degree: column r holds d*c(r, 0), ..., d*c(r, truncation).  The
 storage is canonical: gcd(d, every entry) = 1, the top column is nonzero, and
 the zero form has no columns, so equality and hashing compare plain ints.
 Sums, products, truncation and the operators of :mod:`operators` run on the
-integer columns; Fractions appear only at the public accessors.
+integer columns; Fractions appear only at the public accessors.  A product
+multiplies each pair of columns by Kronecker substitution (_convolve_into):
+each column is packed into one int, one coefficient per fixed-width slot,
+the two ints are multiplied once, and the slots of the product are the
+coefficients of the product column.  The slot is sized from the entries so
+that no coefficient can overflow into its neighbour, which keeps the product
+exact; it is the only product path.
 
 Truncation semantics: operations never extrapolate.  Mixing truncations
 silently takes the minimum, because decomposition pipelines naturally mix
@@ -53,16 +59,73 @@ def _scaled(col, s: int, length: int):
     return col if s == 1 else map(s.__mul__, col)
 
 
+def _stripped(col, length: int):
+    """The first length entries of col, without trailing zeros."""
+    col = col[:length]
+    n = len(col)
+    while n and not col[n - 1]:
+        n -= 1
+    return col[:n]
+
+
+def _pack(col, width: int, top: int) -> int:
+    """sum of col[i] * 2^(8 * width * i), for entries in [-2^(8 * width - 1),
+    2^(8 * width - 1)).
+
+    Each entry is written as width bytes of two's complement and the bytes
+    are read back as one non-negative int.  xor with top (the sign bit of
+    every slot) adds 2^(8 * width - 1) to each entry, which is then taken
+    off in one subtraction; slots of top past the end of col come out 0.
+    """
+    raw = int.from_bytes(
+        b"".join([x.to_bytes(width, "little", signed=True) for x in col]), "little"
+    )
+    return (raw ^ top) - top
+
+
 def _convolve_into(acc: list, a, b) -> None:
-    """acc[n] += sum of a[i] * b[n - i] for every n < len(acc): one scaled
-    shift of b per nonzero entry of a, the factor with more zero entries."""
+    """acc[n] += sum of a[i] * b[n - i] for every n < len(acc).
+
+    Kronecker substitution: each column becomes one int with one slot of
+    s = 8 * width bits per entry, the two ints are multiplied once (CPython
+    multiplies large ints by Karatsuba), and slot n of the product is
+    coefficient n of the convolution.  The slot is wide enough to be exact:
+    |a[i]| < 2^bits(max|a|), |b[j]| < 2^bits(max|b|), and a coefficient has
+    at most min(len a, len b) terms, so it lies strictly between -2^(s - 1)
+    and 2^(s - 1) once s >= bits(max|a|) + bits(max|b|) + bits(min(len a,
+    len b)) + 1; the extra bit is the sign.  Adding the bias 2^(s - 1) to
+    each of the first len(acc) slots makes every slot a digit in [0, 2^s)
+    with no borrow between slots, so the low len(acc) slots of the biased
+    product read off exactly; slots at and past len(acc) never reach them.
+    xor with the same sign bits turns each digit into its coefficient's
+    two's complement, which is read back signed.
+    """
     length = len(acc)
-    a, b = a[:length], b[:length]
-    if a.count(0) < b.count(0):
-        a, b = b, a
-    for i, x in enumerate(a):
-        if x:
-            acc[i:] = map(add, acc[i:], map(x.__mul__, b[: length - i]))
+    same = a is b
+    a = _stripped(a, length)
+    b = a if same else _stripped(b, length)
+    if not (a and b):
+        return
+    bits = (
+        max(map(abs, a)).bit_length()
+        + max(map(abs, b)).bit_length()
+        + min(len(a), len(b)).bit_length()
+        + 1
+    )
+    width = (bits + 7) // 8
+    out = min(length, len(a) + len(b) - 1)
+    top = int.from_bytes((b"\0" * (width - 1) + b"\x80") * out, "little")
+    packed = _pack(a, width, top)
+    product = packed * (packed if same else _pack(b, width, top))
+    data = (((product + top) & ((1 << (8 * width * out)) - 1)) ^ top).to_bytes(
+        width * out, "little"
+    )
+    from_bytes = int.from_bytes
+    acc[:out] = map(
+        add,
+        acc[:out],
+        [from_bytes(data[i : i + width], "little", signed=True) for i in range(0, width * out, width)],
+    )
 
 
 class NearlyHolomorphicForm:

@@ -1,8 +1,11 @@
 """CLI dispatcher: JSON I/O, determinism, error codes, exit behavior."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -197,6 +200,24 @@ class TestErrors:
         assert main(["catalog", "--d", "1", "--k", "2"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and json.loads(err)["error"] == "internal"
+
+
+def test_a_closed_stdout_pipe_exits_nonzero_without_a_traceback():
+    # The pipe has no reader from the start, as after `nhmf verify | head -c 300`
+    # once head has exited: every write to it fails with EPIPE.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["eis", "--k", "4", "--trunc", "8"],
+                 ["theta", "--a", "1", "--b", "0", "--c", "1", "--trunc", "5000"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nhmf.cli", *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode != 0, argv
+        assert proc.stderr == b"", proc.stderr  # in particular, no traceback
 
 
 def test_invariants_of_large_semiprime_are_fast(capsys):

@@ -1,5 +1,6 @@
 """Generators: Eisenstein series, level-1 basis, theta series."""
 
+import time
 from fractions import Fraction
 from math import comb
 
@@ -45,6 +46,23 @@ def test_divisor_power_sum_against_brute_force():
     for n in range(1, 40):
         for e in (1, 3, 5, 7):
             assert divisor_power_sum(n, e) == brute_divisor_sum(n, e)
+
+
+@pytest.mark.parametrize("trunc", [0, 1, 2, 3, 16, 17, 121, 299, 300])
+def test_sieved_eisenstein_columns_match_divisor_power_sum(trunc):
+    # The Eisenstein columns come from one divisor-sum sieve; each
+    # coefficient must equal the trial-division divisor_power_sum.
+    for k in range(4, 25, 2):
+        e = eisenstein(k, trunc)
+        factor = Fraction(-2 * k) / bernoulli(k)
+        assert e.truncation == trunc and e.coefficient(0, 0) == 1
+        for n in range(1, trunc + 1):
+            assert e.coefficient(0, n) == factor * divisor_power_sum(n, k - 1), (k, n)
+    e2 = eisenstein2(trunc)
+    assert e2.coefficient(0, 0) == -1 and e2.coefficient(1, 0) == 12
+    for n in range(1, trunc + 1):
+        assert e2.coefficient(0, n) == 24 * divisor_power_sum(n, 1), n
+        assert e2.coefficient(1, n) == 0
 
 
 class TestEisenstein:
@@ -101,6 +119,15 @@ class TestLevel1Basis:
             assert len(level1_basis(k, 2)) == want
         for k in range(1, 30, 2):
             assert level1_basis(k, 2) == []
+
+    def test_weight24_at_truncation_2000_is_quick(self):
+        # About 4 s with a schoolbook product, about 0.4 s with the
+        # Kronecker-substitution one (2-core x86, Python 3.11).
+        start = time.perf_counter()
+        basis = level1_basis(24, 2000)
+        elapsed = time.perf_counter() - start
+        assert len(basis) == 3 and basis[0].coefficient(0, 1) == 6 * 240
+        assert elapsed < 2.0
 
 
 class TestTheta:
