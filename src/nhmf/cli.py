@@ -36,22 +36,6 @@ from .quadratic import (
     relevant_places,
 )
 from .series import NearlyHolomorphicForm
-from .verify import run_all
-
-COMMANDS = (
-    "eis",
-    "e2",
-    "theta",
-    "raise",
-    "lower",
-    "casimir",
-    "decompose",
-    "identify",
-    "constant-term",
-    "local",
-    "catalog",
-    "verify",
-)
 
 
 @dataclass
@@ -71,111 +55,6 @@ class CommandResult:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="nhmf", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"nhmf {__version__}")
-    sub = parser.add_subparsers(dest="command")
-
-    def common(p, with_trunc=False, with_in=False):
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--json-indent", type=int, default=None)
-        if with_trunc:
-            p.add_argument("--trunc", type=int, required=True, help="q-truncation N")
-        if with_in:
-            p.add_argument("--in", dest="infile", default="-", help="form file ('-' = stdin)")
-
-    p = sub.add_parser("eis", help="holomorphic Eisenstein series of even weight >= 4")
-    p.add_argument("--k", type=int, required=True)
-    common(p, with_trunc=True)
-
-    p = sub.add_parser("e2", help="the weight-two nearly holomorphic Eisenstein series")
-    common(p, with_trunc=True)
-
-    p = sub.add_parser("theta", help="theta series of a positive definite binary form")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    common(p, with_trunc=True)
-
-    for name, helptext in (
-        ("raise", "weight-raising operator"),
-        ("lower", "weight-lowering operator"),
-        ("casimir", "Casimir operator"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        common(p, with_in=True)
-        if name != "casimir":
-            p.add_argument(
-                "--analytic",
-                action="store_true",
-                help="return the analytically normalized image (pi-scalar times form)",
-            )
-
-    p = sub.add_parser("decompose", help="structure decomposition over the level-1 basis")
-    common(p, with_in=True)
-
-    p = sub.add_parser("identify", help="indecomposable module class generated by a form")
-    p.add_argument("--max-steps", type=int, default=24)
-    common(p, with_in=True)
-
-    p = sub.add_parser("constant-term", help="Eisenstein constant-term report at s = k - 1")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument(
-        "--character",
-        choices=["trivial", "sgn", "quadratic", "other"],
-        default="trivial",
-    )
-    p.add_argument(
-        "--local-order",
-        type=int,
-        action="append",
-        default=[],
-        help="vanishing order of an extra finite local factor (repeatable)",
-    )
-    common(p)
-
-    p = sub.add_parser("local", help="local quadratic-space invariants")
-    lsub = p.add_subparsers(dest="local_command")
-
-    lp = lsub.add_parser("hilbert", help="Hilbert symbol (a, b)_v")
-    lp.add_argument("a")
-    lp.add_argument("b")
-    lp.add_argument("v", help="prime or 'real'")
-    common(lp)
-
-    lp = lsub.add_parser("invariants", help="local invariants of <a1, a2>")
-    lp.add_argument("a1")
-    lp.add_argument("a2")
-    common(lp)
-
-    lp = lsub.add_parser("coherent", help="coherence check of a collection")
-    lp.add_argument(
-        "collection",
-        help='JSON {"discriminant": "num/den", "epsilons": {"2": -1, "real": 1, ...}}',
-    )
-    common(lp)
-
-    lp = lsub.add_parser("reducible", help="degenerate principal series reducibility")
-    lp.add_argument("--q", required=True, help="residue cardinality or 'real'")
-    lp.add_argument("--mu-order", choices=["1", "2", "other"], default="1")
-    lp.add_argument("--ramified", action="store_true")
-    lp.add_argument("--real-sign", type=int, choices=[0, 1], default=0)
-    lp.add_argument("--s-re", default="0")
-    lp.add_argument("--s-im", default="0", help="coefficient of pi*i/log q")
-    common(lp)
-
-    p = sub.add_parser("catalog", help="symbolic spectrum decomposition for (d, k)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("verify", help="run the invariant suite")
-    common(p)
-
-    return parser
 
 
 def _read_form(path: str) -> NearlyHolomorphicForm:
@@ -208,104 +87,219 @@ def _int_arg(text: str) -> int:
         raise UsageError(f"bad integer argument {text!r}") from exc
 
 
-def _dispatch(args) -> dict:
-    cmd = args.command
-    if cmd == "eis":
-        return eisenstein(args.k, args.trunc).to_doc()
-    if cmd == "e2":
-        return eisenstein2(args.trunc).to_doc()
-    if cmd == "theta":
-        return theta_series(BinaryForm(args.a, args.b, args.c), args.trunc).to_doc()
-    if cmd in ("raise", "lower", "casimir"):
-        f = _read_form(args.infile)
-        if cmd == "casimir":
-            return casimir(f).to_doc()
-        if getattr(args, "analytic", False):
-            scaled = raise_analytic(f) if cmd == "raise" else lower_analytic(f)
-            return {"scalar": scaled.scalar.to_json(), "form": scaled.form.to_doc()}
-        op = raise_weight if cmd == "raise" else lower_weight
-        return op(f).to_doc()
-    if cmd == "decompose":
-        return decompose(_read_form(args.infile)).to_json()
-    if cmd == "identify":
-        return identify_module(_read_form(args.infile), args.max_steps).to_json()
-    if cmd == "constant-term":
-        family = "trivial" if args.character == "trivial" else "nontrivial"
-        s0 = args.k - 1
-        local = [
-            LaurentScalar.order_only(s0, order) for order in args.local_order
-        ]
-        return constant_term_report(args.k, args.d, family, local).to_json()
-    if cmd == "local":
-        return _dispatch_local(args)
-    if cmd == "catalog":
-        return catalog(args.d, args.k).to_json()
-    if cmd == "verify":
-        results = run_all()
-        return {
-            "properties": [r.to_json() for r in results],
-            "all_pass": all(r.passed for r in results),
-        }
-    raise UsageError(
-        f"unknown command {cmd!r}; expected one of: " + ", ".join(COMMANDS)
-    )
+# -- command handlers: each takes the parsed arguments and returns the JSON
+# payload or a finished CommandResult.  A handler names library functions in
+# its body, so they are looked up in this module when the command runs.
 
 
-def _dispatch_local(args) -> dict:
-    sub = args.local_command
-    if sub == "hilbert":
-        a, b = _frac_arg(args.a), _frac_arg(args.b)
-        place = Place.parse(args.v)
-        return {
-            "a": frac_to_str(a),
-            "b": frac_to_str(b),
-            "place": place.render(),
-            "symbol": hilbert_symbol(a, b, place),
-        }
-    if sub == "invariants":
-        space = QuadSpace2D(_frac_arg(args.a1), _frac_arg(args.a2))
-        places = relevant_places(space.a1, space.a2, space.discriminant)
-        return {
-            "a1": frac_to_str(space.a1),
-            "a2": frac_to_str(space.a2),
-            "discriminant": frac_to_str(space.discriminant),
-            "places": [
-                {
-                    "place": v.render(),
-                    "chi_nontrivial": inv.chi_nontrivial,
-                    "epsilon": inv.epsilon,
-                }
-                for v in places
-                for inv in [local_invariants(space, v)]
-            ],
-        }
-    if sub == "coherent":
-        try:
-            doc = json.loads(args.collection)
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"collection argument is not valid JSON: {exc}") from exc
-        try:
-            disc = Fraction(doc["discriminant"])
-            eps = {
-                Place.parse(key): int(val) for key, val in doc.get("epsilons", {}).items()
+def _refuse(message: str):
+    raise UsageError(message)
+
+
+def _operator(args, plain, analytic) -> dict:
+    f = _read_form(args.infile)
+    if args.analytic:
+        scaled = analytic(f)
+        return {"scalar": scaled.scalar.to_json(), "form": scaled.form.to_doc()}
+    return plain(f).to_doc()
+
+
+def _constant_term(args) -> dict:
+    family = "trivial" if args.character == "trivial" else "nontrivial"
+    local = [LaurentScalar.order_only(args.k - 1, order) for order in args.local_order]
+    return constant_term_report(args.k, args.d, family, local).to_json()
+
+
+def _hilbert(args) -> dict:
+    a, b = _frac_arg(args.a), _frac_arg(args.b)
+    place = Place.parse(args.v)
+    return {
+        "a": frac_to_str(a),
+        "b": frac_to_str(b),
+        "place": place.render(),
+        "symbol": hilbert_symbol(a, b, place),
+    }
+
+
+def _invariants(args) -> dict:
+    space = QuadSpace2D(_frac_arg(args.a1), _frac_arg(args.a2))
+    places = relevant_places(space.a1, space.a2, space.discriminant)
+    return {
+        "a1": frac_to_str(space.a1),
+        "a2": frac_to_str(space.a2),
+        "discriminant": frac_to_str(space.discriminant),
+        "places": [
+            {
+                "place": v.render(),
+                "chi_nontrivial": inv.chi_nontrivial,
+                "epsilon": inv.epsilon,
             }
-        except (KeyError, TypeError, ValueError) as exc:
-            raise UsageError(f"bad collection document: {exc}") from exc
-        result = check_coherence(Collection.of(disc, eps))
-        return result.to_json()
-    if sub == "reducible":
-        order = int(args.mu_order) if args.mu_order in ("1", "2") else "other"
-        mu = CharacterDescriptor(
-            order=order,
-            unramified=not args.ramified,
-            real_sign=args.real_sign,
-        )
-        residue = "real" if args.q == "real" else _int_arg(args.q)
-        verdict = reducibility(residue, mu, _frac_arg(args.s_re), _frac_arg(args.s_im))
-        return verdict.to_json()
-    raise UsageError(
-        "local needs a subcommand: hilbert | invariants | coherent | reducible"
+            for v in places
+            for inv in [local_invariants(space, v)]
+        ],
+    }
+
+
+def _coherent(args) -> dict:
+    try:
+        doc = json.loads(args.collection)
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"collection argument is not valid JSON: {exc}") from exc
+    try:
+        disc = Fraction(doc["discriminant"])
+        eps = {Place.parse(key): int(val) for key, val in doc.get("epsilons", {}).items()}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise UsageError(f"bad collection document: {exc}") from exc
+    return check_coherence(Collection.of(disc, eps)).to_json()
+
+
+def _reducible(args) -> dict:
+    order = int(args.mu_order) if args.mu_order in ("1", "2") else "other"
+    mu = CharacterDescriptor(order=order, unramified=not args.ramified, real_sign=args.real_sign)
+    residue = "real" if args.q == "real" else _int_arg(args.q)
+    verdict = reducibility(residue, mu, _frac_arg(args.s_re), _frac_arg(args.s_im))
+    return verdict.to_json()
+
+
+def _verify(args):
+    from . import verify  # the one command that needs the suite loads it
+
+    results = verify.run_all()
+    failed = [r.name for r in results if not r.passed]
+    payload = {"properties": [r.to_json() for r in results], "all_pass": not failed}
+    if not failed:
+        return payload
+    diagnostics = [f"failing properties: {', '.join(failed)}"]
+    return CommandResult("error", payload, diagnostics, code="verify-failed")
+
+
+def _build_parser() -> tuple[_Parser, tuple[str, ...]]:
+    """The nhmf parser, each subcommand carrying its handler, and the
+    subcommand names in order."""
+    parser = _Parser(prog="nhmf", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"nhmf {__version__}")
+    sub = parser.add_subparsers(dest="command")
+    # A parser's default handler is replaced by that of the subcommand given.
+    parser.set_defaults(
+        handler=lambda args: _refuse("missing command; expected one of: " + ", ".join(COMMANDS))
     )
+
+    def common(p, handler, with_trunc=False, with_in=False):
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", default=None, help="output file (default stdout)")
+        p.add_argument("--json-indent", type=int, default=None)
+        if with_trunc:
+            p.add_argument("--trunc", type=int, required=True, help="q-truncation N")
+        if with_in:
+            p.add_argument("--in", dest="infile", default="-", help="form file ('-' = stdin)")
+
+    p = sub.add_parser("eis", help="holomorphic Eisenstein series of even weight >= 4")
+    p.add_argument("--k", type=int, required=True)
+    common(p, lambda args: eisenstein(args.k, args.trunc).to_doc(), with_trunc=True)
+
+    p = sub.add_parser("e2", help="the weight-two nearly holomorphic Eisenstein series")
+    common(p, lambda args: eisenstein2(args.trunc).to_doc(), with_trunc=True)
+
+    p = sub.add_parser("theta", help="theta series of a positive definite binary form")
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--b", type=int, required=True)
+    p.add_argument("--c", type=int, required=True)
+    common(
+        p,
+        lambda args: theta_series(BinaryForm(args.a, args.b, args.c), args.trunc).to_doc(),
+        with_trunc=True,
+    )
+
+    for name, helptext, handler in (
+        ("raise", "weight-raising operator",
+         lambda args: _operator(args, raise_weight, raise_analytic)),
+        ("lower", "weight-lowering operator",
+         lambda args: _operator(args, lower_weight, lower_analytic)),
+    ):
+        p = sub.add_parser(name, help=helptext)
+        common(p, handler, with_in=True)
+        p.add_argument(
+            "--analytic",
+            action="store_true",
+            help="return the analytically normalized image (pi-scalar times form)",
+        )
+
+    p = sub.add_parser("casimir", help="Casimir operator")
+    common(p, lambda args: casimir(_read_form(args.infile)).to_doc(), with_in=True)
+
+    p = sub.add_parser("decompose", help="structure decomposition over the level-1 basis")
+    common(p, lambda args: decompose(_read_form(args.infile)).to_json(), with_in=True)
+
+    p = sub.add_parser("identify", help="indecomposable module class generated by a form")
+    p.add_argument("--max-steps", type=int, default=24)
+    common(
+        p,
+        lambda args: identify_module(_read_form(args.infile), args.max_steps).to_json(),
+        with_in=True,
+    )
+
+    p = sub.add_parser("constant-term", help="Eisenstein constant-term report at s = k - 1")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=int, default=1)
+    p.add_argument(
+        "--character",
+        choices=["trivial", "sgn", "quadratic", "other"],
+        default="trivial",
+    )
+    p.add_argument(
+        "--local-order",
+        type=int,
+        action="append",
+        default=[],
+        help="vanishing order of an extra finite local factor (repeatable)",
+    )
+    common(p, _constant_term)
+
+    p = sub.add_parser("local", help="local quadratic-space invariants")
+    lsub = p.add_subparsers(dest="local_command")
+
+    lp = lsub.add_parser("hilbert", help="Hilbert symbol (a, b)_v")
+    lp.add_argument("a")
+    lp.add_argument("b")
+    lp.add_argument("v", help="prime or 'real'")
+    common(lp, _hilbert)
+
+    lp = lsub.add_parser("invariants", help="local invariants of <a1, a2>")
+    lp.add_argument("a1")
+    lp.add_argument("a2")
+    common(lp, _invariants)
+
+    lp = lsub.add_parser("coherent", help="coherence check of a collection")
+    lp.add_argument(
+        "collection",
+        help='JSON {"discriminant": "num/den", "epsilons": {"2": -1, "real": 1, ...}}',
+    )
+    common(lp, _coherent)
+
+    lp = lsub.add_parser("reducible", help="degenerate principal series reducibility")
+    lp.add_argument("--q", required=True, help="residue cardinality or 'real'")
+    lp.add_argument("--mu-order", choices=["1", "2", "other"], default="1")
+    lp.add_argument("--ramified", action="store_true")
+    lp.add_argument("--real-sign", type=int, choices=[0, 1], default=0)
+    lp.add_argument("--s-re", default="0")
+    lp.add_argument("--s-im", default="0", help="coefficient of pi*i/log q")
+    common(lp, _reducible)
+
+    local_commands = " | ".join(lsub.choices)
+    p.set_defaults(handler=lambda args: _refuse(f"local needs a subcommand: {local_commands}"))
+
+    p = sub.add_parser("catalog", help="symbolic spectrum decomposition for (d, k)")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    common(p, lambda args: catalog(args.d, args.k).to_json())
+
+    p = sub.add_parser("verify", help="run the invariant suite")
+    common(p, _verify)
+
+    return parser, tuple(sub.choices)
+
+
+_PARSER, COMMANDS = _build_parser()
 
 
 def run(argv: list[str]) -> CommandResult:
@@ -314,19 +308,10 @@ def run(argv: list[str]) -> CommandResult:
     An exception that is not an NhmfError is a defect of the engine and is
     returned with the code ``internal``.
     """
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command is None:
-            raise UsageError("missing command; expected one of: " + ", ".join(COMMANDS))
-        payload = _dispatch(args)
-        result = CommandResult("ok", payload)
-        if args.command == "verify" and not payload["all_pass"]:
-            failed = [p["name"] for p in payload["properties"] if not p["pass"]]
-            result = CommandResult(
-                "error", payload, [f"failing properties: {', '.join(failed)}"],
-                code="verify-failed",
-            )
+        args = _PARSER.parse_args(argv)
+        payload = args.handler(args)
+        result = payload if isinstance(payload, CommandResult) else CommandResult("ok", payload)
         result.out_path = getattr(args, "out", None)
         result.json_indent = getattr(args, "json_indent", None)
         return result

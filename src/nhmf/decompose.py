@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .arith import frac_to_str, reduce_by, reduced_echelon
 from .errors import DecompositionError, InsufficientTruncationError
@@ -88,6 +88,11 @@ def shared_level1_basis(truncation: int) -> Level1Basis:
     return Level1Basis(truncation)
 
 
+def _raised_e2(truncation: int, m: int, c: Fraction) -> NearlyHolomorphicForm:
+    """c * delta^(m) applied to the weight-two Eisenstein series."""
+    return iterate_raise(shared_level1_basis(truncation).eisenstein2, m) * c
+
+
 @lru_cache(maxsize=128)
 def _echelon(basis: tuple[NearlyHolomorphicForm, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """The reduced echelon form of the q-series of a truncated basis, one
@@ -114,14 +119,17 @@ class Decomposition:
     terms: tuple[tuple[int, NearlyHolomorphicForm], ...]
     e2_term: Optional[tuple[int, Fraction]]
 
+    def pieces(self) -> Iterator[tuple[int, NearlyHolomorphicForm]]:
+        """(seed weight, raised seed) per summand; the weight-two Eisenstein one last."""
+        for ell, g in self.terms:
+            yield g.weight, iterate_raise(g, ell)
+        if self.e2_term is not None:
+            yield 2, _raised_e2(self.truncation, *self.e2_term)
+
     def reassemble(self) -> NearlyHolomorphicForm:
         out = NearlyHolomorphicForm.zero(self.truncation)
-        for ell, g in self.terms:
-            out = out + iterate_raise(g, ell)
-        if self.e2_term is not None:
-            m, c = self.e2_term
-            e2 = shared_level1_basis(self.truncation).eisenstein2
-            out = out + iterate_raise(e2, m) * c
+        for _, piece in self.pieces():
+            out = out + piece
         return out
 
     def to_json(self) -> dict:
@@ -175,8 +183,7 @@ def decompose(
             m = p - 1
             c = Fraction(top[0], rem._den * _e2_column_factor(m))
             e2_term = (m, c)
-            e2 = shared_level1_basis(trunc).eisenstein2
-            rem = rem - iterate_raise(e2, m) * c
+            rem = rem - _raised_e2(trunc, m, c)
             continue
 
         if trunc < sturm(max(w, 0)):
@@ -220,16 +227,8 @@ def character_split(
     Each seed of weight w contributes to the chi_w component; the weight-two
     Eisenstein seed lands in chi_2.
     """
-    dec = decompose(f, basis_provider)
     parts: dict[InfinitesimalCharacter, NearlyHolomorphicForm] = {}
-
-    def add(char: InfinitesimalCharacter, piece: NearlyHolomorphicForm):
+    for w, piece in decompose(f, basis_provider).pieces():
+        char = InfinitesimalCharacter.of(w)
         parts[char] = parts.get(char, NearlyHolomorphicForm.zero(f.truncation)) + piece
-
-    for ell, g in dec.terms:
-        add(InfinitesimalCharacter.of(g.weight), iterate_raise(g, ell))
-    if dec.e2_term is not None:
-        m, c = dec.e2_term
-        e2 = shared_level1_basis(f.truncation).eisenstein2
-        add(InfinitesimalCharacter.of(2), iterate_raise(e2, m) * c)
     return parts

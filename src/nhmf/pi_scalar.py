@@ -14,6 +14,7 @@ Values are immutable and hashable.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .arith import as_fraction
 
@@ -25,24 +26,32 @@ def _coeff(c) -> tuple[Fraction, Fraction]:
     return as_fraction(c), Fraction(0)
 
 
+def _exponent(e) -> Fraction:
+    e = as_fraction(e)
+    if e.denominator not in (1, 2):
+        raise ValueError(f"pi-exponent {e} is not a half-integer")
+    return e
+
+
+def _summed(pairs) -> "PiScalar":
+    """The sum of (exponent, (re, im)) pairs: coefficients added by
+    exponent, zero sums dropped."""
+    acc: dict[Fraction, tuple[Fraction, Fraction]] = {}
+    for e, (re, im) in pairs:
+        if e in acc:
+            re, im = acc[e][0] + re, acc[e][1] + im
+        acc[e] = (re, im)
+    out = PiScalar.__new__(PiScalar)
+    out._terms = {e: c for e, c in acc.items() if c[0] or c[1]}
+    return out
+
+
 class PiScalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        data: dict[Fraction, tuple[Fraction, Fraction]] = {}
-        if terms:
-            for e, c in terms.items():
-                e = as_fraction(e)
-                if e.denominator not in (1, 2):
-                    raise ValueError(f"pi-exponent {e} is not a half-integer")
-                re, im = _coeff(c)
-                if e in data:
-                    re, im = data[e][0] + re, data[e][1] + im
-                if re or im:
-                    data[e] = (re, im)
-                elif e in data:
-                    del data[e]
-        self._terms = data
+        pairs = ((_exponent(e), _coeff(c)) for e, c in (terms or {}).items())
+        self._terms = _summed(pairs)._terms
 
     # -- constructors ------------------------------------------------------
 
@@ -114,22 +123,10 @@ class PiScalar:
     def __add__(self, other):
         if not isinstance(other, PiScalar):
             return NotImplemented
-        out = PiScalar()
-        merged: dict[Fraction, tuple[Fraction, Fraction]] = dict(self._terms)
-        for e, (re, im) in other._terms.items():
-            if e in merged:
-                re, im = merged[e][0] + re, merged[e][1] + im
-            if re or im:
-                merged[e] = (re, im)
-            elif e in merged:
-                del merged[e]
-        out._terms = merged
-        return out
+        return _summed(chain(self._terms.items(), other._terms.items()))
 
     def __neg__(self):
-        out = PiScalar()
-        out._terms = {e: (-re, -im) for e, (re, im) in self._terms.items()}
-        return out
+        return _summed((e, (-re, -im)) for e, (re, im) in self._terms.items())
 
     def __sub__(self, other):
         return self + (-other)
@@ -139,20 +136,11 @@ class PiScalar:
             other = PiScalar.rational(other)
         if not isinstance(other, PiScalar):
             return NotImplemented
-        merged: dict[Fraction, tuple[Fraction, Fraction]] = {}
-        for e1, (a, b) in self._terms.items():
-            for e2, (c, d) in other._terms.items():
-                e = e1 + e2
-                re, im = a * c - b * d, a * d + b * c
-                if e in merged:
-                    re, im = merged[e][0] + re, merged[e][1] + im
-                if re or im:
-                    merged[e] = (re, im)
-                elif e in merged:
-                    del merged[e]
-        out = PiScalar()
-        out._terms = merged
-        return out
+        return _summed(
+            (e1 + e2, (a * c - b * d, a * d + b * c))
+            for e1, (a, b) in self._terms.items()
+            for e2, (c, d) in other._terms.items()
+        )
 
     __rmul__ = __mul__
 
@@ -169,9 +157,13 @@ class PiScalar:
             return NotImplemented
         if n < 0:
             return self.invert() ** (-n)
-        out = PiScalar.one()
-        for _ in range(n):
-            out = out * self
+        out, square = PiScalar.one(), self
+        while n:
+            if n & 1:
+                out = out * square
+            n >>= 1
+            if n:
+                square = square * square
         return out
 
     # -- comparison / rendering --------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Optional
 
 from .arith import (
@@ -277,20 +278,27 @@ class CoherenceResult:
         }
 
 
+_WITNESS_STEPS = 10**5
+
+
 def _witness_search(delta: Fraction, minus_places: list[Place]) -> QuadSpace2D:
     # <a, -delta*a> has discriminant delta (mod squares) and Hasse invariant
-    # (a, delta)_v; scan small a for the required sign pattern.
+    # (a, delta)_v; scan a for the required sign pattern.  At an odd target p
+    # where delta is a unit, hence a non-square, (a, delta)_p = -1 forces
+    # p | a; so a runs through +-s*P, P the product of those primes, in the
+    # order of |a|, and s is capped.
     targets = set(minus_places)
     check = set(relevant_places(delta)) | targets
-    for size in range(1, 100000):
-        for a0 in (size, -size):
-            a = Fraction(a0)
-            places = set(check) | set(relevant_places(a))
-            if all(
-                (hilbert_symbol(a, delta, v) == -1) == (v in targets) for v in places
-            ):
+    step = prod(v.p for v in targets if v.p not in (None, 2) and padic_valuation(delta, v.p) == 0)
+
+    def realizes(a: Fraction, places) -> bool:
+        return all((hilbert_symbol(a, delta, v) == -1) == (v in targets) for v in places)
+
+    for s in range(1, _WITNESS_STEPS):
+        for a in (Fraction(s * step), Fraction(-s * step)):
+            if realizes(a, check) and realizes(a, relevant_places(s)):
                 return QuadSpace2D(a, -delta * a)
-    raise AssertionError("no witness found; pattern should be realizable")
+    raise DomainError(f"coherent, but no witness a = +-s*{step} with s < {_WITNESS_STEPS}")
 
 
 def check_coherence(collection: Collection) -> CoherenceResult:

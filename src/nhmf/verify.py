@@ -67,6 +67,11 @@ class PropertyResult:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}
 
 
+# A check returns whether it passed, or (passed, detail); its name, less the
+# "check_" prefix and with dashes for underscores, names the property.
+Outcome = bool | tuple[bool, str]
+
+
 def _random_form(rng: random.Random, weight: int, trunc: int, nterms=6):
     coeffs = {}
     for _ in range(nterms):
@@ -92,37 +97,36 @@ def _suite_forms(trunc: int = 16):
 # -- individual properties ---------------------------------------------------
 
 
-def check_series_ring_axioms() -> PropertyResult:
+def check_series_ring_axioms() -> Outcome:
     rng = random.Random(101)
     for _ in range(25):
         w = rng.choice([0, 2, 4])
         f, g, h = (_random_form(rng, w, 12) for _ in range(3))
         if ((f * g) * h) != (f * (g * h)):
-            return PropertyResult("series-ring-axioms", False, "associativity")
+            return False, "associativity"
         if (f * (g + h)) != (f * g + f * h):
-            return PropertyResult("series-ring-axioms", False, "distributivity")
+            return False, "distributivity"
         if f + g != g + f or f * g != g * f:
-            return PropertyResult("series-ring-axioms", False, "commutativity")
-    return PropertyResult("series-ring-axioms", True)
+            return False, "commutativity"
+    return True
 
 
-def check_truncation_monotonicity() -> PropertyResult:
+def check_truncation_monotonicity() -> Outcome:
     pairs = [
         (eisenstein(4, 40), eisenstein(4, 25)),
         (eisenstein2(40), eisenstein2(25)),
         (theta_series(BinaryForm(1, 0, 1), 40), theta_series(BinaryForm(1, 0, 1), 25)),
         (eisenstein(4, 40) * eisenstein(6, 40), eisenstein(4, 25) * eisenstein(6, 25)),
     ]
-    ok = all(big.truncate(25) == small for big, small in pairs)
-    return PropertyResult("truncation-monotonicity", ok)
+    return all(big.truncate(25) == small for big, small in pairs)
 
 
-def check_pi_scalar_axioms() -> PropertyResult:
+def check_pi_scalar_axioms() -> Outcome:
     if PiScalar.sqrt_pi() * PiScalar.sqrt_pi() != PiScalar.pi_power(1):
-        return PropertyResult("pi-scalar-axioms", False, "(sqrt pi)^2")
+        return False, "(sqrt pi)^2"
     i = PiScalar.imaginary_unit()
     if i * i != PiScalar.rational(-1):
-        return PropertyResult("pi-scalar-axioms", False, "i^2")
+        return False, "i^2"
     rng = random.Random(7)
 
     def sample():
@@ -139,63 +143,55 @@ def check_pi_scalar_axioms() -> PropertyResult:
     for _ in range(100):
         x, y = sample(), sample()
         if x * y != y * x:
-            return PropertyResult("pi-scalar-axioms", False, "commutativity")
-    return PropertyResult("pi-scalar-axioms", True)
+            return False, "commutativity"
+    return True
 
 
-def check_sl2_commutation() -> PropertyResult:
+def check_sl2_commutation() -> Outcome:
     for f in _suite_forms():
         k = f.weight
         lhs = lower_weight(raise_weight(f)) - raise_weight(lower_weight(f))
         if lhs != f * Fraction(-k):
-            return PropertyResult("sl2-commutation", False, f"weight {k}")
-    return PropertyResult("sl2-commutation", True)
+            return False, f"weight {k}"
+    return True
 
 
-def check_lowering_kernel() -> PropertyResult:
-    for f in _suite_forms():
-        if (lower_weight(f).is_zero) != (f.depth == 0):
-            return PropertyResult("lowering-kernel", False)
-    return PropertyResult("lowering-kernel", True)
+def check_lowering_kernel() -> Outcome:
+    return all(lower_weight(f).is_zero == (f.depth == 0) for f in _suite_forms())
 
 
-def check_depth_bookkeeping() -> PropertyResult:
+def check_depth_bookkeeping() -> Outcome:
     for f in _suite_forms():
         if raise_weight(f).depth > f.depth + 1:
-            return PropertyResult("depth-bookkeeping", False, "raise")
+            return False, "raise"
         if f.depth >= 1 and lower_weight(f).depth != f.depth - 1:
-            return PropertyResult("depth-bookkeeping", False, "lower")
-    return PropertyResult("depth-bookkeeping", True)
+            return False, "lower"
+    return True
 
 
-def check_casimir_centrality() -> PropertyResult:
+def check_casimir_centrality() -> Outcome:
     for f in _suite_forms():
         if casimir(raise_weight(f)) != raise_weight(casimir(f)):
-            return PropertyResult("casimir-centrality", False, "raise")
+            return False, "raise"
         if casimir(lower_weight(f)) != lower_weight(casimir(f)):
-            return PropertyResult("casimir-centrality", False, "lower")
-    return PropertyResult("casimir-centrality", True)
+            return False, "lower"
+    return True
 
 
-def check_lowering_nilpotence() -> PropertyResult:
-    ok = all(iterate_lower(f, f.depth + 1).is_zero for f in _suite_forms())
-    return PropertyResult("lowering-nilpotence", ok)
+def check_lowering_nilpotence() -> Outcome:
+    return all(iterate_lower(f, f.depth + 1).is_zero for f in _suite_forms())
 
 
-def check_character_raising_invariance() -> PropertyResult:
+def check_character_raising_invariance() -> Outcome:
     for w in (4, 6, 12):
         for g in level1_basis(w, 14):
             base = infinitesimal_character(g)
             for r in (1, 2, 3):
                 if infinitesimal_character(iterate_raise(g, r)) != base:
-                    return PropertyResult("character-raising-invariance", False)
+                    return False
     e2 = eisenstein2(14)
     base = infinitesimal_character(e2)
-    if any(
-        infinitesimal_character(iterate_raise(e2, r)) != base for r in (1, 2)
-    ):
-        return PropertyResult("character-raising-invariance", False)
-    return PropertyResult("character-raising-invariance", True)
+    return all(infinitesimal_character(iterate_raise(e2, r)) == base for r in (1, 2))
 
 
 def chi_minus4(d: int) -> int:
@@ -204,7 +200,7 @@ def chi_minus4(d: int) -> int:
     return 1 if d % 4 == 1 else -1
 
 
-def check_siegel_weil_desk() -> PropertyResult:
+def check_siegel_weil_desk() -> Outcome:
     n_max = 50
     theta = theta_series(BinaryForm(1, 0, 1), n_max)
     for n in range(n_max + 1):
@@ -214,8 +210,8 @@ def check_siegel_weil_desk() -> PropertyResult:
             else 4 * sum(chi_minus4(d) for d in range(1, n + 1) if n % d == 0)
         )
         if theta.coefficient(0, n) != expected:
-            return PropertyResult("siegel-weil-desk", False, f"n = {n}")
-    return PropertyResult("siegel-weil-desk", True)
+            return False, f"n = {n}"
+    return True
 
 
 def _quasimodular_monomials(weight: int, trunc: int):
@@ -245,7 +241,7 @@ def _quasimodular_monomials(weight: int, trunc: int):
     return out
 
 
-def check_quasimodular_closure() -> PropertyResult:
+def check_quasimodular_closure() -> Outcome:
     trunc = 12
     targets = [eisenstein2(trunc)] + level1_basis(4, trunc) + level1_basis(6, trunc)
     for f in targets:
@@ -253,18 +249,16 @@ def check_quasimodular_closure() -> PropertyResult:
         monos = _quasimodular_monomials(img.weight, trunc)
         cols = [dict(m.terms()) for m in monos]
         if solve_exact(cols, dict(img.terms())) is None:
-            return PropertyResult(
-                "quasimodular-closure", False, f"weight {img.weight}"
-            )
-    return PropertyResult("quasimodular-closure", True)
+            return False, f"weight {img.weight}"
+    return True
 
 
-def check_ramanujan_identity() -> PropertyResult:
+def check_ramanujan_identity() -> Outcome:
     trunc = 20
     p_star = -eisenstein2(trunc)
     lhs = raise_weight(p_star)
     rhs = (p_star * p_star - eisenstein(4, trunc)) * Fraction(1, 12)
-    return PropertyResult("ramanujan-identity", lhs == rhs)
+    return lhs == rhs
 
 
 def random_decomposable(rng: random.Random, trunc: int) -> NearlyHolomorphicForm:
@@ -292,26 +286,26 @@ def random_decomposable(rng: random.Random, trunc: int) -> NearlyHolomorphicForm
     return f
 
 
-def check_decompose_roundtrip(count: int = 40) -> PropertyResult:
+def check_decompose_roundtrip() -> Outcome:
     rng = random.Random(2024)
     trunc = 30
     done = 0
-    while done < count:
+    while done < 40:
         f = random_decomposable(rng, trunc)
         if f.is_zero:
             continue
         done += 1
         dec = decompose(f)
         if dec.reassemble() != f:
-            return PropertyResult("decompose-roundtrip", False, repr(f))
+            return False, repr(f)
     e2 = eisenstein2(trunc)
     dec = decompose(e2)
     if dec.terms or dec.e2_term != (0, Fraction(1)):
-        return PropertyResult("decompose-roundtrip", False, "weight-two seed")
-    return PropertyResult("decompose-roundtrip", True)
+        return False, "weight-two seed"
+    return True
 
 
-def check_decompose_uniqueness() -> PropertyResult:
+def check_decompose_uniqueness() -> Outcome:
     rng = random.Random(77)
     trunc = 26
     for _ in range(10):
@@ -323,33 +317,33 @@ def check_decompose_uniqueness() -> PropertyResult:
         f2 = NearlyHolomorphicForm(f.weight, trunc, dict(f.terms()))
         d2 = decompose(f2)
         if d1.terms != d2.terms or d1.e2_term != d2.e2_term:
-            return PropertyResult("decompose-uniqueness", False)
-    return PropertyResult("decompose-uniqueness", True)
+            return False
+    return True
 
 
-def check_character_stratification() -> PropertyResult:
+def check_character_stratification() -> Outcome:
     trunc = 20
     e4 = eisenstein(4, trunc)
     e6 = eisenstein(6, trunc)
     mixed = iterate_raise(e4, 1) + e6
     parts = character_split(mixed)
     if len(parts) != 2:
-        return PropertyResult("character-stratification", False, "split size")
+        return False, "split size"
     total = NearlyHolomorphicForm.zero(trunc)
     for char, piece in parts.items():
         total = total + piece
         if infinitesimal_character(piece) != char:
-            return PropertyResult("character-stratification", False, "component")
+            return False, "component"
     if total != mixed:
-        return PropertyResult("character-stratification", False, "sum")
+        return False, "sum"
     # Eigenform decompositions stay in one character.
     for f in (iterate_raise(e4, 2), iterate_raise(eisenstein2(trunc), 1)):
         if len(character_split(f)) != 1:
-            return PropertyResult("character-stratification", False, "eigenform")
-    return PropertyResult("character-stratification", True)
+            return False, "eigenform"
+    return True
 
 
-def check_laurent_multiplicativity() -> PropertyResult:
+def check_laurent_multiplicativity() -> Outcome:
     rng = random.Random(5)
     point = Fraction(1)
     for _ in range(50):
@@ -369,11 +363,11 @@ def check_laurent_multiplicativity() -> PropertyResult:
         for x in factors:
             want_lead = want_lead * x.leading
         if prod.order != want_order or prod.leading != want_lead:
-            return PropertyResult("laurent-multiplicativity", False)
-    return PropertyResult("laurent-multiplicativity", True)
+            return False
+    return True
 
 
-def check_xi_parity() -> PropertyResult:
+def check_xi_parity() -> Outcome:
     # The (-i)^ell front factor makes leadings purely imaginary for odd ell
     # and purely real for even ell (Gaussian-rational grading).
     for ell in range(0, 6):
@@ -381,16 +375,15 @@ def check_xi_parity() -> PropertyResult:
             germ = archimedean_factor(s0, ell, 1)
             lead = germ.leading
             if ell % 2 == 0 and not lead.is_real:
-                return PropertyResult("xi-parity", False, f"ell={ell}, s0={s0}")
+                return False, f"ell={ell}, s0={s0}"
             if ell % 2 == 1 and not lead.is_imaginary:
-                return PropertyResult("xi-parity", False, f"ell={ell}, s0={s0}")
-    return PropertyResult("xi-parity", True)
+                return False, f"ell={ell}, s0={s0}"
+    return True
 
 
-def check_xi_selfdual_point() -> PropertyResult:
+def check_xi_selfdual_point() -> Outcome:
     germ = archimedean_factor(0, 1, 1)
-    ok = germ.order == 0 and not germ.is_zero
-    return PropertyResult("xi-selfdual-point", ok, f"order {germ.order}")
+    return germ.order == 0 and not germ.is_zero, f"order {germ.order}"
 
 
 def _random_rational(rng: random.Random, bound: int) -> Fraction:
@@ -399,37 +392,33 @@ def _random_rational(rng: random.Random, bound: int) -> Fraction:
     return Fraction(num, den)
 
 
-def check_hilbert_symmetry_bilinearity() -> PropertyResult:
+def check_hilbert_symmetry_bilinearity() -> Outcome:
     rng = random.Random(31)
     for _ in range(120):
         a, b, c = (_random_rational(rng, 30) for _ in range(3))
         for v in relevant_places(a, b, c):
             if hilbert_symbol(a, b, v) != hilbert_symbol(b, a, v):
-                return PropertyResult("hilbert-symmetry-bilinearity", False, "symmetry")
+                return False, "symmetry"
             lhs = hilbert_symbol(a, b * c, v)
             rhs = hilbert_symbol(a, b, v) * hilbert_symbol(a, c, v)
             if lhs != rhs:
-                return PropertyResult(
-                    "hilbert-symmetry-bilinearity", False, "bilinearity"
-                )
+                return False, "bilinearity"
             if hilbert_symbol(a, b * c * c, v) != hilbert_symbol(a, b, v):
-                return PropertyResult(
-                    "hilbert-symmetry-bilinearity", False, "square-class"
-                )
-    return PropertyResult("hilbert-symmetry-bilinearity", True)
+                return False, "square-class"
+    return True
 
 
-def check_hilbert_reciprocity(pairs: int = 200, bound: int = 10**4) -> PropertyResult:
+def check_hilbert_reciprocity() -> Outcome:
     rng = random.Random(13)
-    for _ in range(pairs):
-        a = _random_rational(rng, bound)
-        b = _random_rational(rng, bound)
+    for _ in range(200):
+        a = _random_rational(rng, 10**4)
+        b = _random_rational(rng, 10**4)
         prod = 1
         for v in relevant_places(a, b):
             prod *= hilbert_symbol(a, b, v)
         if prod != 1:
-            return PropertyResult("hilbert-reciprocity", False, f"{a}, {b}")
-    return PropertyResult("hilbert-reciprocity", True)
+            return False, f"{a}, {b}"
+    return True
 
 
 def solvability_oracle(a, b, p: int) -> int:
@@ -466,7 +455,7 @@ def solvability_oracle(a, b, p: int) -> int:
     return -1
 
 
-def check_hilbert_oracle_agreement() -> PropertyResult:
+def check_hilbert_oracle_agreement() -> Outcome:
     values = [Fraction(v) for v in (1, -1, 2, -2, 3, -3, 5, -5, 6, 10)] + [
         Fraction(1, 2),
         Fraction(-3, 2),
@@ -484,37 +473,27 @@ def check_hilbert_oracle_agreement() -> PropertyResult:
                 if key not in cache:
                     cache[key] = solvability_oracle(key[0], key[1], p)
                 if cache[key] != hilbert_symbol(a, b, place):
-                    return PropertyResult(
-                        "hilbert-oracle-agreement", False, f"({a},{b})_{p}"
-                    )
-    return PropertyResult("hilbert-oracle-agreement", True)
+                    return False, f"({a},{b})_{p}"
+    return True
 
 
-def check_coherence_realizability() -> PropertyResult:
+def check_coherence_realizability() -> Outcome:
     rng = random.Random(99)
     for _ in range(25):
         space = QuadSpace2D(_random_rational(rng, 20), _random_rational(rng, 20))
         coll = collection_of(space)
         result = check_coherence(coll)
         if not result.coherent or result.witness is None:
-            return PropertyResult("coherence-realizability", False, repr(space))
+            return False, repr(space)
         witness = result.witness
-        for v in relevant_places(
-            space.a1, space.a2, witness.a1, witness.a2, space.discriminant
-        ):
-            inv_a = local_invariants(space, v)
-            inv_b = local_invariants(witness, v)
-            if (inv_a.chi_nontrivial, inv_a.epsilon) != (
-                inv_b.chi_nontrivial,
-                inv_b.epsilon,
-            ):
-                return PropertyResult(
-                    "coherence-realizability", False, f"{space} at {v.render()}"
-                )
-    return PropertyResult("coherence-realizability", True)
+        for v in relevant_places(space.a1, space.a2, witness.a1, witness.a2, space.discriminant):
+            # Both invariants are taken at v, so they agree iff chi and epsilon do.
+            if local_invariants(space, v) != local_invariants(witness, v):
+                return False, f"{space} at {v.render()}"
+    return True
 
 
-def check_coherence_flip() -> PropertyResult:
+def check_coherence_flip() -> Outcome:
     rng = random.Random(17)
     flips = 0
     for _ in range(40):
@@ -525,26 +504,24 @@ def check_coherence_flip() -> PropertyResult:
                 continue
             flipped = coll.flip(place)
             if check_coherence(flipped).coherent:
-                return PropertyResult("coherence-flip", False, place.render())
+                return False, place.render()
             flips += 1
-    return PropertyResult("coherence-flip", flips > 0, f"{flips} flips")
+    return flips > 0, f"{flips} flips"
 
 
-def check_reducibility_eigenvalue_coherence() -> PropertyResult:
+def check_reducibility_eigenvalue_coherence() -> Outcome:
     for q in (2, 3, 5, 7, 9):
         verdict = reducibility(q, CharacterDescriptor(order=2, unramified=True), 0, 0)
         if not verdict.reducible or verdict.structure != "direct_sum":
-            return PropertyResult("reducibility-eigenvalue-coherence", False, str(q))
+            return False, str(q)
         plus = unramified_eigenvalue(q, True, 1)
         minus = unramified_eigenvalue(q, True, -1)
         if plus == minus:
-            return PropertyResult(
-                "reducibility-eigenvalue-coherence", False, f"q = {q}"
-            )
-    return PropertyResult("reducibility-eigenvalue-coherence", True)
+            return False, f"q = {q}"
+    return True
 
 
-def check_block_self_consistency() -> PropertyResult:
+def check_block_self_consistency() -> Outcome:
     from collections import Counter
 
     for lam in (2, 3, 5, 12):
@@ -553,49 +530,45 @@ def check_block_self_consistency() -> PropertyResult:
         if Counter(composition_factors(n_mid)) != Counter(
             composition_factors(n_sub) + composition_factors(n_quot)
         ):
-            return PropertyResult("block-self-consistency", False, f"lam {lam}")
+            return False, f"lam {lam}"
         p_sub, p_mid, p_quot = block.exact_sequences[1]
         if Counter(composition_factors(p_mid)) != Counter(
             composition_factors(p_sub) + composition_factors(p_quot)
         ):
-            return PropertyResult("block-self-consistency", False, f"P({lam})")
-    return PropertyResult("block-self-consistency", True)
+            return False, f"P({lam})"
+    return True
 
 
-def check_block_orbit_symmetry() -> PropertyResult:
+def check_block_orbit_symmetry() -> Outcome:
     for lam in (Fraction(1, 2), Fraction(3), Fraction(5), Fraction(7, 3), Fraction(1)):
         a = classify_block(lam)
         b = classify_block(2 - lam)
         if set(a.classes) != set(b.classes):
-            return PropertyResult("block-orbit-symmetry", False, str(lam))
-    return PropertyResult("block-orbit-symmetry", True)
+            return False, str(lam)
+    return True
 
 
-def check_identify_raising_stable() -> PropertyResult:
+def check_identify_raising_stable() -> Outcome:
     trunc = 14
     for w in (4, 6, 12):
         for g in level1_basis(w, trunc):
             want = identify_module(g)
             if want != simple(w):
-                return PropertyResult("identify-raising-stable", False, f"seed {w}")
+                return False, f"seed {w}"
             for r in (1, 2):
                 if identify_module(iterate_raise(g, r)) != want:
-                    return PropertyResult(
-                        "identify-raising-stable", False, f"w={w}, r={r}"
-                    )
+                    return False, f"w={w}, r={r}"
     if identify_module(NearlyHolomorphicForm.constant(3, trunc)) != trivial():
-        return PropertyResult("identify-raising-stable", False, "constant")
-    return PropertyResult("identify-raising-stable", True)
+        return False, "constant"
+    return True
 
 
-def check_catalog_trivial_multiplicity() -> PropertyResult:
+def check_catalog_trivial_multiplicity() -> Outcome:
     for d in (1, 2, 3):
         for k in (1, 2, 3, 4, 7):
             if catalog(d, k).contains_trivial != (k == 2):
-                return PropertyResult(
-                    "catalog-trivial-multiplicity", False, f"d={d}, k={k}"
-                )
-    return PropertyResult("catalog-trivial-multiplicity", True)
+                return False, f"d={d}, k={k}"
+    return True
 
 
 ALL_CHECKS = [
@@ -634,8 +607,10 @@ def run_all() -> list[PropertyResult]:
     results = []
     for check in ALL_CHECKS:
         try:
-            results.append(check())
+            outcome = check()
         except Exception as exc:  # a crash is a failure, not a silent skip
-            name = check.__name__.removeprefix("check_").replace("_", "-")
-            results.append(PropertyResult(name, False, f"exception: {exc!r}"))
+            outcome = False, f"exception: {exc!r}"
+        passed, detail = outcome if isinstance(outcome, tuple) else (outcome, "")
+        name = check.__name__.removeprefix("check_").replace("_", "-")
+        results.append(PropertyResult(name, passed, detail))
     return results

@@ -144,6 +144,12 @@ class TestIdentifyModule:
         f = NearlyHolomorphicForm(0, 8, {(0, 0): 1, (0, 1): 1})
         assert identify_module(f) == verma(0)
 
+    def test_negative_weight_constant_generates_finite_quotient(self):
+        # delta^(1-w) kills a constant of weight w < 0: the module is F_(2-w).
+        assert identify_module(NearlyHolomorphicForm.monomial(-2, 6)) == finite(4)
+        assert identify_module(NearlyHolomorphicForm.monomial(-3, 6)) == finite(5)
+        assert identify_module(NearlyHolomorphicForm.monomial(-2, 6, n=1)) == verma(-2)
+
 
 class TestCatalog:
     def test_regular_weight(self):

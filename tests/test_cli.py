@@ -220,6 +220,54 @@ def test_a_closed_stdout_pipe_exits_nonzero_without_a_traceback():
         assert proc.stderr == b"", proc.stderr  # in particular, no traceback
 
 
+def test_a_failing_property_fails_verify(monkeypatch, capsys):
+    import nhmf.verify
+
+    def check_forced_failure():
+        return False, "forced"
+
+    def check_forced_crash():
+        raise RuntimeError("boom")
+
+    checks = [nhmf.verify.check_xi_selfdual_point, check_forced_failure, check_forced_crash]
+    monkeypatch.setattr(nhmf.verify, "ALL_CHECKS", checks)
+    assert run(["verify"]).code == "verify-failed"
+    assert main(["verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {
+        "status": "error",
+        "all_pass": False,
+        "properties": [
+            {"name": "xi-selfdual-point", "pass": True, "detail": "order 0"},
+            {"name": "forced-failure", "pass": False, "detail": "forced"},
+            {"name": "forced-crash", "pass": False, "detail": "exception: RuntimeError('boom')"},
+        ],
+        "diagnostics": ["failing properties: forced-failure, forced-crash"],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "missing command; expected one of: " + ", ".join(nhmf.cli.COMMANDS)),
+        (["local"], "local needs a subcommand: hilbert | invariants | coherent | reducible"),
+    ],
+)
+def test_a_missing_subcommand_is_a_usage_error(argv, message, capsys):
+    assert main(argv) == 1
+    doc = json.loads(capsys.readouterr().err)
+    assert doc["error"] == "usage" and doc["message"] == message
+
+
+def test_importing_the_cli_leaves_the_verify_suite_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, nhmf.cli; print('nhmf.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False\n", proc.stderr
+
+
 def test_invariants_of_large_semiprime_are_fast(capsys):
     # 1000000007 * 1000000009: beyond trial division, within Pollard rho.
     start = time.perf_counter()

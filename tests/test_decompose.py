@@ -122,6 +122,20 @@ class TestDecomposeErrors:
         with pytest.raises(InsufficientTruncationError):
             decompose(f)
 
+    def test_non_constant_weight_zero_type_top_column_rejected(self):
+        # Depth 1 at weight 2 leaves residual weight 0, where only the
+        # weight-two Eisenstein seed fits, and its top column is constant.
+        f = NearlyHolomorphicForm(2, 6, {(1, 0): 12, (1, 1): 1})
+        with pytest.raises(DecompositionError) as err:
+            decompose(f)
+        assert err.value.data["residual"] == f
+
+    def test_user_basis_truncated_below_the_input(self):
+        f = eisenstein(4, 10)
+        with pytest.raises(InsufficientTruncationError):
+            decompose(f, lambda w: level1_basis(w, 6))
+        assert decompose(f, lambda w: level1_basis(w, 12)).reassemble() == f
+
     def test_zero_decomposes_to_nothing(self):
         dec = decompose(NearlyHolomorphicForm.zero(5))
         assert dec.terms == () and dec.e2_term is None

@@ -195,7 +195,7 @@ def test_quasimodular_closure_under_raising():
     # by exact linear algebra.
     from nhmf.verify import check_quasimodular_closure
 
-    assert check_quasimodular_closure().passed
+    assert check_quasimodular_closure() is True
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,16 @@
 """Local quadratic invariants: symbols, coherence, reducibility, eigenvalues."""
 
+import json
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nhmf import quadratic
+from nhmf.cli import main
 from nhmf.errors import DomainError, InvariantViolationError
 from nhmf.quadratic import (
     CharacterDescriptor,
@@ -168,6 +173,105 @@ class TestCoherence:
         coll = Collection.of(Fraction(-1), {Place.finite(5): -1})
         with pytest.raises(InvariantViolationError):
             check_coherence(coll)
+
+
+def scan_witness_to_1e5(delta, minus_places):
+    """The witness scan as it stood before it stepped by the forced prime
+    product: every a = +-1, +-2, ... with |a| < 10^5, testing the places of
+    delta, the targets and a; None when it finds nothing."""
+    targets = set(minus_places)
+    check = set(relevant_places(delta)) | targets
+    for size in range(1, 100000):
+        for a0 in (size, -size):
+            a = Fraction(a0)
+            places = check | set(relevant_places(a))
+            if all((hilbert_symbol(a, delta, v) == -1) == (v in targets) for v in places):
+                return QuadSpace2D(a, -delta * a)
+    return None
+
+
+def nonsquare_places(delta, candidates):
+    return [v for v in candidates if not is_local_square(delta, v)]
+
+
+def assert_witness_realizes(delta, targets, witness):
+    """The witness has discriminant delta up to squares and Hasse sign -1
+    exactly at the targets, checked at every place where it could differ."""
+    ratio = witness.discriminant / delta
+    assert isqrt(ratio.numerator) ** 2 == ratio.numerator
+    assert isqrt(ratio.denominator) ** 2 == ratio.denominator
+    for v in set(relevant_places(delta, witness.a1, witness.a2)) | set(targets):
+        assert (hilbert_symbol(witness.a1, witness.a2, v) == -1) == (v in targets), v
+
+
+SMALL_PLACES = [REAL] + [Place.finite(p) for p in (2, 3, 5, 7, 11, 13)]
+
+
+def test_witnesses_match_the_scan_to_1e5():
+    # A witness must be a multiple of the odd target primes prime to delta,
+    # so stepping by their product meets the same first witness.
+    rng = random.Random(4343)
+    spaces = 0
+    while spaces < 240:
+        delta = Fraction(rng.randrange(1, 30) * rng.choice([1, -1]), rng.randrange(1, 12))
+        minus = [v for v in nonsquare_places(delta, SMALL_PLACES) if rng.random() < 0.5]
+        if len(minus) % 2:
+            minus.pop()
+        witness = check_coherence(Collection.of(delta, {v: -1 for v in minus})).witness
+        assert witness == scan_witness_to_1e5(delta, minus), (delta, minus)
+        spaces += 1
+
+
+@pytest.mark.parametrize(
+    "discriminant, primes",
+    [
+        ("-1", [3, 7, 11, 19, 23, 31]),
+        ("-3", [2, 5, 11, 17, 23, 29]),
+        ("-1", [103, 107, 127, 131, 139, 151, 163, 167]),
+    ],
+)
+def test_witness_with_many_target_primes_is_found_quickly(discriminant, primes, capsys):
+    # Past |a| < 10^5 from the product of the target primes; these once
+    # crashed with an AssertionError after seconds of search.
+    doc = {"discriminant": discriminant, "epsilons": {str(p): -1 for p in primes}}
+    start = time.perf_counter()
+    assert main(["local", "coherent", json.dumps(doc)]) == 0
+    assert time.perf_counter() - start < 1.0
+    out = json.loads(capsys.readouterr().out)
+    assert out["coherent"] is True
+    witness = QuadSpace2D(Fraction(out["witness"]["a1"]), Fraction(out["witness"]["a2"]))
+    assert_witness_realizes(Fraction(discriminant), [Place.finite(p) for p in primes], witness)
+
+
+def test_witness_search_past_its_bound_is_out_of_domain(monkeypatch):
+    # -(3*5*...*23) puts eight conditions on a; no a = +-s with s < 20 meets them.
+    monkeypatch.setattr(quadratic, "_WITNESS_STEPS", 20)
+    delta = Fraction(-3 * 5 * 7 * 11 * 13 * 17 * 19 * 23)
+    with pytest.raises(DomainError):
+        check_coherence(Collection.of(delta, {REAL: -1, Place.finite(3): -1}))
+
+
+PRIMES_TO_200 = [p for p in range(3, 200) if all(p % d for d in range(2, isqrt(p) + 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    num=st.integers(-10**4, 10**4).filter(bool),
+    den=st.integers(1, 10**3),
+    places=st.lists(
+        st.sampled_from([REAL, Place.finite(2)] + [Place.finite(p) for p in PRIMES_TO_200]),
+        max_size=12,
+        unique=True,
+    ),
+)
+def test_coherent_collections_get_a_realizing_witness(num, den, places):
+    delta = Fraction(num, den)
+    targets = nonsquare_places(delta, places)
+    if len(targets) % 2:
+        targets.pop()
+    result = check_coherence(Collection.of(delta, {v: -1 for v in targets}))
+    assert result.coherent
+    assert_witness_realizes(delta, targets, result.witness)
 
 
 class TestEnumerateDefiniteSpaces:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from nhmf.errors import FormFileError, WeightMismatchError
 from nhmf.operators import casimir, lower_weight, raise_weight
-from nhmf.pi_scalar import PiScalar
+from nhmf.pi_scalar import MINUS_INV_FOUR_PI, PiScalar
 from nhmf.series import NearlyHolomorphicForm
 from nhmf.generators import eisenstein
 
@@ -150,6 +150,30 @@ class TestPiScalar:
     def test_json_roundtrip(self):
         x = PiScalar({Fraction(1, 2): (Fraction(2, 3), Fraction(-1)), 0: 5})
         assert PiScalar.from_json(x.to_json()) == x
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            PiScalar.gaussian(1, 1),
+            PiScalar({Fraction(-1, 2): (Fraction(2, 3), 1), 1: (0, Fraction(1, 2))}),
+            PiScalar.sqrt_pi() - PiScalar.one(),
+            PiScalar.zero(),
+        ],
+    )
+    def test_pow_is_the_repeated_product(self, x):
+        want = PiScalar.one()
+        for n in range(41):
+            assert x ** n == want, n
+            want = want * x
+
+    @pytest.mark.parametrize(
+        "x", [PiScalar.pi_power(Fraction(3, 2), Fraction(-2, 5), 1), MINUS_INV_FOUR_PI]
+    )
+    def test_negative_pow_of_a_monomial_repeats_the_inverse(self, x):
+        want = PiScalar.one()
+        for n in range(41):
+            assert x ** -n == want and x ** -n * x ** n == PiScalar.one(), n
+            want = want * x.invert()
 
     @settings(max_examples=60, deadline=None)
     @given(
