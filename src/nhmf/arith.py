@@ -1,6 +1,6 @@
 """Exact arithmetic helpers shared by every layer.
 
-Rational coercion and rendering, integer factoring (trial division, then
+Rational coercion, integer factoring (trial division, then
 Pollard rho with a step budget for large cofactors), and the one elimination
 routine of the package: the reduced echelon form of integer vectors, on which
 the exact linear solver and decompose's span test are built.  Nothing here
@@ -19,15 +19,6 @@ from .errors import DomainError
 
 def as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def is_integral(x: Fraction) -> bool:
-    return x.denominator == 1
-
-
-def frac_to_str(c: Fraction) -> str:
-    c = as_fraction(c)
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # Trial division stops below this bound; a cofactor it leaves composite goes

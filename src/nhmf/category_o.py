@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import as_fraction, frac_to_str, is_integral
+from .arith import as_fraction
 from .errors import AmbiguousModuleError, DomainError
-from .generators import eisenstein2
+from .generators import MAX_DEGREE, MAX_WEIGHT, eisenstein2
 from .operators import (
     InfinitesimalCharacter,
     infinitesimal_character,
@@ -79,7 +79,7 @@ class ModuleClass:
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
         if self.lam is not None:
-            doc["lambda"] = frac_to_str(self.lam)
+            doc["lambda"] = str(self.lam)
         if self.dimension is not None:
             doc["dimension"] = self.dimension
         return doc
@@ -91,7 +91,7 @@ def trivial() -> ModuleClass:
 
 def finite(k) -> ModuleClass:
     k = as_fraction(k)
-    if not is_integral(k) or k < 2:
+    if k.denominator != 1 or k < 2:
         raise DomainError(f"finite-dimensional class needs integer k >= 2, got {k}")
     if k == 2:
         return trivial()
@@ -100,28 +100,28 @@ def finite(k) -> ModuleClass:
 
 def simple(lam) -> ModuleClass:
     lam = as_fraction(lam)
-    if is_integral(lam) and lam <= 0:
+    if lam.denominator == 1 and lam <= 0:
         return finite(2 - lam)
     return ModuleClass("simple", lam)
 
 
 def verma(lam) -> ModuleClass:
     lam = as_fraction(lam)
-    if is_integral(lam) and lam <= 0:
+    if lam.denominator == 1 and lam <= 0:
         return ModuleClass("verma", lam)
     return simple(lam)  # irreducible Verma
 
 
 def dual_verma(lam) -> ModuleClass:
     lam = as_fraction(lam)
-    if is_integral(lam) and lam <= 0:
+    if lam.denominator == 1 and lam <= 0:
         return ModuleClass("dual_verma", lam)
     return simple(lam)
 
 
 def projective(lam) -> ModuleClass:
     lam = as_fraction(lam)
-    if is_integral(lam) and lam >= 2:
+    if lam.denominator == 1 and lam >= 2:
         return ModuleClass("projective", lam)
     return simple(lam)  # semisimple block: P = N = L
 
@@ -146,7 +146,7 @@ class BlockClassification:
 
     def to_json(self) -> dict:
         return {
-            "representative": frac_to_str(self.representative),
+            "representative": str(self.representative),
             "classes": [c.to_json() for c in self.classes],
             "exact_sequences": [
                 {"sub": a.to_json(), "middle": b.to_json(), "quotient": c.to_json()}
@@ -157,9 +157,9 @@ class BlockClassification:
 
 def classify_block(lam) -> BlockClassification:
     """The indecomposables of the block of chi_lam, with its exact sequences."""
-    lam = as_fraction(lam)
-    rep = max(lam, 2 - lam)
-    if not is_integral(rep):
+    char = InfinitesimalCharacter.of(lam)
+    rep = char.lam
+    if not char.integral:
         return BlockClassification(rep, (simple(rep), simple(2 - rep)), ())
     if rep == 1:
         return BlockClassification(rep, (simple(1),), ())
@@ -322,6 +322,10 @@ def catalog(d: int, k: int) -> DecompositionDescriptor:
     """
     if d < 1 or k < 1:
         raise DomainError(f"catalog needs d >= 1 and k >= 1, got d={d}, k={k}")
+    if d > MAX_DEGREE or k > MAX_WEIGHT:
+        raise DomainError(
+            f"catalog needs d <= {MAX_DEGREE} and k <= {MAX_WEIGHT}, got d={d}, k={k}"
+        )
     parity = 1 if k % 2 == 0 else -1
     quotient = (
         {"kind": "trivial_tensor_simple", "lambda": [2]}
@@ -413,7 +417,7 @@ def integral_parallel_filter(lams) -> tuple[bool, Optional[tuple[int, ...]]]:
             (s if mask & (1 << i) == 0 else -s) + 1 for i, s in enumerate(shifted)
         ]
         first = image[0]
-        if all(v == first for v in image) and is_integral(first):
+        if all(v == first for v in image) and first.denominator == 1:
             rep = int(max(first, 2 - first))
             return True, (rep,) * d
     return False, None

@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .arith import frac_to_str
 from .category_o import catalog, identify_module
 from .decompose import decompose
 from .errors import FormFileError, NhmfError, UsageError
@@ -40,16 +39,20 @@ from .series import NearlyHolomorphicForm
 
 @dataclass
 class CommandResult:
-    status: str  # "ok" | "error"
     payload: dict
     diagnostics: list[str] = field(default_factory=list)
-    code: Optional[str] = None
+    code: Optional[str] = None  # the error code; None iff the command succeeded
     out_path: Optional[str] = None
     json_indent: Optional[int] = None
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.code is None
+
+
+def _failure(code: str, message: str, diagnostics=(), extra=None) -> CommandResult:
+    """The failed result; every error document of the CLI is built here."""
+    return CommandResult({"error": code, "message": message, **(extra or {})}, list(diagnostics), code)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,8 +117,8 @@ def _hilbert(args) -> dict:
     a, b = _frac_arg(args.a), _frac_arg(args.b)
     place = Place.parse(args.v)
     return {
-        "a": frac_to_str(a),
-        "b": frac_to_str(b),
+        "a": str(a),
+        "b": str(b),
         "place": place.render(),
         "symbol": hilbert_symbol(a, b, place),
     }
@@ -125,9 +128,9 @@ def _invariants(args) -> dict:
     space = QuadSpace2D(_frac_arg(args.a1), _frac_arg(args.a2))
     places = relevant_places(space.a1, space.a2, space.discriminant)
     return {
-        "a1": frac_to_str(space.a1),
-        "a2": frac_to_str(space.a2),
-        "discriminant": frac_to_str(space.discriminant),
+        "a1": str(space.a1),
+        "a2": str(space.a2),
+        "discriminant": str(space.discriminant),
         "places": [
             {
                 "place": v.render(),
@@ -169,8 +172,8 @@ def _verify(args):
     payload = {"properties": [r.to_json() for r in results], "all_pass": not failed}
     if not failed:
         return payload
-    diagnostics = [f"failing properties: {', '.join(failed)}"]
-    return CommandResult("error", payload, diagnostics, code="verify-failed")
+    message = f"failing properties: {', '.join(failed)}"
+    return _failure("verify-failed", message, [message], payload)
 
 
 def _build_parser() -> tuple[_Parser, tuple[str, ...]]:
@@ -311,34 +314,19 @@ def run(argv: list[str]) -> CommandResult:
     try:
         args = _PARSER.parse_args(argv)
         payload = args.handler(args)
-        result = payload if isinstance(payload, CommandResult) else CommandResult("ok", payload)
+        result = payload if isinstance(payload, CommandResult) else CommandResult(payload)
         result.out_path = getattr(args, "out", None)
         result.json_indent = getattr(args, "json_indent", None)
         return result
-    except UsageError as exc:
-        return CommandResult(
-            "error",
-            {"error": exc.code, "message": str(exc)},
-            [_usage_text()],
-            code=exc.code,
-        )
     except NhmfError as exc:
         extra = {
             key: (str(value) if not isinstance(value, (int, float, bool)) else value)
             for key, value in exc.data.items()
         }
-        return CommandResult(
-            "error",
-            {"error": exc.code, "message": str(exc), **extra},
-            code=exc.code,
-        )
+        usage = [_usage_text()] if isinstance(exc, UsageError) else []
+        return _failure(exc.code, str(exc), usage, extra)
     except Exception as exc:
-        return CommandResult(
-            "error",
-            {"error": "internal", "message": f"{type(exc).__name__}: {exc}"},
-            [traceback.format_exc()],
-            code="internal",
-        )
+        return _failure("internal", f"{type(exc).__name__}: {exc}", [traceback.format_exc()])
 
 
 def _usage_text() -> str:
@@ -351,8 +339,9 @@ def _serialize(doc: dict, indent: Optional[int]) -> str:
 
 def main(argv: Optional[list[str]] = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
+    indent = result.json_indent
     if result.ok:
-        text = _serialize(result.payload, result.json_indent)
+        text = _serialize(result.payload, indent)
         if not result.out_path:
             try:
                 print(text)
@@ -368,14 +357,10 @@ def main(argv: Optional[list[str]] = None) -> int:
                 handle.write(text + "\n")
             return 0
         except OSError as exc:
-            result = CommandResult(
-                "error",
-                {"error": UsageError.code, "message": f"cannot write --out {result.out_path}: {exc.strerror or exc}"},
-                code=UsageError.code,
-                json_indent=result.json_indent,
-            )
+            message = f"cannot write --out {result.out_path}: {exc.strerror or exc}"
+            result = _failure(UsageError.code, message)
     doc = {"status": "error", **result.payload, "diagnostics": result.diagnostics}
-    print(_serialize(doc, result.json_indent), file=sys.stderr)
+    print(_serialize(doc, indent), file=sys.stderr)
     return 1
 
 

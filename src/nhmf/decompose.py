@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import prod
 from typing import Callable, Iterator, Optional
 
-from .arith import frac_to_str, reduce_by, reduced_echelon
+from .arith import reduce_by, reduced_echelon
 from .errors import DecompositionError, InsufficientTruncationError
 from .generators import eisenstein2, level1_basis
 from .operators import InfinitesimalCharacter, iterate_raise
@@ -139,7 +139,7 @@ class Decomposition:
         }
         if self.e2_term is not None:
             m, c = self.e2_term
-            doc["e2"] = {"m": m, "c": frac_to_str(c)}
+            doc["e2"] = {"m": m, "c": str(c)}
         return doc
 
 

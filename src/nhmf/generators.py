@@ -34,8 +34,12 @@ from .errors import DomainError
 from .series import NearlyHolomorphicForm
 
 
-# Largest weight, and Bernoulli index, a generator accepts.
+# Largest weight, and Bernoulli index, a generator accepts; constant-term
+# reports and the catalog accept no larger weight either.
 MAX_WEIGHT = 500
+
+# Largest base degree d a constant-term report or the catalog accepts.
+MAX_DEGREE = 10_000
 
 # Largest q-truncation a generator accepts.
 MAX_TRUNCATION = 10_000

@@ -38,6 +38,7 @@ from .errors import (
     InsufficientLaurentPrecisionError,
     PoleError,
 )
+from .generators import MAX_DEGREE, MAX_WEIGHT
 from .pi_scalar import PiScalar
 
 INFINITE_ORDER = math.inf
@@ -47,40 +48,40 @@ INFINITE_ORDER = math.inf
 class LaurentScalar:
     """Order and leading coefficient of a meromorphic germ at a point.
 
-    exact=False certifies the order only; the leading coefficient is then
-    None.  The zero germ has order +infinity.
+    A nonzero germ without a leading coefficient certifies its order only
+    (exact is False).  The zero germ has order +infinity and no leading
+    coefficient, and is exact.
     """
 
     point: Fraction
     order: float | int
-    leading: Optional[PiScalar]
-    exact: bool = True
+    leading: Optional[PiScalar] = None
 
     def __post_init__(self):
-        if self.order == INFINITE_ORDER:
-            if self.leading is not None:
-                raise ValueError("zero germ carries no leading coefficient")
-        elif self.exact:
-            if self.leading is None or self.leading.is_zero:
-                raise ValueError("exact germ needs a nonzero leading coefficient")
-        elif self.leading is not None:
-            raise ValueError("inexact germ must not carry a leading coefficient")
+        if self.leading is not None and (self.leading.is_zero or self.is_zero):
+            raise ValueError("a leading coefficient must be nonzero, of a nonzero germ")
 
     @classmethod
     def zero(cls, point) -> "LaurentScalar":
-        return cls(as_fraction(point), INFINITE_ORDER, None, True)
+        return cls(as_fraction(point), INFINITE_ORDER)
 
     @classmethod
     def of(cls, point, order: int, leading: PiScalar) -> "LaurentScalar":
-        return cls(as_fraction(point), order, leading, True)
+        if leading is None:
+            raise ValueError("exact germ needs a nonzero leading coefficient")
+        return cls(as_fraction(point), order, leading)
 
     @classmethod
     def order_only(cls, point, order: int) -> "LaurentScalar":
-        return cls(as_fraction(point), order, None, False)
+        return cls(as_fraction(point), order)
 
     @property
     def is_zero(self) -> bool:
         return self.order == INFINITE_ORDER
+
+    @property
+    def exact(self) -> bool:
+        return self.leading is not None or self.is_zero
 
     def __mul__(self, other):
         if not isinstance(other, LaurentScalar):
@@ -91,9 +92,8 @@ class LaurentScalar:
             )
         if self.is_zero or other.is_zero:
             return LaurentScalar.zero(self.point)
-        exact = self.exact and other.exact
-        leading = self.leading * other.leading if exact else None
-        return LaurentScalar(self.point, self.order + other.order, leading, exact)
+        leading = self.leading * other.leading if self.exact and other.exact else None
+        return LaurentScalar(self.point, self.order + other.order, leading)
 
     def invert(self) -> "LaurentScalar":
         if self.is_zero:
@@ -102,15 +102,15 @@ class LaurentScalar:
             raise InsufficientLaurentPrecisionError(
                 "cannot invert a germ whose leading coefficient is not certified"
             )
-        return LaurentScalar(self.point, -self.order, self.leading.invert(), True)
+        return LaurentScalar(self.point, -self.order, self.leading.invert())
 
     def __pow__(self, n: int):
         if n < 0:
             return self.invert() ** (-n)
-        if self.is_zero:
-            return self if n else LaurentScalar.of(self.point, 0, PiScalar.one())
-        leading = self.leading**n if self.exact else None
-        return LaurentScalar(self.point, self.order * n, leading, self.exact or n == 0)
+        if n == 0:
+            return LaurentScalar.of(self.point, 0, PiScalar.one())
+        leading = self.leading**n if self.leading is not None else None
+        return LaurentScalar(self.point, self.order * n, leading)
 
     def __add__(self, other):
         """Leading-term addition; raises when a cancellation would demand
@@ -134,7 +134,7 @@ class LaurentScalar:
             raise InsufficientLaurentPrecisionError(
                 "leading coefficients cancel; subleading terms are out of scope"
             )
-        return LaurentScalar(self.point, self.order, s, True)
+        return LaurentScalar(self.point, self.order, s)
 
     def to_json(self) -> dict:
         return {
@@ -236,6 +236,8 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
         )
     if d < 1:
         raise DomainError("degree d must be >= 1")
+    if d > MAX_DEGREE:
+        raise DomainError(f"degree d must be <= {MAX_DEGREE}, got {d}")
     alpha = (s0 + 1 + ell) / 2
     beta = (s0 + 1 - ell) / 2
     g_s = gamma_at(s0)
@@ -245,7 +247,7 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
         # Gamma(alpha(s)) with alpha affine of slope 1/2 in s: the order is
         # unchanged, the leading picks up (1/2)^order.
         coeff = PiScalar.rational(half**g.order)
-        return LaurentScalar(g.point, g.order, g.leading * coeff, True)
+        return LaurentScalar(g.point, g.order, g.leading * coeff)
 
     g_a = slope_adjust(gamma_at(alpha))
     g_b = slope_adjust(gamma_at(beta))
@@ -258,7 +260,7 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     const = PiScalar.pi_power(1, Fraction(2) ** (1 - int(s0))) * i_power
     order = g_s.order - g_a.order - g_b.order
     leading = const * g_s.leading * g_a.leading.invert() * g_b.leading.invert()
-    bracket = LaurentScalar(s0, order, leading, True)
+    bracket = LaurentScalar(s0, order, leading)
     return bracket**d
 
 
@@ -362,6 +364,8 @@ def constant_term_report(
     """
     if k < 1:
         raise DomainError(f"weight must be >= 1, got {k}")
+    if k > MAX_WEIGHT:
+        raise DomainError(f"weight must be <= {MAX_WEIGHT}, got {k}")
     s0 = Fraction(k - 1)
     total = archimedean_factor(s0, k, d) * zeta_ratio_at(s0, d, character)
     for item in local_data:

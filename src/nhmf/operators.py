@@ -115,13 +115,15 @@ class InfinitesimalCharacter:
     """
 
     lam: Fraction
-    integral: bool
 
     @classmethod
     def of(cls, lam) -> "InfinitesimalCharacter":
         lam = Fraction(lam)
-        rep = max(lam, 2 - lam)
-        return cls(rep, rep.denominator == 1)
+        return cls(max(lam, 2 - lam))
+
+    @property
+    def integral(self) -> bool:
+        return self.lam.denominator == 1
 
     @property
     def orbit(self) -> tuple[Fraction, Fraction]:

@@ -72,16 +72,8 @@ class PiScalar:
         return cls({Fraction(0): (as_fraction(re), as_fraction(im))})
 
     @classmethod
-    def imaginary_unit(cls) -> "PiScalar":
-        return cls.gaussian(0, 1)
-
-    @classmethod
     def pi_power(cls, e, coeff=1, imag=0) -> "PiScalar":
         return cls({as_fraction(e): (as_fraction(coeff), as_fraction(imag))})
-
-    @classmethod
-    def sqrt_pi(cls) -> "PiScalar":
-        return cls.pi_power(Fraction(1, 2))
 
     # -- structure ---------------------------------------------------------
 
@@ -100,12 +92,6 @@ class PiScalar:
     @property
     def is_imaginary(self) -> bool:
         return all(re == 0 for re, _ in self._terms.values())
-
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
-    def exponents(self):
-        return sorted(self._terms)
 
     def as_fraction(self) -> Fraction:
         """The value as a plain rational; error if any pi or i survives."""

@@ -26,14 +26,7 @@ from fractions import Fraction
 from math import prod
 from typing import Optional
 
-from .arith import (
-    as_fraction,
-    frac_to_str,
-    is_integral,
-    is_prime,
-    prime_factors,
-    prime_power_base,
-)
+from .arith import as_fraction, is_prime, prime_factors, prime_power_base
 from .errors import DomainError, InvariantViolationError
 
 
@@ -75,24 +68,26 @@ class Place:
             raise DomainError(f"bad place {text!r}") from exc
 
 
-def padic_valuation(x: Fraction, p: int) -> int:
-    x = as_fraction(x)
+def _split(x: Fraction, p: int) -> tuple[int, Fraction]:
+    """(v, u) with x = p^v * u and u a p-adic unit; p is divided out once."""
     if x == 0:
         raise DomainError("valuation of zero")
-    v = 0
-    n = x.numerator
+    n, d, v = x.numerator, x.denominator, 0
     while n % p == 0:
         n //= p
         v += 1
-    d = x.denominator
     while d % p == 0:
         d //= p
         v -= 1
-    return v
+    return v, Fraction(n, d)
+
+
+def padic_valuation(x: Fraction, p: int) -> int:
+    return _split(as_fraction(x), p)[0]
 
 
 def unit_part(x: Fraction, p: int) -> Fraction:
-    return as_fraction(x) / Fraction(p) ** padic_valuation(x, p)
+    return _split(as_fraction(x), p)[1]
 
 
 def _unit_mod(u: Fraction, modulus: int) -> int:
@@ -124,8 +119,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
     if v.kind == "real":
         return -1 if (a < 0 and b < 0) else 1
     p = v.p
-    alpha, beta = padic_valuation(a, p), padic_valuation(b, p)
-    ua, ub = unit_part(a, p), unit_part(b, p)
+    (alpha, ua), (beta, ub) = _split(a, p), _split(b, p)
     if p != 2:
         sign = -1 if (alpha * beta * (p - 1) // 2) % 2 else 1
         return sign * legendre(ub, p) ** (alpha % 2) * legendre(ua, p) ** (beta % 2)
@@ -143,9 +137,9 @@ def is_local_square(x, v: Place) -> bool:
     if v.kind == "real":
         return x > 0
     p = v.p
-    if padic_valuation(x, p) % 2:
+    e, u = _split(x, p)
+    if e % 2:
         return False
-    u = unit_part(x, p)
     if p == 2:
         return _unit_mod(u, 8) == 1
     return legendre(u, p) == 1
@@ -169,7 +163,7 @@ class QuadSpace2D:
         return -self.a1 * self.a2
 
     def to_json(self) -> dict:
-        return {"a1": frac_to_str(self.a1), "a2": frac_to_str(self.a2)}
+        return {"a1": str(self.a1), "a2": str(self.a2)}
 
 
 @dataclass(frozen=True)
@@ -252,7 +246,7 @@ class Collection:
 
     def to_json(self) -> dict:
         return {
-            "discriminant": frac_to_str(self.discriminant),
+            "discriminant": str(self.discriminant),
             "epsilons": {pl.render(): e for pl, e in self.epsilons},
         }
 
@@ -265,8 +259,13 @@ def collection_of(space: QuadSpace2D) -> Collection:
 
 @dataclass(frozen=True)
 class CoherenceResult:
-    coherent: bool
+    """The verdict of check_coherence: a witness space iff coherent."""
+
     witness: Optional[QuadSpace2D]
+
+    @property
+    def coherent(self) -> bool:
+        return self.witness is not None
 
     def __bool__(self) -> bool:
         return self.coherent
@@ -321,9 +320,8 @@ def check_coherence(collection: Collection) -> CoherenceResult:
             minus.append(place)
     product = -1 if len(minus) % 2 else 1
     if product != 1:
-        return CoherenceResult(False, None)
-    witness = _witness_search(collection.discriminant, minus)
-    return CoherenceResult(True, witness)
+        return CoherenceResult(None)
+    return CoherenceResult(_witness_search(collection.discriminant, minus))
 
 
 def enumerate_definite_spaces(discriminant, support_bound: int) -> list[Collection]:
@@ -381,11 +379,20 @@ class CharacterDescriptor:
 
 @dataclass(frozen=True)
 class ReducibilityVerdict:
+    """I(mu, s) is reducible iff structure names how its constituents sit."""
+
     residue: str  # "real" or the residue cardinality
-    reducible: bool
-    constituents: tuple[str, ...]
-    structure: Optional[str]  # direct_sum | steinberg_quotient | steinberg_sub | finite_quotient | trivial_sub
-    pfinite: Optional[bool] = None  # archimedean only
+    constituents: tuple[str, ...] = ()
+    structure: Optional[str] = None  # direct_sum | steinberg_quotient | steinberg_sub | finite_quotient | trivial_sub
+
+    @property
+    def reducible(self) -> bool:
+        return self.structure is not None
+
+    @property
+    def pfinite(self) -> Optional[bool]:
+        """Whether a lowering-finite vector exists: reducibility, at the real place only."""
+        return self.reducible if self.residue == "real" else None
 
     def to_json(self) -> dict:
         doc = {
@@ -417,82 +424,48 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
     sigma, tau = as_fraction(s_re), as_fraction(s_im)
 
     if residue == "real":
-        if mu.order == "other" or not is_integral(sigma) or tau != 0:
-            return ReducibilityVerdict("real", False, (), None, pfinite=False)
-        n = int(sigma)
-        is_sgn = mu.real_sign == 1
-        if is_sgn and n >= 0 and n % 2 == 0:
-            k = n + 1
-            if k == 1:
+        # s = n with n >= -1, even for sgn and odd for the trivial character.
+        if mu.order != "other" and sigma.denominator == 1 and tau == 0:
+            n = int(sigma)
+            if n >= -1 and n % 2 != mu.real_sign:
+                if n == 0:
+                    return ReducibilityVerdict("real", ("R(2,0)", "R(0,2)"), "direct_sum")
+                if n == -1:
+                    return ReducibilityVerdict(
+                        "real", ("triv (sub)", "L(2) (+) L^-(2) (quotient)"), "trivial_sub"
+                    )
+                k = n + 1
                 return ReducibilityVerdict(
-                    "real", True, ("R(2,0)", "R(0,2)"), "direct_sum", pfinite=True
+                    "real", (f"L({k}) (+) L^-({k}) (sub)", f"F_{k} (quotient)"), "finite_quotient"
                 )
-            return ReducibilityVerdict(
-                "real",
-                True,
-                (f"L({k}) (+) L^-({k}) (sub)", f"F_{k} (quotient)"),
-                "finite_quotient",
-                pfinite=True,
-            )
-        if (not is_sgn) and n % 2 == 1 and n >= -1:
-            if n == -1:
-                return ReducibilityVerdict(
-                    "real",
-                    True,
-                    ("triv (sub)", "L(2) (+) L^-(2) (quotient)"),
-                    "trivial_sub",
-                    pfinite=True,
-                )
-            k = n + 1
-            return ReducibilityVerdict(
-                "real",
-                True,
-                (f"L({k}) (+) L^-({k}) (sub)", f"F_{k} (quotient)"),
-                "finite_quotient",
-                pfinite=True,
-            )
-        return ReducibilityVerdict("real", False, (), None, pfinite=False)
+        return ReducibilityVerdict("real")
 
     q = int(residue)
     prime_power_base(q)  # validates prime power
     label = str(q)
 
-    if mu.order == "other":
-        return ReducibilityVerdict(label, False, (), None)
-
     if mu.order == 2 and not mu.unramified:
         # Ramified quadratic: reducible on the full lattice sigma = 0, tau in Z.
-        if sigma == 0 and is_integral(tau):
+        if sigma == 0 and tau.denominator == 1:
+            return ReducibilityVerdict(label, ("R(V+)", "R(V-)"), "direct_sum")
+    elif mu.order != "other":
+        # Trivial or unramified quadratic: the latter is the trivial character
+        # twisted by the unramified sign character, i.e. s_im shifted by 1.
+        shift = 1 if mu.order == 2 else 0
+        tau_eff = tau + shift
+        t = int(tau_eff) % 2 if tau_eff.denominator == 1 else None
+        if sigma == 0 and t == 1:
+            return ReducibilityVerdict(label, ("R(V+)", "R(V-)"), "direct_sum")
+        if abs(sigma) == 1 and t == 0:
+            twist = " (x) chi_unr" if shift else ""
+            if sigma == 1:
+                return ReducibilityVerdict(
+                    label, (f"St{twist} (sub)", f"triv{twist} (quotient)"), "steinberg_sub"
+                )
             return ReducibilityVerdict(
-                label, True, ("R(V+)", "R(V-)"), "direct_sum"
+                label, (f"triv{twist} (sub)", f"St{twist} (quotient)"), "steinberg_quotient"
             )
-        return ReducibilityVerdict(label, False, (), None)
-
-    # Trivial or unramified quadratic: the latter is the trivial character
-    # twisted by the unramified sign character, i.e. s_im shifted by 1.
-    shift = 1 if mu.order == 2 else 0
-    tau_eff = tau + shift
-    if not is_integral(tau_eff):
-        return ReducibilityVerdict(label, False, (), None)
-    t = int(tau_eff) % 2
-    if sigma == 0 and t == 1:
-        return ReducibilityVerdict(label, True, ("R(V+)", "R(V-)"), "direct_sum")
-    if abs(sigma) == 1 and t == 0:
-        twist = " (x) chi_unr" if shift else ""
-        if sigma == 1:
-            return ReducibilityVerdict(
-                label,
-                True,
-                (f"St{twist} (sub)", f"triv{twist} (quotient)"),
-                "steinberg_sub",
-            )
-        return ReducibilityVerdict(
-            label,
-            True,
-            (f"triv{twist} (sub)", f"St{twist} (quotient)"),
-            "steinberg_quotient",
-        )
-    return ReducibilityVerdict(label, False, (), None)
+    return ReducibilityVerdict(label)
 
 
 def unramified_eigenvalue(q: int, chi_nontrivial_unramified: bool, epsilon: int) -> Fraction:

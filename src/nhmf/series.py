@@ -37,7 +37,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg
 
-from .arith import frac_to_str
 from .errors import FormFileError, WeightMismatchError
 
 
@@ -374,7 +373,7 @@ class NearlyHolomorphicForm:
         return {
             "weight": self._weight if self._weight is not None else 0,
             "truncation": self._trunc,
-            "terms": [[r, n, frac_to_str(c)] for (r, n), c in self.terms()],
+            "terms": [[r, n, str(c)] for (r, n), c in self.terms()],
         }
 
     @classmethod

@@ -15,6 +15,7 @@ import pytest
 import nhmf.cli
 from nhmf.cli import main, run
 from nhmf.errors import ERROR_CODES
+from nhmf.generators import MAX_DEGREE, MAX_WEIGHT
 from nhmf.series import NearlyHolomorphicForm
 
 
@@ -237,6 +238,8 @@ def test_a_failing_property_fails_verify(monkeypatch, capsys):
     assert out == ""
     assert json.loads(err) == {
         "status": "error",
+        "error": "verify-failed",
+        "message": "failing properties: forced-failure, forced-crash",
         "all_pass": False,
         "properties": [
             {"name": "xi-selfdual-point", "pass": True, "detail": "order 0"},
@@ -316,6 +319,30 @@ def test_inputs_past_the_size_bounds_are_refused_quickly(argv, capsys):
     assert time.perf_counter() - start < 2.0
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "out-of-domain"
+
+
+@pytest.mark.parametrize(
+    "argv, ok",
+    [
+        (["constant-term", "--k", str(MAX_WEIGHT), "--d", str(MAX_DEGREE)], True),
+        (["constant-term", "--k", str(MAX_WEIGHT + 1)], False),
+        (["constant-term", "--k", "100000"], False),
+        (["constant-term", "--k", "2", "--d", str(MAX_DEGREE + 1)], False),
+        (["catalog", "--d", str(MAX_DEGREE), "--k", str(MAX_WEIGHT)], True),
+        (["catalog", "--d", str(MAX_DEGREE + 1), "--k", "3"], False),
+        (["catalog", "--d", "1000000000", "--k", "3"], False),
+        (["catalog", "--d", "1", "--k", str(MAX_WEIGHT + 1)], False),
+    ],
+)
+def test_constant_term_and_catalog_bounds(argv, ok, capsys):
+    # A weight up to MAX_WEIGHT and a degree up to MAX_DEGREE are answered,
+    # and anything past them is refused before any work.
+    start = time.perf_counter()
+    assert main(argv) == (0 if ok else 1)
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    if not ok:
+        assert out == "" and json.loads(err)["error"] == "out-of-domain"
 
 
 def readme_cli_examples():

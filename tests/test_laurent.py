@@ -10,6 +10,7 @@ import pytest
 
 from nhmf.errors import DomainError, InsufficientLaurentPrecisionError, PoleError
 from nhmf.laurent import (
+    INFINITE_ORDER,
     LaurentScalar,
     archimedean_factor,
     constant_term_report,
@@ -40,7 +41,7 @@ class TestGamma:
 
     def test_half(self):
         g = gamma_at(Fraction(1, 2))
-        assert g.order == 0 and g.leading == PiScalar.sqrt_pi()
+        assert g.order == 0 and g.leading == PiScalar.pi_power(Fraction(1, 2))
 
     def test_positive_half_integers(self):
         # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!)
@@ -205,6 +206,22 @@ class TestLaurentScalarAlgebra:
         b = LaurentScalar.of(2, 1, PiScalar.one())
         prod = a * b
         assert prod.order == 1 and not prod.exact and prod.leading is None
+
+    def test_zeroth_power_is_one(self):
+        one = LaurentScalar.of(1, 0, PiScalar.one())
+        assert LaurentScalar.order_only(1, 2) ** 0 == one
+        assert LaurentScalar.zero(1) ** 0 == one
+        assert LaurentScalar.of(1, -1, PiScalar.rational(3)) ** 0 == one
+
+    def test_a_leading_coefficient_is_nonzero_on_a_nonzero_germ(self):
+        for make in (
+            lambda: LaurentScalar.of(1, 0, None),
+            lambda: LaurentScalar.of(1, 0, PiScalar.zero()),
+            lambda: LaurentScalar(Fraction(1), INFINITE_ORDER, PiScalar.one()),
+        ):
+            with pytest.raises(ValueError):
+                make()
+        assert LaurentScalar.zero(1).exact and not LaurentScalar.order_only(1, 2).exact
 
 
 class TestIntertwiningConstant:

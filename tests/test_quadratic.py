@@ -14,6 +14,7 @@ from nhmf.cli import main
 from nhmf.errors import DomainError, InvariantViolationError
 from nhmf.quadratic import (
     CharacterDescriptor,
+    CoherenceResult,
     Collection,
     Place,
     QuadSpace2D,
@@ -167,6 +168,12 @@ class TestCoherence:
         result = check_coherence(coll)
         assert result.coherent and result.witness is not None
         assert not is_local_square(result.witness.discriminant / 4, REAL) or True
+
+    def test_a_result_without_witness_is_incoherent(self):
+        result = CoherenceResult(None)
+        assert not result and not result.coherent
+        assert result.to_json() == {"coherent": False, "witness": None}
+        assert CoherenceResult(QuadSpace2D(1, 1)).coherent
 
     def test_invariant_violation_detected(self):
         # eps = -1 where the discriminant is a local square (at 5, -1 = 4).
@@ -357,6 +364,28 @@ class TestReducibility:
         assert reducibility("real", triv, 1, 0).pfinite
         assert not reducibility("real", triv, 0, 0).pfinite
         assert not reducibility("real", triv, 1, 1).pfinite  # off the real axis
+
+    def test_verdict_fields_agree(self):
+        # reducible, constituents and structure say one thing; the
+        # lowering-finite flag is reducibility at the real place, absent elsewhere.
+        mus = [
+            CharacterDescriptor(order, unramified, sign)
+            for order in (1, 2, "other")
+            for unramified in (True, False)
+            for sign in (0, 1)
+            if order != 1 or unramified
+        ]
+        lattice = [Fraction(n, 2) for n in range(-6, 7)]
+        for residue in ("real", 2, 3, 4, 9):
+            for mu in mus:
+                for s_re in lattice:
+                    for s_im in lattice[4:9]:
+                        v = reducibility(residue, mu, s_re, s_im)
+                        assert v.reducible == bool(v.constituents) == (v.structure is not None)
+                        assert v.pfinite is (v.reducible if residue == "real" else None)
+                        doc = v.to_json()
+                        assert doc["reducible"] is v.reducible
+                        assert doc.get("lowering_finite_vector") is v.pfinite
 
 
 class TestUnramifiedEigenvalue:
