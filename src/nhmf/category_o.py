@@ -28,6 +28,7 @@ from typing import Optional
 from .arith import as_fraction
 from .errors import AmbiguousModuleError, DomainError
 from .generators import MAX_DEGREE, MAX_WEIGHT, eisenstein2
+from .laurent import weight_parity
 from .operators import (
     InfinitesimalCharacter,
     infinitesimal_character,
@@ -285,13 +286,33 @@ class Summand:
 
 @dataclass(frozen=True)
 class DecompositionDescriptor:
+    """The summands of catalog(d, k); every other field is read off them."""
+
     d: int
     k: int
     summands: tuple[Summand, ...]
-    pi_extension: Optional[dict]
-    space_enumeration: Optional[dict]
-    contains_trivial: bool
-    quotient_nearly_by_holomorphic: dict
+
+    def _detail(self, kind: str) -> Optional[dict]:
+        return next((s.detail for s in self.summands if s.finite_kind == kind), None)
+
+    @property
+    def pi_extension(self) -> Optional[dict]:
+        detail = self._detail("extension")
+        return None if detail is None else detail["exact_sequence"]
+
+    @property
+    def space_enumeration(self) -> Optional[dict]:
+        return self._detail("space_enumeration")
+
+    @property
+    def contains_trivial(self) -> bool:
+        return any(s.finite_kind in ("trivial", "extension") for s in self.summands)
+
+    @property
+    def quotient_nearly_by_holomorphic(self) -> dict:
+        if self.d == 1:
+            return {"kind": "trivial_tensor_simple", "lambda": [2]}
+        return {"kind": "zero"}
 
     def to_json(self) -> dict:
         return {
@@ -307,6 +328,13 @@ class DecompositionDescriptor:
 
 def _parallel_simple(k: int, d: int) -> dict:
     return {"kind": "simple", "lambda": [k] * d}
+
+
+def _induced(k: int, d: int, *constraints: str) -> Summand:
+    """The family induced at s = k - 1 from characters of parity (-1)^k,
+    with archimedean part L(k)^d."""
+    family = CharacterFamily(weight_parity(k), constraints)
+    return Summand("induced_family", _parallel_simple(k, d), family=family, s=k - 1)
 
 
 def catalog(d: int, k: int) -> DecompositionDescriptor:
@@ -326,79 +354,31 @@ def catalog(d: int, k: int) -> DecompositionDescriptor:
         raise DomainError(
             f"catalog needs d <= {MAX_DEGREE} and k <= {MAX_WEIGHT}, got d={d}, k={k}"
         )
-    parity = 1 if k % 2 == 0 else -1
-    quotient = (
-        {"kind": "trivial_tensor_simple", "lambda": [2]}
-        if d == 1
-        else {"kind": "zero"}
-    )
     if k >= 3:
+        summands = (_induced(k, d),)
+    elif k == 1:
+        enumeration = {"signature": [2, 0], "hook": "enumerate_definite_spaces"}
         summands = (
-            Summand(
-                "induced_family",
-                _parallel_simple(k, d),
-                family=CharacterFamily(parity),
-                s=k - 1,
-            ),
+            _induced(1, d, "non-quadratic", "associate-classes"),
+            Summand("space_enumeration", _parallel_simple(1, d), detail=enumeration),
         )
-        return DecompositionDescriptor(d, k, summands, None, None, False, quotient)
-    if k == 1:
-        enumeration = {
-            "signature": [2, 0],
-            "hook": "enumerate_definite_spaces",
-        }
-        summands = (
-            Summand(
-                "induced_family",
-                _parallel_simple(1, d),
-                family=CharacterFamily(-1, ("non-quadratic", "associate-classes")),
-                s=0,
-            ),
-            Summand(
-                "space_enumeration",
-                _parallel_simple(1, d),
-                detail=enumeration,
-            ),
-        )
-        return DecompositionDescriptor(d, 1, summands, None, enumeration, False, quotient)
-    # k == 2
-    if d == 1:
+    elif d == 1:
         extension = {
             "sub": {"kind": "trivial"},
             "middle": "module generated by the weight-two Eisenstein series",
-            "quotient": {
-                "finite_part": {
-                    "kind": "induced_family",
-                    "family": CharacterFamily(1, ("trivial-only",)).to_json(),
-                    "s": 1,
-                },
-                "archimedean": _parallel_simple(2, 1),
-            },
+            "quotient": _induced(2, 1, "trivial-only").to_json(),
         }
         summands = (
-            Summand(
-                "induced_family",
-                _parallel_simple(2, 1),
-                family=CharacterFamily(1, ("nontrivial",)),
-                s=1,
-            ),
+            _induced(2, 1, "nontrivial"),
             Summand(
                 "extension",
                 {"kind": "dual_verma", "lambda": [0]},
                 detail={"exact_sequence": extension},
             ),
         )
-        return DecompositionDescriptor(1, 2, summands, extension, None, True, quotient)
-    summands = (
-        Summand(
-            "induced_family",
-            _parallel_simple(2, d),
-            family=CharacterFamily(1),
-            s=1,
-        ),
-        Summand("trivial", {"kind": "trivial"}),
-    )
-    return DecompositionDescriptor(d, 2, summands, None, None, True, quotient)
+    else:
+        summands = (_induced(2, d), Summand("trivial", {"kind": "trivial"}))
+    return DecompositionDescriptor(d, k, summands)
 
 
 def integral_parallel_filter(lams) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -408,16 +388,12 @@ def integral_parallel_filter(lams) -> tuple[bool, Optional[tuple[int, ...]]]:
     On success returns the parallel representative normalized into Z^d_{>=1}.
     """
     lams = [as_fraction(x) for x in lams]
-    d = len(lams)
-    if d == 0:
+    if not lams:
         raise DomainError("empty weight tuple")
-    shifted = [x - 1 for x in lams]
-    for mask in range(1 << d):
-        image = [
-            (s if mask & (1 << i) == 0 else -s) + 1 for i, s in enumerate(shifted)
-        ]
-        first = image[0]
-        if all(v == first for v in image) and first.denominator == 1:
-            rep = int(max(first, 2 - first))
-            return True, (rep,) * d
-    return False, None
+    # w sends lam_i - 1 to +-(lam_i - 1): an image is parallel iff every lam_i
+    # is lam_1 or 2 - lam_1, and its representative 1 + |lam_1 - 1| is
+    # integral iff lam_1 is.
+    pair = (lams[0], 2 - lams[0])
+    if lams[0].denominator != 1 or any(x not in pair for x in lams):
+        return False, None
+    return True, (int(max(pair)),) * len(lams)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -56,6 +57,11 @@ def _failure(code: str, message: str, diagnostics=(), extra=None) -> CommandResu
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A negative fraction such as -3/4 is an argument wherever -3 is.
+        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
     def error(self, message):
         raise UsageError(message)
 

@@ -302,12 +302,28 @@ def unramified_intertwining_constant(q: int, mu, s0) -> Fraction:
     return (1 - mu * t / q) / denom
 
 
+def weight_parity(k: int) -> int:
+    """(-1)^k: the sign at each real place of the characters that the
+    weight-k Eisenstein sections are induced from."""
+    return -1 if k % 2 else 1
+
+
 @dataclass(frozen=True)
 class Verdict:
     kind: str  # PureSection | SectionPlusResidue | Pole
     leading: Optional[PiScalar] = None
     exact: bool = True
     order: Optional[int] = None
+
+    @classmethod
+    def of(cls, germ: LaurentScalar) -> "Verdict":
+        """PureSection for the zero germ or order >= 1, SectionPlusResidue
+        (carrying the value) at order 0, Pole below."""
+        if germ.is_zero or germ.order >= 1:
+            return cls("PureSection")
+        if germ.order == 0:
+            return cls("SectionPlusResidue", leading=germ.leading, exact=germ.exact)
+        return cls("Pole", order=int(germ.order), exact=germ.exact)
 
     def to_json(self) -> dict:
         doc = {"kind": self.kind}
@@ -324,16 +340,21 @@ class ConstantTermReport:
     """Behavior of the weight-k Eisenstein constant term at its special point.
 
     The section contributes itself; the intertwined term contributes the
-    germ stored in second_term.  PureSection means the intertwined term
-    vanishes there (order >= 1); SectionPlusResidue carries its value.
+    germ stored in second_term, and the verdict is read off that germ.
     """
 
     k: int
     d: int
     character: str
-    archimedean_parity: int
     second_term: LaurentScalar
-    verdict: Verdict
+
+    @property
+    def archimedean_parity(self) -> int:
+        return weight_parity(self.k)
+
+    @property
+    def verdict(self) -> Verdict:
+        return Verdict.of(self.second_term)
 
     def to_json(self) -> dict:
         return {
@@ -356,7 +377,7 @@ def constant_term_report(
     local_data=(),
 ) -> ConstantTermReport:
     """Multiply the archimedean factor, the L-ratio and the finite local data
-    at s0 = k - 1 and classify the intertwined term.
+    at s0 = k - 1 into the germ of the intertwined term.
 
     local_data: germs at s0 for the finite places of the ramified set, e.g.
     an order-1 germ for a place where the intertwining operator kills the
@@ -372,11 +393,4 @@ def constant_term_report(
         if not isinstance(item, LaurentScalar):
             raise DomainError("local data must be LaurentScalar germs")
         total = total * item
-    if total.is_zero or total.order >= 1:
-        verdict = Verdict("PureSection")
-    elif total.order == 0:
-        verdict = Verdict("SectionPlusResidue", leading=total.leading, exact=total.exact)
-    else:
-        verdict = Verdict("Pole", order=int(total.order), exact=total.exact)
-    parity = 1 if k % 2 == 0 else -1
-    return ConstantTermReport(k, d, character, parity, total, verdict)
+    return ConstantTermReport(k, d, character, total)

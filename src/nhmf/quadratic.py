@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import prod
 from typing import Optional
 
@@ -340,17 +341,13 @@ def enumerate_definite_spaces(discriminant, support_bound: int) -> list[Collecti
         for p in range(2, support_bound + 1)
         if is_prime(p) and not is_local_square(delta, Place.finite(p))
     ]
-    out = []
-    for mask in range(1 << len(candidates)):
-        chosen = [candidates[i] for i in range(len(candidates)) if mask & (1 << i)]
-        if len(chosen) % 2:
-            continue
-        eps = {Place.real(): 1}
-        for p in chosen:
-            eps[Place.finite(p)] = -1
-        out.append(Collection.of(delta, eps))
-    out.sort(key=lambda c: (sum(1 for _, e in c.epsilons if e == -1), c.epsilons))
-    return out
+    # combinations come in lexicographic order, so taking the sizes in
+    # increasing order yields the collections sorted by size, then primes.
+    return [
+        Collection.of(delta, {Place.real(): 1, **{Place.finite(p): -1 for p in chosen}})
+        for size in range(0, len(candidates) + 1, 2)
+        for chosen in combinations(candidates, size)
+    ]
 
 
 # ---------------------------------------------------------------------------

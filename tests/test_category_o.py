@@ -1,5 +1,7 @@
 """Category-O bookkeeping: blocks, module identification, spectrum catalog."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -216,6 +218,29 @@ class TestCatalog:
             for k in (1, 2, 3, 4, 9):
                 assert catalog(d, k).contains_trivial == (k == 2)
 
+    def test_derived_fields_follow_the_summands(self):
+        for d in range(1, 7):
+            for k in range(1, 13):
+                desc = catalog(d, k)
+                assert (desc.pi_extension is not None) == ((d, k) == (1, 2)), (d, k)
+                assert (desc.space_enumeration is not None) == (k == 1), (d, k)
+                assert desc.contains_trivial == (k == 2), (d, k)
+                assert desc.summands[0].finite_kind == "induced_family"
+                assert desc.summands[0].family.archimedean_parity == (-1) ** k
+                assert desc.summands[0].s == k - 1
+
+    def test_weight_one_at_higher_degree(self):
+        doc = catalog(3, 1).to_json()
+        assert [s["archimedean"] for s in doc["summands"]] == [
+            {"kind": "simple", "lambda": [1, 1, 1]}
+        ] * 2
+        assert doc["space_enumeration"] == {
+            "signature": [2, 0],
+            "hook": "enumerate_definite_spaces",
+        }
+        assert doc["pi_extension"] is None and doc["contains_trivial"] is False
+        assert doc["quotient_nearly_by_holomorphic"] == {"kind": "zero"}
+
     def test_domain(self):
         with pytest.raises(DomainError):
             catalog(0, 4)
@@ -247,3 +272,52 @@ class TestIntegralParallelFilter:
     def test_degree_three(self):
         assert integral_parallel_filter([4, -2, 4]) == (True, (4, 4, 4))
         assert integral_parallel_filter([4, -2, 3]) == (False, None)
+
+
+def reference_parallel_filter(lams):
+    """The scan over all 2^d sign flips that the closed form replaced."""
+    shifted = [Fraction(x) - 1 for x in lams]
+    for mask in range(1 << len(shifted)):
+        image = [(s if mask & (1 << i) == 0 else -s) + 1 for i, s in enumerate(shifted)]
+        first = image[0]
+        if all(v == first for v in image) and first.denominator == 1:
+            return True, (int(max(first, 2 - first)),) * len(image)
+    return False, None
+
+
+def seeded_weight_tuples(count, seed=8):
+    """Tuples of length <= 6 of integral and half-integral weights, each
+    entry lam or 2 - lam of one base, sometimes with one entry replaced."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        d = rng.randint(1, 6)
+        base = Fraction(rng.randint(-12, 12), rng.choice((1, 2)))
+        lams = [base if rng.random() < 0.5 else 2 - base for _ in range(d)]
+        if rng.random() < 0.3:
+            lams[rng.randrange(d)] = Fraction(rng.randint(-12, 12), rng.choice((1, 2)))
+        yield lams
+
+
+class TestIntegralParallelClosedForm:
+    def test_matches_the_sign_flip_scan(self):
+        outcomes = {True: 0, False: 0}
+        for lams in seeded_weight_tuples(10**4):
+            expected = reference_parallel_filter(lams)
+            assert integral_parallel_filter(lams) == expected, lams
+            outcomes[expected[0]] += 1
+        assert min(outcomes.values()) > 1000
+
+    def test_large_degree_is_quick(self):
+        d = 10**5
+        for lams, expected in (
+            ([7, -5] * (d // 2), (True, (7,) * d)),
+            ([7] * (d - 1) + [6], (False, None)),
+        ):
+            start = time.perf_counter()
+            answer = integral_parallel_filter(lams)
+            assert time.perf_counter() - start < 1.0
+            assert answer == expected
+
+    def test_empty_tuple(self):
+        with pytest.raises(DomainError):
+            integral_parallel_filter([])

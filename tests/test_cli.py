@@ -131,6 +131,24 @@ class TestLocal:
         assert doc["lowering_finite_vector"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, spelled_out",
+    [
+        ("local hilbert -3/4 10/9 2", "local hilbert -- -3/4 10/9 2"),
+        ("local invariants -3/4 -5", "local invariants -- -3/4 -5"),
+        ("local reducible --q 3 --s-re -1/2", "local reducible --q 3 --s-re=-1/2"),
+    ],
+)
+def test_negative_fractions_are_arguments(argv, spelled_out, capsys):
+    # -3/4 is read as a value wherever -3 is, with the answer it gets when
+    # argparse is told outright that it is one.
+    assert main(argv.split()) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert main(spelled_out.split()) == 0
+    assert capsys.readouterr().out == out
+
+
 class TestErrors:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
@@ -368,7 +386,7 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
     # a result its comment states is checked against the output.
     monkeypatch.chdir(tmp_path)
     examples = readme_cli_examples()
-    assert len(examples) == 17
+    assert len(examples) == 18
     checked = 0
     for argv, comment in examples:
         assert main(argv) == 0, argv
@@ -386,5 +404,5 @@ def test_readme_cli_examples(tmp_path, monkeypatch, capsys):
             if "leading" in comment:
                 assert doc["verdict"]["leading"] == comment.split("leading ")[1]
             checked += 1
-    assert checked == 5
+    assert checked == 6
     assert json.loads((tmp_path / "e2.json").read_text())["weight"] == 2

@@ -12,6 +12,7 @@ from nhmf.errors import DomainError, InsufficientLaurentPrecisionError, PoleErro
 from nhmf.laurent import (
     INFINITE_ORDER,
     LaurentScalar,
+    Verdict,
     archimedean_factor,
     constant_term_report,
     gamma_at,
@@ -302,3 +303,38 @@ class TestConstantTermReport:
             "exact": True,
         }
         assert doc["character"]["archimedean_parity"] == 1
+
+
+class TestVerdictOf:
+    def test_zero_germ_is_pure_section(self):
+        assert Verdict.of(LaurentScalar.zero(1)) == Verdict("PureSection")
+
+    def test_positive_order_is_pure_section(self):
+        germ = LaurentScalar.of(1, 1, PiScalar.rational(Fraction(-1, 2)))
+        assert Verdict.of(germ) == Verdict("PureSection")
+
+    def test_exact_order_zero_carries_its_value(self):
+        germ = LaurentScalar.of(1, 0, PiScalar.pi_power(-1, -3))
+        verdict = Verdict.of(germ)
+        assert verdict == Verdict("SectionPlusResidue", leading=germ.leading, exact=True)
+        assert verdict.to_json() == {
+            "kind": "SectionPlusResidue",
+            "leading": "-3·π^-1",
+            "exact": True,
+        }
+
+    def test_order_only_order_zero_has_no_value(self):
+        verdict = Verdict.of(LaurentScalar.order_only(1, 0))
+        assert verdict == Verdict("SectionPlusResidue", leading=None, exact=False)
+        assert verdict.to_json() == {
+            "kind": "SectionPlusResidue",
+            "leading": None,
+            "exact": False,
+        }
+
+    def test_order_only_local_datum_makes_an_inexact_pole(self):
+        report = constant_term_report(2, 1, "trivial", [LaurentScalar.order_only(1, -1)])
+        assert report.second_term == LaurentScalar.order_only(1, -1)
+        assert report.verdict == Verdict.of(report.second_term)
+        assert report.verdict == Verdict("Pole", order=-1, exact=False)
+        assert report.verdict.to_json() == {"kind": "Pole", "order": -1}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhmf import quadratic
+from nhmf.arith import is_prime
 from nhmf.cli import main
 from nhmf.errors import DomainError, InvariantViolationError
 from nhmf.quadratic import (
@@ -306,6 +307,33 @@ class TestEnumerateDefiniteSpaces:
     def test_positive_discriminant_rejected(self):
         with pytest.raises(DomainError):
             enumerate_definite_spaces(Fraction(1), 10)
+
+    def test_matches_the_sorted_subset_scan(self):
+        def reference(delta, bound):
+            # every subset of the candidate primes by bit mask, odd ones
+            # dropped, then sorted by support size and places
+            candidates = [
+                p for p in range(2, bound + 1)
+                if is_prime(p) and not is_local_square(delta, Place.finite(p))
+            ]
+            out = []
+            for mask in range(1 << len(candidates)):
+                chosen = [p for i, p in enumerate(candidates) if mask & (1 << i)]
+                if len(chosen) % 2 == 0:
+                    eps = {Place.real(): 1, **{Place.finite(p): -1 for p in chosen}}
+                    out.append(Collection.of(delta, eps))
+            out.sort(key=lambda c: (sum(1 for _, e in c.epsilons if e == -1), c.epsilons))
+            return out
+
+        total = 0
+        for num in range(1, 41):
+            for den in (1, 3):
+                delta = Fraction(-num, den)
+                for bound in (1, 2, 12, 30):
+                    got = enumerate_definite_spaces(delta, bound)
+                    assert got == reference(delta, bound), (delta, bound)
+                    total += len(got)
+        assert total >= 1000
 
 
 TRIVIAL = CharacterDescriptor(order=1, unramified=True)
