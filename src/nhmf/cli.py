@@ -20,7 +20,7 @@ from typing import Optional
 from . import __version__
 from .category_o import catalog, identify_module
 from .decompose import decompose
-from .errors import FormFileError, NhmfError, UsageError
+from .errors import DomainError, FormFileError, NhmfError, UsageError
 from .generators import BinaryForm, eisenstein, eisenstein2, theta_series
 from .laurent import LaurentScalar, constant_term_report
 from .operators import casimir, lower_weight, raise_weight, lower_analytic, raise_analytic
@@ -45,10 +45,18 @@ class CommandResult:
     code: Optional[str] = None  # the error code; None iff the command succeeded
     out_path: Optional[str] = None
     json_indent: Optional[int] = None
+    text: str = ""  # the rendered document
 
     @property
     def ok(self) -> bool:
         return self.code is None
+
+    @property
+    def document(self) -> dict:
+        """The payload, or for a failure the error document."""
+        if self.ok:
+            return self.payload
+        return {"status": "error", **self.payload, "diagnostics": self.diagnostics}
 
 
 def _failure(code: str, message: str, diagnostics=(), extra=None) -> CommandResult:
@@ -312,27 +320,41 @@ _PARSER, COMMANDS = _build_parser()
 
 
 def run(argv: list[str]) -> CommandResult:
-    """Dispatch one command; never raises, returns errors as results.
+    """Dispatch one command and render its document; never raises, returns
+    errors as results.
 
     An exception that is not an NhmfError is a defect of the engine and is
-    returned with the code ``internal``.
+    returned with the code ``internal``.  The one exception to that is the
+    interpreter's refusal to convert an int of more than
+    sys.get_int_max_str_digits() digits to or from text: a number that large,
+    in the input or the answer, is ``out-of-domain``.
     """
     try:
-        args = _PARSER.parse_args(argv)
-        payload = args.handler(args)
-        result = payload if isinstance(payload, CommandResult) else CommandResult(payload)
-        result.out_path = getattr(args, "out", None)
-        result.json_indent = getattr(args, "json_indent", None)
-        return result
-    except NhmfError as exc:
-        extra = {
-            key: (str(value) if not isinstance(value, (int, float, bool)) else value)
-            for key, value in exc.data.items()
-        }
-        usage = [_usage_text()] if isinstance(exc, UsageError) else []
-        return _failure(exc.code, str(exc), usage, extra)
+        try:
+            args = _PARSER.parse_args(argv)
+            payload = args.handler(args)
+            result = payload if isinstance(payload, CommandResult) else CommandResult(payload)
+            result.out_path = getattr(args, "out", None)
+            result.json_indent = getattr(args, "json_indent", None)
+        except NhmfError as exc:
+            extra = {
+                key: (str(value) if not isinstance(value, (int, float, bool)) else value)
+                for key, value in exc.data.items()
+            }
+            usage = [_usage_text()] if isinstance(exc, UsageError) else []
+            result = _failure(exc.code, str(exc), usage, extra)
+        result.text = _serialize(result.document, result.json_indent)
     except Exception as exc:
-        return _failure("internal", f"{type(exc).__name__}: {exc}", [traceback.format_exc()])
+        if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
+            message = (
+                f"a number has more than {sys.get_int_max_str_digits()} digits, "
+                "the most the interpreter converts between int and text"
+            )
+            result = _failure(DomainError.code, message)
+        else:
+            result = _failure("internal", f"{type(exc).__name__}: {exc}", [traceback.format_exc()])
+        result.text = _serialize(result.document, None)
+    return result
 
 
 def _usage_text() -> str:
@@ -345,29 +367,28 @@ def _serialize(doc: dict, indent: Optional[int]) -> str:
 
 def main(argv: Optional[list[str]] = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
-    indent = result.json_indent
-    if result.ok:
-        text = _serialize(result.payload, indent)
-        if not result.out_path:
-            try:
-                print(text)
-                sys.stdout.flush()
-            except BrokenPipeError:
-                # The reader has gone (`nhmf verify | head`): point stdout at
-                # devnull so that the flush at interpreter exit cannot fail too.
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-                return 1
-            return 0
+    if result.ok and result.out_path:
         try:
             with open(result.out_path, "w", encoding="utf-8") as handle:
-                handle.write(text + "\n")
+                handle.write(result.text + "\n")
             return 0
         except OSError as exc:
             message = f"cannot write --out {result.out_path}: {exc.strerror or exc}"
+            indent = result.json_indent
             result = _failure(UsageError.code, message)
-    doc = {"status": "error", **result.payload, "diagnostics": result.diagnostics}
-    print(_serialize(doc, indent), file=sys.stderr)
-    return 1
+            result.text = _serialize(result.document, indent)
+    if not result.ok:
+        print(result.text, file=sys.stderr)
+        return 1
+    try:
+        print(result.text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (`nhmf verify | head`): point stdout at
+        # devnull so that the flush at interpreter exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

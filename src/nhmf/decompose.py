@@ -14,12 +14,14 @@ divided by).  The seed is therefore the top column over c(w, p), read off
 with no linear solve.  Depth strictly decreases, so peeling ends in depth+1
 steps.
 
-The seed must lie in the span of the basis of its weight.  Each basis is put
-once in reduced echelon form, one primitive integer row per pivot q-index
-(for the level-1 monomials this is the Miller basis q^i + O(q^dim)), and the
-top column is tested against it by integer elimination over all truncation+1
-coefficients, not only the first dim: a column that agrees with a modular
-form up to q^(dim-1) and not beyond is refused.
+The seed must lie in the span of the basis of its weight.  The basis is put
+in reduced echelon form, one primitive integer row per pivot q-index, and
+the top column is tested against it by integer elimination over all
+truncation+1 coefficients, not only the first dim: a column that agrees with
+a modular form up to q^(dim-1) and not beyond is refused.  The shared level-1
+basis is stored in that form already (the Miller basis q^i + O(q^dim) up to
+scaling), so reducing it eliminates nothing; a user-supplied basis is reduced
+at each peel step.
 
 A weight-2 seed at the top depth cannot be matched at level 1 (there are no
 holomorphic weight-two forms there); the weight-two Eisenstein series instead
@@ -52,14 +54,11 @@ def leading_column_factor(w: int, ell: int) -> int:
     return prod(-(w + j) for j in range(ell))
 
 
-def _e2_column_factor(m: int) -> int:
-    # Top X-column of delta^(m) applied to the weight-two Eisenstein series:
-    # the seed column is 12 at depth 1, each step j multiplies by -(1 + j).
-    return 12 * leading_column_factor(1, m)
-
-
 class Level1Basis:
-    """Default basis provider: weight w -> monomial basis of M_w(SL_2(Z)).
+    """Default basis provider: weight w -> the reduced echelon basis of
+    M_w(SL_2(Z)), one primitive integer q-series per pivot q-index (the
+    Miller basis q^i + O(q^dim) up to scaling), spanning what the monomials
+    E4^a E6^b span.
 
     Each weight's basis is built once; every call returns a fresh list of the
     (immutable) forms.  The instance also holds the weight-two Eisenstein
@@ -73,7 +72,12 @@ class Level1Basis:
 
     def __call__(self, w: int) -> list[NearlyHolomorphicForm]:
         if w not in self._cache:
-            self._cache[w] = level1_basis(w, self.truncation)
+            trunc = self.truncation
+            cols = [b._cols[0] for b in level1_basis(w, trunc)]
+            self._cache[w] = [
+                NearlyHolomorphicForm._from_columns(w, trunc, 1, [row])
+                for _, row in reduced_echelon(cols, trunc + 1)
+            ]
         return list(self._cache[w])
 
     @staticmethod
@@ -88,20 +92,9 @@ def shared_level1_basis(truncation: int) -> Level1Basis:
     return Level1Basis(truncation)
 
 
-def _raised_e2(truncation: int, m: int, c: Fraction) -> NearlyHolomorphicForm:
-    """c * delta^(m) applied to the weight-two Eisenstein series."""
-    return iterate_raise(shared_level1_basis(truncation).eisenstein2, m) * c
-
-
-@lru_cache(maxsize=128)
-def _echelon(basis: tuple[NearlyHolomorphicForm, ...]) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """The reduced echelon form of the q-series of a truncated basis, one
-    primitive integer row per pivot q-index; for the level-1 monomials, the
-    Miller basis q^i + O(q^dim) up to scaling.  Built once per basis, and
-    immutable, since every caller shares it."""
-    cols = [b._cols[0] for b in basis if not b.is_zero]
-    rows = reduced_echelon(cols, len(cols[0]) if cols else 0)
-    return tuple((pivot, tuple(row)) for pivot, row in rows)
+def _raised_e2(truncation: int, m: int) -> NearlyHolomorphicForm:
+    """delta^(m) applied to the weight-two Eisenstein series."""
+    return iterate_raise(shared_level1_basis(truncation).eisenstein2, m)
 
 
 @dataclass(frozen=True)
@@ -124,7 +117,8 @@ class Decomposition:
         for ell, g in self.terms:
             yield g.weight, iterate_raise(g, ell)
         if self.e2_term is not None:
-            yield 2, _raised_e2(self.truncation, *self.e2_term)
+            m, c = self.e2_term
+            yield 2, _raised_e2(self.truncation, m) * c
 
     def reassemble(self) -> NearlyHolomorphicForm:
         out = NearlyHolomorphicForm.zero(self.truncation)
@@ -181,9 +175,10 @@ def decompose(
                     residual=rem,
                 )
             m = p - 1
-            c = Fraction(top[0], rem._den * _e2_column_factor(m))
+            raised = _raised_e2(trunc, m)
+            c = Fraction(top[0] * raised._den, rem._den * raised._cols[p][0])
             e2_term = (m, c)
-            rem = rem - _raised_e2(trunc, m, c)
+            rem = rem - raised * c
             continue
 
         if trunc < sturm(max(w, 0)):
@@ -196,8 +191,8 @@ def decompose(
             raise InsufficientTruncationError(
                 f"basis for weight {w} truncated below the input truncation {trunc}"
             )
-        rows = _echelon(tuple(b.truncate(trunc) for b in basis))
-        if any(reduce_by(rows, top)):
+        cols = [t._cols[0] for t in (b.truncate(trunc) for b in basis) if not t.is_zero]
+        if any(reduce_by(reduced_echelon(cols, trunc + 1), top)):
             raise DecompositionError(
                 "not decomposable over supplied basis", residual=rem
             )
@@ -220,15 +215,15 @@ def decompose(
 
 def character_split(
     f: NearlyHolomorphicForm,
-    basis_provider: Optional[Callable[[int], list[NearlyHolomorphicForm]]] = None,
 ) -> dict[InfinitesimalCharacter, NearlyHolomorphicForm]:
-    """Split f into Casimir character components, via its decomposition.
+    """Split f into Casimir character components, via its decomposition over
+    the level-1 basis.
 
     Each seed of weight w contributes to the chi_w component; the weight-two
     Eisenstein seed lands in chi_2.
     """
     parts: dict[InfinitesimalCharacter, NearlyHolomorphicForm] = {}
-    for w, piece in decompose(f, basis_provider).pieces():
+    for w, piece in decompose(f).pieces():
         char = InfinitesimalCharacter.of(w)
         parts[char] = parts.get(char, NearlyHolomorphicForm.zero(f.truncation)) + piece
     return parts

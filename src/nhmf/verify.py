@@ -218,27 +218,16 @@ def check_siegel_weil_desk() -> Outcome:
 def _quasimodular_monomials(weight: int, trunc: int):
     """Monomials X^r P^a E4^b E6^c of the given weight, P = -E2-series."""
     p_star = -eisenstein2(trunc)
-    e4 = eisenstein(4, trunc)
-    e6 = eisenstein(6, trunc)
     x_mono = NearlyHolomorphicForm.monomial(2, trunc, r=1)
     out = []
     for r in range(weight // 2 + 1):
         for a in range((weight - 2 * r) // 2 + 1):
-            for b in range((weight - 2 * r - 2 * a) // 4 + 1):
-                rest = weight - 2 * r - 2 * a - 4 * b
-                if rest < 0 or rest % 6:
-                    continue
-                c = rest // 6
-                g = NearlyHolomorphicForm.constant(1, trunc)
-                for _ in range(r):
-                    g = g * x_mono
-                for _ in range(a):
-                    g = g * p_star
-                for _ in range(b):
-                    g = g * e4
-                for _ in range(c):
-                    g = g * e6
-                out.append(g)
+            g = NearlyHolomorphicForm.constant(1, trunc)
+            for _ in range(r):
+                g = g * x_mono
+            for _ in range(a):
+                g = g * p_star
+            out += [g * m for m in level1_basis(weight - 2 * r - 2 * a, trunc)]
     return out
 
 
@@ -572,35 +561,12 @@ def check_catalog_trivial_multiplicity() -> Outcome:
     return True
 
 
+# Every check_* function of this module, in definition order (check_coherence
+# is imported from quadratic, and is not one).
 ALL_CHECKS = [
-    check_series_ring_axioms,
-    check_truncation_monotonicity,
-    check_pi_scalar_axioms,
-    check_sl2_commutation,
-    check_lowering_kernel,
-    check_depth_bookkeeping,
-    check_casimir_centrality,
-    check_lowering_nilpotence,
-    check_character_raising_invariance,
-    check_siegel_weil_desk,
-    check_quasimodular_closure,
-    check_ramanujan_identity,
-    check_decompose_roundtrip,
-    check_decompose_uniqueness,
-    check_character_stratification,
-    check_laurent_multiplicativity,
-    check_xi_parity,
-    check_xi_selfdual_point,
-    check_hilbert_symmetry_bilinearity,
-    check_hilbert_reciprocity,
-    check_hilbert_oracle_agreement,
-    check_coherence_realizability,
-    check_coherence_flip,
-    check_reducibility_eigenvalue_coherence,
-    check_block_self_consistency,
-    check_block_orbit_symmetry,
-    check_identify_raising_stable,
-    check_catalog_trivial_multiplicity,
+    fn
+    for name, fn in list(globals().items())
+    if name.startswith("check_") and fn.__module__ == __name__
 ]
 
 

@@ -15,7 +15,8 @@ import pytest
 import nhmf.cli
 from nhmf.cli import main, run
 from nhmf.errors import ERROR_CODES
-from nhmf.generators import MAX_DEGREE, MAX_WEIGHT
+from nhmf.generators import MAX_DEGREE, MAX_WEIGHT, eisenstein
+from nhmf.operators import raise_weight
 from nhmf.series import NearlyHolomorphicForm
 
 
@@ -337,6 +338,54 @@ def test_inputs_past_the_size_bounds_are_refused_quickly(argv, capsys):
     assert time.perf_counter() - start < 2.0
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "out-of-domain"
+
+
+def _residual_past_the_digit_limit() -> NearlyHolomorphicForm:
+    # The top column of delta(C * E4) at truncation 5, with C chosen so that
+    # its longest coefficient, C times 4 * 240 * sigma_3(5), has 4300 digits,
+    # plus q at depth 0 to leave the span: the peeled residual holds a
+    # coefficient of 4301 digits.
+    top = raise_weight(eisenstein(4, 5) * (10**4300 // (4 * 30240))).x_column(1)
+    return NearlyHolomorphicForm(6, 5, {(0, 1): 1, **{(1, n): c for n, c in top.items()}})
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit"
+)
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        (["local", "invariants", str(2**13000), str(2**13000)], None),
+        (["raise"], {"weight": 4, "truncation": 100, "terms": [[0, 100, "9" * 4299]]}),
+        (["raise"], {"weight": int("9" * 4300), "truncation": 3, "terms": [[0, 1, "1"]]}),
+        (["decompose"], "residual"),
+    ],
+    ids=["discriminant", "coefficient", "weight", "residual"],
+)
+def test_numbers_past_the_interpreter_digit_limit_are_out_of_domain(command, doc, tmp_path, capsys):
+    # The interpreter converts an int of at most 4300 digits to or from text.
+    # Each input is valid and within that limit, but the answer is not: the
+    # discriminant of <2^13000, 2^13000> has 7827 digits, raising multiplies a
+    # 4299-digit coefficient by 100, the raised weight of a 4300-digit weight
+    # has 4301 digits, and so has the residual of a refused decomposition.
+    if doc == "residual":
+        doc = _residual_past_the_digit_limit().to_doc()
+    if doc is not None:
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps(doc))
+        command = [*command, "--in", str(path)]
+    assert main(command) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == "out-of-domain"
+    assert str(sys.get_int_max_str_digits()) in json.loads(err)["message"]
+
+
+def test_the_largest_in_bound_eisenstein_series_answers(capsys):
+    # E_500 to q^10000 has numerators of 2006 digits, within the digit limit.
+    assert main(["eis", "--k", str(MAX_WEIGHT), "--trunc", "10000"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert max(len(c) for _, _, c in doc["terms"]) > 2000
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Structure decomposition: peeling, round-trips, error paths."""
 
+import gc
 import json
 import os
 import random
@@ -236,6 +237,40 @@ def test_basis_above_input_truncation():
     g = iterate_raise(e8.truncate(trunc), 2)
     dec = decompose(g, lambda w: [past, e8] if w == 8 else level1_basis(w, trunc + 10))
     assert dec.terms == decompose(g).terms == ((2, e8.truncate(trunc)),)
+
+
+def test_the_shared_basis_is_its_own_reduced_echelon_form():
+    # One form per pivot, the pivots those of the Miller basis q^i + O(q^dim),
+    # each form zero at the other pivots; the monomials E4^a E6^b reduce to
+    # zero against them.
+    trunc = 60
+    provider = shared_level1_basis(trunc)
+    for w in range(0, 49, 2):
+        basis = provider(w)
+        dim = w // 12 + (0 if w % 12 == 2 else 1)
+        pivots = [min(b.x_column(0)) for b in basis]
+        assert all(b.weight == w and b.is_holomorphic for b in basis)
+        assert sorted(pivots) == list(range(dim)), w
+        for b, p in zip(basis, pivots):
+            assert [c.coefficient(0, p) for c in basis if c is not b] == [0] * (dim - 1)
+        for m in level1_basis(w, trunc):
+            for b, p in zip(basis, pivots):
+                m = m - b * (m.coefficient(0, p) / b.coefficient(0, p))
+            assert m.is_zero, w
+
+
+def test_the_basis_of_an_evicted_truncation_is_released():
+    # shared_level1_basis keeps the bases of a few recent truncations; once a
+    # truncation has left it, no form of that truncation stays alive.
+    first = 113
+    for trunc in range(first, first + shared_level1_basis.cache_info().maxsize + 2):
+        f = iterate_raise(eisenstein(4, trunc), 4) + delta_cusp(trunc)
+        f = f + iterate_raise(eisenstein2(trunc), 5)
+        assert decompose(f).reassemble() == f
+    del f
+    gc.collect()
+    kept = [o for o in gc.get_objects() if isinstance(o, NearlyHolomorphicForm)]
+    assert [o for o in kept if o.truncation == first] == []
 
 
 def test_shared_basis_does_not_leak_between_calls():
