@@ -85,7 +85,7 @@ def _read_form(path: str) -> NearlyHolomorphicForm:
         raise FormFileError(f"cannot read form file {path!r}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise FormFileError(f"form file {path!r} is not valid JSON: {exc}") from exc
     return NearlyHolomorphicForm.from_doc(doc)
 
@@ -160,7 +160,7 @@ def _invariants(args) -> dict:
 def _coherent(args) -> dict:
     try:
         doc = json.loads(args.collection)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise UsageError(f"collection argument is not valid JSON: {exc}") from exc
     try:
         disc = Fraction(doc["discriminant"])

@@ -6,8 +6,8 @@ the analytic term 3/(pi*y); this is the negative of the classical completion
 E_2 - 3/(pi*y), chosen so the constant-term residue bookkeeping downstream
 stays literal.  Classical objects are derived from it by negation.
 
-Theta series use naive lattice enumeration, quadratic in the radius; fine at
-desk scale.
+Theta series enumerate the lattice points in a box around the Gauss-reduced
+form, quadratic in the radius; fine at desk scale.
 
 The divisor sums behind the Eisenstein coefficients come from one sieve over
 the truncation, not from factoring each n.
@@ -35,7 +35,8 @@ from .series import NearlyHolomorphicForm
 
 
 # Largest weight, and Bernoulli index, a generator accepts; constant-term
-# reports and the catalog accept no larger weight either.
+# reports and the catalog accept no larger weight either, and the Laurent
+# engine no point or weight larger in absolute value.
 MAX_WEIGHT = 500
 
 # Largest base degree d a constant-term report or the catalog accepts.
@@ -188,13 +189,24 @@ def theta_series(q_form: BinaryForm, truncation: int) -> NearlyHolomorphicForm:
         raise DomainError(f"theta series requires a positive definite form, got {q_form}")
     _check_truncation(truncation)
     disc = -q_form.discriminant
+    # Gauss-reduce to |b| <= a <= c, by x -> x - k*y and swaps of x and y:
+    # an equivalent form represents every integer equally often, and the
+    # search box below, set by a and c, then does not grow with |b|.
+    a, b, c = q_form.a, q_form.b, q_form.c
+    while True:
+        k = (b + a) // (2 * a)
+        b, c = b - 2 * a * k, c - k * (b - a * k)
+        if a <= c:
+            break
+        a, c = c, a
+    reduced = BinaryForm(a, b, c)
     # Q(x, y) >= disc*x^2/(4c) and >= disc*y^2/(4a), giving the search box.
-    xmax = isqrt(4 * q_form.c * truncation // disc) + 1
-    ymax = isqrt(4 * q_form.a * truncation // disc) + 1
+    xmax = isqrt(4 * c * truncation // disc) + 1
+    ymax = isqrt(4 * a * truncation // disc) + 1
     counts = [0] * (truncation + 1)
     for x in range(-xmax, xmax + 1):
         for y in range(-ymax, ymax + 1):
-            v = q_form(x, y)
+            v = reduced(x, y)
             if v <= truncation:
                 counts[v] += 1
     return NearlyHolomorphicForm._from_columns(1, truncation, 1, [counts])

@@ -146,28 +146,40 @@ class LaurentScalar:
         }
 
 
-def gamma_at(s0) -> LaurentScalar:
-    """Laurent data of Gamma(s) at a half-integer point.
+def _check_size(name: str, value) -> None:
+    if abs(value) > MAX_WEIGHT:
+        raise DomainError(f"{name} must be at most {MAX_WEIGHT} in absolute value, got {value}")
+
+
+def _gamma(x: Fraction) -> tuple[int, Fraction, Fraction]:
+    """(order, c, e) with Gamma(s) ~ c * pi^e * (s - x)^order at a
+    half-integer x.
 
     Poles at non-positive integers have order -1 and residue (-1)^n / n!;
     half-integer values are exact rational multiples of sqrt(pi).
     """
-    s0 = as_fraction(s0)
-    if s0.denominator == 1:
-        n = int(s0)
+    if x.denominator == 1:
+        n = int(x)
         if n > 0:
-            return LaurentScalar.of(s0, 0, PiScalar.rational(math.factorial(n - 1)))
-        residue = Fraction((-1) ** (-n), math.factorial(-n))
-        return LaurentScalar.of(s0, -1, PiScalar.rational(residue))
-    if s0.denominator == 2:
-        n = int(s0 - Fraction(1, 2))  # s0 = n + 1/2
+            return 0, Fraction(math.factorial(n - 1)), Fraction(0)
+        return -1, Fraction((-1) ** (-n), math.factorial(-n)), Fraction(0)
+    if x.denominator == 2:
+        n = int(x - Fraction(1, 2))  # x = n + 1/2
         if n >= 0:
             c = Fraction(math.factorial(2 * n), 4**n * math.factorial(n))
         else:
             m = -n
             c = Fraction((-4) ** m * math.factorial(m), math.factorial(2 * m))
-        return LaurentScalar.of(s0, 0, PiScalar.pi_power(Fraction(1, 2), c))
-    raise DomainError(f"gamma Laurent data certified at half-integers only, got {s0}")
+        return 0, c, Fraction(1, 2)
+    raise DomainError(f"gamma Laurent data certified at half-integers only, got {x}")
+
+
+def gamma_at(s0) -> LaurentScalar:
+    """Laurent data of Gamma(s) at a half-integer point, |s0| <= MAX_WEIGHT."""
+    s0 = as_fraction(s0)
+    _check_size("point", s0)
+    order, c, e = _gamma(s0)
+    return LaurentScalar.of(s0, order, PiScalar.pi_power(e, c))
 
 
 def zeta_ratio_at(
@@ -197,38 +209,36 @@ def zeta_ratio_at(
             "supply ramified_L_data"
         )
     n = int(s0)
-    if character == "nontrivial":
-        if n >= 1:
-            # L(s, mu) is entire and nonvanishing at real s >= 1 for
-            # nontrivial unitary mu; only the order is certified.
-            return LaurentScalar.order_only(s0, 0)
-        raise DomainError(
-            "nontrivial-family L-ratio below s = 1 requires caller data"
-        )
-    if d == 1:
-        if n == 1:
-            # zeta has residue 1; zeta(2) = pi^2/6.
-            return LaurentScalar.of(s0, -1, PiScalar.pi_power(-2, 6))
-        if n >= 2:
-            # zeta(n)/zeta(n+1): finite, nonzero; one argument is odd,
-            # so the value itself is not in the exact ring.
-            return LaurentScalar.order_only(s0, 0)
-        if n == 0:
-            # zeta(0) = -1/2 against the simple pole of zeta(s+1).
-            return LaurentScalar.of(s0, 1, PiScalar.rational(Fraction(-1, 2)))
-        raise DomainError(f"zeta ratio not certified at {s0}; supply ramified_L_data")
-    if n == 1:
-        return LaurentScalar.order_only(s0, -1)  # Dedekind zeta: simple pole
-    if n >= 2:
+    exact = d == 1 and character == "trivial"
+    if n >= 2 or (n == 1 and character == "nontrivial"):
+        # Finite and nonzero: zeta(n)/zeta(n+1) has an odd argument, so its
+        # value is not in the exact ring; a nontrivial unitary L(s, mu) is
+        # entire and nonvanishing at real s >= 1.  Only the order is certified.
         return LaurentScalar.order_only(s0, 0)
-    raise DomainError(
-        f"degree-{d} zeta ratio not certified at {s0}; supply ramified_L_data"
-    )
+    if n == 1:
+        # zeta has residue 1 and zeta(2) = pi^2/6; a Dedekind zeta has a
+        # simple pole with an uncertified residue.
+        if exact:
+            return LaurentScalar.of(s0, -1, PiScalar.pi_power(-2, 6))
+        return LaurentScalar.order_only(s0, -1)
+    if n == 0 and exact:
+        # zeta(0) = -1/2 against the simple pole of zeta(s+1).
+        return LaurentScalar.of(s0, 1, PiScalar.rational(Fraction(-1, 2)))
+    if character == "nontrivial":
+        raise DomainError("nontrivial-family L-ratio below s = 1 requires caller data")
+    degree = "" if d == 1 else f"degree-{d} "
+    raise DomainError(f"{degree}zeta ratio not certified at {s0}; supply ramified_L_data")
 
 
 def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     """Laurent data of the d-th power of
-    pi * (-i)^ell * 2^(1-s) * Gamma(s) / (Gamma(alpha) Gamma(beta)) at s0."""
+    pi * (-i)^ell * 2^(1-s) * Gamma(s) / (Gamma(alpha) Gamma(beta)) at s0.
+
+    With Gamma ~ c_x pi^(e_x) (s - x)^(o_x) at x = s0, alpha(s0), beta(s0)
+    and alpha - alpha(s0) = (s - s0)/2 (likewise beta), the bracket is
+    c * i^(3 ell) * pi^(1 + e_s - e_a - e_b) * (s - s0)^(o_s - o_a - o_b),
+    c = 2^(1 - s0 + o_a + o_b) c_s / (c_a c_b): one monomial, raised to d.
+    """
     s0 = as_fraction(s0)
     if s0.denominator != 1:
         raise DomainError(
@@ -238,30 +248,16 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
         raise DomainError("degree d must be >= 1")
     if d > MAX_DEGREE:
         raise DomainError(f"degree d must be <= {MAX_DEGREE}, got {d}")
-    alpha = (s0 + 1 + ell) / 2
-    beta = (s0 + 1 - ell) / 2
-    g_s = gamma_at(s0)
-    half = Fraction(1, 2)
-
-    def slope_adjust(g: LaurentScalar) -> LaurentScalar:
-        # Gamma(alpha(s)) with alpha affine of slope 1/2 in s: the order is
-        # unchanged, the leading picks up (1/2)^order.
-        coeff = PiScalar.rational(half**g.order)
-        return LaurentScalar(g.point, g.order, g.leading * coeff)
-
-    g_a = slope_adjust(gamma_at(alpha))
-    g_b = slope_adjust(gamma_at(beta))
-    i_power = [
-        PiScalar.rational(1),
-        PiScalar.gaussian(0, -1),
-        PiScalar.rational(-1),
-        PiScalar.gaussian(0, 1),
-    ][ell % 4]
-    const = PiScalar.pi_power(1, Fraction(2) ** (1 - int(s0))) * i_power
-    order = g_s.order - g_a.order - g_b.order
-    leading = const * g_s.leading * g_a.leading.invert() * g_b.leading.invert()
-    bracket = LaurentScalar(s0, order, leading)
-    return bracket**d
+    _check_size("point", s0)
+    _check_size("weight", ell)
+    o_s, c_s, e_s = _gamma(s0)
+    o_a, c_a, e_a = _gamma((s0 + 1 + ell) / 2)
+    o_b, c_b, e_b = _gamma((s0 + 1 - ell) / 2)
+    c = (Fraction(2) ** (1 - int(s0) + o_a + o_b) * c_s / (c_a * c_b)) ** d
+    # (-i)^(ell d) = i^(3 ell d), as (re, im) for each power of i
+    re, im = ((c, 0), (0, c), (-c, 0), (0, -c))[3 * ell * d % 4]
+    leading = PiScalar.pi_power(d * (1 + e_s - e_a - e_b), re, im)
+    return LaurentScalar.of(s0, d * (o_s - o_a - o_b), leading)
 
 
 def unramified_intertwining_constant(q: int, mu, s0) -> Fraction:

@@ -381,6 +381,46 @@ def test_numbers_past_the_interpreter_digit_limit_are_out_of_domain(command, doc
     assert str(sys.get_int_max_str_digits()) in json.loads(err)["message"]
 
 
+_PAST_THE_DIGIT_LIMIT = "9" * 4301
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit"
+)
+@pytest.mark.parametrize(
+    "command, text, code",
+    [
+        (["raise"], '{"weight": %s, "truncation": 3, "terms": [[0, 1, "1"]]}', "bad-form-file"),
+        (["raise"], '{"weight": 4, "truncation": 3, "terms": [[0, 1, "%s"]]}', "bad-form-file"),
+        (["local", "coherent"], '{"discriminant": "-1", "epsilons": {"2": %s}}', "usage"),
+        (["local", "coherent"], '{"discriminant": "%s", "epsilons": {"2": 1}}', "usage"),
+    ],
+    ids=["form-weight", "form-coefficient", "coherent-epsilon", "coherent-discriminant"],
+)
+def test_an_input_number_past_the_digit_limit_gets_the_code_of_its_input(
+    command, text, code, tmp_path
+):
+    # A number of 4301 digits is refused where it is read, whether it is a
+    # JSON integer (which json.loads refuses) or a string (which Fraction or
+    # int refuses): a form file answers bad-form-file, a collection usage.
+    text = text % _PAST_THE_DIGIT_LIMIT
+    if command == ["raise"]:
+        path = tmp_path / "form.json"
+        path.write_text(text)
+        command = [*command, "--in", str(path)]
+    else:
+        command = [*command, text]
+    assert run(command).code == code
+
+
+def test_a_skewed_theta_form_answers_quickly():
+    # x^2 + 2*10^6 xy + (10^12 + 1) y^2 is x^2 + y^2 after x -> x - 10^6 y.
+    start = time.perf_counter()
+    doc = payload(["theta", "--a", "1", "--b", "2000000", "--c", str(10**12 + 1), "--trunc", "10"])
+    assert time.perf_counter() - start < 1.0
+    assert doc == payload(["theta", "--a", "1", "--b", "0", "--c", "1", "--trunc", "10"])
+
+
 def test_the_largest_in_bound_eisenstein_series_answers(capsys):
     # E_500 to q^10000 has numerators of 2006 digits, within the digit limit.
     assert main(["eis", "--k", str(MAX_WEIGHT), "--trunc", "10000"]) == 0

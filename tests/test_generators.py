@@ -151,6 +151,18 @@ class TestTheta:
             1, 1, 1, 6
         )
 
+    def test_a_skewed_form_has_the_theta_series_of_its_reduced_form(self):
+        # x -> x - k*y carries a x^2 + b xy + c y^2 to
+        # a x^2 + (b - 2ak) xy + (ak^2 - bk + c) y^2, and swapping x and y
+        # exchanges a and c.  Equivalent forms represent each n equally often.
+        for (a, b, c), k in (((1, 0, 1), 7), ((2, 1, 3), -5), ((1, 1, 1), 40)):
+            skewed = BinaryForm(a, b - 2 * a * k, a * k * k - b * k + c)
+            want = theta_series(BinaryForm(a, b, c), 30)
+            assert theta_series(skewed, 30) == want
+            swapped = BinaryForm(skewed.c, skewed.b, skewed.a)
+            assert theta_series(swapped, 30) == want
+            assert [want.coefficient(0, n) for n in range(31)] == brute_theta_counts(a, b, c, 30)
+
     def test_indefinite_rejected(self):
         with pytest.raises(DomainError):
             theta_series(BinaryForm(1, 0, -1), 5)

@@ -4,10 +4,13 @@ Exact leadings are cross-checked against high-precision numeric evaluation at
 s0 + 1e-6 (relative error < 1e-4).
 """
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
 
+import nhmf.pi_scalar
 from nhmf.errors import DomainError, InsufficientLaurentPrecisionError, PoleError
 from nhmf.laurent import (
     INFINITE_ORDER,
@@ -19,6 +22,7 @@ from nhmf.laurent import (
     unramified_intertwining_constant,
     zeta_ratio_at,
 )
+from nhmf.generators import MAX_WEIGHT
 from nhmf.pi_scalar import PiScalar
 
 from conftest import assert_laurent_matches_numeric, pi_scalar_to_complex
@@ -338,3 +342,163 @@ class TestVerdictOf:
         assert report.verdict == Verdict.of(report.second_term)
         assert report.verdict == Verdict("Pole", order=-1, exact=False)
         assert report.verdict.to_json() == {"kind": "Pole", "order": -1}
+
+
+# -- the step-by-step assembly, kept as the reference for the closed forms --
+
+
+def reference_gamma_at(s0) -> LaurentScalar:
+    """Gamma germs: (-1)^n / n! residues at poles, factorials at positive
+    integers, rational multiples of sqrt(pi) at half-integers."""
+    s0 = Fraction(s0)
+    if s0.denominator == 1:
+        n = int(s0)
+        if n > 0:
+            return LaurentScalar.of(s0, 0, PiScalar.rational(math.factorial(n - 1)))
+        residue = Fraction((-1) ** (-n), math.factorial(-n))
+        return LaurentScalar.of(s0, -1, PiScalar.rational(residue))
+    n = int(s0 - Fraction(1, 2))  # s0 = n + 1/2
+    if n >= 0:
+        c = Fraction(math.factorial(2 * n), 4**n * math.factorial(n))
+    else:
+        m = -n
+        c = Fraction((-4) ** m * math.factorial(m), math.factorial(2 * m))
+    return LaurentScalar.of(s0, 0, PiScalar.pi_power(Fraction(1, 2), c))
+
+
+def reference_archimedean_factor(s0, ell, d) -> LaurentScalar:
+    """The bracket as a product of germs: Gamma(s), the slope-adjusted germs
+    of Gamma(alpha) and Gamma(beta) inverted, a table entry for (-i)^ell and
+    pi * 2^(1 - s0); then the d-th power of the germ."""
+    s0 = Fraction(s0)
+    half = Fraction(1, 2)
+
+    def slope_adjust(g: LaurentScalar) -> LaurentScalar:
+        # alpha(s) has slope 1/2 in s: the leading picks up (1/2)^order.
+        return LaurentScalar(g.point, g.order, g.leading * PiScalar.rational(half**g.order))
+
+    g_s = reference_gamma_at(s0)
+    g_a = slope_adjust(reference_gamma_at((s0 + 1 + ell) / 2))
+    g_b = slope_adjust(reference_gamma_at((s0 + 1 - ell) / 2))
+    i_power = [
+        PiScalar.rational(1),
+        PiScalar.gaussian(0, -1),
+        PiScalar.rational(-1),
+        PiScalar.gaussian(0, 1),
+    ][ell % 4]
+    const = PiScalar.pi_power(1, Fraction(2) ** (1 - int(s0))) * i_power
+    order = g_s.order - g_a.order - g_b.order
+    leading = const * g_s.leading * g_a.leading.invert() * g_b.leading.invert()
+    return LaurentScalar(s0, order, leading) ** d
+
+
+def reference_zeta_ratio_at(s0, d, character) -> LaurentScalar:
+    """The zeta ratio branch by branch: family first, then degree."""
+    n = int(s0)
+    if character == "nontrivial":
+        if n >= 1:
+            return LaurentScalar.order_only(s0, 0)
+        raise DomainError("nontrivial-family L-ratio below s = 1 requires caller data")
+    if d == 1:
+        if n == 1:
+            return LaurentScalar.of(s0, -1, PiScalar.pi_power(-2, 6))
+        if n >= 2:
+            return LaurentScalar.order_only(s0, 0)
+        if n == 0:
+            return LaurentScalar.of(s0, 1, PiScalar.rational(Fraction(-1, 2)))
+        raise DomainError(f"zeta ratio not certified at {s0}; supply ramified_L_data")
+    if n == 1:
+        return LaurentScalar.order_only(s0, -1)
+    if n >= 2:
+        return LaurentScalar.order_only(s0, 0)
+    raise DomainError(f"degree-{d} zeta ratio not certified at {s0}; supply ramified_L_data")
+
+
+def outcome(call, *args):
+    """(order, leading, to_json()) of the germ, or the refusal's type and message."""
+    try:
+        germ = call(*args)
+    except DomainError as exc:
+        return type(exc), str(exc)
+    return germ.order, germ.leading, germ.to_json()
+
+
+class TestClosedFormsMatchTheAssembly:
+    def test_gamma_at_every_half_integer(self):
+        for n in range(-30, 31):
+            x = Fraction(n, 2)
+            assert outcome(gamma_at, x) == outcome(reference_gamma_at, x), x
+
+    def test_archimedean_factor_over_the_grid(self):
+        for s0 in range(-12, 13):
+            for ell in range(-9, 13):
+                for d in (1, 2, 3):
+                    want = outcome(reference_archimedean_factor, s0, ell, d)
+                    assert outcome(archimedean_factor, s0, ell, d) == want, (s0, ell, d)
+
+    def test_archimedean_factor_at_the_bounds(self):
+        for s0, ell in ((MAX_WEIGHT, MAX_WEIGHT), (-MAX_WEIGHT, MAX_WEIGHT), (1, -MAX_WEIGHT)):
+            for d in (1, 3):
+                want = outcome(reference_archimedean_factor, s0, ell, d)
+                assert outcome(archimedean_factor, s0, ell, d) == want, (s0, ell, d)
+
+    def test_zeta_ratio_with_every_refusal(self):
+        refusals = set()
+        for n in range(-3, 5):
+            for d in (1, 2, 5):
+                for character in ("trivial", "nontrivial"):
+                    want = outcome(reference_zeta_ratio_at, Fraction(n), d, character)
+                    assert outcome(zeta_ratio_at, n, d, character) == want, (n, d, character)
+                    if want[0] is DomainError:
+                        refusals.add(want[1].split(" ")[0])
+        assert refusals == {"nontrivial-family", "zeta", "degree-2", "degree-5"}
+
+    def test_a_report_builds_one_pi_scalar(self, monkeypatch):
+        # Past weight two the zeta ratio is order-only, so the archimedean
+        # factor's leading coefficient is the one PiScalar a report builds.
+        built = []
+        summed = nhmf.pi_scalar._summed
+        monkeypatch.setattr(nhmf.pi_scalar, "_summed", lambda pairs: built.append(1) or summed(pairs))
+        for k in (3, 4, 12, 41):
+            for d in (1, 2, 7):
+                built.clear()
+                constant_term_report(k, d, "trivial")
+                assert len(built) == 1, (k, d)
+
+
+class TestLaurentBounds:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gamma_at(MAX_WEIGHT),
+            lambda: gamma_at(-MAX_WEIGHT),
+            lambda: archimedean_factor(MAX_WEIGHT, 0),
+            lambda: archimedean_factor(-MAX_WEIGHT, 0),
+            lambda: archimedean_factor(0, MAX_WEIGHT),
+            lambda: archimedean_factor(0, -MAX_WEIGHT),
+            # alpha = MAX_WEIGHT + 1/2 lies past the bound of gamma_at
+            lambda: archimedean_factor(MAX_WEIGHT, MAX_WEIGHT),
+        ],
+    )
+    def test_at_the_bound_the_call_answers(self, call):
+        assert not call().is_zero
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: gamma_at(MAX_WEIGHT + Fraction(1, 2)),
+            lambda: gamma_at(-MAX_WEIGHT - Fraction(1, 2)),
+            lambda: archimedean_factor(MAX_WEIGHT + 1, 0),
+            lambda: archimedean_factor(-MAX_WEIGHT - 1, 0),
+            lambda: archimedean_factor(0, MAX_WEIGHT + 1),
+            lambda: archimedean_factor(0, -MAX_WEIGHT - 1),
+            lambda: archimedean_factor(0, 200000),
+        ],
+    )
+    def test_past_the_bound_the_call_is_refused_quickly(self, call):
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as err:
+            call()
+        assert time.perf_counter() - start < 0.1
+        assert err.value.code == "out-of-domain"
+        assert str(MAX_WEIGHT) in str(err.value)
