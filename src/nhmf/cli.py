@@ -12,29 +12,15 @@ import json
 import os
 import re
 import sys
-import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from . import __version__
-from .category_o import catalog, identify_module
 from .decompose import decompose
 from .errors import DomainError, FormFileError, NhmfError, UsageError
 from .generators import BinaryForm, eisenstein, eisenstein2, theta_series
-from .laurent import LaurentScalar, constant_term_report
 from .operators import casimir, lower_weight, raise_weight, lower_analytic, raise_analytic
-from .quadratic import (
-    CharacterDescriptor,
-    Collection,
-    Place,
-    QuadSpace2D,
-    check_coherence,
-    hilbert_symbol,
-    local_invariants,
-    reducibility,
-    relevant_places,
-)
 from .series import NearlyHolomorphicForm
 
 
@@ -106,7 +92,10 @@ def _int_arg(text: str) -> int:
 
 # -- command handlers: each takes the parsed arguments and returns the JSON
 # payload or a finished CommandResult.  A handler names library functions in
-# its body, so they are looked up in this module when the command runs.
+# its body, so they are looked up when the command runs.  The q-series core
+# is imported with this module; laurent, quadratic and category_o are
+# imported by the handlers that use them, so that a cold process loads only
+# the side of the engine its command needs.
 
 
 def _refuse(message: str):
@@ -122,12 +111,16 @@ def _operator(args, plain, analytic) -> dict:
 
 
 def _constant_term(args) -> dict:
+    from .laurent import LaurentScalar, constant_term_report
+
     family = "trivial" if args.character == "trivial" else "nontrivial"
     local = [LaurentScalar.order_only(args.k - 1, order) for order in args.local_order]
     return constant_term_report(args.k, args.d, family, local).to_json()
 
 
 def _hilbert(args) -> dict:
+    from .quadratic import Place, hilbert_symbol
+
     a, b = _frac_arg(args.a), _frac_arg(args.b)
     place = Place.parse(args.v)
     return {
@@ -139,6 +132,8 @@ def _hilbert(args) -> dict:
 
 
 def _invariants(args) -> dict:
+    from .quadratic import QuadSpace2D, local_invariants, relevant_places
+
     space = QuadSpace2D(_frac_arg(args.a1), _frac_arg(args.a2))
     places = relevant_places(space.a1, space.a2, space.discriminant)
     return {
@@ -158,6 +153,8 @@ def _invariants(args) -> dict:
 
 
 def _coherent(args) -> dict:
+    from .quadratic import Collection, Place, check_coherence
+
     try:
         doc = json.loads(args.collection)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
@@ -171,11 +168,25 @@ def _coherent(args) -> dict:
 
 
 def _reducible(args) -> dict:
+    from .quadratic import CharacterDescriptor, reducibility
+
     order = int(args.mu_order) if args.mu_order in ("1", "2") else "other"
     mu = CharacterDescriptor(order=order, unramified=not args.ramified, real_sign=args.real_sign)
     residue = "real" if args.q == "real" else _int_arg(args.q)
     verdict = reducibility(residue, mu, _frac_arg(args.s_re), _frac_arg(args.s_im))
     return verdict.to_json()
+
+
+def _identify(args) -> dict:
+    from .category_o import identify_module
+
+    return identify_module(_read_form(args.infile), args.max_steps).to_json()
+
+
+def _catalog(args) -> dict:
+    from .category_o import catalog
+
+    return catalog(args.d, args.k).to_json()
 
 
 def _verify(args):
@@ -249,11 +260,7 @@ def _build_parser() -> tuple[_Parser, tuple[str, ...]]:
 
     p = sub.add_parser("identify", help="indecomposable module class generated by a form")
     p.add_argument("--max-steps", type=int, default=24)
-    common(
-        p,
-        lambda args: identify_module(_read_form(args.infile), args.max_steps).to_json(),
-        with_in=True,
-    )
+    common(p, _identify, with_in=True)
 
     p = sub.add_parser("constant-term", help="Eisenstein constant-term report at s = k - 1")
     p.add_argument("--k", type=int, required=True)
@@ -308,7 +315,7 @@ def _build_parser() -> tuple[_Parser, tuple[str, ...]]:
     p = sub.add_parser("catalog", help="symbolic spectrum decomposition for (d, k)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    common(p, lambda args: catalog(args.d, args.k).to_json())
+    common(p, _catalog)
 
     p = sub.add_parser("verify", help="run the invariant suite")
     common(p, _verify)
@@ -352,6 +359,8 @@ def run(argv: list[str]) -> CommandResult:
             )
             result = _failure(DomainError.code, message)
         else:
+            import traceback
+
             result = _failure("internal", f"{type(exc).__name__}: {exc}", [traceback.format_exc()])
         result.text = _serialize(result.document, None)
     return result

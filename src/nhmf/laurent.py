@@ -239,6 +239,9 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     c * i^(3 ell) * pi^(1 + e_s - e_a - e_b) * (s - s0)^(o_s - o_a - o_b),
     c = 2^(1 - s0 + o_a + o_b) c_s / (c_a c_b): one monomial, raised to d.
     """
+    for name, value in (("weight ell", ell), ("degree d", d)):
+        if not isinstance(value, int):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     s0 = as_fraction(s0)
     if s0.denominator != 1:
         raise DomainError(

@@ -286,9 +286,10 @@ def _witness_search(delta: Fraction, minus_places: list[Place]) -> QuadSpace2D:
     # (a, delta)_v; scan a for the required sign pattern.  At an odd target p
     # where delta is a unit, hence a non-square, (a, delta)_p = -1 forces
     # p | a; so a runs through +-s*P, P the product of those primes, in the
-    # order of |a|, and s is capped.
+    # order of |a|, and s is capped.  The places are tested in a fixed list
+    # order, so the number of symbols computed is the same in every process.
     targets = set(minus_places)
-    check = set(relevant_places(delta)) | targets
+    check = list(dict.fromkeys([*relevant_places(delta), *minus_places]))
     step = prod(v.p for v in targets if v.p not in (None, 2) and padic_valuation(delta, v.p) == 0)
 
     def realizes(a: Fraction, places) -> bool:
@@ -325,22 +326,33 @@ def check_coherence(collection: Collection) -> CoherenceResult:
     return CoherenceResult(_witness_search(collection.discriminant, minus))
 
 
+# enumerate_definite_spaces returns at most this many collections.
+MAX_DEFINITE_SPACES = 2**12
+
+
 def enumerate_definite_spaces(discriminant, support_bound: int) -> list[Collection]:
     """All coherent collections of definite type (signature (2,0) at the real
     place) with the given negative discriminant class and finite support in
     the primes <= support_bound.
 
-    These are exactly the even-cardinality subsets of the primes where the
-    discriminant character is locally nontrivial.
+    These are exactly the even-cardinality subsets of the c candidate primes,
+    those where the discriminant character is locally nontrivial: 2^(c - 1)
+    collections for c >= 1.  More than MAX_DEFINITE_SPACES is refused as
+    out-of-domain as soon as the candidate scan has found enough primes to
+    pass it, before any collection is built.
     """
     delta = as_fraction(discriminant)
     if delta >= 0:
         raise DomainError("definite binary spaces need a negative discriminant")
-    candidates = [
-        p
-        for p in range(2, support_bound + 1)
-        if is_prime(p) and not is_local_square(delta, Place.finite(p))
-    ]
+    candidates = []
+    for p in range(2, support_bound + 1):
+        if is_prime(p) and not is_local_square(delta, Place.finite(p)):
+            candidates.append(p)
+            if 2 ** (len(candidates) - 1) > MAX_DEFINITE_SPACES:
+                raise DomainError(
+                    f"more than {MAX_DEFINITE_SPACES} definite collections: "
+                    f"at least {len(candidates)} candidate primes up to {support_bound}"
+                )
     # combinations come in lexicographic order, so taking the sizes in
     # increasing order yields the collections sorted by size, then primes.
     return [

@@ -37,11 +37,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg
 
-from .errors import FormFileError, WeightMismatchError
+from .errors import DomainError, FormFileError, WeightMismatchError
 
 
-# A form file may describe at most this many stored coefficients,
-# (depth + 1) * (truncation + 1), since the columns are stored densely.
+# A nonzero form built by the public constructor or read from a form file
+# may store at most this many coefficients, (depth + 1) * (truncation + 1),
+# since the columns are stored densely.
 MAX_FILE_ENTRIES = 10**6
 
 
@@ -135,7 +136,9 @@ class NearlyHolomorphicForm:
 
         Storage is dense: a nonzero form holds (depth + 1) * (truncation + 1)
         ints however few of its terms are nonzero, so even a monomial at a
-        large truncation costs memory in proportion to that truncation.
+        large truncation costs memory in proportion to that truncation, and
+        a nonzero form past MAX_FILE_ENTRIES stored coefficients is refused
+        as out-of-domain before any is allocated.
         """
         if not isinstance(truncation, int) or truncation < 0:
             raise ValueError(f"truncation must be a non-negative integer, got {truncation!r}")
@@ -151,9 +154,15 @@ class NearlyHolomorphicForm:
                     data[(r, n)] = c
         if data and not isinstance(weight, int):
             raise ValueError(f"weight must be an integer, got {weight!r}")
+        depth = max((r for r, _ in data), default=-1)
+        if data and (depth + 1) * (truncation + 1) > MAX_FILE_ENTRIES:
+            raise DomainError(
+                f"form of depth {depth} and truncation {truncation} exceeds "
+                f"{MAX_FILE_ENTRIES} stored coefficients"
+            )
         # The lcm of reduced denominators is already coprime to the numerators.
         den = lcm(*(c.denominator for c in data.values()))
-        cols = [[0] * (truncation + 1) for _ in range(max((r for r, _ in data), default=-1) + 1)]
+        cols = [[0] * (truncation + 1) for _ in range(depth + 1)]
         for (r, n), c in data.items():
             cols[r][n] = c.numerator * (den // c.denominator)
         self._weight = weight if data else None
@@ -404,10 +413,7 @@ class NearlyHolomorphicForm:
             if (r, n) in coeffs:
                 raise FormFileError(f"duplicate term at (r, n) = ({r}, {n})")
             coeffs[(r, n)] = value
-        depth = max((r for r, _ in coeffs), default=0)
-        if coeffs and (depth + 1) * (trunc + 1) > MAX_FILE_ENTRIES:
-            raise FormFileError(
-                f"form of depth {depth} and truncation {trunc} exceeds "
-                f"{MAX_FILE_ENTRIES} stored coefficients"
-            )
-        return cls(weight if coeffs else None, trunc, coeffs)
+        try:
+            return cls(weight if coeffs else None, trunc, coeffs)
+        except DomainError as exc:  # past the size bound: in a file, a bad form file
+            raise FormFileError(str(exc)) from exc

@@ -211,7 +211,7 @@ class TestErrors:
         def boom(*args, **kwargs):
             raise RuntimeError("boom")
 
-        monkeypatch.setattr(nhmf.cli, "catalog", boom)
+        monkeypatch.setattr(nhmf.category_o, "catalog", boom)
         result = run(["catalog", "--d", "1", "--k", "2"])
         assert not result.ok and result.code == "internal"
         assert result.payload["error"] == "internal"

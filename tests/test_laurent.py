@@ -502,3 +502,10 @@ class TestLaurentBounds:
         assert time.perf_counter() - start < 0.1
         assert err.value.code == "out-of-domain"
         assert str(MAX_WEIGHT) in str(err.value)
+
+    @pytest.mark.parametrize("args", [(0, 2.0), (0, 2, 2.0), (0, Fraction(2)), (0, "2")])
+    def test_a_weight_or_degree_that_is_not_an_int_is_refused(self, args):
+        with pytest.raises(DomainError) as err:
+            archimedean_factor(*args)
+        assert err.value.code == "out-of-domain"
+        assert "must be an integer" in str(err.value)

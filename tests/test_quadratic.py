@@ -1,10 +1,14 @@
 """Local quadratic invariants: symbols, coherence, reducibility, eigenvalues."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +263,36 @@ def test_witness_search_past_its_bound_is_out_of_domain(monkeypatch):
         check_coherence(Collection.of(delta, {REAL: -1, Place.finite(3): -1}))
 
 
+COUNT_WITNESS_SYMBOLS = """
+from fractions import Fraction
+from nhmf import quadratic
+
+calls = []
+symbol = quadratic.hilbert_symbol
+quadratic.hilbert_symbol = lambda *args: calls.append(1) or symbol(*args)
+for num in range(1, 40):
+    for coll in quadratic.enumerate_definite_spaces(Fraction(-num, 7), 14):
+        quadratic.check_coherence(coll)
+print(len(calls))
+"""
+
+
+def test_witness_search_computes_the_same_symbols_in_every_process():
+    # The places are tested in list order: a set of places would iterate in
+    # an order set by hashes, and hash(None) (the real place's p) is an
+    # address, so the count of symbols differed between processes.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    counts = set()
+    for hash_seed in ("0", "0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", COUNT_WITNESS_SYMBOLS], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        counts.add(int(proc.stdout))
+    assert len(counts) == 1, counts
+
+
 PRIMES_TO_200 = [p for p in range(3, 200) if all(p % d for d in range(2, isqrt(p) + 1))]
 
 
@@ -303,6 +337,21 @@ class TestEnumerateDefiniteSpaces:
         a = enumerate_definite_spaces(Fraction(-1), 10)
         b = enumerate_definite_spaces(Fraction(-4), 10)
         assert [c.epsilons for c in a] == [c.epsilons for c in b]
+
+    def test_at_the_bound_every_collection_is_returned(self):
+        # 2, 3, 7, ..., 59: ten candidate primes, 2^9 even subsets; then 13.
+        assert len(enumerate_definite_spaces(Fraction(-1), 60)) == 512
+        assert len(enumerate_definite_spaces(Fraction(-1), 80)) == quadratic.MAX_DEFINITE_SPACES
+
+    @pytest.mark.parametrize("bound", [90, 200, 10**12])
+    def test_past_the_bound_the_enumeration_is_refused_quickly(self, bound):
+        # (-1, 200) has 25 candidate primes, so 2^24 collections.
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as err:
+            enumerate_definite_spaces(Fraction(-1), bound)
+        assert time.perf_counter() - start < 0.1
+        assert err.value.code == "out-of-domain"
+        assert str(quadratic.MAX_DEFINITE_SPACES) in str(err.value)
 
     def test_positive_discriminant_rejected(self):
         with pytest.raises(DomainError):

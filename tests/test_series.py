@@ -1,11 +1,12 @@
 """Exact series core: arithmetic, truncation semantics, file format."""
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nhmf.errors import FormFileError, WeightMismatchError
+from nhmf.errors import DomainError, FormFileError, WeightMismatchError
 from nhmf.operators import casimir, lower_weight, raise_weight
 from nhmf.pi_scalar import MINUS_INV_FOUR_PI, PiScalar
 from nhmf.series import NearlyHolomorphicForm
@@ -233,6 +234,28 @@ class TestFormFile:
         assert NearlyHolomorphicForm.from_doc(
             {"weight": 2, "truncation": 10**7, "terms": []}
         ).is_zero
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NearlyHolomorphicForm.monomial(4, 10**9),
+            lambda: NearlyHolomorphicForm.constant(1, 10**6),
+            lambda: NearlyHolomorphicForm(2, 1000, {(999, 0): 1}),
+            lambda: NearlyHolomorphicForm(2, 0, {(10**6, 0): 1}),
+        ],
+    )
+    def test_the_constructor_refuses_forms_past_the_dense_size_limit_quickly(self, build):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="stored coefficients") as err:
+            build()
+        assert time.perf_counter() - start < 0.1
+        assert err.value.code == "out-of-domain"
+
+    def test_the_constructor_accepts_forms_at_the_dense_size_limit(self):
+        assert NearlyHolomorphicForm(2, 999, {(999, 0): 1}).depth == 999
+        # The zero form stores nothing, whatever its truncation.
+        assert NearlyHolomorphicForm.zero(10**9).is_zero
+        assert NearlyHolomorphicForm(2, 10**9, {(0, 0): 0}).is_zero
 
     def test_rejects_bad_rational(self):
         with pytest.raises(FormFileError):
