@@ -14,9 +14,10 @@ N(lam) are lam, lam+2, lam+4, ... and the finite-dimensional simple L(2-k)
 has dimension k - 1.
 
 identify_module fingerprints the module generated by a concrete form against
-this finite list.  catalog(d, k) records the symbolic decomposition of the
-weight-k non-cuspidal spectrum over a degree-d totally real base: character
-families are descriptors with parity and constraint tags, never enumerated.
+this finite list, reading its seed off the top X-column as decompose does.
+catalog(d, k) records the symbolic decomposition of the weight-k
+non-cuspidal spectrum over a degree-d totally real base: character families
+are descriptors with parity and constraint tags, never enumerated.
 """
 
 from __future__ import annotations
@@ -26,13 +27,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import as_fraction
+from .decompose import leading_column_factor, raised_e2, top_seed
 from .errors import AmbiguousModuleError, DomainError
-from .generators import MAX_DEGREE, MAX_WEIGHT, eisenstein2
-from .laurent import weight_parity
+from .generators import MAX_DEGREE, MAX_WEIGHT
+from .laurent import constant_term_report, weight_parity
 from .operators import (
     InfinitesimalCharacter,
     infinitesimal_character,
-    iterate_lower,
     iterate_raise,
     scalar_ratio,
 )
@@ -182,9 +183,11 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClas
     """The indecomposable class generated by a Casimir eigenform.
 
     Fingerprints the weight support and depth pattern of the operator orbit
-    of f against the class list of its block.  Forms whose orbit does not
-    match a single class in max_steps operator applications raise
-    AmbiguousModuleError listing the surviving candidates.
+    of f against the class list of its block; the seed is the top X-column
+    read by decompose's top_seed, so f is never lowered to find it.  Forms
+    whose orbit does not match a single class, or past the --max-steps
+    budget 3m + max(0, 1 - w), raise AmbiguousModuleError listing the
+    candidates.
     """
     if f.is_zero:
         raise DomainError("the zero form generates no module")
@@ -199,44 +202,38 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClas
             msg, candidates=[c.render() for c in block.classes]
         )
 
-    # m lowers to the seed, then up to 2m more for the purity probe, plus the
-    # finite-dimensionality probe for non-dominant seeds.
+    # The budget is the --max-steps contract.  It counts what a lowering
+    # fingerprint spends: m lowers to the seed and 2m more for the L^m R^m
+    # probe, plus the finite-dimensionality probe for non-dominant seeds.
     budget = 3 * m + max(0, 1 - w)
     if budget > max_steps:
         raise ambiguous(
             f"needs {budget} operator applications, max_steps = {max_steps}"
         )
 
-    seed = iterate_lower(f, m)  # holomorphic of weight w
-
     if w == 0 and m >= 1:
         # Candidate: the dual Verma N(0)^v generated by the weight-two
         # Eisenstein seed (socle = constants, quotient = L(2)).
-        if not seed.is_constant_series():
+        if any(f._cols[m][1:]):
             raise ambiguous("weight-0 lowered seed is not constant")
-        e2_image = iterate_raise(eisenstein2(f.truncation), m - 1)
-        c = scalar_ratio(f, e2_image)
-        if c is None:
+        if scalar_ratio(f, raised_e2(f.truncation, m - 1)) is None:
             raise ambiguous("form is not a multiple of the raised weight-two seed")
         return dual_verma(0)
 
-    probe = iterate_raise(seed, m)
-    ratio = scalar_ratio(iterate_lower(probe, m), seed)
-    if ratio is None or ratio == 0:
+    # L^m R^m acts on a seed of weight w by m! c(w, m).
+    if leading_column_factor(w, m) == 0:
         raise ambiguous("operator orbit is inconsistent with a cyclic seed")
-    if scalar_ratio(f, probe) is None and m > 0:
+    seed = top_seed(f)
+    if iterate_raise(seed, m) != f:
         raise ambiguous("form is not a pure raised image of its lowered seed")
 
     if w >= 1:
         return simple(w)
     if w == 0:
         # depth 0, weight 0: constants, or a free weight-0 seed.
-        if seed.is_constant_series():
-            return trivial()
-        return verma(0)
+        return trivial() if f.is_constant_series() else verma(0)
     # w < 0: a Verma with non-dominant highest weight, or its finite quotient.
-    top = iterate_raise(seed, 1 - w)
-    return finite(2 - w) if top.is_zero else verma(w)
+    return finite(2 - w) if iterate_raise(seed, 1 - w).is_zero else verma(w)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +340,11 @@ def catalog(d: int, k: int) -> DecompositionDescriptor:
     k >= 3: a single induced family of parity (-1)^k at s = k - 1.
     k = 1:  the non-quadratic associate-class family at s = 0 plus the
             enumeration of definite quadratic spaces (theta summands).
-    k = 2:  the nontrivial-family block plus, at d = 1, the indecomposable
-            extension of the induced block by the constants generated by the
-            weight-two Eisenstein series (and at d > 1 a plain trivial
-            summand instead).
+    k = 2:  the nontrivial-family block plus, where the trivial-character
+            constant term has a residue (SectionPlusResidue, which is d = 1),
+            the indecomposable extension of the induced block by the
+            constants generated by the weight-two Eisenstein series, and
+            where it has none a plain trivial summand instead.
     """
     if d < 1 or k < 1:
         raise DomainError(f"catalog needs d >= 1 and k >= 1, got d={d}, k={k}")
@@ -362,17 +360,19 @@ def catalog(d: int, k: int) -> DecompositionDescriptor:
             _induced(1, d, "non-quadratic", "associate-classes"),
             Summand("space_enumeration", _parallel_simple(1, d), detail=enumeration),
         )
-    elif d == 1:
+    elif constant_term_report(2, d, "trivial").verdict.kind == "SectionPlusResidue":
+        # The residue of the constant term makes the constants a non-split
+        # sub of the module the weight-two Eisenstein series generates.
         extension = {
             "sub": {"kind": "trivial"},
             "middle": "module generated by the weight-two Eisenstein series",
-            "quotient": _induced(2, 1, "trivial-only").to_json(),
+            "quotient": _induced(2, d, "trivial-only").to_json(),
         }
         summands = (
-            _induced(2, 1, "nontrivial"),
+            _induced(2, d, "nontrivial"),
             Summand(
                 "extension",
-                {"kind": "dual_verma", "lambda": [0]},
+                {"kind": "dual_verma", "lambda": [0] * d},
                 detail={"exact_sequence": extension},
             ),
         )

@@ -344,8 +344,9 @@ def run(argv: list[str]) -> CommandResult:
             result.out_path = getattr(args, "out", None)
             result.json_indent = getattr(args, "json_indent", None)
         except NhmfError as exc:
+            # Numbers and lists (an ambiguous module's class names) stay JSON values.
             extra = {
-                key: (str(value) if not isinstance(value, (int, float, bool)) else value)
+                key: (value if isinstance(value, (int, float, bool, list)) else str(value))
                 for key, value in exc.data.items()
             }
             usage = [_usage_text()] if isinstance(exc, UsageError) else []

@@ -11,8 +11,8 @@ weight-(k-2p) holomorphic seed up to the combinatorial factor
 which is computed from the raising monomial rule itself and vanishes only for
 weight-0 seeds with l >= 1 (and those contribute nothing, so it is never
 divided by).  The seed is therefore the top column over c(w, p), read off
-with no linear solve.  Depth strictly decreases, so peeling ends in depth+1
-steps.
+with no linear solve (top_seed, which identify_module reads its seed with
+too).  Depth strictly decreases, so peeling ends in depth+1 steps.
 
 The seed must lie in the span of the basis of its weight.  The basis is put
 in reduced echelon form, one primitive integer row per pivot q-index, and
@@ -54,6 +54,18 @@ def leading_column_factor(w: int, ell: int) -> int:
     return prod(-(w + j) for j in range(ell))
 
 
+def top_seed(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
+    """The holomorphic g of weight w = k - 2p whose p-fold raising has the top
+    X^p column of f (k the weight, p the depth of the nonzero f): that column
+    over c(w, p), which must be nonzero."""
+    p = f.depth
+    w = f.weight - 2 * p
+    factor = leading_column_factor(w, p)
+    top = f._cols[p]
+    seed = list(top) if factor > 0 else [-x for x in top]
+    return NearlyHolomorphicForm._from_columns(w, f.truncation, f._den * abs(factor), [seed])
+
+
 class Level1Basis:
     """Default basis provider: weight w -> the reduced echelon basis of
     M_w(SL_2(Z)), one primitive integer q-series per pivot q-index (the
@@ -92,7 +104,7 @@ def shared_level1_basis(truncation: int) -> Level1Basis:
     return Level1Basis(truncation)
 
 
-def _raised_e2(truncation: int, m: int) -> NearlyHolomorphicForm:
+def raised_e2(truncation: int, m: int) -> NearlyHolomorphicForm:
     """delta^(m) applied to the weight-two Eisenstein series."""
     return iterate_raise(shared_level1_basis(truncation).eisenstein2, m)
 
@@ -118,7 +130,7 @@ class Decomposition:
             yield g.weight, iterate_raise(g, ell)
         if self.e2_term is not None:
             m, c = self.e2_term
-            yield 2, _raised_e2(self.truncation, m) * c
+            yield 2, raised_e2(self.truncation, m) * c
 
     def reassemble(self) -> NearlyHolomorphicForm:
         out = NearlyHolomorphicForm.zero(self.truncation)
@@ -175,7 +187,7 @@ def decompose(
                     residual=rem,
                 )
             m = p - 1
-            raised = _raised_e2(trunc, m)
+            raised = raised_e2(trunc, m)
             c = Fraction(top[0] * raised._den, rem._den * raised._cols[p][0])
             e2_term = (m, c)
             rem = rem - raised * c
@@ -196,10 +208,7 @@ def decompose(
             raise DecompositionError(
                 "not decomposable over supplied basis", residual=rem
             )
-        # The top column is c(w, p) times the seed's q-series.
-        factor = leading_column_factor(w, p)
-        seed = list(top) if factor > 0 else [-x for x in top]
-        g = NearlyHolomorphicForm._from_columns(w, trunc, rem._den * abs(factor), [seed])
+        g = top_seed(rem)
         new_rem = rem - iterate_raise(g, p)
         if not new_rem.is_zero and new_rem.depth >= p:
             # The raised seed must cancel the whole top column.

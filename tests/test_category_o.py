@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import nhmf.operators
 from nhmf.category_o import (
+    ModuleClass,
     catalog,
     classify_block,
     composition_factors,
@@ -20,8 +22,21 @@ from nhmf.category_o import (
     verma,
 )
 from nhmf.errors import AmbiguousModuleError, DomainError, NonEigenformError
-from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
-from nhmf.operators import iterate_raise
+from nhmf.generators import (
+    MAX_DEGREE,
+    MAX_WEIGHT,
+    delta_cusp,
+    eisenstein,
+    eisenstein2,
+    level1_basis,
+)
+from nhmf.laurent import constant_term_report
+from nhmf.operators import (
+    infinitesimal_character,
+    iterate_lower,
+    iterate_raise,
+    scalar_ratio,
+)
 from nhmf.series import NearlyHolomorphicForm
 
 
@@ -139,8 +154,9 @@ class TestIdentifyModule:
         fake = NearlyHolomorphicForm(
             2, 8, {key: value for key, value in e2.terms() if key != (0, 1)}
         )
-        with pytest.raises((AmbiguousModuleError, NonEigenformError)):
+        with pytest.raises(AmbiguousModuleError) as err:
             identify_module(fake)
+        assert str(err.value) == "form is not a multiple of the raised weight-two seed"
 
     def test_free_weight_zero_seed_is_verma(self):
         f = NearlyHolomorphicForm(0, 8, {(0, 0): 1, (0, 1): 1})
@@ -151,6 +167,153 @@ class TestIdentifyModule:
         assert identify_module(NearlyHolomorphicForm.monomial(-2, 6)) == finite(4)
         assert identify_module(NearlyHolomorphicForm.monomial(-3, 6)) == finite(5)
         assert identify_module(NearlyHolomorphicForm.monomial(-2, 6, n=1)) == verma(-2)
+
+    def test_seed_is_read_off_the_top_column(self, monkeypatch):
+        # The Casimir of the eigenform check lowers once; finding the seed
+        # and checking that f is its pure raised image lower nothing.
+        calls = []
+        lower = nhmf.operators.lower_weight
+
+        def counting_lower(f):
+            calls.append(f.weight)
+            return lower(f)
+
+        monkeypatch.setattr(nhmf.operators, "lower_weight", counting_lower)
+        seeds = (eisenstein(4, 8), delta_cusp(8), NearlyHolomorphicForm.monomial(1, 3, n=2))
+        for g in seeds:
+            w = g.weight
+            for m in range(5):
+                calls.clear()
+                assert identify_module(iterate_raise(g, m)) == simple(w)
+                assert len(calls) == 1, (w, m, calls)
+
+
+def reference_identify_module(f: NearlyHolomorphicForm, max_steps: int = 24):
+    """identify_module as it was when it lowered the form to find its seed,
+    kept as the oracle of the top-column version."""
+    if f.is_zero:
+        raise DomainError("the zero form generates no module")
+    char = infinitesimal_character(f)  # raises on non-eigenforms
+    block = classify_block(char.lam)
+    k = f.weight
+    m = f.depth
+    w = k - 2 * m
+
+    def ambiguous(msg):
+        return AmbiguousModuleError(
+            msg, candidates=[c.render() for c in block.classes]
+        )
+
+    # m lowers to the seed, then up to 2m more for the purity probe, plus the
+    # finite-dimensionality probe for non-dominant seeds.
+    budget = 3 * m + max(0, 1 - w)
+    if budget > max_steps:
+        raise ambiguous(
+            f"needs {budget} operator applications, max_steps = {max_steps}"
+        )
+
+    seed = iterate_lower(f, m)  # holomorphic of weight w
+
+    if w == 0 and m >= 1:
+        # Candidate: the dual Verma N(0)^v generated by the weight-two
+        # Eisenstein seed (socle = constants, quotient = L(2)).
+        if not seed.is_constant_series():
+            raise ambiguous("weight-0 lowered seed is not constant")
+        e2_image = iterate_raise(eisenstein2(f.truncation), m - 1)
+        c = scalar_ratio(f, e2_image)
+        if c is None:
+            raise ambiguous("form is not a multiple of the raised weight-two seed")
+        return dual_verma(0)
+
+    probe = iterate_raise(seed, m)
+    ratio = scalar_ratio(iterate_lower(probe, m), seed)
+    if ratio is None or ratio == 0:
+        raise ambiguous("operator orbit is inconsistent with a cyclic seed")
+    if scalar_ratio(f, probe) is None and m > 0:
+        raise ambiguous("form is not a pure raised image of its lowered seed")
+
+    if w >= 1:
+        return simple(w)
+    if w == 0:
+        # depth 0, weight 0: constants, or a free weight-0 seed.
+        if seed.is_constant_series():
+            return trivial()
+        return verma(0)
+    # w < 0: a Verma with non-dominant highest weight, or its finite quotient.
+    top = iterate_raise(seed, 1 - w)
+    return finite(2 - w) if top.is_zero else verma(w)
+
+
+def seeded_module_forms(seed=12):
+    """Raised seeds R^m(g) for w in -6..13, m in 0..4 and truncations 0, 1,
+    3, 8, each plain, plus a monomial, and plus the raised partner seed of
+    weight 2 - w that shares its Casimir eigenvalue; then raised and
+    perturbed weight-two Eisenstein series."""
+    rng = random.Random(seed)
+    for trunc in (0, 1, 3, 8):
+        for w in range(-6, 14):
+            seeds = [
+                NearlyHolomorphicForm.monomial(w, trunc, c=rng.randint(-5, 5) or 1),
+                NearlyHolomorphicForm.monomial(w, trunc, n=trunc),
+                NearlyHolomorphicForm(
+                    w,
+                    trunc,
+                    {(0, n): Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for n in range(trunc + 1)},
+                ),
+            ]
+            for g in seeds:
+                for m in range(5):
+                    f = iterate_raise(g, m)
+                    yield f
+                    k = w + 2 * m
+                    r, n = rng.randint(0, m), rng.randint(0, trunc)
+                    yield f + NearlyHolomorphicForm.monomial(k, trunc, r=r, n=n)
+                    partner_depth = m + w - 1
+                    if partner_depth >= 0:
+                        h = NearlyHolomorphicForm.monomial(2 - w, trunc, n=rng.randint(0, trunc))
+                        yield f + iterate_raise(h, partner_depth)
+        e2 = eisenstein2(trunc)
+        for m in range(5):
+            raised = iterate_raise(e2, m)
+            yield raised
+            yield raised * Fraction(-7, 3)
+            yield raised + NearlyHolomorphicForm.monomial(2 + 2 * m, trunc, n=trunc)
+            yield raised + iterate_raise(NearlyHolomorphicForm.monomial(0, trunc, n=trunc), m + 1)
+            yield raised + iterate_raise(NearlyHolomorphicForm.monomial(2, trunc, n=trunc), m)
+
+
+def outcome(identify, f, max_steps):
+    try:
+        return identify(f, max_steps)
+    except (AmbiguousModuleError, DomainError, NonEigenformError) as exc:
+        return type(exc), str(exc), exc.data
+
+
+class TestIdentifyModuleReference:
+    def test_matches_the_lowering_reference(self):
+        seen = set()
+        for f in seeded_module_forms():
+            for max_steps in (2, 8, 24):
+                expected = outcome(reference_identify_module, f, max_steps)
+                assert outcome(identify_module, f, max_steps) == expected, (f, max_steps)
+                if isinstance(expected, ModuleClass):
+                    seen.add(expected.kind)
+                else:
+                    seen.add("needs" if expected[1].startswith("needs ") else expected[1])
+        # Every class kind, and every refusal that a Casimir eigenform can
+        # reach.
+        assert seen >= {
+            "simple",
+            "trivial",
+            "verma",
+            "finite",
+            "dual_verma",
+            "needs",
+            "the zero form generates no module",
+            "form is not a Casimir eigenvector",
+            "form is not a multiple of the raised weight-two seed",
+            "operator orbit is inconsistent with a cyclic seed",
+        }, seen
 
 
 class TestCatalog:
@@ -228,6 +391,15 @@ class TestCatalog:
                 assert desc.summands[0].finite_kind == "induced_family"
                 assert desc.summands[0].family.archimedean_parity == (-1) ** k
                 assert desc.summands[0].s == k - 1
+
+    def test_extension_iff_the_constant_term_has_a_residue(self):
+        grid = [(d, k) for d in (1, 2, 3) for k in range(2, MAX_WEIGHT + 1)]
+        grid += [(MAX_DEGREE, k) for k in (2, 3, MAX_WEIGHT)]
+        for d, k in grid:
+            verdict = constant_term_report(k, d, "trivial").verdict
+            assert (catalog(d, k).pi_extension is not None) == (
+                verdict.kind == "SectionPlusResidue"
+            ), (d, k)
 
     def test_weight_one_at_higher_degree(self):
         doc = catalog(3, 1).to_json()

@@ -81,6 +81,17 @@ class TestDecomposeIdentify:
         doc = payload(["identify", "--in", str(out)])
         assert doc == {"kind": "dual_verma", "lambda": "0"}
 
+    def test_ambiguous_module_candidates_are_a_json_array(self, tmp_path):
+        out = tmp_path / "e4.json"
+        main(["eis", "--k", "4", "--trunc", "6", "--out", str(out)])
+        raised = tmp_path / "r_e4.json"
+        main(["raise", "--in", str(out), "--out", str(raised)])
+        result = run(["identify", "--in", str(raised), "--max-steps", "2"])
+        assert result.code == "ambiguous-module"
+        doc = json.loads(result.text)
+        assert doc["message"] == "needs 3 operator applications, max_steps = 2"
+        assert doc["candidates"] == ["L(4)", "F_4", "N(-2)", "N(-2)^v", "P(4)"]
+
 
 class TestConstantTerm:
     def test_weight_two_residue(self):

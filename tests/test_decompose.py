@@ -18,6 +18,7 @@ from nhmf.decompose import (
     decompose,
     leading_column_factor,
     shared_level1_basis,
+    top_seed,
 )
 from nhmf.errors import DecompositionError, InsufficientTruncationError
 from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
@@ -55,6 +56,15 @@ class TestIterateRaise:
         assert leading_column_factor(0, 3) == 0
         assert leading_column_factor(1, 3) == -6
         assert leading_column_factor(4, 2) == 20
+
+    def test_top_seed_inverts_raising(self):
+        # The seed read off the top column is the seed that was raised,
+        # for every seed weight whose factor c(w, l) is nonzero.
+        for w in (-3, 1, 4, 7, 12):
+            g = NearlyHolomorphicForm(w, 6, {(0, 0): Fraction(-2, 3), (0, 4): 5})
+            for ell in range(4):
+                if leading_column_factor(w, ell):
+                    assert top_seed(iterate_raise(g, ell)) == g
 
 
 class TestDecomposeExamples:
