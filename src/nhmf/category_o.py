@@ -14,7 +14,7 @@ N(lam) are lam, lam+2, lam+4, ... and the finite-dimensional simple L(2-k)
 has dimension k - 1.
 
 identify_module fingerprints the module generated by a concrete form against
-this finite list, reading its seed off the top X-column as decompose does.
+this finite list, reading its class off the weight, depth and top X-column.
 catalog(d, k) records the symbolic decomposition of the weight-k
 non-cuspidal spectrum over a degree-d totally real base: character families
 are descriptors with parity and constraint tags, never enumerated.
@@ -27,16 +27,11 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import as_fraction
-from .decompose import leading_column_factor, raised_e2, top_seed
+from .decompose import leading_column_factor, raised_e2
 from .errors import AmbiguousModuleError, DomainError
 from .generators import MAX_DEGREE, MAX_WEIGHT
 from .laurent import constant_term_report, weight_parity
-from .operators import (
-    InfinitesimalCharacter,
-    infinitesimal_character,
-    iterate_raise,
-    scalar_ratio,
-)
+from .operators import InfinitesimalCharacter, infinitesimal_character, scalar_ratio
 from .series import NearlyHolomorphicForm
 
 
@@ -182,12 +177,14 @@ def classify_block(lam) -> BlockClassification:
 def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClass:
     """The indecomposable class generated by a Casimir eigenform.
 
-    Fingerprints the weight support and depth pattern of the operator orbit
-    of f against the class list of its block; the seed is the top X-column
-    read by decompose's top_seed, so f is never lowered to find it.  Forms
-    whose orbit does not match a single class, or past the --max-steps
-    budget 3m + max(0, 1 - w), raise AmbiguousModuleError listing the
-    candidates.
+    Fingerprints the operator orbit of f against the class list of its
+    block.  An eigenform of weight k and depth m is the m-fold raising of a
+    seed of weight w = k - 2m, and its top X^m column is c(w, m) times that
+    seed, so the class is read off w, m and that column.  The Casimir of the
+    eigenform check is the only operator applied, apart from the raised
+    weight-two Eisenstein series compared with at w = 0.  Forms whose orbit
+    does not match a single class, or past the --max-steps budget
+    3m + max(0, 1 - w), raise AmbiguousModuleError listing the candidates.
     """
     if f.is_zero:
         raise DomainError("the zero form generates no module")
@@ -214,8 +211,6 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClas
     if w == 0 and m >= 1:
         # Candidate: the dual Verma N(0)^v generated by the weight-two
         # Eisenstein seed (socle = constants, quotient = L(2)).
-        if any(f._cols[m][1:]):
-            raise ambiguous("weight-0 lowered seed is not constant")
         if scalar_ratio(f, raised_e2(f.truncation, m - 1)) is None:
             raise ambiguous("form is not a multiple of the raised weight-two seed")
         return dual_verma(0)
@@ -223,17 +218,15 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClas
     # L^m R^m acts on a seed of weight w by m! c(w, m).
     if leading_column_factor(w, m) == 0:
         raise ambiguous("operator orbit is inconsistent with a cyclic seed")
-    seed = top_seed(f)
-    if iterate_raise(seed, m) != f:
-        raise ambiguous("form is not a pure raised image of its lowered seed")
-
     if w >= 1:
         return simple(w)
-    if w == 0:
-        # depth 0, weight 0: constants, or a free weight-0 seed.
-        return trivial() if f.is_constant_series() else verma(0)
-    # w < 0: a Verma with non-dominant highest weight, or its finite quotient.
-    return finite(2 - w) if iterate_raise(seed, 1 - w).is_zero else verma(w)
+    # w <= 0: R^(1 - w) kills the seed, the top column over c(w, m), iff
+    # the seed is constant.  At w = 0 that is the trivial module, else a free
+    # weight-0 seed; at w < 0 it is the finite quotient of the Verma with
+    # non-dominant highest weight.
+    if not any(f._cols[m][1:]):
+        return trivial() if w == 0 else finite(2 - w)
+    return verma(w)
 
 
 # ---------------------------------------------------------------------------

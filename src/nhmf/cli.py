@@ -50,6 +50,11 @@ def _failure(code: str, message: str, diagnostics=(), extra=None) -> CommandResu
     return CommandResult({"error": code, "message": message, **(extra or {})}, list(diagnostics), code)
 
 
+# The largest --json-indent: a wider indent only pads every line, and one
+# far past it would exhaust memory or overflow an index.
+MAX_JSON_INDENT = 64
+
+
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -339,10 +344,13 @@ def run(argv: list[str]) -> CommandResult:
     try:
         try:
             args = _PARSER.parse_args(argv)
+            indent = getattr(args, "json_indent", None)
+            if indent is not None and indent > MAX_JSON_INDENT:
+                raise UsageError(f"--json-indent must be at most {MAX_JSON_INDENT}, got {indent}")
             payload = args.handler(args)
             result = payload if isinstance(payload, CommandResult) else CommandResult(payload)
             result.out_path = getattr(args, "out", None)
-            result.json_indent = getattr(args, "json_indent", None)
+            result.json_indent = indent
         except NhmfError as exc:
             # Numbers and lists (an ambiguous module's class names) stay JSON values.
             extra = {

@@ -11,8 +11,8 @@ weight-(k-2p) holomorphic seed up to the combinatorial factor
 which is computed from the raising monomial rule itself and vanishes only for
 weight-0 seeds with l >= 1 (and those contribute nothing, so it is never
 divided by).  The seed is therefore the top column over c(w, p), read off
-with no linear solve (top_seed, which identify_module reads its seed with
-too).  Depth strictly decreases, so peeling ends in depth+1 steps.
+with no linear solve (top_seed).  Depth strictly decreases, so peeling ends
+in depth+1 steps.
 
 The seed must lie in the span of the basis of its weight.  The basis is put
 in reduced echelon form, one primitive integer row per pivot q-index, and

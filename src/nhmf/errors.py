@@ -16,7 +16,6 @@ ERROR_CODES = frozenset(
         "insufficient-laurent-precision",
         "out-of-domain",
         "non-eigenform",
-        "non-rational-character",
         "ambiguous-module",
         "invariant-violation",
         "pole",
@@ -74,10 +73,6 @@ class NonEigenformError(NhmfError):
     """Casimir did not act by a scalar; ``data['residual']`` is the defect."""
 
     code = "non-eigenform"
-
-
-class NonRationalCharacterError(NhmfError):
-    code = "non-rational-character"
 
 
 class AmbiguousModuleError(NhmfError):

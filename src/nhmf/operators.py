@@ -17,9 +17,11 @@ are exact scalar multiples:  R_k = -4*pi * delta_k  and  L_k = -1/(4*pi) * Lambd
 exposed through :func:`raise_analytic` / :func:`lower_analytic` which return a
 PiScalar-times-form pair.
 
-The Casimir element is normalized so a highest weight vector of weight w has
-eigenvalue w^2 - 2w, which is invariant under the orbit w -> 2 - w; this is
-what makes :class:`InfinitesimalCharacter` well defined.
+The Casimir acts on the top X^m column of a weight-k, depth-m form by
+w^2 - 2w, w = k - 2m.  So a Casimir eigenform has eigenvalue w^2 - 2w and
+character chi_w, read off (w, m) with no search; and w^2 - 2w is invariant
+under w -> 2 - w, which is what makes :class:`InfinitesimalCharacter` well
+defined.
 
 All four operations reject nothing except genuinely malformed input: the zero
 form (weight "any") maps to zero.  Sums across distinct weights cannot even be
@@ -28,13 +30,12 @@ represented here, so weight-indefinite input is impossible by construction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import NamedTuple
 
-from .errors import NonEigenformError, NonRationalCharacterError
+from .errors import NonEigenformError
 from .pi_scalar import MINUS_FOUR_PI, MINUS_INV_FOUR_PI, PiScalar
 from .series import NearlyHolomorphicForm
 
@@ -125,22 +126,8 @@ class InfinitesimalCharacter:
     def integral(self) -> bool:
         return self.lam.denominator == 1
 
-    @property
-    def orbit(self) -> tuple[Fraction, Fraction]:
-        return (self.lam, 2 - self.lam)
-
     def __repr__(self):
         return f"chi_{self.lam}"
-
-
-def _rational_sqrt(c: Fraction) -> Fraction | None:
-    if c < 0:
-        return None
-    rn = math.isqrt(c.numerator)
-    rd = math.isqrt(c.denominator)
-    if rn * rn == c.numerator and rd * rd == c.denominator:
-        return Fraction(rn, rd)
-    return None
 
 
 def _leading_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fraction:
@@ -158,24 +145,20 @@ def scalar_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fraction
 
 
 def casimir_eigenvalue(f: NearlyHolomorphicForm) -> Fraction:
-    """The scalar c with casimir(f) = c*f; NonEigenformError otherwise."""
+    """w^2 - 2w, w = k - 2m, if casimir(f) is that multiple of f;
+    NonEigenformError otherwise."""
     if f.is_zero:
         raise NonEigenformError("zero form has no eigenvalue")
+    w = f.weight - 2 * f.depth
+    c = Fraction(w * w - 2 * w)
     cf = casimir(f)
-    c = scalar_ratio(cf, f)
-    if c is None:
+    if cf != f * c:
         residual = cf - f * _leading_ratio(cf, f)
         raise NonEigenformError("form is not a Casimir eigenvector", residual=residual)
     return c
 
 
 def infinitesimal_character(f: NearlyHolomorphicForm) -> InfinitesimalCharacter:
-    """Solve lam^2 - 2*lam = eigenvalue and return the orbit representative."""
-    c = casimir_eigenvalue(f)
-    root = _rational_sqrt(1 + c)
-    if root is None:
-        raise NonRationalCharacterError(
-            f"Casimir eigenvalue {c} has no rational character parameter",
-            eigenvalue=c,
-        )
-    return InfinitesimalCharacter.of(1 + root)
+    """chi_w, w = k - 2m, of a Casimir eigenform f; NonEigenformError otherwise."""
+    casimir_eigenvalue(f)
+    return InfinitesimalCharacter.of(f.weight - 2 * f.depth)

@@ -169,23 +169,28 @@ class TestIdentifyModule:
         assert identify_module(NearlyHolomorphicForm.monomial(-2, 6, n=1)) == verma(-2)
 
     def test_seed_is_read_off_the_top_column(self, monkeypatch):
-        # The Casimir of the eigenform check lowers once; finding the seed
-        # and checking that f is its pure raised image lower nothing.
-        calls = []
-        lower = nhmf.operators.lower_weight
-
-        def counting_lower(f):
-            calls.append(f.weight)
-            return lower(f)
-
-        monkeypatch.setattr(nhmf.operators, "lower_weight", counting_lower)
+        # The class is read off the weight, depth and top column, so the
+        # Casimir of the eigenform check lowers once and raises once, at
+        # every depth and for a constant of negative weight alike.
         seeds = (eisenstein(4, 8), delta_cusp(8), NearlyHolomorphicForm.monomial(1, 3, n=2))
-        for g in seeds:
-            w = g.weight
-            for m in range(5):
-                calls.clear()
-                assert identify_module(iterate_raise(g, m)) == simple(w)
-                assert len(calls) == 1, (w, m, calls)
+        cases = [(iterate_raise(g, m), simple(g.weight)) for g in seeds for m in range(7)]
+        cases += [
+            (NearlyHolomorphicForm.monomial(-2, 6), finite(4)),
+            (NearlyHolomorphicForm.monomial(-5, 3, c=7), finite(7)),
+        ]
+        calls = []
+        for name in ("lower_weight", "raise_weight"):
+            operator = getattr(nhmf.operators, name)
+
+            def counting(f, name=name, operator=operator):
+                calls.append(name)
+                return operator(f)
+
+            monkeypatch.setattr(nhmf.operators, name, counting)
+        for f, want in cases:
+            calls.clear()
+            assert identify_module(f) == want
+            assert sorted(calls) == ["lower_weight", "raise_weight"], (f.weight, f.depth, calls)
 
 
 def reference_identify_module(f: NearlyHolomorphicForm, max_steps: int = 24):

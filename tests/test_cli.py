@@ -218,6 +218,22 @@ class TestErrors:
         assert str(target) in doc["message"]
         assert not target.exists()
 
+    def test_json_indent_past_its_bound_is_a_usage_error(self, capsys):
+        # Up to MAX_JSON_INDENT = 64 the indent is json.dumps's (-1 breaks
+        # lines and indents nothing); past it the command does not run.
+        argv = ["eis", "--k", "4", "--trunc", "3"]
+        doc = payload(argv)
+        for value in ("64", "-1"):
+            assert main(argv + ["--json-indent", value]) == 0
+            out, _ = capsys.readouterr()
+            assert out == json.dumps(doc, indent=int(value), sort_keys=True) + "\n"
+        for value in ("65", "100000000000", "10000000000000000000000"):
+            assert main(argv + ["--json-indent", value]) == 1
+            out, err = capsys.readouterr()
+            error = json.loads(err)
+            assert out == "" and error["error"] == "usage"
+            assert error["message"] == f"--json-indent must be at most 64, got {value}"
+
     def test_unexpected_exception_is_internal(self, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise RuntimeError("boom")

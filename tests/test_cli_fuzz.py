@@ -80,7 +80,7 @@ OPTION_VALUES = {
     "--k": NUMBERS, "--trunc": NUMBERS, "--a": NUMBERS, "--b": NUMBERS, "--c": NUMBERS,
     "--d": NUMBERS, "--max-steps": NUMBERS, "--local-order": NUMBERS,
     "--in": FORM_FILES, "--out": st.sampled_from(["<missing>", "out.json"]),
-    "--json-indent": st.sampled_from(["0", "2", "-1", "x"]),
+    "--json-indent": st.sampled_from(["0", "2", "-1", "x", "100000000000", "99999999999999999999"]),
     "--character": st.sampled_from(["trivial", "sgn", "quadratic", "other", "odd"]),
     "--q": st.one_of(st.sampled_from(["real", "2", "3", "4", "9", "25", "6", "1", "0", "-3"]), VALUES),
     "--mu-order": st.sampled_from(["1", "2", "other", "3"]),

@@ -1,5 +1,6 @@
 """Raising/lowering/Casimir against the symbolic-differentiation oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,11 +19,13 @@ from nhmf.operators import (
     lower_weight,
     raise_analytic,
     raise_weight,
+    scalar_ratio,
 )
 from nhmf.pi_scalar import PiScalar
 from nhmf.series import NearlyHolomorphicForm
 
 from conftest import oracle_lower, oracle_raise
+from test_category_o import seeded_module_forms
 
 
 def suite(trunc=14):
@@ -181,3 +184,79 @@ class TestInfinitesimalCharacter:
             f = NearlyHolomorphicForm(k, 4, {(r, 0): 1})
             assert casimir_eigenvalue(f) == (k - 1 - 2 * r) ** 2 - 1
             assert infinitesimal_character(f).lam == 1 + abs(k - 1 - 2 * r)
+
+
+class NonRationalCharacter(Exception):
+    """Stands in for the error the reference raised on an irrational root."""
+
+
+def _rational_sqrt(c: Fraction) -> Fraction | None:
+    if c < 0:
+        return None
+    rn = math.isqrt(c.numerator)
+    rd = math.isqrt(c.denominator)
+    if rn * rn == c.numerator and rd * rd == c.denominator:
+        return Fraction(rn, rd)
+    return None
+
+
+def reference_casimir_eigenvalue(f: NearlyHolomorphicForm) -> Fraction:
+    """casimir_eigenvalue as it was when it searched for the ratio of
+    casimir(f) to f, kept as the oracle of the closed form w^2 - 2w."""
+    if f.is_zero:
+        raise NonEigenformError("zero form has no eigenvalue")
+    cf = casimir(f)
+    c = scalar_ratio(cf, f)
+    if c is None:
+        (r, n), lead = f.terms()[0]
+        ratio = cf.coefficient(r, n) / lead if not cf.is_zero else Fraction(0)
+        residual = cf - f * ratio
+        raise NonEigenformError("form is not a Casimir eigenvector", residual=residual)
+    return c
+
+
+def reference_infinitesimal_character(f: NearlyHolomorphicForm) -> InfinitesimalCharacter:
+    """infinitesimal_character as it was when it solved lam^2 - 2 lam = c."""
+    c = reference_casimir_eigenvalue(f)
+    root = _rational_sqrt(1 + c)
+    if root is None:
+        raise NonRationalCharacter(f"Casimir eigenvalue {c} has no rational character parameter")
+    return InfinitesimalCharacter.of(1 + root)
+
+
+def character_inputs():
+    """The identify reference's forms, then the operator suite, random forms
+    and each of them perturbed by one monomial of its weight."""
+    yield from seeded_module_forms()
+    rng = random.Random(17)
+    for f in suite() + random_forms(count=40, seed=17):
+        yield f
+        r, n = rng.randint(0, f.depth + 1), rng.randint(0, f.truncation)
+        c = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        yield f + NearlyHolomorphicForm.monomial(f.weight, f.truncation, r=r, n=n, c=c)
+
+
+def outcome(function, f):
+    try:
+        value = function(f)
+    except (NonEigenformError, NonRationalCharacter) as exc:
+        return type(exc), str(exc), getattr(exc, "data", None)
+    return type(value), value
+
+
+class TestCharacterReference:
+    def test_matches_the_square_root_reference(self):
+        seen = set()
+        for f in character_inputs():
+            for function, reference in (
+                (casimir_eigenvalue, reference_casimir_eigenvalue),
+                (infinitesimal_character, reference_infinitesimal_character),
+            ):
+                expected = outcome(reference, f)
+                assert outcome(function, f) == expected, (f, function.__name__)
+                seen.add(expected[1] if len(expected) == 3 else "value")
+        assert seen == {
+            "value",
+            "zero form has no eigenvalue",
+            "form is not a Casimir eigenvector",
+        }, seen
