@@ -19,9 +19,11 @@ in reduced echelon form, one primitive integer row per pivot q-index, and
 the top column is tested against it by integer elimination over all
 truncation+1 coefficients, not only the first dim: a column that agrees with
 a modular form up to q^(dim-1) and not beyond is refused.  The shared level-1
-basis is stored in that form already (the Miller basis q^i + O(q^dim) up to
-scaling), so reducing it eliminates nothing; a user-supplied basis is reduced
-at each peel step.
+basis keeps its rows in that form (the Miller basis q^i + O(q^dim) up to
+scaling), built once per weight, and the peel step reads them directly: it is
+never reduced again.  A supplied basis is checked against the truncation,
+truncated to it and reduced once per weight in play (each peel step is at a
+new weight, since the depth falls).
 
 A weight-2 seed at the top depth cannot be matched at level 1 (there are no
 holomorphic weight-two forms there); the weight-two Eisenstein series instead
@@ -72,25 +74,29 @@ class Level1Basis:
     Miller basis q^i + O(q^dim) up to scaling), spanning what the monomials
     E4^a E6^b span.
 
-    Each weight's basis is built once; every call returns a fresh list of the
-    (immutable) forms.  The instance also holds the weight-two Eisenstein
-    series at its truncation.
+    Each weight's reduced echelon rows are built once (rows); every call
+    returns a fresh list of the (immutable) forms made from them.  The
+    instance also holds the weight-two Eisenstein series at its truncation.
     """
 
     def __init__(self, truncation: int):
         self.truncation = truncation
         self.eisenstein2 = eisenstein2(truncation)
-        self._cache: dict[int, list[NearlyHolomorphicForm]] = {}
+        self._rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
 
-    def __call__(self, w: int) -> list[NearlyHolomorphicForm]:
-        if w not in self._cache:
+    def rows(self, w: int) -> list[tuple[int, tuple[int, ...]]]:
+        """The (pivot, row) pairs of the weight-w basis in reduced echelon form."""
+        if w not in self._rows:
             trunc = self.truncation
             cols = [b._cols[0] for b in level1_basis(w, trunc)]
-            self._cache[w] = [
-                NearlyHolomorphicForm._from_columns(w, trunc, 1, [row])
-                for _, row in reduced_echelon(cols, trunc + 1)
-            ]
-        return list(self._cache[w])
+            self._rows[w] = [(p, tuple(row)) for p, row in reduced_echelon(cols, trunc + 1)]
+        return self._rows[w]
+
+    def __call__(self, w: int) -> list[NearlyHolomorphicForm]:
+        return [
+            NearlyHolomorphicForm._from_columns(w, self.truncation, 1, [row])
+            for _, row in self.rows(w)
+        ]
 
     @staticmethod
     def sturm_bound(w: int) -> int:
@@ -149,6 +155,24 @@ class Decomposition:
         return doc
 
 
+def _supplied_rows(
+    provider: Callable[[int], list[NearlyHolomorphicForm]], trunc: int
+) -> Callable[[int], list[tuple[int, list[int]]]]:
+    """w -> the reduced echelon rows, at truncation trunc, of the basis the
+    provider supplies for weight w, which must reach trunc."""
+
+    def rows(w: int) -> list[tuple[int, list[int]]]:
+        basis = provider(w)
+        if any(b.truncation < trunc for b in basis):
+            raise InsufficientTruncationError(
+                f"basis for weight {w} truncated below the input truncation {trunc}"
+            )
+        cols = [t._cols[0] for t in (b.truncate(trunc) for b in basis) if not t.is_zero]
+        return reduced_echelon(cols, trunc + 1)
+
+    return rows
+
+
 def decompose(
     f: NearlyHolomorphicForm,
     basis_provider: Optional[Callable[[int], list[NearlyHolomorphicForm]]] = None,
@@ -162,12 +186,13 @@ def decompose(
     """
     if f.is_zero:
         return Decomposition(None, f.truncation, (), None)
-    if basis_provider is None:
-        basis_provider = shared_level1_basis(f.truncation)
-    sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
-
     k = f.weight
     trunc = f.truncation
+    if basis_provider is None:
+        basis_rows = shared_level1_basis(trunc).rows
+    else:
+        basis_rows = _supplied_rows(basis_provider, trunc)
+    sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
     rem = f
     terms: list[tuple[int, NearlyHolomorphicForm]] = []
     e2_term: Optional[tuple[int, Fraction]] = None
@@ -198,13 +223,7 @@ def decompose(
                 f"truncation {trunc} below the dimension-detecting bound "
                 f"{sturm(max(w, 0))} for weight {w}"
             )
-        basis = basis_provider(w) if w >= 0 else []
-        if any(b.truncation < trunc for b in basis):
-            raise InsufficientTruncationError(
-                f"basis for weight {w} truncated below the input truncation {trunc}"
-            )
-        cols = [t._cols[0] for t in (b.truncate(trunc) for b in basis) if not t.is_zero]
-        if any(reduce_by(reduced_echelon(cols, trunc + 1), top)):
+        if any(reduce_by(basis_rows(w) if w >= 0 else [], top)):
             raise DecompositionError(
                 "not decomposable over supplied basis", residual=rem
             )

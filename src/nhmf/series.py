@@ -23,6 +23,9 @@ coefficients of the product column.  The slot is sized from the entries so
 that no coefficient can overflow into its neighbour, which keeps the product
 exact; it is the only product path.
 
+A difference a - b is the same one pass over the columns as a sum, with the
+entries of b subtracted in place of added, so it never builds -b.
+
 Truncation semantics: operations never extrapolate.  Mixing truncations
 silently takes the minimum, because decomposition pipelines naturally mix
 precisions.  The zero form has weight "any" (stored as None) so that graded
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, neg
+from operator import add, neg, sub
 
 from .errors import DomainError, FormFileError, WeightMismatchError
 
@@ -46,7 +49,12 @@ from .errors import DomainError, FormFileError, WeightMismatchError
 MAX_FILE_ENTRIES = 10**6
 
 
-def frac_from_str(s: str) -> Fraction:
+def _is_int(x) -> bool:
+    """x is an int and not a bool (JSON true and false are not numbers)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def frac_from_str(s: str | int) -> Fraction:
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -272,24 +280,25 @@ class NearlyHolomorphicForm:
             )
         return self._weight
 
-    def __add__(self, other):
-        if not isinstance(other, NearlyHolomorphicForm):
-            return NotImplemented
+    def _combine(self, other, sign: int) -> "NearlyHolomorphicForm":
+        """self + sign * other (sign 1 or -1), column by column over the lcm
+        of the denominators."""
         weight = self._common_weight(other)
         trunc = min(self._trunc, other._trunc)
         length = trunc + 1
         den = lcm(self._den, other._den)
         s1, s2 = den // self._den, den // other._den
+        op = add if sign == 1 else sub
         a, b = self._cols, other._cols
-        if len(a) < len(b):
-            a, b, s1, s2 = b, a, s2, s1
-        cols = [
-            list(map(add, _scaled(a[r], s1, length), _scaled(b[r], s2, length)))
-            if r < len(b)
-            else list(_scaled(a[r], s1, length))
-            for r in range(len(a))
-        ]
+        cols = [list(map(op, _scaled(x, s1, length), _scaled(y, s2, length))) for x, y in zip(a, b)]
+        cols += [list(_scaled(x, s1, length)) for x in a[len(b):]]
+        cols += [list(_scaled(y, sign * s2, length)) for y in b[len(a):]]
         return NearlyHolomorphicForm._from_columns(weight, trunc, den, cols)
+
+    def __add__(self, other):
+        if not isinstance(other, NearlyHolomorphicForm):
+            return NotImplemented
+        return self._combine(other, 1)
 
     def __neg__(self):
         out = object.__new__(NearlyHolomorphicForm)
@@ -300,7 +309,7 @@ class NearlyHolomorphicForm:
     def __sub__(self, other):
         if not isinstance(other, NearlyHolomorphicForm):
             return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -395,18 +404,24 @@ class NearlyHolomorphicForm:
             terms = doc["terms"]
         except (KeyError, TypeError) as exc:
             raise FormFileError(f"missing form field: {exc}") from exc
-        if not isinstance(weight, int) or not isinstance(trunc, int) or trunc < 0:
+        if not (_is_int(weight) and _is_int(trunc)) or trunc < 0:
             raise FormFileError("weight/truncation must be integers, truncation >= 0")
+        if not isinstance(terms, list):
+            raise FormFileError("terms must be a list of [r, n, coefficient] entries")
         coeffs: dict[tuple[int, int], Fraction] = {}
         for item in terms:
             try:
                 r, n, c = item
             except (ValueError, TypeError) as exc:
                 raise FormFileError(f"bad term entry {item!r}") from exc
-            if not isinstance(r, int) or not isinstance(n, int):
+            if not (_is_int(r) and _is_int(n)):
                 raise FormFileError(f"bad exponents in term {item!r}")
             if n > trunc or r < 0 or n < 0:
                 raise FormFileError(f"term {item!r} outside the stated truncation")
+            if not (isinstance(c, str) or _is_int(c)):
+                # A JSON float (0.1, 1e400) is inexact or infinite, and
+                # null, a bool, a list or an object is no number at all.
+                raise FormFileError(f"coefficient in term {item!r} is not a rational literal or an integer")
             value = frac_from_str(c)
             if not value:
                 raise FormFileError(f"explicit zero coefficient in term {item!r}")

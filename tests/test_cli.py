@@ -174,6 +174,26 @@ class TestErrors:
         result = run(["raise", "--in", str(bad)])
         assert not result.ok and result.code == "bad-form-file"
 
+    @pytest.mark.parametrize(
+        "value",
+        ["null", "0.1", "1e400", "true", "[1]", "{}", "weight:true", "exponent:false"],
+    )
+    def test_a_form_file_value_that_is_not_exact_is_a_bad_form_file(self, value, tmp_path, capsys):
+        # 0.1 as a JSON float is 3602879701896397/36028797018963968, not 1/10:
+        # a form file coefficient is a string or an integer, and the weight,
+        # truncation and exponents are integers, never bools.
+        doc = '{"weight": 4, "truncation": 2, "terms": [[0, 1, %s]]}' % value
+        if value == "weight:true":
+            doc = '{"weight": true, "truncation": 2, "terms": [[0, 1, "1"]]}'
+        elif value == "exponent:false":
+            doc = '{"weight": 4, "truncation": 2, "terms": [[false, 1, "1"]]}'
+        path = tmp_path / "form.json"
+        path.write_text(doc)
+        for command in (["raise"], ["decompose"], ["identify"]):
+            assert main([*command, "--in", str(path)]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and json.loads(err)["error"] == "bad-form-file", (command, err)
+
     def test_domain_error_code(self):
         result = run(["eis", "--k", "3", "--trunc", "4"])
         assert result.code == "out-of-domain"

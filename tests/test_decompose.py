@@ -12,21 +12,24 @@ from pathlib import Path
 import pytest
 
 import nhmf.series
-from nhmf.arith import solve_exact
+from nhmf.arith import reduce_by, reduced_echelon, solve_exact
 from nhmf.decompose import (
+    Decomposition,
+    Level1Basis,
     character_split,
     decompose,
     leading_column_factor,
     shared_level1_basis,
     top_seed,
 )
-from nhmf.errors import DecompositionError, InsufficientTruncationError
+from nhmf.errors import DecompositionError, InsufficientTruncationError, NhmfError
 from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
 from nhmf.operators import infinitesimal_character, iterate_raise, raise_weight
 from nhmf.series import NearlyHolomorphicForm
 from nhmf.verify import random_decomposable
 
 from conftest import oracle_raise
+from test_operators import stepwise_raise
 
 
 class TestIterateRaise:
@@ -422,6 +425,96 @@ def test_decompose_agrees_with_solve_exact_reference():
             assert (dec.terms, dec.e2_term) == want
             verdicts["ok"] += 1
     assert verdicts["ok"] >= 20 and verdicts["refused"] >= 10
+
+
+def parent_decompose(f, basis_provider):
+    """decompose as it was when each peel step re-reduced the supplied basis,
+    raised the seed one step at a time and subtracted by adding the
+    negation: the oracle of the supplied-basis path."""
+    if f.is_zero:
+        return Decomposition(None, f.truncation, (), None)
+    sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
+    k, trunc, rem = f.weight, f.truncation, f
+    terms, e2_term = [], None
+    while not rem.is_zero:
+        p = rem.depth
+        w = k - 2 * p
+        top = rem._cols[p]
+        if w == 0 and p >= 1:
+            if any(top[1:]):
+                raise DecompositionError(
+                    "depth-top column of weight-0 type is not constant; "
+                    "not decomposable over supplied basis",
+                    residual=rem,
+                )
+            raised = stepwise_raise(eisenstein2(trunc), p - 1)
+            c = Fraction(top[0] * raised._den, rem._den * raised._cols[p][0])
+            e2_term = (p - 1, c)
+            rem = rem + (-(raised * c))
+            continue
+        if trunc < sturm(max(w, 0)):
+            raise InsufficientTruncationError(
+                f"truncation {trunc} below the dimension-detecting bound "
+                f"{sturm(max(w, 0))} for weight {w}"
+            )
+        basis = basis_provider(w) if w >= 0 else []
+        if any(b.truncation < trunc for b in basis):
+            raise InsufficientTruncationError(
+                f"basis for weight {w} truncated below the input truncation {trunc}"
+            )
+        cols = [t._cols[0] for t in (b.truncate(trunc) for b in basis) if not t.is_zero]
+        if any(reduce_by(reduced_echelon(cols, trunc + 1), top)):
+            raise DecompositionError("not decomposable over supplied basis", residual=rem)
+        g = top_seed(rem)
+        new_rem = rem + (-stepwise_raise(g, p))
+        if not new_rem.is_zero and new_rem.depth >= p:
+            raise DecompositionError("not decomposable over supplied basis", residual=rem)
+        terms.append((p, g))
+        rem = new_rem
+    terms.sort(key=lambda t: t[0])
+    return Decomposition(k, trunc, tuple(terms), e2_term)
+
+
+def decompose_outcome(function, f, provider):
+    try:
+        return function(f, provider)
+    except NhmfError as exc:
+        return type(exc), str(exc), exc.data
+
+
+def test_a_supplied_basis_decomposes_as_before():
+    # The shared basis at the form's own truncation is read as stored rows;
+    # every other provider goes through the adapter that checks, truncates
+    # and reduces its basis.  Both must answer as the parent did: the same
+    # Decomposition, or the same error type, message and residual.
+    rng = random.Random(4242)
+    seen = set()
+    for trunc in (1, 2, 12, 30):
+        providers = [
+            Level1Basis(trunc + 7),
+            Level1Basis(max(trunc - 1, 0)),
+            lambda w, t=trunc: level1_basis(w, t + 3)[::-1] + [NearlyHolomorphicForm.zero(t)],
+        ]
+        for i in range(40):
+            f = random_decomposable(rng, trunc)
+            k = f.weight or 4
+            if i % 4 == 1:
+                r, n = rng.randrange(f.depth + 2), rng.randrange(trunc + 1)
+                f = f + NearlyHolomorphicForm.monomial(k, trunc, r, n, Fraction(1, 3))
+            elif i % 4 == 2:
+                f = f + NearlyHolomorphicForm.monomial(k, trunc, f.depth, 0, 5)
+            elif i % 4 == 3:
+                # A top column of weight-0 type that is not constant.
+                f = f + NearlyHolomorphicForm.monomial(k, trunc, k // 2, trunc, 1)
+            want = decompose_outcome(parent_decompose, f, shared_level1_basis(trunc))
+            assert decompose_outcome(decompose, f, None) == want, f
+            for provider in providers:
+                want = decompose_outcome(parent_decompose, f, provider)
+                assert decompose_outcome(decompose, f, provider) == want, (f, provider)
+                seen.add(want[1].split(" ")[0] if isinstance(want, tuple) else "ok")
+    # Decompositions, refusals off the span, the Sturm-type bound and a basis
+    # truncated below the form ("basis for weight ...").
+    assert seen == {"ok", "not", "depth-top", "truncation", "basis"}, seen
 
 
 _FRESH_DECOMPOSE = """

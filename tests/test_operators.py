@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from nhmf.decompose import leading_column_factor
 from nhmf.errors import NonEigenformError
 from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
 from nhmf.operators import (
@@ -260,3 +261,90 @@ class TestCharacterReference:
             "zero form has no eigenvalue",
             "form is not a Casimir eigenvector",
         }, seen
+
+
+def stepwise_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
+    """iterate_raise as it was when it applied raise_weight ell times, kept
+    as the oracle of the closed form."""
+    for _ in range(ell):
+        f = raise_weight(f)
+    return f
+
+
+def raise_coefficients(k: int, r: int, ell: int) -> list[int]:
+    """b_0, ..., b_ell for column r of a weight-k form, by the recurrence of
+    ell single raisings that the closed form in iterate_raise solves."""
+    b = [1] + [0] * ell
+    for i in range(ell):
+        for j in range(i + 1, 0, -1):
+            b[j] += (r + j - 1 - (k + 2 * i)) * b[j - 1]
+    return b
+
+
+def seeded_raise_inputs():
+    """One seeded form per weight -6..30, depth 0..3 and truncation 0..12,
+    each with a nonzero top column and its other columns dense, sparse or
+    zero."""
+    rng = random.Random(41)
+    for k in range(-6, 31):
+        for depth in range(4):
+            for trunc in range(13):
+                coeffs = {(depth, rng.randint(0, trunc)): Fraction(rng.randint(1, 9), rng.randint(1, 5))}
+                for r in range(depth):
+                    for n in rng.sample(range(trunc + 1), rng.randint(0, trunc + 1)):
+                        coeffs[(r, n)] = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+                yield NearlyHolomorphicForm(k, trunc, coeffs)
+
+
+class TestIterateRaiseReference:
+    def test_matches_the_stepwise_reference(self):
+        count = 0
+        for f in seeded_raise_inputs():
+            reference = f
+            for ell in range(9):
+                assert iterate_raise(f, ell)._key() == reference._key(), (f, ell)
+                reference = raise_weight(reference)
+                count += 1
+        assert count == 37 * 4 * 13 * 9
+
+    def test_zero_form_and_the_weight_two_orbit(self):
+        for trunc in (0, 3, 12):
+            zero = NearlyHolomorphicForm.zero(trunc)
+            e2 = eisenstein2(trunc)
+            for ell in range(9):
+                assert iterate_raise(zero, ell)._key() == zero._key()
+                assert iterate_raise(e2, ell)._key() == stepwise_raise(e2, ell)._key()
+                for m in range(4):
+                    orbit = stepwise_raise(e2, m)
+                    assert iterate_raise(orbit, ell)._key() == stepwise_raise(orbit, ell)._key()
+
+    def test_a_column_where_r_minus_one_is_the_weight(self):
+        # raise_weight adds nothing from column r - 1 into column r when
+        # r - 1 == k; the closed form must agree there.  Weight 1, depth 2:
+        # column 2 has r - 1 == k, and weight 0, depth 1: column 1.
+        for k, depth in ((1, 2), (0, 1), (2, 3)):
+            f = NearlyHolomorphicForm(k, 5, {(r, n): r + n + 1 for r in range(depth + 1) for n in range(6)})
+            for ell in range(9):
+                assert iterate_raise(f, ell)._key() == stepwise_raise(f, ell)._key(), (k, depth, ell)
+        # The X^l column of a raised weight-w seed is c(w, l) times the seed,
+        # which vanishes once l > -w: weight 0 at l = 1, weight -1 at l = 2.
+        assert iterate_raise(NearlyHolomorphicForm.monomial(0, 4, n=3), 1).x_column(1) == {}
+        assert iterate_raise(NearlyHolomorphicForm.monomial(-1, 4, n=3), 2).x_column(2) == {}
+
+    def test_coefficients_of_a_monomial_and_the_leading_factor(self):
+        # delta^(l) (X^r q^n) = sum_j b_j n^(l-j) X^(r+j) q^n, and for a
+        # holomorphic seed of weight w, b_l = c(w, l).
+        for k in range(-6, 13):
+            for r in range(3):
+                for ell in range(7):
+                    b = raise_coefficients(k, r, ell)
+                    if r == 0:
+                        assert b[ell] == leading_column_factor(k, ell), (k, ell)
+                    for n in (0, 1, 4):
+                        image = iterate_raise(NearlyHolomorphicForm(k, 4, {(r, n): 1}), ell)
+                        want = {(r + j, n): b[j] * n ** (ell - j) for j in range(ell + 1)}
+                        assert dict(image.terms()) == {key: c for key, c in want.items() if c}
+
+    def test_a_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="iteration count must be >= 0"):
+            iterate_raise(eisenstein(4, 3), -1)

@@ -1,5 +1,7 @@
 """Exact series core: arithmetic, truncation semantics, file format."""
 
+import json
+import random
 import time
 from fractions import Fraction
 
@@ -46,6 +48,58 @@ class TestAdd:
             f = form_of(w, 5, {(0, 1): 3})
             assert (f + z) == f.truncate(5)
             assert (z + f).weight == w
+
+
+def seeded_pairs(seed=23):
+    """Pairs of seeded forms of one weight, with truncations, depths and
+    denominators drawn independently, each pair also with a zero form and
+    with itself."""
+    rng = random.Random(seed)
+
+    def draw(weight):
+        trunc = rng.randint(0, 9)
+        coeffs = {
+            (rng.randint(0, 3), rng.randint(0, trunc)): Fraction(rng.randint(-20, 20), rng.choice([1, 2, 3, 6, 35]))
+            for _ in range(rng.randint(0, 7))
+        }
+        return NearlyHolomorphicForm(weight, trunc, coeffs)
+
+    for _ in range(400):
+        weight = rng.randint(-4, 12)
+        a, b = draw(weight), draw(weight)
+        yield a, b
+        yield a, a
+        yield a, NearlyHolomorphicForm.zero(rng.randint(0, 9))
+        yield NearlyHolomorphicForm.zero(rng.randint(0, 9)), b
+
+
+class TestSubtract:
+    def test_matches_adding_the_negation(self):
+        # a - b was a + (-b); the one-pass difference must store the same form.
+        for a, b in seeded_pairs():
+            assert (a - b)._key() == (a + (-b))._key(), (a, b)
+            assert (b - a)._key() == (b + (-a))._key(), (a, b)
+
+    def test_mixed_truncations_take_the_minimum(self):
+        f, g = eisenstein(4, 10), eisenstein(4, 6) * Fraction(1, 3)
+        for a, b in ((f, g), (g, f)):
+            diff = a - b
+            assert diff.truncation == 6
+            assert diff._key() == (a + (-b))._key()
+        assert (f - f.truncate(4)).is_zero and (f - f.truncate(4)).truncation == 4
+
+    def test_weight_mismatch_is_refused_as_for_a_sum(self):
+        a, b = form_of(2, 4, {(0, 0): 1}), form_of(4, 4, {(1, 0): 1})
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(WeightMismatchError) as want:
+                x + (-y)
+            with pytest.raises(WeightMismatchError) as got:
+                x - y
+            assert str(got.value) == str(want.value)
+
+    def test_a_non_form_is_not_subtracted(self):
+        with pytest.raises(TypeError):
+            eisenstein(4, 3) - 1
 
 
 class TestMul:
@@ -262,6 +316,37 @@ class TestFormFile:
             NearlyHolomorphicForm.from_doc(
                 {"weight": 2, "truncation": 3, "terms": [[0, 0, "x"]]}
             )
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"weight": 4, "truncation": 2, "terms": [[0, 1, null]]}',
+            '{"weight": 4, "truncation": 2, "terms": [[0, 1, 0.1]]}',
+            '{"weight": 4, "truncation": 2, "terms": [[0, 1, 1e400]]}',
+            '{"weight": 4, "truncation": 2, "terms": [[0, 1, 2.0]]}',
+            '{"weight": 4, "truncation": 2, "terms": [[0, 1, true]]}',
+            '{"weight": 4, "truncation": 2, "terms": [[0, 1, [1]]]}',
+            '{"weight": 4, "truncation": 2, "terms": [[0, 1, {}]]}',
+            '{"weight": true, "truncation": 2, "terms": [[0, 1, "1"]]}',
+            '{"weight": 4, "truncation": true, "terms": [[0, 1, "1"]]}',
+            '{"weight": 4, "truncation": 2, "terms": [[false, 1, "1"]]}',
+            '{"weight": 4, "truncation": 2, "terms": [[0, true, "1"]]}',
+            '{"weight": 4, "truncation": 5, "terms": [[false, false, null]]}',
+            '{"weight": 4, "truncation": 2, "terms": 5}',
+            '{"weight": 4, "truncation": 2, "terms": null}',
+        ],
+    )
+    def test_refuses_inexact_and_non_numeric_values(self, text):
+        # A JSON float is inexact (0.1 is not 1/10) or infinite (1e400), and
+        # null, a bool, a list or an object is no number: each is refused as
+        # a bad form file, never read as an approximation or a 0 or 1.
+        with pytest.raises(FormFileError):
+            NearlyHolomorphicForm.from_doc(json.loads(text))
+
+    def test_reads_integer_and_string_coefficients_exactly(self):
+        doc = {"weight": 4, "truncation": 2, "terms": [[0, 1, "0.1"], [1, 0, 3], [1, 2, "-2/6"]]}
+        f = NearlyHolomorphicForm.from_doc(doc)
+        assert dict(f.terms()) == {(0, 1): Fraction(1, 10), (1, 0): 3, (1, 2): Fraction(-1, 3)}
 
 
 # -- the integer column core against a dict-of-Fraction reference model --------
