@@ -27,6 +27,7 @@ from .operators import (
     infinitesimal_character,
     iterate_lower,
     iterate_raise,
+    leading_column_factor,
     lower_analytic,
     lower_weight,
     raise_analytic,
@@ -47,7 +48,6 @@ from .decompose import (
     Level1Basis,
     character_split,
     decompose,
-    leading_column_factor,
 )
 
 # The names each lazily loaded module re-exports.
@@ -105,6 +105,7 @@ __all__ = [
     "infinitesimal_character",
     "iterate_lower",
     "iterate_raise",
+    "leading_column_factor",
     "lower_analytic",
     "lower_weight",
     "raise_analytic",
@@ -121,7 +122,6 @@ __all__ = [
     "Level1Basis",
     "character_split",
     "decompose",
-    "leading_column_factor",
     *(name for names in _LAZY.values() for name in names),
 ]
 

@@ -1,7 +1,8 @@
 """Exact arithmetic helpers shared by every layer.
 
-Rational coercion, integer factoring (trial division, then
-Pollard rho with a step budget for large cofactors), and the one elimination
+Rational coercion, the one reader of rational literals from outside the
+program, integer factoring (trial division, then Pollard rho with a step
+budget for large cofactors), and the one elimination
 routine of the package: the reduced echelon form of integer vectors, on which
 the exact linear solver and decompose's span test are built.  Nothing here
 knows about forms.
@@ -9,6 +10,8 @@ knows about forms.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 from itertools import count
 from math import gcd, lcm
@@ -19,6 +22,50 @@ from .errors import DomainError
 
 def as_fraction(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
+
+
+def is_int(x) -> bool:
+    """x is an int and not a bool (JSON true and false are not numbers)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# The exponent of a literal such as "1.5e-3", as Fraction reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def read_rational(literal, error: type[Exception]) -> Fraction:
+    """The exact value of a rational literal from outside the program: an int
+    that is not a bool, or a string as Fraction reads it ("-3/4", "0.1", "1e-3").
+
+    Anything else raises error, as does a literal whose numerator or
+    denominator would have more digits than L = sys.get_int_max_str_digits(),
+    the most the interpreter converts to text.  Fraction reads each digit
+    string of a literal as an int, which bounds it by L digits already, so
+    without its exponent a literal's numerator is below 10^(2L) and its
+    denominator at most 10^L.  An exponent e with |e| > 3L therefore puts one
+    of them past L digits unless the value is 0, and such a literal is
+    refused before 10^|e| is built.
+    """
+    if not (is_int(literal) or isinstance(literal, str)):
+        raise error(f"bad rational literal {literal!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    exponent = _EXPONENT.search(literal) if isinstance(literal, str) else None
+    try:
+        if limit and exponent and abs(int(exponent[1])) > 3 * limit:
+            # The mantissa alone: its value times 10^e is 0 or too long.
+            value = Fraction(literal[: exponent.start()] + "e0")
+            too_long = value != 0
+        else:
+            value = Fraction(literal)
+            too_long = limit and any(
+                x.bit_length() > 3 * limit and x >= 10**limit
+                for x in (abs(value.numerator), value.denominator)
+            )
+    except (ValueError, ZeroDivisionError) as exc:
+        raise error(f"bad rational literal {literal!r}") from exc
+    if too_long:
+        raise error(f"a rational literal has more than {limit} digits")
+    return value
 
 
 # Trial division stops below this bound; a cofactor it leaves composite goes

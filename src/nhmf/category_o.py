@@ -27,11 +27,13 @@ from fractions import Fraction
 from typing import Optional
 
 from .arith import as_fraction
-from .decompose import leading_column_factor, raised_e2
+from .decompose import raised_e2, top_seed
 from .errors import AmbiguousModuleError, DomainError
 from .generators import MAX_DEGREE, MAX_WEIGHT
 from .laurent import constant_term_report, weight_parity
-from .operators import InfinitesimalCharacter, infinitesimal_character, scalar_ratio
+from .operators import (
+    InfinitesimalCharacter, infinitesimal_character, leading_column_factor, scalar_ratio,
+)
 from .series import NearlyHolomorphicForm
 
 
@@ -224,7 +226,7 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClas
     # the seed is constant.  At w = 0 that is the trivial module, else a free
     # weight-0 seed; at w < 0 it is the finite quotient of the Verma with
     # non-dominant highest weight.
-    if not any(f._cols[m][1:]):
+    if top_seed(f).is_constant_series():
         return trivial() if w == 0 else finite(2 - w)
     return verma(w)
 

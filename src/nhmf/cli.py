@@ -13,10 +13,10 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import __version__
+from .arith import is_int, read_rational
 from .decompose import decompose
 from .errors import DomainError, FormFileError, NhmfError, UsageError
 from .generators import BinaryForm, eisenstein, eisenstein2, theta_series
@@ -81,13 +81,6 @@ def _read_form(path: str) -> NearlyHolomorphicForm:
     return NearlyHolomorphicForm.from_doc(doc)
 
 
-def _frac_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise UsageError(f"bad rational argument {text!r}") from exc
-
-
 def _int_arg(text: str) -> int:
     try:
         return int(text)
@@ -126,7 +119,7 @@ def _constant_term(args) -> dict:
 def _hilbert(args) -> dict:
     from .quadratic import Place, hilbert_symbol
 
-    a, b = _frac_arg(args.a), _frac_arg(args.b)
+    a, b = read_rational(args.a, UsageError), read_rational(args.b, UsageError)
     place = Place.parse(args.v)
     return {
         "a": str(a),
@@ -139,7 +132,7 @@ def _hilbert(args) -> dict:
 def _invariants(args) -> dict:
     from .quadratic import QuadSpace2D, local_invariants, relevant_places
 
-    space = QuadSpace2D(_frac_arg(args.a1), _frac_arg(args.a2))
+    space = QuadSpace2D(read_rational(args.a1, UsageError), read_rational(args.a2, UsageError))
     places = relevant_places(space.a1, space.a2, space.discriminant)
     return {
         "a1": str(space.a1),
@@ -165,11 +158,25 @@ def _coherent(args) -> dict:
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise UsageError(f"collection argument is not valid JSON: {exc}") from exc
     try:
-        disc = Fraction(doc["discriminant"])
-        eps = {Place.parse(key): int(val) for key, val in doc.get("epsilons", {}).items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        disc, epsilons = doc["discriminant"], doc.get("epsilons", {})
+    except (KeyError, TypeError) as exc:
         raise UsageError(f"bad collection document: {exc}") from exc
+    if not isinstance(epsilons, dict):
+        raise UsageError("bad collection document: epsilons must be a JSON object")
+    disc = read_rational(disc, UsageError)
+    eps = {Place.parse(key): _epsilon(val) for key, val in epsilons.items()}
     return check_coherence(Collection.of(disc, eps)).to_json()
+
+
+def _epsilon(value) -> int:
+    """A Hasse sign as a collection states it: an int that is not a bool, or
+    a string that reads as one.  A JSON float such as -1.5 is no sign."""
+    if is_int(value) or isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:  # not an integer, or past the digit limit
+            pass
+    raise UsageError(f"bad collection document: epsilon {value!r} is not an integer")
 
 
 def _reducible(args) -> dict:
@@ -178,7 +185,8 @@ def _reducible(args) -> dict:
     order = int(args.mu_order) if args.mu_order in ("1", "2") else "other"
     mu = CharacterDescriptor(order=order, unramified=not args.ramified, real_sign=args.real_sign)
     residue = "real" if args.q == "real" else _int_arg(args.q)
-    verdict = reducibility(residue, mu, _frac_arg(args.s_re), _frac_arg(args.s_im))
+    s_re, s_im = read_rational(args.s_re, UsageError), read_rational(args.s_im, UsageError)
+    verdict = reducibility(residue, mu, s_re, s_im)
     return verdict.to_json()
 
 

@@ -41,19 +41,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from typing import Callable, Iterator, Optional
 
 from .arith import reduce_by, reduced_echelon
 from .errors import DecompositionError, InsufficientTruncationError
 from .generators import eisenstein2, level1_basis
-from .operators import InfinitesimalCharacter, iterate_raise
+from .operators import InfinitesimalCharacter, iterate_raise, leading_column_factor
 from .series import NearlyHolomorphicForm
-
-
-def leading_column_factor(w: int, ell: int) -> int:
-    """c(w, l): the X^l column of delta^(l) g is c(w, l) * g for holomorphic g of weight w."""
-    return prod(-(w + j) for j in range(ell))
 
 
 def top_seed(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:

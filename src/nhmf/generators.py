@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
+from .arith import is_int
 from .errors import DomainError
 from .series import NearlyHolomorphicForm
 
@@ -90,7 +91,7 @@ def _divisor_sums(e: int, truncation: int) -> list[int]:
 
 
 def _check_truncation(truncation: int) -> None:
-    if not isinstance(truncation, int) or not 0 <= truncation <= MAX_TRUNCATION:
+    if not is_int(truncation) or not 0 <= truncation <= MAX_TRUNCATION:
         raise DomainError(
             f"truncation must be an integer in 0..{MAX_TRUNCATION}, got {truncation!r}"
         )

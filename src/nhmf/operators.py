@@ -6,13 +6,12 @@ integer monomial rules, extended linearly:
     raise_weight  (delta_k):  X^r q^n  ->  n X^r q^n + (r - k) X^(r+1) q^n
     lower_weight  (Lambda):   X^r q^n  ->  r X^(r-1) q^n
 
-Both act column by column on the integer storage of :mod:`series`, over an
-unchanged common denominator.
-
-The l-fold raising delta^(l) = delta_(k+2l-2) o ... o delta_k has a closed
-form (Zagier, *The 1-2-3 of Modular Forms*, 5.2, in these coordinates).
-Write theta for q d/dq, which multiplies the coefficient of q^n by n.  For the
-column f_r in front of X^r of a weight-k form,
+Both are the l = 1 case of a closed form for their l-fold iterates.  The
+l-fold lowering is Lambda^(l):  X^r q^n  ->  r! / (r - l)! X^(r-l) q^n, zero
+for r < l.  The l-fold raising delta^(l) = delta_(k+2l-2) o ... o delta_k has
+a closed form too (Zagier, *The 1-2-3 of Modular Forms*, 5.2, in these
+coordinates).  Write theta for q d/dq, which multiplies the coefficient of q^n
+by n.  For the column f_r in front of X^r of a weight-k form,
 
     delta^(l) (f_r X^r) = sum_{j=0}^{l} b_j theta^(l-j) f_r X^(r+j),
     b_j = C(l, j) (a - l + 1) (a - l + 2) ... (a - l + j),   a = r - k.
@@ -20,8 +19,11 @@ column f_r in front of X^r of a weight-k form,
 Applying the monomial rule once more at weight kappa = k + 2l gives the
 recurrence b_j <- b_j + (r + j - 1 - kappa) b_(j-1) (from b_0 = 1), which the
 product solves.  For a holomorphic seed (r = 0) of weight w, b_l is c(w, l),
-the factor of :func:`decompose.leading_column_factor`.  :func:`iterate_raise`
-applies the closed form in one pass, so its cost grows like l, not l^2.
+the factor of :func:`leading_column_factor`.  :func:`iterate_raise` and
+:func:`iterate_lower` apply the closed forms in one pass, column by column on
+the integer storage of :mod:`series` over an unchanged common denominator, so
+their cost grows like l, not l^2.  They are the only two column kernels of
+the sl2 action.
 
 These are the rational-preserving normalizations.  The analytic operators
 
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm, prod
 from operator import add, mul
 from typing import NamedTuple
 
@@ -54,29 +57,19 @@ from .pi_scalar import MINUS_FOUR_PI, MINUS_INV_FOUR_PI, PiScalar
 from .series import NearlyHolomorphicForm
 
 
+def leading_column_factor(w: int, ell: int) -> int:
+    """c(w, l): the X^l column of delta^(l) g is c(w, l) * g for holomorphic g of weight w."""
+    return prod(-(w + j) for j in range(ell))
+
+
 def raise_weight(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     """delta_k: weight k -> k + 2, preserving rational coefficients."""
-    if f.is_zero:
-        return f
-    k = f.weight
-    cols = f._cols
-    ns = range(f.truncation + 1)
-    out = []
-    for r, col in enumerate(cols):
-        image = list(map(mul, ns, col))
-        if r and r - 1 != k:
-            image = list(map(add, image, map((r - 1 - k).__mul__, cols[r - 1])))
-        out.append(image)
-    out.append(list(map((len(cols) - 1 - k).__mul__, cols[-1])))
-    return NearlyHolomorphicForm._from_columns(k + 2, f.truncation, f._den, out)
+    return iterate_raise(f, 1)
 
 
 def lower_weight(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     """Lambda: weight k -> k - 2; annihilates exactly the holomorphic forms."""
-    if f.is_zero:
-        return f
-    out = [list(map(r.__mul__, col)) for r, col in enumerate(f._cols) if r]
-    return NearlyHolomorphicForm._from_columns(f.weight - 2, f.truncation, f._den, out)
+    return iterate_lower(f, 1)
 
 
 def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
@@ -111,11 +104,17 @@ def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
 
 
 def iterate_lower(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
+    """Lambda^(l), weight k -> k - 2l; l = 0 is the identity.
+
+    One pass by the closed form of the module docstring: column r >= l of f,
+    times r! / (r - l)!, is column r - l of the image.
+    """
     if ell < 0:
         raise ValueError("iteration count must be >= 0")
-    for _ in range(ell):
-        f = lower_weight(f)
-    return f
+    if not ell or f.is_zero:
+        return f
+    out = [list(map(perm(r, ell).__mul__, col)) for r, col in enumerate(f._cols[ell:], ell)]
+    return NearlyHolomorphicForm._from_columns(f.weight - 2 * ell, f.truncation, f._den, out)
 
 
 class ScaledForm(NamedTuple):

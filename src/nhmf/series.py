@@ -40,6 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg, sub
 
+from .arith import is_int, read_rational
 from .errors import DomainError, FormFileError, WeightMismatchError
 
 
@@ -47,18 +48,6 @@ from .errors import DomainError, FormFileError, WeightMismatchError
 # may store at most this many coefficients, (depth + 1) * (truncation + 1),
 # since the columns are stored densely.
 MAX_FILE_ENTRIES = 10**6
-
-
-def _is_int(x) -> bool:
-    """x is an int and not a bool (JSON true and false are not numbers)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def frac_from_str(s: str | int) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormFileError(f"bad rational literal {s!r}") from exc
 
 
 def _scaled(col, s: int, length: int):
@@ -148,7 +137,7 @@ class NearlyHolomorphicForm:
         a nonzero form past MAX_FILE_ENTRIES stored coefficients is refused
         as out-of-domain before any is allocated.
         """
-        if not isinstance(truncation, int) or truncation < 0:
+        if not is_int(truncation) or truncation < 0:
             raise ValueError(f"truncation must be a non-negative integer, got {truncation!r}")
         data: dict[tuple[int, int], Fraction] = {}
         if coeffs:
@@ -160,7 +149,7 @@ class NearlyHolomorphicForm:
                 c = Fraction(c)
                 if c:
                     data[(r, n)] = c
-        if data and not isinstance(weight, int):
+        if data and not is_int(weight):
             raise ValueError(f"weight must be an integer, got {weight!r}")
         depth = max((r for r, _ in data), default=-1)
         if data and (depth + 1) * (truncation + 1) > MAX_FILE_ENTRIES:
@@ -339,7 +328,7 @@ class NearlyHolomorphicForm:
             raise ValueError(
                 f"cannot extend truncation {self._trunc} to {new_truncation}"
             )
-        if not isinstance(new_truncation, int) or new_truncation < 0:
+        if not is_int(new_truncation) or new_truncation < 0:
             raise ValueError(
                 f"truncation must be a non-negative integer, got {new_truncation!r}"
             )
@@ -404,7 +393,7 @@ class NearlyHolomorphicForm:
             terms = doc["terms"]
         except (KeyError, TypeError) as exc:
             raise FormFileError(f"missing form field: {exc}") from exc
-        if not (_is_int(weight) and _is_int(trunc)) or trunc < 0:
+        if not (is_int(weight) and is_int(trunc)) or trunc < 0:
             raise FormFileError("weight/truncation must be integers, truncation >= 0")
         if not isinstance(terms, list):
             raise FormFileError("terms must be a list of [r, n, coefficient] entries")
@@ -414,15 +403,13 @@ class NearlyHolomorphicForm:
                 r, n, c = item
             except (ValueError, TypeError) as exc:
                 raise FormFileError(f"bad term entry {item!r}") from exc
-            if not (_is_int(r) and _is_int(n)):
+            if not (is_int(r) and is_int(n)):
                 raise FormFileError(f"bad exponents in term {item!r}")
             if n > trunc or r < 0 or n < 0:
                 raise FormFileError(f"term {item!r} outside the stated truncation")
-            if not (isinstance(c, str) or _is_int(c)):
-                # A JSON float (0.1, 1e400) is inexact or infinite, and
-                # null, a bool, a list or an object is no number at all.
-                raise FormFileError(f"coefficient in term {item!r} is not a rational literal or an integer")
-            value = frac_from_str(c)
+            # A JSON float (0.1, 1e400) is inexact or infinite, and null, a
+            # bool, a list or an object is no number at all.
+            value = read_rational(c, FormFileError)
             if not value:
                 raise FormFileError(f"explicit zero coefficient in term {item!r}")
             if (r, n) in coeffs:

@@ -1,13 +1,15 @@
 """Shared arithmetic helpers: factoring against brute force, the exact solver."""
 
 import random
+import sys
+import time
 from fractions import Fraction
 from math import isqrt, prod
 
 import pytest
 
-from nhmf.arith import is_prime, prime_factors, prime_power_base, solve_exact
-from nhmf.errors import DomainError
+from nhmf.arith import is_prime, prime_factors, prime_power_base, read_rational, solve_exact
+from nhmf.errors import DomainError, UsageError
 
 N_MAX = 2000
 
@@ -216,3 +218,47 @@ def test_pollard_rho_budget_leaves_factors_near_1e10():
     # The step budget refuses 16-digit factor pairs (see test_cli) but not these.
     assert list(prime_factors(9999999967 * 10000000019)) == [9999999967, 10000000019]
     assert list(prime_factors(99999999977 * 100000000003)) == [99999999977, 100000000003]
+
+
+class TestReadRational:
+    @pytest.mark.parametrize(
+        "literal",
+        ["0", "-3/4", " 10/9 ", "0.1", "1.5e-3", "2E+3", "1_000", ".5e1", "-0e5", "12e-20", 7, -2, 0],
+    )
+    def test_reads_what_fraction_reads(self, literal):
+        value = read_rational(literal, UsageError)
+        assert type(value) is Fraction and value == Fraction(literal)
+
+    @pytest.mark.parametrize(
+        "literal", [True, False, None, 0.1, 1e400, [1], {}, "", "1/0", "1/2e3", "e5", "1e", "0x10"]
+    )
+    def test_refuses_what_is_no_exact_literal(self, literal):
+        with pytest.raises(UsageError, match="bad rational literal"):
+            read_rational(literal, UsageError)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit"
+    )
+    def test_a_value_past_the_digit_limit_is_refused_before_it_is_built(self):
+        limit = sys.get_int_max_str_digits()
+        accepted = {
+            f"1e{limit - 1}": 10 ** (limit - 1),
+            f"-1e-{limit - 1}": Fraction(-1, 10 ** (limit - 1)),
+            "9" * limit: int("9" * limit),
+            "0e10000000": 0,
+            "-0.000e-99999999": 0,
+        }
+        refused = [
+            f"1e{limit}", f"1e-{limit}", f"5e{3 * limit}", f"5e{3 * limit + 1}",
+            "1e10000000", "-1.5e-10000000", "0.5e10000000", "9" * limit + "e1",
+            "9" * (limit // 2 + 1) + "." + "9" * (limit // 2 + 1), 10**limit,
+        ]
+        for literal, want in accepted.items():
+            start = time.perf_counter()
+            assert read_rational(literal, UsageError) == want
+            assert time.perf_counter() - start < 1.0
+        for literal in refused:
+            start = time.perf_counter()
+            with pytest.raises(UsageError, match=f"more than {limit} digits"):
+                read_rational(literal, UsageError)
+            assert time.perf_counter() - start < 1.0

@@ -194,6 +194,40 @@ class TestErrors:
             out, err = capsys.readouterr()
             assert out == "" and json.loads(err)["error"] == "bad-form-file", (command, err)
 
+    @pytest.mark.parametrize(
+        "collection",
+        [
+            '{"discriminant": 0.1, "epsilons": {}}',
+            '{"discriminant": true, "epsilons": {}}',
+            '{"discriminant": null, "epsilons": {}}',
+            '{"discriminant": [-1], "epsilons": {}}',
+            '{"discriminant": "-1", "epsilons": {"3": -1.5, "7": -1}}',
+            '{"discriminant": "-1", "epsilons": {"3": -1.0, "7": -1}}',
+            '{"discriminant": "-1", "epsilons": {"3": true}}',
+            '{"discriminant": "-1", "epsilons": {"3": null}}',
+            '{"discriminant": "-1", "epsilons": {"3": "-1.5"}}',
+            '{"discriminant": "-1", "epsilons": {"3": [-1]}}',
+            '{"discriminant": "-1", "epsilons": [-1]}',
+            '{"discriminant": "-1", "epsilons": null}',
+        ],
+    )
+    def test_a_collection_value_that_is_not_exact_is_a_usage_error(self, collection, capsys):
+        # 0.1 as a JSON float is not 1/10, -1.5 is no sign to truncate to -1,
+        # and true is no 1: the discriminant is a rational literal or an
+        # integer, each epsilon an integer or a string that reads as one.
+        assert main(["local", "coherent", collection]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "usage", err
+
+    def test_a_collection_reads_integer_and_string_values_exactly(self):
+        want = payload(["local", "coherent", '{"discriminant": "-1", "epsilons": {"3": -1, "7": -1}}'])
+        for collection in (
+            '{"discriminant": -1, "epsilons": {"3": -1, "7": -1}}',
+            '{"discriminant": "-2/2", "epsilons": {"3": "-1", "7": " -1 "}}',
+            '{"discriminant": "-1e0", "epsilons": {"3": -1, "7": -1}}',
+        ):
+            assert payload(["local", "coherent", collection]) == want
+
     def test_domain_error_code(self):
         result = run(["eis", "--k", "3", "--trunc", "4"])
         assert result.code == "out-of-domain"
@@ -431,33 +465,57 @@ def test_numbers_past_the_interpreter_digit_limit_are_out_of_domain(command, doc
 _PAST_THE_DIGIT_LIMIT = "9" * 4301
 
 
+_FORM_COEFFICIENT = '{"weight": 4, "truncation": 3, "terms": [[0, 1, "%s"]]}'
+
+
 @pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no digit limit"
 )
 @pytest.mark.parametrize(
-    "command, text, code",
+    "command, text, code, literal",
     [
-        (["raise"], '{"weight": %s, "truncation": 3, "terms": [[0, 1, "1"]]}', "bad-form-file"),
-        (["raise"], '{"weight": 4, "truncation": 3, "terms": [[0, 1, "%s"]]}', "bad-form-file"),
-        (["local", "coherent"], '{"discriminant": "-1", "epsilons": {"2": %s}}', "usage"),
-        (["local", "coherent"], '{"discriminant": "%s", "epsilons": {"2": 1}}', "usage"),
+        (["raise"], '{"weight": %s, "truncation": 3, "terms": [[0, 1, "1"]]}', "bad-form-file",
+         _PAST_THE_DIGIT_LIMIT),
+        (["raise"], _FORM_COEFFICIENT, "bad-form-file", _PAST_THE_DIGIT_LIMIT),
+        (["local", "coherent"], '{"discriminant": "-1", "epsilons": {"2": %s}}', "usage",
+         _PAST_THE_DIGIT_LIMIT),
+        (["local", "coherent"], '{"discriminant": "%s", "epsilons": {"2": 1}}', "usage",
+         _PAST_THE_DIGIT_LIMIT),
+        (["raise"], _FORM_COEFFICIENT, "bad-form-file", "1e10000000"),
+        (["raise"], _FORM_COEFFICIENT, "bad-form-file", "-1.5e-10000000"),
+        (["raise"], _FORM_COEFFICIENT, "bad-form-file", "1e4300"),
+        (["local", "coherent"], '{"discriminant": "%s", "epsilons": {"2": 1}}', "usage",
+         "1e10000000"),
+        (["local", "invariants", "1"], "%s", "usage", "1e10000000"),
+        (["local", "hilbert", "3", "1e-1000000"], "%s", "usage", "5"),
+        (["local", "reducible", "--q", "3", "--s-re"], "%s", "usage", "1e2000000"),
     ],
-    ids=["form-weight", "form-coefficient", "coherent-epsilon", "coherent-discriminant"],
+    ids=[
+        "form-weight", "form-coefficient", "coherent-epsilon", "coherent-discriminant",
+        "form-coefficient-exponent", "form-coefficient-negative-exponent",
+        "form-coefficient-value", "coherent-discriminant-exponent", "rational-exponent",
+        "rational-negative-exponent", "rational-argument-exponent",
+    ],
 )
 def test_an_input_number_past_the_digit_limit_gets_the_code_of_its_input(
-    command, text, code, tmp_path
+    command, text, code, literal, tmp_path
 ):
     # A number of 4301 digits is refused where it is read, whether it is a
     # JSON integer (which json.loads refuses) or a string (which Fraction or
     # int refuses): a form file answers bad-form-file, a collection usage.
-    text = text % _PAST_THE_DIGIT_LIMIT
+    # So is a literal whose value would have more than 4300 digits, such as
+    # 1e4300, and one with a large exponent is refused before its power of
+    # ten is built.
+    text = text % literal
     if command == ["raise"]:
         path = tmp_path / "form.json"
         path.write_text(text)
         command = [*command, "--in", str(path)]
     else:
         command = [*command, text]
+    start = time.perf_counter()
     assert run(command).code == code
+    assert time.perf_counter() - start < 1.0
 
 
 def test_a_skewed_theta_form_answers_quickly():

@@ -228,6 +228,22 @@ def test_past_the_size_bounds_is_out_of_domain(call):
         call()
 
 
+@pytest.mark.parametrize("truncation", [True, False])
+def test_a_bool_is_no_truncation(truncation):
+    # True is an int to isinstance, yet eisenstein(4, True).to_doc() wrote
+    # "truncation": true, which from_doc refuses.
+    calls = [
+        lambda: eisenstein(4, truncation),
+        lambda: eisenstein2(truncation),
+        lambda: level1_basis(12, truncation),
+        lambda: theta_series(BinaryForm(1, 0, 1), truncation),
+        lambda: delta_cusp(truncation),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="truncation must be an integer"):
+            call()
+
+
 def test_at_the_size_bounds_generators_answer():
     assert eisenstein2(MAX_TRUNCATION).truncation == MAX_TRUNCATION
     assert eisenstein(4, MAX_TRUNCATION).coefficient(0, MAX_TRUNCATION) == 240 * divisor_power_sum(

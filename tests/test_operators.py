@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from nhmf.decompose import leading_column_factor
 from nhmf.errors import NonEigenformError
 from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
 from nhmf.operators import (
@@ -16,6 +15,7 @@ from nhmf.operators import (
     infinitesimal_character,
     iterate_lower,
     iterate_raise,
+    leading_column_factor,
     lower_analytic,
     lower_weight,
     raise_analytic,
@@ -348,3 +348,58 @@ class TestIterateRaiseReference:
     def test_a_negative_count_is_refused(self):
         with pytest.raises(ValueError, match="iteration count must be >= 0"):
             iterate_raise(eisenstein(4, 3), -1)
+
+
+def seeded_operator_inputs():
+    """The zero form, then one seeded form per weight -6..30 and depth 0..4,
+    at a truncation in 0..8, each with a nonzero top column and its other
+    columns dense, sparse or zero."""
+    rng = random.Random(43)
+    yield NearlyHolomorphicForm.zero(5)
+    for k in range(-6, 31):
+        for depth in range(5):
+            trunc = rng.randint(0, 8)
+            coeffs = {(depth, rng.randint(0, trunc)): Fraction(rng.randint(1, 9), rng.randint(1, 5))}
+            for r in range(depth):
+                for n in rng.sample(range(trunc + 1), rng.randint(0, trunc + 1)):
+                    coeffs[(r, n)] = Fraction(rng.randint(-30, 30), rng.randint(1, 7))
+            yield NearlyHolomorphicForm(k, trunc, coeffs)
+
+
+class TestIterateLowerReference:
+    def test_matches_the_analytic_oracle_applied_ell_times(self):
+        # Lambda^(l) by its closed form against l applications of L_k,
+        # differentiated term by term; l runs past the depth, where the
+        # image is the zero form.
+        count = 0
+        for f in seeded_operator_inputs():
+            reference = f
+            for ell in range(7):
+                got = iterate_lower(f, ell)
+                assert got._key() == reference._key(), (f, ell)
+                assert got.is_zero == (f.is_zero or ell > f.depth)
+                reference = oracle_lower(reference)
+                count += 1
+        assert count == (1 + 37 * 5) * 7
+
+    def test_raise_weight_matches_the_analytic_oracle(self):
+        # raise_weight is the l = 1 case of the closed form of iterate_raise.
+        for f in seeded_operator_inputs():
+            assert raise_weight(f)._key() == oracle_raise(f)._key(), f
+
+    def test_lowering_undoes_raising_up_to_the_leading_factor(self):
+        # Lambda^m delta^(m) g = m! c(w, m) g for holomorphic g of weight w:
+        # m lowerings keep only the top column X^m of delta^(m) g, which is
+        # c(w, m) g, and multiply it by m!.
+        count = 0
+        for w in range(0, 25, 2):
+            for g in level1_basis(w, 10):
+                for m in range(7):
+                    want = g * (math.factorial(m) * leading_column_factor(w, m))
+                    assert iterate_lower(iterate_raise(g, m), m)._key() == want._key(), (w, m)
+                    count += 1
+        assert count == 7 * sum(len(level1_basis(w, 0)) for w in range(0, 25, 2))
+
+    def test_a_negative_count_is_refused(self):
+        with pytest.raises(ValueError, match="iteration count must be >= 0"):
+            iterate_lower(eisenstein(4, 3), -1)

@@ -21,15 +21,15 @@ PUBLIC = {
     "pi_scalar": ["PiScalar"],
     "operators": [
         "InfinitesimalCharacter", "ScaledForm", "casimir", "casimir_eigenvalue",
-        "infinitesimal_character", "iterate_lower", "iterate_raise", "lower_analytic",
-        "lower_weight", "raise_analytic", "raise_weight",
+        "infinitesimal_character", "iterate_lower", "iterate_raise", "leading_column_factor",
+        "lower_analytic", "lower_weight", "raise_analytic", "raise_weight",
     ],
     "generators": [
         "BinaryForm", "bernoulli", "delta_cusp", "divisor_power_sum", "eisenstein",
         "eisenstein2", "level1_basis", "theta_series",
     ],
     "decompose": [
-        "Decomposition", "Level1Basis", "character_split", "decompose", "leading_column_factor",
+        "Decomposition", "Level1Basis", "character_split", "decompose",
     ],
     "laurent": [
         "ConstantTermReport", "LaurentScalar", "Verdict", "archimedean_factor",

@@ -179,6 +179,17 @@ def test_truncation_monotonicity():
         small.truncate(30)  # never extrapolate
 
 
+def test_a_bool_is_no_truncation_or_weight():
+    # True is an int to isinstance, yet a form built with it would write
+    # JSON true into its form file, which from_doc refuses.
+    for weight, trunc in ((4, True), (4, False), (True, 4)):
+        with pytest.raises(ValueError):
+            NearlyHolomorphicForm(weight, trunc, {(0, 0): 1})
+    for trunc in (True, False):
+        with pytest.raises(ValueError):
+            eisenstein(4, 6).truncate(trunc)
+
+
 class TestPiScalar:
     def test_sqrt_pi_squares_to_pi(self):
         sqrt_pi = PiScalar.pi_power(Fraction(1, 2))
