@@ -2,10 +2,10 @@
 
 Rational coercion, the one reader of rational literals from outside the
 program, integer factoring (trial division, then Pollard rho with a step
-budget for large cofactors), and the one elimination
-routine of the package: the reduced echelon form of integer vectors, on which
-the exact linear solver and decompose's span test are built.  Nothing here
-knows about forms.
+budget for large cofactors), a primality test (Miller-Rabin, exact below its
+bound), and the one elimination routine of the package: the reduced echelon
+form of integer vectors, on which the exact linear solver and decompose's
+span test are built.  Nothing here knows about forms.
 """
 
 from __future__ import annotations
@@ -177,7 +177,20 @@ def _pollard_rho(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and next(prime_factors(n)) == n
+    """Whether n is prime: below _MR_EXACT_BOUND, division by the
+    Miller-Rabin bases and then the strong probable prime test, exact there;
+    at and above it, the first prime factor, which may refuse n as
+    prime_factors does."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n < _MR_BASES[-1] ** 2:  # no prime factor up to the last base
+        return True
+    if n < _MR_EXACT_BOUND:
+        return _is_strong_probable_prime(n)
+    return next(prime_factors(n)) == n
 
 
 def prime_power_base(q: int) -> int:

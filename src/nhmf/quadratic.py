@@ -15,6 +15,12 @@ constituents.  Imaginary parts of the induction parameter are carried as
 exact rational multiples of pi*i/log(q), so the lattice conditions are
 decidable exactly.
 
+The places a family of values can see are found by relevant_places, which
+factors only what the primes found so far leave over; values go factors
+first, so a discriminant -a1*a2 passed after a1 and a2 costs no factoring,
+and is never refused when a1 and a2 factor.  The p-adic helpers work on
+numerators and denominators as ints and build no Fraction.
+
 Base field fixed to Q; the degree parameter elsewhere in the package is
 purely symbolic.
 """
@@ -69,40 +75,52 @@ class Place:
             raise DomainError(f"bad place {text!r}") from exc
 
 
-def _split(x: Fraction, p: int) -> tuple[int, Fraction]:
-    """(v, u) with x = p^v * u and u a p-adic unit; p is divided out once."""
-    if x == 0:
+def _terms(x) -> tuple[int, int]:
+    # The numerator and denominator of a rational; an int or a Fraction
+    # already carries them, so only other inputs build a Fraction.
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _split(n: int, d: int, p: int) -> tuple[int, int, int]:
+    """(v, n', d') with n/d = p^v * n'/d' and p dividing neither n' nor d';
+    n/d in lowest terms, so p is divided out of one of them only."""
+    if n == 0:
         raise DomainError("valuation of zero")
-    n, d, v = x.numerator, x.denominator, 0
+    v = 0
     while n % p == 0:
         n //= p
         v += 1
     while d % p == 0:
         d //= p
         v -= 1
-    return v, Fraction(n, d)
+    return v, n, d
 
 
 def padic_valuation(x: Fraction, p: int) -> int:
-    return _split(as_fraction(x), p)[0]
+    return _split(*_terms(x), p)[0]
 
 
 def unit_part(x: Fraction, p: int) -> Fraction:
-    return _split(as_fraction(x), p)[1]
+    _, n, d = _split(*_terms(x), p)
+    return Fraction(n, d)
 
 
-def _unit_mod(u: Fraction, modulus: int) -> int:
-    # u is a p-adic unit; reduce num * den^-1 mod modulus (den coprime).
-    num = u.numerator % modulus
-    den = u.denominator % modulus
-    return num * pow(den, -1, modulus) % modulus
+def _unit_mod(n: int, d: int, modulus: int) -> int:
+    # n/d with d prime to modulus, reduced mod modulus.
+    return n * pow(d, -1, modulus) % modulus
+
+
+def _legendre(n: int, d: int, p: int) -> int:
+    # (n/d | p) for n, d prime to the odd prime p; (1/d | p) = (d | p), so
+    # n*d has the same symbol and no inverse is needed.
+    return 1 if pow(n * d % p, (p - 1) // 2, p) == 1 else -1
 
 
 def legendre(u: Fraction, p: int) -> int:
     """(u|p) for a p-adic unit u and odd prime p."""
-    r = _unit_mod(u, p)
-    s = pow(r, (p - 1) // 2, p)
-    return 1 if s == 1 else -1
+    return _legendre(*_terms(u), p)
 
 
 def hilbert_symbol(a, b, v: Place) -> int:
@@ -114,17 +132,21 @@ def hilbert_symbol(a, b, v: Place) -> int:
     p = 2:  (-1)^(eps(u_a) eps(u_b) + alpha omega(u_b) + beta omega(u_a))
             with eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
     """
-    a, b = as_fraction(a), as_fraction(b)
-    if a == 0 or b == 0:
+    (na, da), (nb, db) = _terms(a), _terms(b)
+    if na == 0 or nb == 0:
         raise DomainError("Hilbert symbol needs nonzero arguments")
     if v.kind == "real":
-        return -1 if (a < 0 and b < 0) else 1
+        return -1 if (na < 0 and nb < 0) else 1
     p = v.p
-    (alpha, ua), (beta, ub) = _split(a, p), _split(b, p)
+    (alpha, na, da), (beta, nb, db) = _split(na, da, p), _split(nb, db, p)
     if p != 2:
-        sign = -1 if (alpha * beta * (p - 1) // 2) % 2 else 1
-        return sign * legendre(ub, p) ** (alpha % 2) * legendre(ua, p) ** (beta % 2)
-    ra, rb = _unit_mod(ua, 8), _unit_mod(ub, 8)
+        symbol = -1 if (alpha * beta * (p - 1) // 2) % 2 else 1
+        if alpha % 2:
+            symbol *= _legendre(nb, db, p)
+        if beta % 2:
+            symbol *= _legendre(na, da, p)
+        return symbol
+    ra, rb = _unit_mod(na, da, 8), _unit_mod(nb, db, 8)
     eps_a, eps_b = (ra - 1) // 2 % 2, (rb - 1) // 2 % 2
     omega_a, omega_b = (ra * ra - 1) // 8 % 2, (rb * rb - 1) // 8 % 2
     exponent = eps_a * eps_b + alpha * omega_b + beta * omega_a
@@ -132,18 +154,18 @@ def hilbert_symbol(a, b, v: Place) -> int:
 
 
 def is_local_square(x, v: Place) -> bool:
-    x = as_fraction(x)
-    if x == 0:
+    n, d = _terms(x)
+    if n == 0:
         raise DomainError("square test needs a nonzero argument")
     if v.kind == "real":
-        return x > 0
+        return n > 0
     p = v.p
-    e, u = _split(x, p)
+    e, n, d = _split(n, d, p)
     if e % 2:
         return False
     if p == 2:
-        return _unit_mod(u, 8) == 1
-    return legendre(u, p) == 1
+        return _unit_mod(n, d, 8) == 1
+    return _legendre(n, d, p) == 1
 
 
 @dataclass(frozen=True)
@@ -199,12 +221,21 @@ def local_invariants(space: QuadSpace2D, v: Place) -> LocalInvariant:
 
 def relevant_places(*values: Fraction) -> list[Place]:
     """2, the real place, and every odd prime dividing a numerator or
-    denominator: outside these all symbols of the given values are +1."""
+    denominator: outside these all symbols of the given values are +1.
+
+    Each numerator and denominator is first divided by every prime already
+    found, and only the cofactor left is factored.  So values go factors
+    first: after a1 and a2, the discriminant -a1*a2 costs no factoring.
+    """
     primes = {2}
     for x in values:
-        x = as_fraction(x)
-        primes.update(prime_factors(abs(x.numerator)))
-        primes.update(prime_factors(x.denominator))
+        for m in map(abs, _terms(x)):
+            if m == 0:  # a zero numerator has no primes, and p divides it forever
+                continue
+            for p in primes:
+                while m % p == 0:
+                    m //= p
+            primes.update(prime_factors(m))
     return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
 
 

@@ -99,6 +99,26 @@ def test_large_primes_are_prime():
     assert list(prime_factors(2**64 + 1)) == [274177, 67280421310721]
 
 
+def test_is_prime_against_trial_division_below_2e5():
+    # A sieve is the trial-division oracle for every n at once.
+    bound = 2 * 10**5
+    sieve = bytearray([1]) * bound
+    sieve[0] = sieve[1] = 0
+    for d in range(2, isqrt(bound - 1) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = bytes(len(range(d * d, bound, d)))
+    assert [n for n in range(bound) if is_prime(n)] == [n for n in range(bound) if sieve[n]]
+
+
+def test_strong_pseudoprimes_and_carmichael_numbers_are_composite():
+    # The smallest strong pseudoprimes to the first 1, 4, 11 and 12 prime
+    # bases, and the two smallest Carmichael numbers.
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461, 561, 1105):
+        assert not is_prime(n), n
+        assert prod(prime_factors(n)) == n and len(list(prime_factors(n))) > 1
+    assert is_prime(10000000000037)
+
+
 def test_past_the_exact_miller_rabin_bound_is_refused_never_prime():
     # The smallest strong pseudoprime to the first 13 prime bases; both
     # factors are above the trial-division bound.

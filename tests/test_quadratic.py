@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import permutations
 from math import isqrt
 from pathlib import Path
 
@@ -108,6 +109,77 @@ def test_symbol_agrees_with_solvability_oracle():
                 if key not in cache:
                     cache[key] = solvability_oracle(key[0], key[1], p)
                 assert cache[key] == hilbert_symbol(a, b, place), (a, b, p)
+
+
+def trial_primes(n):
+    """The distinct prime factors of n >= 0 by trial division; none for 0 and 1."""
+    primes, d = set(), 2
+    while d * d <= n:
+        while n % d == 0:
+            primes.add(d)
+            n //= d
+        d += 1
+    return primes | ({n} if n > 1 else set())
+
+
+def test_relevant_places_in_any_order_match_trial_division():
+    rng = random.Random(616)
+    for _ in range(60):
+        values = [
+            Fraction(rng.randrange(0, 10**6) * rng.choice([1, -1]), rng.randrange(1, 1001))
+            for _ in range(3)
+        ]
+        values.append(-values[0] * values[1])
+        primes = {2}.union(*(trial_primes(abs(x.numerator)) | trial_primes(x.denominator) for x in values))
+        expected = [REAL] + [Place.finite(p) for p in sorted(primes)]
+        for order in permutations(values):
+            assert relevant_places(*order) == expected, order
+    assert relevant_places(0, Fraction(15, 7), Fraction(0)) == [REAL] + [
+        Place.finite(p) for p in (2, 3, 5, 7)
+    ]
+
+
+# Two primes whose product, the discriminant of <P, Q> up to sign, has no
+# factor below 10^13: Pollard rho alone would give up on it.
+P, Q = 10000000000037, 30000000000011
+PLACES_PQ = [REAL] + [Place.finite(p) for p in (2, P, Q)]
+
+
+def test_a_discriminant_after_its_factors_is_never_refactored(capsys):
+    assert relevant_places(P, Q, -P * Q) == PLACES_PQ
+    coll = collection_of(QuadSpace2D(P, Q))
+    assert {v for v, _ in coll.epsilons} == set(PLACES_PQ)
+    assert main(["local", "invariants", str(P), str(Q)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert [row["place"] for row in out["places"]] == ["real", "2", str(P), str(Q)]
+
+
+def square_class_representatives(p):
+    """One rational in each class of Q_p^* modulo squares."""
+    if p == 2:
+        return [1, -1, 5, -5, 2, -2, 10, -10]
+    nonresidue = next(u for u in range(2, p) if all((z * z - u) % p for z in range(p)))
+    return [1, nonresidue, p, nonresidue * p]
+
+
+def test_symbols_and_squares_agree_with_solvability_oracle_on_random_rationals():
+    # The Hilbert symbol is nondegenerate: x is a square in Q_p exactly when
+    # (x, c)_p = 1 for every square class c.
+    rng = random.Random(2718)
+
+    def rational(p):
+        num = rng.randrange(1, 10**6 + 1) * rng.choice([1, -1])
+        return Fraction(num, rng.randrange(1, 1001)) * Fraction(p) ** rng.randrange(-2, 3)
+
+    for p in (2, 3, 5, 7):
+        place, classes = Place.finite(p), square_class_representatives(p)
+        for _ in range(50):
+            a, b = rational(p), rational(p)
+            assert hilbert_symbol(a, b, place) == solvability_oracle(a, b, p), (a, b, p)
+            for x in (a, a * b * b):
+                square = all(solvability_oracle(x, c, p) == 1 for c in classes)
+                assert is_local_square(x, place) == square, (x, p)
+            assert is_local_square(a * a, place)
 
 
 class TestLocalSquares:
