@@ -4,8 +4,9 @@ Rational coercion, the one reader of rational literals from outside the
 program, integer factoring (trial division, then Pollard rho with a step
 budget for large cofactors), a primality test (Miller-Rabin, exact below its
 bound), and the one elimination routine of the package: the reduced echelon
-form of integer vectors, on which the exact linear solver and decompose's
-span test are built.  Nothing here knows about forms.
+form of integer vectors, on which decompose's span test and the membership
+test of verify's quasimodular closure are built.  Nothing here knows about
+forms.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import re
 import sys
 from fractions import Fraction
 from itertools import count
-from math import gcd, lcm
-from typing import Optional
+from math import gcd
 
 from .errors import DomainError
 
@@ -246,39 +246,3 @@ def _eliminate(v, r, pivot: int) -> list[int]:
     out = [a * x - b * y for x, y in zip(v, r)]
     g = gcd(*out)
     return [x // g for x in out] if g > 1 else out
-
-
-def solve_exact(columns, target) -> Optional[list[Fraction]]:
-    """Solve target = sum x_i columns_i over Fraction dicts; None if outside.
-
-    Columns and target map the same kind of key (an int, an (r, n) pair, ...)
-    to coefficients; a missing key is 0.  Free variables are set to 0, so an
-    independent set of columns gives the unique solution.
-
-    Each column i, times the lcm d_i of its denominators, is extended by its
-    coordinates (d_i at slot i) and a 0; the target, times d, by zero
-    coordinates and d.  Every vector (key part, coordinates, scale) then has
-    key part = sum coordinates_i * columns_i + scale * target, and reducing
-    the target by the reduced echelon form of the columns keeps that
-    identity, so a target reduced to a zero key part gives
-    target = sum (-coordinates_i / scale) * columns_i.
-    """
-    keys = sorted(set(target) | {k for col in columns for k in col})
-    width, ncols = len(keys), len(columns)
-
-    def cleared(col) -> tuple[list[int], int]:
-        values = [as_fraction(col.get(key, 0)) for key in keys]
-        den = lcm(*(x.denominator for x in values))
-        return [(x * den).numerator for x in values], den
-
-    vectors = []
-    for i, col in enumerate(columns):
-        v, den = cleared(col)
-        tail = [0] * (ncols + 1)
-        tail[i] = den
-        vectors.append(v + tail)
-    t, den = cleared(target)
-    rest = reduce_by(reduced_echelon(vectors, width), t + [0] * ncols + [den])
-    if any(rest[:width]):
-        return None
-    return [Fraction(-x, rest[-1]) for x in rest[width:-1]]

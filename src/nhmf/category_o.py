@@ -176,7 +176,7 @@ def classify_block(lam) -> BlockClassification:
     return BlockClassification(rep, classes, sequences)
 
 
-def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClass:
+def identify_module(f: NearlyHolomorphicForm, max_steps: Optional[int] = None) -> ModuleClass:
     """The indecomposable class generated by a Casimir eigenform.
 
     Fingerprints the operator orbit of f against the class list of its
@@ -185,8 +185,11 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClas
     seed, so the class is read off w, m and that column.  The Casimir of the
     eigenform check is the only operator applied, apart from the raised
     weight-two Eisenstein series compared with at w = 0.  Forms whose orbit
-    does not match a single class, or past the --max-steps budget
-    3m + max(0, 1 - w), raise AmbiguousModuleError listing the candidates.
+    does not match a single class raise AmbiguousModuleError listing the
+    candidates.
+
+    max_steps is deprecated and ignored: the call does the same work at any
+    depth, so no step budget applies.  It is still accepted, by position too.
     """
     if f.is_zero:
         raise DomainError("the zero form generates no module")
@@ -199,15 +202,6 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: int = 24) -> ModuleClas
     def ambiguous(msg):
         return AmbiguousModuleError(
             msg, candidates=[c.render() for c in block.classes]
-        )
-
-    # The budget is the --max-steps contract.  It counts what a lowering
-    # fingerprint spends: m lowers to the seed and 2m more for the L^m R^m
-    # probe, plus the finite-dimensionality probe for non-dominant seeds.
-    budget = 3 * m + max(0, 1 - w)
-    if budget > max_steps:
-        raise ambiguous(
-            f"needs {budget} operator applications, max_steps = {max_steps}"
         )
 
     if w == 0 and m >= 1:

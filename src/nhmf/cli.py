@@ -193,7 +193,7 @@ def _reducible(args) -> dict:
 def _identify(args) -> dict:
     from .category_o import identify_module
 
-    return identify_module(_read_form(args.infile), args.max_steps).to_json()
+    return identify_module(_read_form(args.infile)).to_json()
 
 
 def _catalog(args) -> dict:
@@ -272,7 +272,11 @@ def _build_parser() -> tuple[_Parser, tuple[str, ...]]:
     common(p, lambda args: decompose(_read_form(args.infile)).to_json(), with_in=True)
 
     p = sub.add_parser("identify", help="indecomposable module class generated by a form")
-    p.add_argument("--max-steps", type=int, default=24)
+    p.add_argument(
+        "--max-steps",
+        type=int,
+        help="deprecated and ignored: identify applies one Casimir at any depth",
+    )
     common(p, _identify, with_in=True)
 
     p = sub.add_parser("constant-term", help="Eisenstein constant-term report at s = k - 1")

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import prod
 from typing import Optional
@@ -181,8 +182,10 @@ class QuadSpace2D:
         if self.a1 == 0 or self.a2 == 0:
             raise DomainError("degenerate quadratic space")
 
-    @property
+    @cached_property
     def discriminant(self) -> Fraction:
+        """-a1*a2, computed on first use and kept; equality and hash read a1
+        and a2 only."""
         return -self.a1 * self.a2
 
     def to_json(self) -> dict:

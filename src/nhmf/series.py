@@ -142,7 +142,7 @@ class NearlyHolomorphicForm:
         data: dict[tuple[int, int], Fraction] = {}
         if coeffs:
             for (r, n), c in coeffs.items():
-                if not (isinstance(r, int) and isinstance(n, int)) or r < 0 or n < 0:
+                if not (is_int(r) and is_int(n)) or r < 0 or n < 0:
                     raise ValueError(f"bad exponent pair ({r}, {n})")
                 if n > truncation:
                     continue
@@ -324,13 +324,13 @@ class NearlyHolomorphicForm:
 
     def truncate(self, new_truncation: int) -> "NearlyHolomorphicForm":
         """Re-truncate to a smaller bound; extrapolation is refused."""
-        if new_truncation > self._trunc:
-            raise ValueError(
-                f"cannot extend truncation {self._trunc} to {new_truncation}"
-            )
         if not is_int(new_truncation) or new_truncation < 0:
             raise ValueError(
                 f"truncation must be a non-negative integer, got {new_truncation!r}"
+            )
+        if new_truncation > self._trunc:
+            raise ValueError(
+                f"cannot extend truncation {self._trunc} to {new_truncation}"
             )
         if new_truncation == self._trunc:
             return self

@@ -2,15 +2,21 @@
 
 These recompute expected values from first principles (analytic operator
 definitions, lattice enumeration, numeric evaluation) through code paths
-disjoint from the library internals they check.
+disjoint from the library internals they check.  The exception is
+solve_exact, an exact linear solver over the library's reduced echelon form:
+test_arith checks it against an independent Gauss-Jordan elimination, and
+the decompose and verify tests use it as the reference of their span tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from typing import Optional
 
 import pytest
 
+from nhmf.arith import as_fraction, reduce_by, reduced_echelon
 from nhmf.pi_scalar import PiScalar
 from nhmf.series import NearlyHolomorphicForm
 
@@ -75,6 +81,42 @@ def oracle_lower(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
             out[key] = value
     weight = f.weight - 2 if out else None
     return NearlyHolomorphicForm(weight, f.truncation, out)
+
+
+def solve_exact(columns, target) -> Optional[list[Fraction]]:
+    """Solve target = sum x_i columns_i over Fraction dicts; None if outside.
+
+    Columns and target map the same kind of key (an int, an (r, n) pair, ...)
+    to coefficients; a missing key is 0.  Free variables are set to 0, so an
+    independent set of columns gives the unique solution.
+
+    Each column i, times the lcm d_i of its denominators, is extended by its
+    coordinates (d_i at slot i) and a 0; the target, times d, by zero
+    coordinates and d.  Every vector (key part, coordinates, scale) then has
+    key part = sum coordinates_i * columns_i + scale * target, and reducing
+    the target by the reduced echelon form of the columns keeps that
+    identity, so a target reduced to a zero key part gives
+    target = sum (-coordinates_i / scale) * columns_i.
+    """
+    keys = sorted(set(target) | {k for col in columns for k in col})
+    width, ncols = len(keys), len(columns)
+
+    def cleared(col) -> tuple[list[int], int]:
+        values = [as_fraction(col.get(key, 0)) for key in keys]
+        den = lcm(*(x.denominator for x in values))
+        return [(x * den).numerator for x in values], den
+
+    vectors = []
+    for i, col in enumerate(columns):
+        v, den = cleared(col)
+        tail = [0] * (ncols + 1)
+        tail[i] = den
+        vectors.append(v + tail)
+    t, den = cleared(target)
+    rest = reduce_by(reduced_echelon(vectors, width), t + [0] * ncols + [den])
+    if any(rest[:width]):
+        return None
+    return [Fraction(-x, rest[-1]) for x in rest[width:-1]]
 
 
 def brute_divisor_sum(n: int, e: int) -> int:

@@ -8,8 +8,10 @@ from math import isqrt, prod
 
 import pytest
 
-from nhmf.arith import is_prime, prime_factors, prime_power_base, read_rational, solve_exact
+from nhmf.arith import is_prime, prime_factors, prime_power_base, read_rational
 from nhmf.errors import DomainError, UsageError
+
+from conftest import solve_exact
 
 N_MAX = 2000
 

@@ -81,16 +81,31 @@ class TestDecomposeIdentify:
         doc = payload(["identify", "--in", str(out)])
         assert doc == {"kind": "dual_verma", "lambda": "0"}
 
-    def test_ambiguous_module_candidates_are_a_json_array(self, tmp_path):
+    def test_max_steps_is_accepted_and_ignored(self, tmp_path):
+        # --max-steps is accepted and ignored, at any value.
         out = tmp_path / "e4.json"
         main(["eis", "--k", "4", "--trunc", "6", "--out", str(out)])
         raised = tmp_path / "r_e4.json"
         main(["raise", "--in", str(out), "--out", str(raised)])
-        result = run(["identify", "--in", str(raised), "--max-steps", "2"])
+        for budget in ([], ["--max-steps", "2"], ["--max-steps", "0"]):
+            assert payload(["identify", "--in", str(raised), *budget]) == {
+                "kind": "simple", "lambda": "4"
+            }
+
+    def test_ambiguous_module_candidates_are_a_json_array(self, tmp_path):
+        # A weight-two Casimir eigenform that is not a multiple of the
+        # weight-two seed: E2 without its q^1 coefficient.
+        e2 = NearlyHolomorphicForm.from_doc(payload(["e2", "--trunc", "8"]))
+        fake = NearlyHolomorphicForm(
+            2, 8, {key: value for key, value in e2.terms() if key != (0, 1)}
+        )
+        path = tmp_path / "fake.json"
+        path.write_text(json.dumps(fake.to_doc()))
+        result = run(["identify", "--in", str(path)])
         assert result.code == "ambiguous-module"
         doc = json.loads(result.text)
-        assert doc["message"] == "needs 3 operator applications, max_steps = 2"
-        assert doc["candidates"] == ["L(4)", "F_4", "N(-2)", "N(-2)^v", "P(4)"]
+        assert doc["message"] == "form is not a multiple of the raised weight-two seed"
+        assert doc["candidates"] == ["L(2)", "triv", "N(0)", "N(0)^v", "P(2)"]
 
 
 class TestConstantTerm:

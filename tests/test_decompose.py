@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nhmf.series
-from nhmf.arith import reduce_by, reduced_echelon, solve_exact
+from nhmf.arith import reduce_by, reduced_echelon
 from nhmf.decompose import (
     Decomposition,
     Level1Basis,
@@ -28,7 +28,7 @@ from nhmf.operators import infinitesimal_character, iterate_raise, raise_weight
 from nhmf.series import NearlyHolomorphicForm
 from nhmf.verify import random_decomposable
 
-from conftest import oracle_raise
+from conftest import oracle_raise, solve_exact
 from test_operators import stepwise_raise
 
 

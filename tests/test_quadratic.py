@@ -210,6 +210,15 @@ class TestLocalInvariants:
         inv = local_invariants(QuadSpace2D(2, 3), Place.finite(2))
         assert inv.epsilon == -1
 
+    def test_discriminant_is_computed_once(self):
+        space, fresh = QuadSpace2D(Fraction(2, 3), -5), QuadSpace2D(Fraction(2, 3), -5)
+        assert space.discriminant == Fraction(10, 3)
+        assert space.discriminant is space.discriminant
+        # The kept value takes no part in equality, hash or repr.
+        assert space == fresh and hash(space) == hash(fresh)
+        assert repr(space) == repr(fresh) == "QuadSpace2D(a1=Fraction(2, 3), a2=Fraction(-5, 1))"
+        assert space != QuadSpace2D(-5, Fraction(2, 3))
+
     def test_invariant_constraint_enforced(self):
         from nhmf.quadratic import LocalInvariant
 

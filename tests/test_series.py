@@ -190,6 +190,22 @@ def test_a_bool_is_no_truncation_or_weight():
             eisenstein(4, 6).truncate(trunc)
 
 
+def test_a_bool_is_no_exponent():
+    # True is an int to isinstance: {(True, 0): 1} would be stored at r = 1,
+    # and from_doc refuses JSON true as an exponent.
+    for key in ((True, 0), (0, True), (False, 0), (0, False)):
+        with pytest.raises(ValueError, match="bad exponent pair"):
+            NearlyHolomorphicForm(4, 3, {key: 1})
+
+
+def test_truncate_checks_the_type_before_comparing():
+    # The type is checked before the truncations are compared, so a str
+    # raises ValueError, not TypeError.
+    for trunc in ("3", 3.0, None, [3]):
+        with pytest.raises(ValueError, match="truncation must be a non-negative integer"):
+            eisenstein(4, 6).truncate(trunc)
+
+
 class TestPiScalar:
     def test_sqrt_pi_squares_to_pi(self):
         sqrt_pi = PiScalar.pi_power(Fraction(1, 2))
