@@ -9,19 +9,22 @@ stays literal.  Classical objects are derived from it by negation.
 Theta series enumerate the lattice points in a box around the Gauss-reduced
 form, quadratic in the radius; fine at desk scale.
 
-The divisor sums behind the Eisenstein coefficients come from one sieve over
-the truncation, not from factoring each n.
+The divisor sums behind the Eisenstein coefficients are built by
+multiplicativity over one table of least prime factors, not by factoring
+each n.
 
-Every generator refuses, before any work, a weight (or Bernoulli index) above
-MAX_WEIGHT and a truncation above MAX_TRUNCATION with DomainError.  At the
-bounds, on a 2-core x86 host with Python 3.11, a cold bernoulli(MAX_WEIGHT)
-takes about 0.3 s, eisenstein(4, MAX_TRUNCATION) about 0.01 s and
-eisenstein(MAX_WEIGHT, MAX_TRUNCATION) about 0.3 s more.  The products behind
-level1_basis multiply packed ints (Karatsuba, about the 1.6th power of the
-size), and the size is the truncation times the coefficient length, which
-grows with the weight: level1_basis(24, 2000) takes about 0.4 s and
-level1_basis(12, MAX_TRUNCATION) about 0.8 s, but level1_basis(100, 2000)
-about 10 s, and level1_basis(MAX_WEIGHT, MAX_TRUNCATION) far longer.
+Every generator refuses, before any work, a weight (or Bernoulli index) that
+is not an int or is above MAX_WEIGHT, and a truncation above MAX_TRUNCATION,
+with DomainError.  At the bounds, on a 2-core x86 host with Python 3.11, a
+cold bernoulli(MAX_WEIGHT) takes about 0.4 s, eisenstein(4, MAX_TRUNCATION)
+about 0.01 s and eisenstein(MAX_WEIGHT, MAX_TRUNCATION) about 0.15 s more.
+The products behind level1_basis multiply packed ints (Karatsuba, about the
+1.6th power of the size), and the size is the truncation times the
+coefficient length, which grows with the weight.  level1_basis takes one
+product at weight k per monomial, so level1_basis(24, 2000) takes about
+0.2 s and level1_basis(12, MAX_TRUNCATION) about 0.75 s, but
+level1_basis(100, 2000) about 6 s, and level1_basis(MAX_WEIGHT,
+MAX_TRUNCATION) far longer.
 """
 
 from __future__ import annotations
@@ -52,8 +55,8 @@ _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 def bernoulli(m: int) -> Fraction:
     """B_m with B_1 = -1/2, by the standard recurrence over the even indices."""
-    if not 0 <= m <= MAX_WEIGHT:
-        raise DomainError(f"bernoulli requires 0 <= m <= {MAX_WEIGHT}, got {m}")
+    if not is_int(m) or not 0 <= m <= MAX_WEIGHT:
+        raise DomainError(f"bernoulli requires an integer 0 <= m <= {MAX_WEIGHT}, got {m!r}")
     table = _BERNOULLI
     while len(table) <= m:
         j = len(table)
@@ -69,7 +72,11 @@ def bernoulli(m: int) -> Fraction:
 
 
 def divisor_power_sum(n: int, e: int) -> int:
-    """sigma_e(n) = sum of d^e over positive divisors d of n."""
+    """sigma_e(n) = sum of d^e over positive divisors d of n; 0 for n = 0."""
+    if not (is_int(n) and is_int(e)) or n < 0 or e < 0:
+        raise DomainError(
+            f"divisor_power_sum requires integers n >= 0 and e >= 0, got {n!r}, {e!r}"
+        )
     acc = 0
     for d in range(1, isqrt(n) + 1):
         if n % d == 0:
@@ -80,13 +87,28 @@ def divisor_power_sum(n: int, e: int) -> int:
 
 
 def _divisor_sums(e: int, truncation: int) -> list[int]:
-    """[0, sigma_e(1), ..., sigma_e(truncation)] by one sieve: d^e goes into
-    d itself and then into every larger multiple of d."""
-    sums = [0] + [d**e for d in range(1, truncation + 1)]
-    for d in range(1, truncation // 2 + 1):
-        p = d**e
-        for m in range(2 * d, truncation + 1, d):
-            sums[m] += p
+    """[0, sigma_e(1), ..., sigma_e(truncation)], by multiplicativity.
+
+    With p the least prime factor of n and p^a the power of p in n,
+    sigma_e(n) = sigma_e(p^a) * sigma_e(n / p^a), and
+    sigma_e(p^a) = 1 + p^e * sigma_e(p^(a-1)); p^e is computed once per prime.
+    """
+    least = list(range(truncation + 1))
+    # Larger p first, so that the least prime factor of a multiple is written last.
+    for p in range(isqrt(truncation), 1, -1):
+        least[p * p :: p] = [p] * ((truncation - p * p) // p + 1)
+    sums = [0] * (truncation + 1)
+    power = [1] * (truncation + 1)  # the power of n's least prime factor in n
+    if truncation:
+        sums[1] = 1
+    for n in range(2, truncation + 1):
+        p = least[n]
+        m = n // p
+        pa = power[n] = power[m] * p if least[m] == p else p
+        if pa == n:
+            sums[n] = 1 + (n**e if m == 1 else sums[p] - 1) * sums[m]
+        else:
+            sums[n] = sums[pa] * sums[n // pa]
     return sums
 
 
@@ -98,14 +120,14 @@ def _check_truncation(truncation: int) -> None:
 
 
 def _check_weight(k: int) -> None:
-    if k > MAX_WEIGHT:
-        raise DomainError(f"weight must be at most {MAX_WEIGHT}, got {k}")
+    if not is_int(k) or k > MAX_WEIGHT:
+        raise DomainError(f"weight must be an integer at most {MAX_WEIGHT}, got {k!r}")
 
 
 def eisenstein(k: int, truncation: int) -> NearlyHolomorphicForm:
     """E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n for even k >= 4; depth 0."""
-    if k % 2 or k < 4:
-        raise DomainError(f"eisenstein requires even k >= 4, got {k}")
+    if not is_int(k) or k % 2 or k < 4:
+        raise DomainError(f"eisenstein requires an even integer k >= 4, got {k!r}")
     _check_weight(k)
     _check_truncation(truncation)
     factor = Fraction(-2 * k) / bernoulli(k)
@@ -124,33 +146,52 @@ def eisenstein2(truncation: int) -> NearlyHolomorphicForm:
     return NearlyHolomorphicForm._from_columns(2, truncation, 1, [col, top])
 
 
-def level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicForm]:
-    """The monomials E4^a E6^b with 4a + 6b = k, a spanning set of M_k(SL_2(Z)).
+# k mod 12 -> (a0, b0): E4^a0 E6^b0 has the least weight 4 a0 + 6 b0 that is
+# k mod 12 (14 for k = 2 mod 12, where M_2 = 0).
+_HEAD = {0: (0, 0), 2: (2, 1), 4: (1, 0), 6: (0, 1), 8: (2, 0), 10: (1, 1)}
 
-    Empty for k odd, k = 2 or k < 0; [1] for k = 0.  The powers of E4 and E6
-    are built incrementally, one product per power, and each monomial with
-    a, b > 0 takes one more product.
+
+def level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicForm]:
+    """The monomials E4^a E6^b with 4a + 6b = k, a spanning set of M_k(SL_2(Z)),
+    in decreasing a.
+
+    Empty for k odd, k = 2 or k < 0; [1] for k = 0.  Otherwise the exponents
+    are a = a0 + 3i and b = b0 + 2j with i + j = m, m + 1 = dim M_k, so with
+    head = E4^a0 E6^b0, u = E4^3 and v = E6^2 the monomials are
+    (head u^i) v^(m-i).  E4^2, u and v are built once each, then the chains
+    head u^i and v^j, one product per step; each monomial then takes one
+    product at weight k, or none where a factor is 1.  That is about 3m + 4
+    products in all, against about 6m to build every power of E4 and E6
+    first (9 against 15 at k = 36).  A product costs more the higher its
+    weight, as its packed slots widen, so the saving is mostly in the
+    mid-weight powers that this does not build.
     """
     _check_weight(k)
     _check_truncation(truncation)
-    exponents = [(a, (k - 4 * a) // 6) for a in range(k // 4, -1, -1) if (k - 4 * a) % 6 == 0]
-    if not exponents:
+    if k % 2:
         return []
-    one = NearlyHolomorphicForm.constant(1, truncation)
+    a0, b0 = _HEAD[k % 12]
+    m = (k - 4 * a0 - 6 * b0) // 12
+    if m < 0:
+        return []
+    if k == 0:
+        return [NearlyHolomorphicForm.constant(1, truncation)]
 
-    def powers(w: int, top: int) -> list[NearlyHolomorphicForm]:
-        # [1, E_w, E_w^2, ..., E_w^top]
-        out = [one]
-        if top:
-            e = eisenstein(w, truncation)
-            out.append(e)
-            while len(out) <= top:
-                out.append(out[-1] * e)
-        return out
+    def times(f, g):
+        # f * g, where None stands for the constant 1 and takes no product
+        return g if f is None else f if g is None else f * g
 
-    e4 = powers(4, exponents[0][0])
-    e6 = powers(6, exponents[-1][1])
-    return [e4[a] * e6[b] if a and b else (e4[a] if a else e6[b]) for a, b in exponents]
+    e4 = eisenstein(4, truncation) if a0 or m else None
+    e6 = eisenstein(6, truncation) if b0 or m else None
+    e4e4 = e4 * e4 if a0 == 2 or m else None
+    heads = [times((None, e4, e4e4)[a0], e6 if b0 else None)]  # head u^i
+    vs = [None]  # v^j
+    if m:
+        u, v = e4e4 * e4, e6 * e6
+        for _ in range(m):
+            heads.append(times(heads[-1], u))
+            vs.append(times(vs[-1], v))
+    return [times(heads[m - j], vs[j]) for j in range(m + 1)]
 
 
 def delta_cusp(truncation: int) -> NearlyHolomorphicForm:

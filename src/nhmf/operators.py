@@ -52,6 +52,7 @@ from math import perm, prod
 from operator import add, mul
 from typing import NamedTuple
 
+from .arith import is_int
 from .errors import NonEigenformError
 from .pi_scalar import MINUS_FOUR_PI, MINUS_INV_FOUR_PI, PiScalar
 from .series import NearlyHolomorphicForm
@@ -78,7 +79,7 @@ def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
     One pass by the closed form of the module docstring: column r of f adds
     b_j * theta^(l-j) of itself to column r + j of the image.
     """
-    if ell < 0:
+    if not is_int(ell) or ell < 0:
         raise ValueError("iteration count must be >= 0")
     if not ell or f.is_zero:
         return f
@@ -109,7 +110,7 @@ def iterate_lower(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
     One pass by the closed form of the module docstring: column r >= l of f,
     times r! / (r - l)!, is column r - l of the image.
     """
-    if ell < 0:
+    if not is_int(ell) or ell < 0:
         raise ValueError("iteration count must be >= 0")
     if not ell or f.is_zero:
         return f

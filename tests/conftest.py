@@ -2,10 +2,13 @@
 
 These recompute expected values from first principles (analytic operator
 definitions, lattice enumeration, numeric evaluation) through code paths
-disjoint from the library internals they check.  The exception is
-solve_exact, an exact linear solver over the library's reduced echelon form:
-test_arith checks it against an independent Gauss-Jordan elimination, and
-the decompose and verify tests use it as the reference of their span tests.
+disjoint from the library internals they check.  There are two exceptions.
+reference_level1_basis keeps an earlier construction of the library's
+level-1 basis, one product per power of E4 and of E6, as the reference of
+the current one.  solve_exact is an exact linear solver over the library's
+reduced echelon form: test_arith checks it against an independent
+Gauss-Jordan elimination, and the decompose and verify tests use it as the
+reference of their span tests.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from typing import Optional
 import pytest
 
 from nhmf.arith import as_fraction, reduce_by, reduced_echelon
+from nhmf.generators import eisenstein
 from nhmf.pi_scalar import PiScalar
 from nhmf.series import NearlyHolomorphicForm
 
@@ -117,6 +121,30 @@ def solve_exact(columns, target) -> Optional[list[Fraction]]:
     if any(rest[:width]):
         return None
     return [Fraction(-x, rest[-1]) for x in rest[width:-1]]
+
+
+def reference_level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicForm]:
+    """The monomials E4^a E6^b with 4a + 6b = k, in decreasing a, from powers
+    of E4 and E6 built incrementally, one product per power, and one more
+    product for each monomial with a, b > 0."""
+    exponents = [(a, (k - 4 * a) // 6) for a in range(k // 4, -1, -1) if (k - 4 * a) % 6 == 0]
+    if not exponents:
+        return []
+    one = NearlyHolomorphicForm.constant(1, truncation)
+
+    def powers(w: int, top: int) -> list[NearlyHolomorphicForm]:
+        # [1, E_w, E_w^2, ..., E_w^top]
+        out = [one]
+        if top:
+            e = eisenstein(w, truncation)
+            out.append(e)
+            while len(out) <= top:
+                out.append(out[-1] * e)
+        return out
+
+    e4 = powers(4, exponents[0][0])
+    e6 = powers(6, exponents[-1][1])
+    return [e4[a] * e6[b] if a and b else (e4[a] if a else e6[b]) for a, b in exponents]
 
 
 def brute_divisor_sum(n: int, e: int) -> int:

@@ -22,7 +22,7 @@ from nhmf.generators import (
 from nhmf.operators import raise_weight
 from nhmf.series import NearlyHolomorphicForm
 
-from conftest import brute_divisor_sum, brute_theta_counts
+from conftest import brute_divisor_sum, brute_theta_counts, reference_level1_basis
 
 
 def test_bernoulli_values():
@@ -44,15 +44,23 @@ def test_bernoulli_values():
 
 def test_divisor_power_sum_against_brute_force():
     for n in range(1, 40):
-        for e in (1, 3, 5, 7):
+        for e in (0, 1, 3, 5, 7):
             assert divisor_power_sum(n, e) == brute_divisor_sum(n, e)
+    assert divisor_power_sum(0, 3) == 0
+    # Refused rather than answered inexactly (sigma_(-1)(3) = 4/3 as a float)
+    # or with a raw ValueError from isqrt.
+    for n, e in ((3, -1), (-5, 3), (4.0, 3), (4, 3.0), (True, 3), (4, True), (Fraction(4), 3)):
+        with pytest.raises(DomainError) as info:
+            divisor_power_sum(n, e)
+        assert info.value.code == "out-of-domain"
 
 
 @pytest.mark.parametrize("trunc", [0, 1, 2, 3, 16, 17, 121, 299, 300])
 def test_sieved_eisenstein_columns_match_divisor_power_sum(trunc):
-    # The Eisenstein columns come from one divisor-sum sieve; each
-    # coefficient must equal the trial-division divisor_power_sum.
-    for k in range(4, 25, 2):
+    # The Eisenstein columns come from divisor sums built by
+    # multiplicativity; each coefficient must equal the trial-division
+    # divisor_power_sum.
+    for k in [*range(4, 25, 2), *((26, 100, 500) if trunc <= 121 else ())]:
         e = eisenstein(k, trunc)
         factor = Fraction(-2 * k) / bernoulli(k)
         assert e.truncation == trunc and e.coefficient(0, 0) == 1
@@ -120,9 +128,22 @@ class TestLevel1Basis:
         for k in range(1, 30, 2):
             assert level1_basis(k, 2) == []
 
+    def test_matches_the_incremental_construction(self):
+        # Every weight from -2 to 80 at small truncations, the truncations
+        # of the qexp-kernel benchmark workload (QexpKernel.BASIS_N in
+        # perfbench/workloads.py), and two larger weights.
+        cases = [(k, n) for k in range(-2, 81) for n in (0, 1, 5, 30)]
+        basis_n = {12: 192, 14: 192, 16: 152, 18: 153, 20: 123, 22: 127, 24: 116,
+                   26: 109, 28: 108, 30: 108, 32: 108, 34: 108, 36: 108}
+        cases += [*basis_n.items(), (48, 300), (100, 60)]
+        for k, n in cases:
+            assert level1_basis(k, n) == reference_level1_basis(k, n), (k, n)
+
     def test_weight24_at_truncation_2000_is_quick(self):
         # About 4 s with a schoolbook product, about 0.4 s with the
-        # Kronecker-substitution one (2-core x86, Python 3.11).
+        # Kronecker-substitution one when every power of E4 and E6 was
+        # built, and about 0.2 s with one product at weight 24 per monomial
+        # (2-core x86, Python 3.11).
         start = time.perf_counter()
         basis = level1_basis(24, 2000)
         elapsed = time.perf_counter() - start
@@ -242,6 +263,21 @@ def test_a_bool_is_no_truncation(truncation):
     for call in calls:
         with pytest.raises(DomainError, match="truncation must be an integer"):
             call()
+
+
+@pytest.mark.parametrize("weight", [4.0, 12.0, Fraction(12), True, "4"])
+def test_a_weight_that_is_no_int_is_out_of_domain(weight):
+    # 4.0 and 12.0 raised a raw TypeError, Fraction(12) was accepted by
+    # level1_basis and bernoulli(True) returned B_1.
+    calls = [
+        lambda: bernoulli(weight),
+        lambda: eisenstein(weight, 10),
+        lambda: level1_basis(weight, 10),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert info.value.code == "out-of-domain"
 
 
 def test_at_the_size_bounds_generators_answer():

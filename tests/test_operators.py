@@ -349,6 +349,12 @@ class TestIterateRaiseReference:
         with pytest.raises(ValueError, match="iteration count must be >= 0"):
             iterate_raise(eisenstein(4, 3), -1)
 
+    @pytest.mark.parametrize("ell", [True, 2.0])
+    def test_a_count_that_is_no_int_is_refused(self, ell):
+        # True was read as 1, and 2.0 raised a raw TypeError.
+        with pytest.raises(ValueError, match="iteration count must be >= 0"):
+            iterate_raise(eisenstein(4, 3), ell)
+
 
 def seeded_operator_inputs():
     """The zero form, then one seeded form per weight -6..30 and depth 0..4,
@@ -403,3 +409,8 @@ class TestIterateLowerReference:
     def test_a_negative_count_is_refused(self):
         with pytest.raises(ValueError, match="iteration count must be >= 0"):
             iterate_lower(eisenstein(4, 3), -1)
+
+    def test_a_count_that_is_no_int_is_refused(self):
+        # 1.0 raised a raw TypeError.
+        with pytest.raises(ValueError, match="iteration count must be >= 0"):
+            iterate_lower(eisenstein2(3), 1.0)
