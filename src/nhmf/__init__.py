@@ -6,52 +6,72 @@ holomorphic seeds, leading-term Laurent analysis of Eisenstein constant terms,
 local invariants of binary quadratic spaces with coherence detection, and
 symbolic category-O bookkeeping for the modules these forms generate.
 
-The q-series core is imported with the package.  The adelic side (``laurent``,
-``quadratic``, ``category_o``) is imported on first use of any of its names
-(PEP 562), so a process that never touches it does not pay for it.  The
-module ``decompose`` stays eager: the function ``nhmf.decompose`` shadows it,
-and loading that module later would rebind the package attribute to the
-module.
+Importing the package loads ``errors`` and nothing else.  Every other
+module is imported on first use of any of its names (PEP 562), so a process
+loads only what it calls: the CLI's local commands never load the q-series
+core, and its q-series commands never load the adelic side.
+
+The function ``nhmf.decompose`` shares its name with the module that defines
+it.  The import system binds a submodule as an attribute of the package when
+it loads it, so the package's module type is a subclass of ModuleType whose
+``__setattr__`` binds the function in place of the module ``decompose``:
+``nhmf.decompose`` is the function however that module comes to be loaded.
 """
+
+import sys as _sys
+from types import ModuleType as _ModuleType
+
+# Loaded with the package: it imports nothing, and the benchmark reads it
+# from sys.modules before it touches any other name.
+from .errors import NhmfError
 
 __version__ = "0.1.0"
 
-from .errors import NhmfError
-from .series import NearlyHolomorphicForm
-from .pi_scalar import PiScalar
-from .operators import (
-    InfinitesimalCharacter,
-    ScaledForm,
-    casimir,
-    casimir_eigenvalue,
-    infinitesimal_character,
-    iterate_lower,
-    iterate_raise,
-    leading_column_factor,
-    lower_analytic,
-    lower_weight,
-    raise_analytic,
-    raise_weight,
-)
-from .generators import (
-    BinaryForm,
-    bernoulli,
-    delta_cusp,
-    divisor_power_sum,
-    eisenstein,
-    eisenstein2,
-    level1_basis,
-    theta_series,
-)
-from .decompose import (
-    Decomposition,
-    Level1Basis,
-    character_split,
-    decompose,
-)
+
+class _Package(_ModuleType):
+    def __setattr__(self, name, value):
+        if name == "decompose" and isinstance(value, _ModuleType):
+            value = value.decompose
+        super().__setattr__(name, value)
+
+
+_sys.modules[__name__].__class__ = _Package
 
 # The names each lazily loaded module re-exports.
 _LAZY = {
+    "arith": (),
+    "series": ("NearlyHolomorphicForm",),
+    "pi_scalar": ("PiScalar",),
+    "operators": (
+        "InfinitesimalCharacter",
+        "ScaledForm",
+        "casimir",
+        "casimir_eigenvalue",
+        "infinitesimal_character",
+        "iterate_lower",
+        "iterate_raise",
+        "leading_column_factor",
+        "lower_analytic",
+        "lower_weight",
+        "raise_analytic",
+        "raise_weight",
+    ),
+    "generators": (
+        "BinaryForm",
+        "bernoulli",
+        "delta_cusp",
+        "divisor_power_sum",
+        "eisenstein",
+        "eisenstein2",
+        "level1_basis",
+        "theta_series",
+    ),
+    "decompose": (
+        "Decomposition",
+        "Level1Basis",
+        "character_split",
+        "decompose",
+    ),
     "laurent": (
         "ConstantTermReport",
         "LaurentScalar",
@@ -94,36 +114,7 @@ _LAZY = {
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in (module, *names)}
 
-__all__ = [
-    "NhmfError",
-    "NearlyHolomorphicForm",
-    "PiScalar",
-    "InfinitesimalCharacter",
-    "ScaledForm",
-    "casimir",
-    "casimir_eigenvalue",
-    "infinitesimal_character",
-    "iterate_lower",
-    "iterate_raise",
-    "leading_column_factor",
-    "lower_analytic",
-    "lower_weight",
-    "raise_analytic",
-    "raise_weight",
-    "BinaryForm",
-    "bernoulli",
-    "delta_cusp",
-    "divisor_power_sum",
-    "eisenstein",
-    "eisenstein2",
-    "level1_basis",
-    "theta_series",
-    "Decomposition",
-    "Level1Basis",
-    "character_split",
-    "decompose",
-    *(name for names in _LAZY.values() for name in names),
-]
+__all__ = ["NhmfError", *(name for names in _LAZY.values() for name in names)]
 
 
 def __getattr__(name):
@@ -136,7 +127,8 @@ def __getattr__(name):
 
     module = import_module(f".{module_name}", __name__)
     globals().update({export: getattr(module, export) for export in _LAZY[module_name]})
-    return module if name == module_name else globals()[name]
+    # Loading the module also bound it here (for decompose, the function).
+    return globals()[name]
 
 
 def __dir__():

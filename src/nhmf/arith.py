@@ -5,8 +5,9 @@ program, integer factoring (trial division, then Pollard rho with a step
 budget for large cofactors), a primality test (Miller-Rabin, exact below its
 bound), and the one elimination routine of the package: the reduced echelon
 form of integer vectors, on which decompose's span test and the membership
-test of verify's quasimodular closure are built.  Nothing here knows about
-forms.
+test of verify's quasimodular closure are built.  It also holds Record and
+FrozenRecord, the value semantics of the package's small record classes.
+Nothing here knows about forms.
 """
 
 from __future__ import annotations
@@ -246,3 +247,51 @@ def _eliminate(v, r, pivot: int) -> list[int]:
     out = [a * x - b * y for x, y in zip(v, r)]
     g = gcd(*out)
     return [x // g for x in out] if g > 1 else out
+
+
+class Record:
+    """Equality, hash and repr by field values, for a small record class.
+
+    A subclass names its fields, in order, in _fields, and _key is the tuple
+    of their values.  Two records are equal when they are of the same class
+    and their keys are equal, a record hashes as its key, and its repr is
+    Name(field=value, ...).  A mutable record computes _key from its fields
+    and sets __hash__ to None; a frozen one is a FrozenRecord.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key == other._key
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record whose fields are set once.
+
+    Its __init__ sets each field and then _key, the tuple of their values,
+    through object.__setattr__; assigning or deleting an attribute later
+    raises AttributeError.  Equality and hash then read the stored key.  A
+    copy or pickle is rebuilt by calling the class on the key, which passes
+    the values through __init__ again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key

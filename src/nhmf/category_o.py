@@ -22,11 +22,10 @@ are descriptors with parity and constraint tags, never enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .arith import as_fraction
+from .arith import FrozenRecord, as_fraction
 from .decompose import raised_e2, top_seed
 from .errors import AmbiguousModuleError, DomainError
 from .generators import MAX_DEGREE, MAX_WEIGHT
@@ -37,14 +36,18 @@ from .operators import (
 from .series import NearlyHolomorphicForm
 
 
-@dataclass(frozen=True)
-class ModuleClass:
+class ModuleClass(FrozenRecord):
     """Label of an indecomposable object: one of verma/simple/dual_verma/
     projective/finite/trivial, canonicalized so aliases compare equal
     (e.g. Simple(0) is Trivial, and a simple Verma is stored as simple)."""
 
-    kind: str
-    lam: Optional[Fraction] = None
+    __slots__ = ("kind", "lam", "_key")
+    _fields = ("kind", "lam")
+
+    def __init__(self, kind: str, lam: Optional[Fraction] = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "_key", (kind, lam))
 
     @property
     def dimension(self) -> Optional[int]:
@@ -136,12 +139,21 @@ def composition_factors(mc: ModuleClass) -> tuple[ModuleClass, ...]:
     raise ValueError(mc.kind)
 
 
-@dataclass(frozen=True)
-class BlockClassification:
-    representative: Fraction
-    classes: tuple[ModuleClass, ...]
-    # each sequence records 0 -> sub -> middle -> quotient -> 0
-    exact_sequences: tuple[tuple[ModuleClass, ModuleClass, ModuleClass], ...]
+class BlockClassification(FrozenRecord):
+    __slots__ = ("representative", "classes", "exact_sequences", "_key")
+    _fields = ("representative", "classes", "exact_sequences")
+
+    def __init__(
+        self,
+        representative: Fraction,
+        classes: tuple[ModuleClass, ...],
+        exact_sequences: tuple[tuple[ModuleClass, ModuleClass, ModuleClass], ...],
+    ):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "classes", classes)
+        # each sequence records 0 -> sub -> middle -> quotient -> 0
+        object.__setattr__(self, "exact_sequences", exact_sequences)
+        object.__setattr__(self, "_key", (representative, classes, exact_sequences))
 
     def to_json(self) -> dict:
         return {
@@ -230,8 +242,7 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: Optional[int] = None) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterFamily:
+class CharacterFamily(FrozenRecord):
     """A family of Hecke characters, described but never enumerated.
 
     archimedean_parity is +1 for families trivial at every real place and -1
@@ -240,8 +251,13 @@ class CharacterFamily:
     "trivial-only".
     """
 
-    archimedean_parity: int
-    constraints: tuple[str, ...] = ()
+    __slots__ = ("archimedean_parity", "constraints", "_key")
+    _fields = ("archimedean_parity", "constraints")
+
+    def __init__(self, archimedean_parity: int, constraints: tuple[str, ...] = ()):
+        object.__setattr__(self, "archimedean_parity", archimedean_parity)
+        object.__setattr__(self, "constraints", constraints)
+        object.__setattr__(self, "_key", (archimedean_parity, constraints))
 
     def to_json(self) -> dict:
         return {
@@ -250,15 +266,30 @@ class CharacterFamily:
         }
 
 
-@dataclass(frozen=True)
-class Summand:
-    """One summand: a finite-part tag tensored with an archimedean label."""
+class Summand(FrozenRecord):
+    """One summand: a finite-part tag tensored with an archimedean label.
 
-    finite_kind: str  # induced_family | space_enumeration | trivial | extension
-    archimedean: dict
-    family: Optional[CharacterFamily] = None
-    s: Optional[int] = None
-    detail: dict = field(default_factory=dict)
+    finite_kind is induced_family | space_enumeration | trivial | extension.
+    """
+
+    __slots__ = ("finite_kind", "archimedean", "family", "s", "detail", "_key")
+    _fields = ("finite_kind", "archimedean", "family", "s", "detail")
+
+    def __init__(
+        self,
+        finite_kind: str,
+        archimedean: dict,
+        family: Optional[CharacterFamily] = None,
+        s: Optional[int] = None,
+        detail: Optional[dict] = None,
+    ):
+        detail = {} if detail is None else detail  # a fresh dict per summand
+        object.__setattr__(self, "finite_kind", finite_kind)
+        object.__setattr__(self, "archimedean", archimedean)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "_key", (finite_kind, archimedean, family, s, detail))
 
     def to_json(self) -> dict:
         finite: dict = {"kind": self.finite_kind}
@@ -270,13 +301,17 @@ class Summand:
         return {"finite_part": finite, "archimedean": self.archimedean}
 
 
-@dataclass(frozen=True)
-class DecompositionDescriptor:
+class DecompositionDescriptor(FrozenRecord):
     """The summands of catalog(d, k); every other field is read off them."""
 
-    d: int
-    k: int
-    summands: tuple[Summand, ...]
+    __slots__ = ("d", "k", "summands", "_key")
+    _fields = ("d", "k", "summands")
+
+    def __init__(self, d: int, k: int, summands: tuple[Summand, ...]):
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "summands", summands)
+        object.__setattr__(self, "_key", (d, k, summands))
 
     def _detail(self, kind: str) -> Optional[dict]:
         return next((s.detail for s in self.summands if s.finite_kind == kind), None)

@@ -12,26 +12,36 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__
-from .arith import is_int, read_rational
-from .decompose import decompose
+from .arith import Record, is_int, read_rational
 from .errors import DomainError, FormFileError, NhmfError, UsageError
-from .generators import BinaryForm, eisenstein, eisenstein2, theta_series
-from .operators import casimir, lower_weight, raise_weight, lower_analytic, raise_analytic
-from .series import NearlyHolomorphicForm
 
 
-@dataclass
-class CommandResult:
-    payload: dict
-    diagnostics: list[str] = field(default_factory=list)
-    code: Optional[str] = None  # the error code; None iff the command succeeded
-    out_path: Optional[str] = None
-    json_indent: Optional[int] = None
-    text: str = ""  # the rendered document
+class CommandResult(Record):
+    _fields = ("payload", "diagnostics", "code", "out_path", "json_indent", "text")
+    __hash__ = None  # mutable
+
+    def __init__(
+        self,
+        payload: dict,
+        diagnostics: Optional[list[str]] = None,
+        code: Optional[str] = None,
+        out_path: Optional[str] = None,
+        json_indent: Optional[int] = None,
+        text: str = "",
+    ):
+        self.payload = payload
+        self.diagnostics = [] if diagnostics is None else diagnostics
+        self.code = code  # the error code; None iff the command succeeded
+        self.out_path = out_path
+        self.json_indent = json_indent
+        self.text = text  # the rendered document
+
+    @property
+    def _key(self) -> tuple:
+        return (self.payload, self.diagnostics, self.code, self.out_path, self.json_indent, self.text)
 
     @property
     def ok(self) -> bool:
@@ -65,7 +75,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_form(path: str) -> NearlyHolomorphicForm:
+def _read_form(path: str):
+    from .series import NearlyHolomorphicForm
+
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -89,15 +101,32 @@ def _int_arg(text: str) -> int:
 
 
 # -- command handlers: each takes the parsed arguments and returns the JSON
-# payload or a finished CommandResult.  A handler names library functions in
-# its body, so they are looked up when the command runs.  The q-series core
-# is imported with this module; laurent, quadratic and category_o are
-# imported by the handlers that use them, so that a cold process loads only
-# the side of the engine its command needs.
+# payload or a finished CommandResult.  This module imports no part of the
+# engine but arith and errors: each handler imports what it calls, in its
+# body, so that a cold process loads only the modules its command needs, and
+# the names are looked up when the command runs.
 
 
 def _refuse(message: str):
     raise UsageError(message)
+
+
+def _eis(args) -> dict:
+    from .generators import eisenstein
+
+    return eisenstein(args.k, args.trunc).to_doc()
+
+
+def _e2(args) -> dict:
+    from .generators import eisenstein2
+
+    return eisenstein2(args.trunc).to_doc()
+
+
+def _theta(args) -> dict:
+    from .generators import BinaryForm, theta_series
+
+    return theta_series(BinaryForm(args.a, args.b, args.c), args.trunc).to_doc()
 
 
 def _operator(args, plain, analytic) -> dict:
@@ -106,6 +135,30 @@ def _operator(args, plain, analytic) -> dict:
         scaled = analytic(f)
         return {"scalar": scaled.scalar.to_json(), "form": scaled.form.to_doc()}
     return plain(f).to_doc()
+
+
+def _raise(args) -> dict:
+    from .operators import raise_analytic, raise_weight
+
+    return _operator(args, raise_weight, raise_analytic)
+
+
+def _lower(args) -> dict:
+    from .operators import lower_analytic, lower_weight
+
+    return _operator(args, lower_weight, lower_analytic)
+
+
+def _casimir(args) -> dict:
+    from .operators import casimir
+
+    return casimir(_read_form(args.infile)).to_doc()
+
+
+def _decompose(args) -> dict:
+    from .decompose import decompose
+
+    return decompose(_read_form(args.infile)).to_json()
 
 
 def _constant_term(args) -> dict:
@@ -236,26 +289,20 @@ def _build_parser() -> tuple[_Parser, tuple[str, ...]]:
 
     p = sub.add_parser("eis", help="holomorphic Eisenstein series of even weight >= 4")
     p.add_argument("--k", type=int, required=True)
-    common(p, lambda args: eisenstein(args.k, args.trunc).to_doc(), with_trunc=True)
+    common(p, _eis, with_trunc=True)
 
     p = sub.add_parser("e2", help="the weight-two nearly holomorphic Eisenstein series")
-    common(p, lambda args: eisenstein2(args.trunc).to_doc(), with_trunc=True)
+    common(p, _e2, with_trunc=True)
 
     p = sub.add_parser("theta", help="theta series of a positive definite binary form")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
-    common(
-        p,
-        lambda args: theta_series(BinaryForm(args.a, args.b, args.c), args.trunc).to_doc(),
-        with_trunc=True,
-    )
+    common(p, _theta, with_trunc=True)
 
     for name, helptext, handler in (
-        ("raise", "weight-raising operator",
-         lambda args: _operator(args, raise_weight, raise_analytic)),
-        ("lower", "weight-lowering operator",
-         lambda args: _operator(args, lower_weight, lower_analytic)),
+        ("raise", "weight-raising operator", _raise),
+        ("lower", "weight-lowering operator", _lower),
     ):
         p = sub.add_parser(name, help=helptext)
         common(p, handler, with_in=True)
@@ -266,10 +313,10 @@ def _build_parser() -> tuple[_Parser, tuple[str, ...]]:
         )
 
     p = sub.add_parser("casimir", help="Casimir operator")
-    common(p, lambda args: casimir(_read_form(args.infile)).to_doc(), with_in=True)
+    common(p, _casimir, with_in=True)
 
     p = sub.add_parser("decompose", help="structure decomposition over the level-1 basis")
-    common(p, lambda args: decompose(_read_form(args.infile)).to_json(), with_in=True)
+    common(p, _decompose, with_in=True)
 
     p = sub.add_parser("identify", help="indecomposable module class generated by a form")
     p.add_argument(

@@ -38,12 +38,11 @@ the residual attached.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterator, Optional
 
-from .arith import reduce_by, reduced_echelon
+from .arith import FrozenRecord, reduce_by, reduced_echelon
 from .errors import DecompositionError, InsufficientTruncationError
 from .generators import eisenstein2, level1_basis
 from .operators import InfinitesimalCharacter, iterate_raise, leading_column_factor
@@ -109,8 +108,7 @@ def raised_e2(truncation: int, m: int) -> NearlyHolomorphicForm:
     return iterate_raise(shared_level1_basis(truncation).eisenstein2, m)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(FrozenRecord):
     """Seeds of a structure decomposition.
 
     terms: pairs (ell, g) with g holomorphic of weight (input weight) - 2*ell,
@@ -119,10 +117,21 @@ class Decomposition:
     input to its truncation.
     """
 
-    weight: Optional[int]
-    truncation: int
-    terms: tuple[tuple[int, NearlyHolomorphicForm], ...]
-    e2_term: Optional[tuple[int, Fraction]]
+    __slots__ = ("weight", "truncation", "terms", "e2_term", "_key")
+    _fields = ("weight", "truncation", "terms", "e2_term")
+
+    def __init__(
+        self,
+        weight: Optional[int],
+        truncation: int,
+        terms: tuple[tuple[int, NearlyHolomorphicForm], ...],
+        e2_term: Optional[tuple[int, Fraction]],
+    ):
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "truncation", truncation)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "e2_term", e2_term)
+        object.__setattr__(self, "_key", (weight, truncation, terms, e2_term))
 
     def pieces(self) -> Iterator[tuple[int, NearlyHolomorphicForm]]:
         """(seed weight, raised seed) per summand; the weight-two Eisenstein one last."""

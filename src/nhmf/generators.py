@@ -29,11 +29,10 @@ MAX_TRUNCATION) far longer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, isqrt
 
-from .arith import is_int
+from .arith import FrozenRecord, is_int
 from .errors import DomainError
 from .series import NearlyHolomorphicForm
 
@@ -201,13 +200,17 @@ def delta_cusp(truncation: int) -> NearlyHolomorphicForm:
     return (e4 * e4 * e4 - e6 * e6) * Fraction(1, 1728)
 
 
-@dataclass(frozen=True)
-class BinaryForm:
+class BinaryForm(FrozenRecord):
     """The integral binary quadratic form a x^2 + b xy + c y^2."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c", "_key")
+    _fields = ("a", "b", "c")
+
+    def __init__(self, a: int, b: int, c: int):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_key", (a, b, c))
 
     @property
     def discriminant(self) -> int:

@@ -28,11 +28,10 @@ caller-supplied.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith import as_fraction, prime_power_base
+from .arith import FrozenRecord, as_fraction, prime_power_base
 from .errors import (
     DomainError,
     InsufficientLaurentPrecisionError,
@@ -44,8 +43,7 @@ from .pi_scalar import PiScalar
 INFINITE_ORDER = math.inf
 
 
-@dataclass(frozen=True)
-class LaurentScalar:
+class LaurentScalar(FrozenRecord):
     """Order and leading coefficient of a meromorphic germ at a point.
 
     A nonzero germ without a leading coefficient certifies its order only
@@ -53,13 +51,16 @@ class LaurentScalar:
     coefficient, and is exact.
     """
 
-    point: Fraction
-    order: float | int
-    leading: Optional[PiScalar] = None
+    __slots__ = ("point", "order", "leading", "_key")
+    _fields = ("point", "order", "leading")
 
-    def __post_init__(self):
-        if self.leading is not None and (self.leading.is_zero or self.is_zero):
+    def __init__(self, point: Fraction, order: float | int, leading: Optional[PiScalar] = None):
+        if leading is not None and (leading.is_zero or order == INFINITE_ORDER):
             raise ValueError("a leading coefficient must be nonzero, of a nonzero germ")
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "leading", leading)
+        object.__setattr__(self, "_key", (point, order, leading))
 
     @classmethod
     def zero(cls, point) -> "LaurentScalar":
@@ -307,12 +308,22 @@ def weight_parity(k: int) -> int:
     return -1 if k % 2 else 1
 
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # PureSection | SectionPlusResidue | Pole
-    leading: Optional[PiScalar] = None
-    exact: bool = True
-    order: Optional[int] = None
+class Verdict(FrozenRecord):
+    __slots__ = ("kind", "leading", "exact", "order", "_key")
+    _fields = ("kind", "leading", "exact", "order")
+
+    def __init__(
+        self,
+        kind: str,
+        leading: Optional[PiScalar] = None,
+        exact: bool = True,
+        order: Optional[int] = None,
+    ):
+        object.__setattr__(self, "kind", kind)  # PureSection | SectionPlusResidue | Pole
+        object.__setattr__(self, "leading", leading)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_key", (kind, leading, exact, order))
 
     @classmethod
     def of(cls, germ: LaurentScalar) -> "Verdict":
@@ -334,18 +345,22 @@ class Verdict:
         return doc
 
 
-@dataclass(frozen=True)
-class ConstantTermReport:
+class ConstantTermReport(FrozenRecord):
     """Behavior of the weight-k Eisenstein constant term at its special point.
 
     The section contributes itself; the intertwined term contributes the
     germ stored in second_term, and the verdict is read off that germ.
     """
 
-    k: int
-    d: int
-    character: str
-    second_term: LaurentScalar
+    __slots__ = ("k", "d", "character", "second_term", "_key")
+    _fields = ("k", "d", "character", "second_term")
+
+    def __init__(self, k: int, d: int, character: str, second_term: LaurentScalar):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "second_term", second_term)
+        object.__setattr__(self, "_key", (k, d, character, second_term))
 
     @property
     def archimedean_parity(self) -> int:

@@ -39,23 +39,23 @@ character chi_w, read off (w, m) with no search; and w^2 - 2w is invariant
 under w -> 2 - w, which is what makes :class:`InfinitesimalCharacter` well
 defined.
 
-All four operations reject nothing except genuinely malformed input: the zero
-form (weight "any") maps to zero.  Sums across distinct weights cannot even be
+All four operations reject nothing except genuinely malformed input and a
+raised image past the size bound of a form file: the zero form (weight "any")
+maps to zero.  Sums across distinct weights cannot even be
 represented here, so weight-indefinite input is impossible by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import perm, prod
 from operator import add, mul
 from typing import NamedTuple
 
-from .arith import is_int
-from .errors import NonEigenformError
+from .arith import FrozenRecord, is_int
+from .errors import DomainError, NonEigenformError
 from .pi_scalar import MINUS_FOUR_PI, MINUS_INV_FOUR_PI, PiScalar
-from .series import NearlyHolomorphicForm
+from .series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
 
 
 def leading_column_factor(w: int, ell: int) -> int:
@@ -78,13 +78,24 @@ def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
 
     One pass by the closed form of the module docstring: column r of f adds
     b_j * theta^(l-j) of itself to column r + j of the image.
+
+    The image of a nonzero f of depth m and truncation N has depth at most
+    m + l, so it stores up to (m + l + 1) * (N + 1) coefficients.  Past
+    MAX_FILE_ENTRIES, the most a form file may hold, it is refused as
+    out-of-domain before any column is built.
     """
     if not is_int(ell) or ell < 0:
         raise ValueError("iteration count must be >= 0")
     if not ell or f.is_zero:
         return f
+    depth, n = f.depth + ell, f.truncation
+    if (depth + 1) * (n + 1) > MAX_FILE_ENTRIES:
+        raise DomainError(
+            f"raising {ell} times gives a form of depth up to {depth} and truncation {n}, "
+            f"past {MAX_FILE_ENTRIES} stored coefficients"
+        )
     k = f.weight
-    ns = range(f.truncation + 1)
+    ns = range(n + 1)
     out = [None] * (len(f._cols) + ell)
     for r, col in enumerate(f._cols):
         if not any(col):
@@ -143,15 +154,19 @@ def casimir(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     return f * Fraction(k * k - 2 * k) + raise_weight(lower_weight(f)) * 4
 
 
-@dataclass(frozen=True)
-class InfinitesimalCharacter:
+class InfinitesimalCharacter(FrozenRecord):
     """The character chi_lambda, stored by its orbit representative.
 
     chi_lambda = chi_mu iff mu in {lambda, 2 - lambda}; the representative is
     the orbit maximum, so lam >= 1 always.
     """
 
-    lam: Fraction
+    __slots__ = ("lam", "_key")
+    _fields = ("lam",)
+
+    def __init__(self, lam: Fraction):
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "_key", (lam,))
 
     @classmethod
     def of(cls, lam) -> "InfinitesimalCharacter":

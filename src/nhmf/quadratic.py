@@ -27,33 +27,43 @@ purely symbolic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
 from itertools import combinations
 from math import prod
 from typing import Optional
 
-from .arith import as_fraction, is_prime, prime_factors, prime_power_base
+from .arith import FrozenRecord, as_fraction, is_prime, prime_factors, prime_power_base
 from .errors import DomainError, InvariantViolationError
 
 
-@dataclass(frozen=True, order=True)
-class Place:
-    """A place of Q: a finite prime or the real place."""
+@total_ordering
+class Place(FrozenRecord):
+    """A place of Q: a finite prime or the real place.
 
-    kind: str  # "finite" | "real"
-    p: Optional[int] = None
+    Places order by (kind, p): the finite ones by their prime, then the real one.
+    """
 
-    def __post_init__(self):
-        if self.kind == "finite":
-            if not isinstance(self.p, int) or not is_prime(self.p):
-                raise DomainError(f"{self.p} is not prime")
-        elif self.kind == "real":
-            if self.p is not None:
+    __slots__ = ("kind", "p", "_key")
+    _fields = ("kind", "p")
+
+    def __init__(self, kind: str, p: Optional[int] = None):
+        if kind == "finite":
+            if not isinstance(p, int) or not is_prime(p):
+                raise DomainError(f"{p} is not prime")
+        elif kind == "real":
+            if p is not None:
                 raise DomainError("real place carries no prime")
         else:
-            raise DomainError(f"unknown place kind {self.kind!r}")
+            raise DomainError(f"unknown place kind {kind!r}")
+        object.__setattr__(self, "kind", kind)  # "finite" | "real"
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "_key", (kind, p))
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key < other._key
+        return NotImplemented
 
     @classmethod
     def finite(cls, p: int) -> "Place":
@@ -169,18 +179,21 @@ def is_local_square(x, v: Place) -> bool:
     return _legendre(n, d, p) == 1
 
 
-@dataclass(frozen=True)
-class QuadSpace2D:
-    """Binary quadratic space over Q with diagonal Gram entries a1, a2."""
+class QuadSpace2D(FrozenRecord):
+    """Binary quadratic space over Q with diagonal Gram entries a1, a2.
 
-    a1: Fraction
-    a2: Fraction
+    No __slots__: the cached discriminant lives in the instance dict.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a1", as_fraction(self.a1))
-        object.__setattr__(self, "a2", as_fraction(self.a2))
-        if self.a1 == 0 or self.a2 == 0:
+    _fields = ("a1", "a2")
+
+    def __init__(self, a1, a2):
+        a1, a2 = as_fraction(a1), as_fraction(a2)
+        if a1 == 0 or a2 == 0:
             raise DomainError("degenerate quadratic space")
+        object.__setattr__(self, "a1", a1)
+        object.__setattr__(self, "a2", a2)
+        object.__setattr__(self, "_key", (a1, a2))
 
     @cached_property
     def discriminant(self) -> Fraction:
@@ -192,25 +205,27 @@ class QuadSpace2D:
         return {"a1": str(self.a1), "a2": str(self.a2)}
 
 
-@dataclass(frozen=True)
-class LocalInvariant:
+class LocalInvariant(FrozenRecord):
     """(chi_V nontrivial?, Hasse invariant) at one place.
 
     A two-dimensional space with locally trivial discriminant character has
     Hasse invariant +1; violating pairs are rejected.
     """
 
-    place: Place
-    chi_nontrivial: bool
-    epsilon: int
+    __slots__ = ("place", "chi_nontrivial", "epsilon", "_key")
+    _fields = ("place", "chi_nontrivial", "epsilon")
 
-    def __post_init__(self):
-        if self.epsilon not in (1, -1):
+    def __init__(self, place: Place, chi_nontrivial: bool, epsilon: int):
+        if epsilon not in (1, -1):
             raise DomainError("epsilon must be +-1")
-        if not self.chi_nontrivial and self.epsilon == -1:
+        if not chi_nontrivial and epsilon == -1:
             raise InvariantViolationError(
-                f"epsilon = -1 with locally square discriminant at {self.place.render()}"
+                f"epsilon = -1 with locally square discriminant at {place.render()}"
             )
+        object.__setattr__(self, "place", place)
+        object.__setattr__(self, "chi_nontrivial", chi_nontrivial)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "_key", (place, chi_nontrivial, epsilon))
 
 
 def local_invariants(space: QuadSpace2D, v: Place) -> LocalInvariant:
@@ -242,26 +257,29 @@ def relevant_places(*values: Fraction) -> list[Place]:
     return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
 
 
-@dataclass(frozen=True)
-class Collection:
+class Collection(FrozenRecord):
     """A family of local binary-space data: global discriminant class plus
-    Hasse signs at finitely many places (+1 off the listed support)."""
+    Hasse signs at finitely many places (+1 off the listed support).
 
-    discriminant: Fraction
-    epsilons: tuple[tuple[Place, int], ...]
+    epsilons holds (place, sign) pairs sorted by place.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "discriminant", as_fraction(self.discriminant))
-        if self.discriminant == 0:
+    __slots__ = ("discriminant", "epsilons", "_key")
+    _fields = ("discriminant", "epsilons")
+
+    def __init__(self, discriminant, epsilons):
+        discriminant = as_fraction(discriminant)
+        if discriminant == 0:
             raise DomainError("discriminant must be nonzero")
         seen = set()
-        for place, _ in self.epsilons:
+        for place, _ in epsilons:
             if place in seen:
                 raise DomainError(f"duplicate place {place.render()}")
             seen.add(place)
-        object.__setattr__(
-            self, "epsilons", tuple(sorted(self.epsilons, key=lambda t: t[0]))
-        )
+        epsilons = tuple(sorted(epsilons, key=lambda t: t[0]))
+        object.__setattr__(self, "discriminant", discriminant)
+        object.__setattr__(self, "epsilons", epsilons)
+        object.__setattr__(self, "_key", (discriminant, epsilons))
 
     @classmethod
     def of(cls, discriminant, epsilons: dict) -> "Collection":
@@ -292,11 +310,15 @@ def collection_of(space: QuadSpace2D) -> Collection:
     return Collection.of(space.discriminant, eps)
 
 
-@dataclass(frozen=True)
-class CoherenceResult:
+class CoherenceResult(FrozenRecord):
     """The verdict of check_coherence: a witness space iff coherent."""
 
-    witness: Optional[QuadSpace2D]
+    __slots__ = ("witness", "_key")
+    _fields = ("witness",)
+
+    def __init__(self, witness: Optional[QuadSpace2D]):
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "_key", (witness,))
 
     @property
     def coherent(self) -> bool:
@@ -401,32 +423,44 @@ def enumerate_definite_spaces(discriminant, support_bound: int) -> list[Collecti
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CharacterDescriptor:
+class CharacterDescriptor(FrozenRecord):
     """A unitary character of a local field, up to what reducibility sees:
     order 1, 2 or "other", whether it is unramified, and at the real place
     the sign exponent."""
 
-    order: object = 1  # 1 | 2 | "other"
-    unramified: bool = True
-    real_sign: int = 0
+    __slots__ = ("order", "unramified", "real_sign", "_key")
+    _fields = ("order", "unramified", "real_sign")
 
-    def __post_init__(self):
-        if self.order not in (1, 2, "other"):
-            raise DomainError(f"character order must be 1, 2 or 'other', got {self.order}")
-        if self.real_sign not in (0, 1):
+    def __init__(self, order=1, unramified: bool = True, real_sign: int = 0):
+        if order not in (1, 2, "other"):
+            raise DomainError(f"character order must be 1, 2 or 'other', got {order}")
+        if real_sign not in (0, 1):
             raise DomainError("real_sign must be 0 or 1")
-        if self.order == 1 and not self.unramified:
+        if order == 1 and not unramified:
             raise DomainError("the trivial character is unramified")
+        object.__setattr__(self, "order", order)  # 1 | 2 | "other"
+        object.__setattr__(self, "unramified", unramified)
+        object.__setattr__(self, "real_sign", real_sign)
+        object.__setattr__(self, "_key", (order, unramified, real_sign))
 
 
-@dataclass(frozen=True)
-class ReducibilityVerdict:
-    """I(mu, s) is reducible iff structure names how its constituents sit."""
+class ReducibilityVerdict(FrozenRecord):
+    """I(mu, s) is reducible iff structure names how its constituents sit.
 
-    residue: str  # "real" or the residue cardinality
-    constituents: tuple[str, ...] = ()
-    structure: Optional[str] = None  # direct_sum | steinberg_quotient | steinberg_sub | finite_quotient | trivial_sub
+    residue is "real" or the residue cardinality; structure is None or one of
+    direct_sum | steinberg_quotient | steinberg_sub | finite_quotient | trivial_sub.
+    """
+
+    __slots__ = ("residue", "constituents", "structure", "_key")
+    _fields = ("residue", "constituents", "structure")
+
+    def __init__(
+        self, residue: str, constituents: tuple[str, ...] = (), structure: Optional[str] = None
+    ):
+        object.__setattr__(self, "residue", residue)
+        object.__setattr__(self, "constituents", constituents)
+        object.__setattr__(self, "structure", structure)
+        object.__setattr__(self, "_key", (residue, constituents, structure))
 
     @property
     def reducible(self) -> bool:

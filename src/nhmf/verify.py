@@ -9,10 +9,9 @@ standard library only and finishes in seconds.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import reduce_by, reduced_echelon
+from .arith import Record, reduce_by, reduced_echelon
 from .category_o import (
     catalog,
     classify_block,
@@ -57,11 +56,18 @@ from .quadratic import (
 from .series import NearlyHolomorphicForm
 
 
-@dataclass
-class PropertyResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class PropertyResult(Record):
+    _fields = ("name", "passed", "detail")
+    __hash__ = None  # mutable
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
+
+    @property
+    def _key(self) -> tuple:
+        return (self.name, self.passed, self.detail)
 
     def to_json(self) -> dict:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}

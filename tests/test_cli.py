@@ -17,7 +17,7 @@ from nhmf.cli import main, run
 from nhmf.errors import ERROR_CODES
 from nhmf.generators import MAX_DEGREE, MAX_WEIGHT, eisenstein
 from nhmf.operators import raise_weight
-from nhmf.series import NearlyHolomorphicForm
+from nhmf.series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
 
 
 def payload(argv):
@@ -431,6 +431,18 @@ def test_inputs_past_the_size_bounds_are_refused_quickly(argv, capsys):
     # product of two 16-digit primes past the Pollard rho step budget.
     start = time.perf_counter()
     assert main(argv) == 1
+    assert time.perf_counter() - start < 2.0
+    out, err = capsys.readouterr()
+    assert out == "" and json.loads(err)["error"] == "out-of-domain"
+
+
+def test_raising_a_form_file_at_the_size_bound_is_out_of_domain(tmp_path, capsys):
+    # q at N = 10^6 - 1 stores MAX_FILE_ENTRIES coefficients, the most a form
+    # file may hold; its image under raise would store twice that.
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"weight": 4, "truncation": MAX_FILE_ENTRIES - 1, "terms": [[0, 1, "1"]]}))
+    start = time.perf_counter()
+    assert main(["raise", "--in", str(path)]) == 1
     assert time.perf_counter() - start < 2.0
     out, err = capsys.readouterr()
     assert out == "" and json.loads(err)["error"] == "out-of-domain"

@@ -2,11 +2,12 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from nhmf.errors import NonEigenformError
+from nhmf.errors import DomainError, NonEigenformError
 from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
 from nhmf.operators import (
     InfinitesimalCharacter,
@@ -23,7 +24,7 @@ from nhmf.operators import (
     scalar_ratio,
 )
 from nhmf.pi_scalar import PiScalar
-from nhmf.series import NearlyHolomorphicForm
+from nhmf.series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
 
 from conftest import oracle_lower, oracle_raise
 from test_category_o import seeded_module_forms
@@ -354,6 +355,27 @@ class TestIterateRaiseReference:
         # True was read as 1, and 2.0 raised a raw TypeError.
         with pytest.raises(ValueError, match="iteration count must be >= 0"):
             iterate_raise(eisenstein(4, 3), ell)
+
+    def test_an_image_past_the_form_file_bound_is_refused_before_any_work(self):
+        # E4 at N = 10^4 raised 200 times would store 201 * 10001 = 2,010,201
+        # coefficients, twice MAX_FILE_ENTRIES, which were all built before.
+        f = eisenstein(4, 10**4)
+        t0 = time.perf_counter()
+        with pytest.raises(DomainError) as info:
+            iterate_raise(f, 200)
+        assert time.perf_counter() - t0 < 0.1
+        assert info.value.code == "out-of-domain"
+
+    def test_an_image_at_the_form_file_bound_still_answers(self):
+        # q at N = 9999: depth 0 + 99 + 1 columns of 10^4 entries each are
+        # MAX_FILE_ENTRIES exactly, and one more raising is past it.
+        f = NearlyHolomorphicForm(4, 9999, {(0, 1): 1})
+        assert (f.depth + 99 + 1) * (f.truncation + 1) == MAX_FILE_ENTRIES
+        image = iterate_raise(f, 99)
+        assert (image.weight, image.depth, image.truncation) == (202, 99, 9999)
+        assert image.coefficient(99, 1) == leading_column_factor(4, 99)
+        with pytest.raises(DomainError):
+            iterate_raise(f, 100)
 
 
 def seeded_operator_inputs():

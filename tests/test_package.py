@@ -71,6 +71,59 @@ def test_importing_the_cli_leaves_the_adelic_side_and_the_suite_unloaded():
     assert out == "[]\n"
 
 
+def test_importing_the_package_loads_only_errors():
+    out = run_fresh("""
+        import sys, nhmf
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "nhmf"))
+    """)
+    assert out == "['nhmf', 'nhmf.errors']\n"
+
+
+# E4 to q^3, the form file that the commands reading one get on stdin.
+E4_DOC = '{"weight": 4, "truncation": 3, "terms": [[0, 0, "1"], [0, 1, "240"], [0, 2, "2160"], [0, 3, "6720"]]}'
+SERIES = ["arith", "cli", "errors", "generators", "series"]
+OPERATORS = ["arith", "cli", "errors", "operators", "pi_scalar", "series"]
+LOCAL = ["arith", "cli", "errors", "quadratic"]
+CATEGORY_O = [
+    "arith", "category_o", "cli", "decompose", "errors", "generators", "laurent", "operators",
+    "pi_scalar", "series",
+]
+
+
+# The nhmf modules (less the "nhmf." prefix) that each command has loaded once it is done.
+COMMAND_MODULES = [
+    (["eis", "--k", "4", "--trunc", "3"], SERIES),
+    (["e2", "--trunc", "3"], SERIES),
+    (["theta", "--a", "1", "--b", "0", "--c", "1", "--trunc", "3"], SERIES),
+    (["raise", "--analytic"], OPERATORS),
+    (["lower"], OPERATORS),
+    (["casimir"], OPERATORS),
+    (["decompose"], ["arith", "cli", "decompose", "errors", "generators", "operators", "pi_scalar", "series"]),
+    (["identify"], CATEGORY_O),
+    (["constant-term", "--k", "4"], ["arith", "cli", "errors", "generators", "laurent", "pi_scalar", "series"]),
+    (["local", "hilbert", "3", "5", "7"], LOCAL),
+    (["local", "invariants", "3", "5"], LOCAL),
+    (["local", "coherent", '{"discriminant": "-1", "epsilons": {}}'], LOCAL),
+    (["local", "reducible", "--q", "3"], LOCAL),
+    (["catalog", "--d", "1", "--k", "4"], CATEGORY_O),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded", COMMAND_MODULES, ids=[" ".join(argv[:2]) for argv, _ in COMMAND_MODULES]
+)
+def test_a_command_loads_only_the_modules_it_calls_and_never_dataclasses(argv, loaded):
+    out = run_fresh(f"""
+        import contextlib, io, sys, nhmf.cli
+        sys.stdin = io.StringIO({E4_DOC!r})
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert nhmf.cli.main({argv!r}) == 0
+        print(sorted(name[5:] for name in sys.modules if name.startswith("nhmf.")))
+        print("dataclasses" in sys.modules)
+    """)
+    assert out == f"{loaded}\nFalse\n"
+
+
 @pytest.mark.parametrize(
     "load",
     [
