@@ -5,9 +5,11 @@ program, integer factoring (trial division, then Pollard rho with a step
 budget for large cofactors), a primality test (Miller-Rabin, exact below its
 bound), and the one elimination routine of the package: the reduced echelon
 form of integer vectors, on which decompose's span test and the membership
-test of verify's quasimodular closure are built.  It also holds Record and
-FrozenRecord, the value semantics of the package's small record classes.
-Nothing here knows about forms.
+test of verify's quasimodular closure are built.  It also holds the domain
+bounds MAX_WEIGHT, MAX_DEGREE and MAX_TRUNCATION, which every command loads
+with this module, and Record and FrozenRecord, the value semantics of the
+package's small record classes: FrozenRecord._freeze is the one place that
+stores a record's fields.  Nothing here knows about forms.
 """
 
 from __future__ import annotations
@@ -19,6 +21,17 @@ from itertools import count
 from math import gcd
 
 from .errors import DomainError
+
+# Largest weight, and Bernoulli index, a generator accepts; constant-term
+# reports and the catalog accept no larger weight either, and the Laurent
+# engine no point or weight larger in absolute value.
+MAX_WEIGHT = 500
+
+# Largest base degree d a constant-term report or the catalog accepts.
+MAX_DEGREE = 10_000
+
+# Largest q-truncation a generator accepts.
+MAX_TRUNCATION = 10_000
 
 
 def as_fraction(x) -> Fraction:
@@ -250,25 +263,27 @@ def _eliminate(v, r, pivot: int) -> list[int]:
 
 
 class Record:
-    """Equality, hash and repr by field values, for a small record class.
+    """Equality and repr by field values, for a small record class.
 
     A subclass names its fields, in order, in _fields, and _key is the tuple
-    of their values.  Two records are equal when they are of the same class
-    and their keys are equal, a record hashes as its key, and its repr is
-    Name(field=value, ...).  A mutable record computes _key from its fields
-    and sets __hash__ to None; a frozen one is a FrozenRecord.
+    of their values, read from the fields on each use.  Two records are equal
+    when they are of the same class and their keys are equal, and the repr is
+    Name(field=value, ...).  A Record defines __eq__ and no __hash__, so it
+    is unhashable, as a record whose fields may change must be; a frozen one
+    is a FrozenRecord.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    @property
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self._key == other._key
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self._key)
 
     def __repr__(self):
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
@@ -276,16 +291,25 @@ class Record:
 
 
 class FrozenRecord(Record):
-    """A Record whose fields are set once.
+    """A Record whose fields are set once, and which hashes as its key.
 
-    Its __init__ sets each field and then _key, the tuple of their values,
-    through object.__setattr__; assigning or deleting an attribute later
-    raises AttributeError.  Equality and hash then read the stored key.  A
+    Its __init__ takes the fields as its positional parameters, in the order
+    of _fields, and ends in _freeze, which stores them and their tuple as
+    _key; assigning or deleting an attribute later raises AttributeError.  A
     copy or pickle is rebuilt by calling the class on the key, which passes
     the values through __init__ again.
     """
 
-    __slots__ = ()
+    __slots__ = ("_key",)
+
+    def _freeze(self, values: tuple) -> None:
+        store = object.__setattr__  # looked up once, not once per field
+        for name, value in zip(self._fields, values):
+            store(self, name, value)
+        store(self, "_key", values)
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

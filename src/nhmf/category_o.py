@@ -23,17 +23,17 @@ are descriptors with parity and constraint tags, never enumerated.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .arith import FrozenRecord, as_fraction
-from .decompose import raised_e2, top_seed
+from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, as_fraction, is_int
 from .errors import AmbiguousModuleError, DomainError
-from .generators import MAX_DEGREE, MAX_WEIGHT
 from .laurent import constant_term_report, weight_parity
 from .operators import (
     InfinitesimalCharacter, infinitesimal_character, leading_column_factor, scalar_ratio,
 )
-from .series import NearlyHolomorphicForm
+
+if TYPE_CHECKING:
+    from .series import NearlyHolomorphicForm
 
 
 class ModuleClass(FrozenRecord):
@@ -41,13 +41,11 @@ class ModuleClass(FrozenRecord):
     projective/finite/trivial, canonicalized so aliases compare equal
     (e.g. Simple(0) is Trivial, and a simple Verma is stored as simple)."""
 
-    __slots__ = ("kind", "lam", "_key")
+    __slots__ = ("kind", "lam")
     _fields = ("kind", "lam")
 
     def __init__(self, kind: str, lam: Optional[Fraction] = None):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "_key", (kind, lam))
+        self._freeze((kind, lam))
 
     @property
     def dimension(self) -> Optional[int]:
@@ -140,20 +138,17 @@ def composition_factors(mc: ModuleClass) -> tuple[ModuleClass, ...]:
 
 
 class BlockClassification(FrozenRecord):
-    __slots__ = ("representative", "classes", "exact_sequences", "_key")
+    __slots__ = ("representative", "classes", "exact_sequences")
     _fields = ("representative", "classes", "exact_sequences")
 
     def __init__(
         self,
         representative: Fraction,
         classes: tuple[ModuleClass, ...],
+        # each sequence records 0 -> sub -> middle -> quotient -> 0
         exact_sequences: tuple[tuple[ModuleClass, ModuleClass, ModuleClass], ...],
     ):
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "classes", classes)
-        # each sequence records 0 -> sub -> middle -> quotient -> 0
-        object.__setattr__(self, "exact_sequences", exact_sequences)
-        object.__setattr__(self, "_key", (representative, classes, exact_sequences))
+        self._freeze((representative, classes, exact_sequences))
 
     def to_json(self) -> dict:
         return {
@@ -203,6 +198,8 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: Optional[int] = None) -
     max_steps is deprecated and ignored: the call does the same work at any
     depth, so no step budget applies.  It is still accepted, by position too.
     """
+    from .decompose import raised_e2, top_seed
+
     if f.is_zero:
         raise DomainError("the zero form generates no module")
     char = infinitesimal_character(f)  # raises on non-eigenforms
@@ -251,13 +248,11 @@ class CharacterFamily(FrozenRecord):
     "trivial-only".
     """
 
-    __slots__ = ("archimedean_parity", "constraints", "_key")
+    __slots__ = ("archimedean_parity", "constraints")
     _fields = ("archimedean_parity", "constraints")
 
     def __init__(self, archimedean_parity: int, constraints: tuple[str, ...] = ()):
-        object.__setattr__(self, "archimedean_parity", archimedean_parity)
-        object.__setattr__(self, "constraints", constraints)
-        object.__setattr__(self, "_key", (archimedean_parity, constraints))
+        self._freeze((archimedean_parity, constraints))
 
     def to_json(self) -> dict:
         return {
@@ -272,7 +267,7 @@ class Summand(FrozenRecord):
     finite_kind is induced_family | space_enumeration | trivial | extension.
     """
 
-    __slots__ = ("finite_kind", "archimedean", "family", "s", "detail", "_key")
+    __slots__ = ("finite_kind", "archimedean", "family", "s", "detail")
     _fields = ("finite_kind", "archimedean", "family", "s", "detail")
 
     def __init__(
@@ -284,12 +279,7 @@ class Summand(FrozenRecord):
         detail: Optional[dict] = None,
     ):
         detail = {} if detail is None else detail  # a fresh dict per summand
-        object.__setattr__(self, "finite_kind", finite_kind)
-        object.__setattr__(self, "archimedean", archimedean)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "_key", (finite_kind, archimedean, family, s, detail))
+        self._freeze((finite_kind, archimedean, family, s, detail))
 
     def to_json(self) -> dict:
         finite: dict = {"kind": self.finite_kind}
@@ -304,14 +294,11 @@ class Summand(FrozenRecord):
 class DecompositionDescriptor(FrozenRecord):
     """The summands of catalog(d, k); every other field is read off them."""
 
-    __slots__ = ("d", "k", "summands", "_key")
+    __slots__ = ("d", "k", "summands")
     _fields = ("d", "k", "summands")
 
     def __init__(self, d: int, k: int, summands: tuple[Summand, ...]):
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "summands", summands)
-        object.__setattr__(self, "_key", (d, k, summands))
+        self._freeze((d, k, summands))
 
     def _detail(self, kind: str) -> Optional[dict]:
         return next((s.detail for s in self.summands if s.finite_kind == kind), None)
@@ -370,6 +357,8 @@ def catalog(d: int, k: int) -> DecompositionDescriptor:
             constants generated by the weight-two Eisenstein series, and
             where it has none a plain trivial summand instead.
     """
+    if not (is_int(d) and is_int(k)):
+        raise DomainError(f"catalog needs integers d and k, got d={d!r}, k={k!r}")
     if d < 1 or k < 1:
         raise DomainError(f"catalog needs d >= 1 and k >= 1, got d={d}, k={k}")
     if d > MAX_DEGREE or k > MAX_WEIGHT:

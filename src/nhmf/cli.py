@@ -21,7 +21,6 @@ from .errors import DomainError, FormFileError, NhmfError, UsageError
 
 class CommandResult(Record):
     _fields = ("payload", "diagnostics", "code", "out_path", "json_indent", "text")
-    __hash__ = None  # mutable
 
     def __init__(
         self,
@@ -38,10 +37,6 @@ class CommandResult(Record):
         self.out_path = out_path
         self.json_indent = json_indent
         self.text = text  # the rendered document
-
-    @property
-    def _key(self) -> tuple:
-        return (self.payload, self.diagnostics, self.code, self.out_path, self.json_indent, self.text)
 
     @property
     def ok(self) -> bool:

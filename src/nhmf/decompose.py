@@ -117,7 +117,7 @@ class Decomposition(FrozenRecord):
     input to its truncation.
     """
 
-    __slots__ = ("weight", "truncation", "terms", "e2_term", "_key")
+    __slots__ = ("weight", "truncation", "terms", "e2_term")
     _fields = ("weight", "truncation", "terms", "e2_term")
 
     def __init__(
@@ -127,11 +127,7 @@ class Decomposition(FrozenRecord):
         terms: tuple[tuple[int, NearlyHolomorphicForm], ...],
         e2_term: Optional[tuple[int, Fraction]],
     ):
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "truncation", truncation)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "e2_term", e2_term)
-        object.__setattr__(self, "_key", (weight, truncation, terms, e2_term))
+        self._freeze((weight, truncation, terms, e2_term))
 
     def pieces(self) -> Iterator[tuple[int, NearlyHolomorphicForm]]:
         """(seed weight, raised seed) per summand; the weight-two Eisenstein one last."""

@@ -32,21 +32,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt
 
-from .arith import FrozenRecord, is_int
+# The domain bounds live in arith; all three stay importable from here.
+from .arith import MAX_DEGREE, MAX_TRUNCATION, MAX_WEIGHT, FrozenRecord, is_int  # noqa: F401
 from .errors import DomainError
 from .series import NearlyHolomorphicForm
-
-
-# Largest weight, and Bernoulli index, a generator accepts; constant-term
-# reports and the catalog accept no larger weight either, and the Laurent
-# engine no point or weight larger in absolute value.
-MAX_WEIGHT = 500
-
-# Largest base degree d a constant-term report or the catalog accepts.
-MAX_DEGREE = 10_000
-
-# Largest q-truncation a generator accepts.
-MAX_TRUNCATION = 10_000
 
 # B_0, B_1, ... as computed so far; odd indices above 1 hold 0.
 _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
@@ -203,14 +192,11 @@ def delta_cusp(truncation: int) -> NearlyHolomorphicForm:
 class BinaryForm(FrozenRecord):
     """The integral binary quadratic form a x^2 + b xy + c y^2."""
 
-    __slots__ = ("a", "b", "c", "_key")
+    __slots__ = ("a", "b", "c")
     _fields = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_key", (a, b, c))
+        self._freeze((a, b, c))
 
     @property
     def discriminant(self) -> int:

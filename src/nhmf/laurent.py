@@ -31,13 +31,12 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .arith import FrozenRecord, as_fraction, prime_power_base
+from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, as_fraction, is_int, prime_power_base
 from .errors import (
     DomainError,
     InsufficientLaurentPrecisionError,
     PoleError,
 )
-from .generators import MAX_DEGREE, MAX_WEIGHT
 from .pi_scalar import PiScalar
 
 INFINITE_ORDER = math.inf
@@ -51,16 +50,13 @@ class LaurentScalar(FrozenRecord):
     coefficient, and is exact.
     """
 
-    __slots__ = ("point", "order", "leading", "_key")
+    __slots__ = ("point", "order", "leading")
     _fields = ("point", "order", "leading")
 
     def __init__(self, point: Fraction, order: float | int, leading: Optional[PiScalar] = None):
         if leading is not None and (leading.is_zero or order == INFINITE_ORDER):
             raise ValueError("a leading coefficient must be nonzero, of a nonzero germ")
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "leading", leading)
-        object.__setattr__(self, "_key", (point, order, leading))
+        self._freeze((point, order, leading))
 
     @classmethod
     def zero(cls, point) -> "LaurentScalar":
@@ -241,7 +237,7 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     c = 2^(1 - s0 + o_a + o_b) c_s / (c_a c_b): one monomial, raised to d.
     """
     for name, value in (("weight ell", ell), ("degree d", d)):
-        if not isinstance(value, int):
+        if not is_int(value):
             raise DomainError(f"{name} must be an integer, got {value!r}")
     s0 = as_fraction(s0)
     if s0.denominator != 1:
@@ -309,21 +305,17 @@ def weight_parity(k: int) -> int:
 
 
 class Verdict(FrozenRecord):
-    __slots__ = ("kind", "leading", "exact", "order", "_key")
+    __slots__ = ("kind", "leading", "exact", "order")
     _fields = ("kind", "leading", "exact", "order")
 
     def __init__(
         self,
-        kind: str,
+        kind: str,  # PureSection | SectionPlusResidue | Pole
         leading: Optional[PiScalar] = None,
         exact: bool = True,
         order: Optional[int] = None,
     ):
-        object.__setattr__(self, "kind", kind)  # PureSection | SectionPlusResidue | Pole
-        object.__setattr__(self, "leading", leading)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_key", (kind, leading, exact, order))
+        self._freeze((kind, leading, exact, order))
 
     @classmethod
     def of(cls, germ: LaurentScalar) -> "Verdict":
@@ -352,15 +344,11 @@ class ConstantTermReport(FrozenRecord):
     germ stored in second_term, and the verdict is read off that germ.
     """
 
-    __slots__ = ("k", "d", "character", "second_term", "_key")
+    __slots__ = ("k", "d", "character", "second_term")
     _fields = ("k", "d", "character", "second_term")
 
     def __init__(self, k: int, d: int, character: str, second_term: LaurentScalar):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "character", character)
-        object.__setattr__(self, "second_term", second_term)
-        object.__setattr__(self, "_key", (k, d, character, second_term))
+        self._freeze((k, d, character, second_term))
 
     @property
     def archimedean_parity(self) -> int:
@@ -397,6 +385,8 @@ def constant_term_report(
     an order-1 germ for a place where the intertwining operator kills the
     section.
     """
+    if not (is_int(k) and is_int(d)):
+        raise DomainError(f"weight k and degree d must be integers, got k={k!r}, d={d!r}")
     if k < 1:
         raise DomainError(f"weight must be >= 1, got {k}")
     if k > MAX_WEIGHT:

@@ -161,12 +161,11 @@ class InfinitesimalCharacter(FrozenRecord):
     the orbit maximum, so lam >= 1 always.
     """
 
-    __slots__ = ("lam", "_key")
+    __slots__ = ("lam",)
     _fields = ("lam",)
 
     def __init__(self, lam: Fraction):
-        object.__setattr__(self, "lam", lam)
-        object.__setattr__(self, "_key", (lam,))
+        self._freeze((lam,))
 
     @classmethod
     def of(cls, lam) -> "InfinitesimalCharacter":

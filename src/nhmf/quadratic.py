@@ -44,7 +44,7 @@ class Place(FrozenRecord):
     Places order by (kind, p): the finite ones by their prime, then the real one.
     """
 
-    __slots__ = ("kind", "p", "_key")
+    __slots__ = ("kind", "p")
     _fields = ("kind", "p")
 
     def __init__(self, kind: str, p: Optional[int] = None):
@@ -56,9 +56,7 @@ class Place(FrozenRecord):
                 raise DomainError("real place carries no prime")
         else:
             raise DomainError(f"unknown place kind {kind!r}")
-        object.__setattr__(self, "kind", kind)  # "finite" | "real"
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "_key", (kind, p))
+        self._freeze((kind, p))
 
     def __lt__(self, other):
         if other.__class__ is self.__class__:
@@ -191,9 +189,7 @@ class QuadSpace2D(FrozenRecord):
         a1, a2 = as_fraction(a1), as_fraction(a2)
         if a1 == 0 or a2 == 0:
             raise DomainError("degenerate quadratic space")
-        object.__setattr__(self, "a1", a1)
-        object.__setattr__(self, "a2", a2)
-        object.__setattr__(self, "_key", (a1, a2))
+        self._freeze((a1, a2))
 
     @cached_property
     def discriminant(self) -> Fraction:
@@ -212,7 +208,7 @@ class LocalInvariant(FrozenRecord):
     Hasse invariant +1; violating pairs are rejected.
     """
 
-    __slots__ = ("place", "chi_nontrivial", "epsilon", "_key")
+    __slots__ = ("place", "chi_nontrivial", "epsilon")
     _fields = ("place", "chi_nontrivial", "epsilon")
 
     def __init__(self, place: Place, chi_nontrivial: bool, epsilon: int):
@@ -222,10 +218,7 @@ class LocalInvariant(FrozenRecord):
             raise InvariantViolationError(
                 f"epsilon = -1 with locally square discriminant at {place.render()}"
             )
-        object.__setattr__(self, "place", place)
-        object.__setattr__(self, "chi_nontrivial", chi_nontrivial)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "_key", (place, chi_nontrivial, epsilon))
+        self._freeze((place, chi_nontrivial, epsilon))
 
 
 def local_invariants(space: QuadSpace2D, v: Place) -> LocalInvariant:
@@ -264,7 +257,7 @@ class Collection(FrozenRecord):
     epsilons holds (place, sign) pairs sorted by place.
     """
 
-    __slots__ = ("discriminant", "epsilons", "_key")
+    __slots__ = ("discriminant", "epsilons")
     _fields = ("discriminant", "epsilons")
 
     def __init__(self, discriminant, epsilons):
@@ -277,9 +270,7 @@ class Collection(FrozenRecord):
                 raise DomainError(f"duplicate place {place.render()}")
             seen.add(place)
         epsilons = tuple(sorted(epsilons, key=lambda t: t[0]))
-        object.__setattr__(self, "discriminant", discriminant)
-        object.__setattr__(self, "epsilons", epsilons)
-        object.__setattr__(self, "_key", (discriminant, epsilons))
+        self._freeze((discriminant, epsilons))
 
     @classmethod
     def of(cls, discriminant, epsilons: dict) -> "Collection":
@@ -313,12 +304,11 @@ def collection_of(space: QuadSpace2D) -> Collection:
 class CoherenceResult(FrozenRecord):
     """The verdict of check_coherence: a witness space iff coherent."""
 
-    __slots__ = ("witness", "_key")
+    __slots__ = ("witness",)
     _fields = ("witness",)
 
     def __init__(self, witness: Optional[QuadSpace2D]):
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "_key", (witness,))
+        self._freeze((witness,))
 
     @property
     def coherent(self) -> bool:
@@ -428,7 +418,7 @@ class CharacterDescriptor(FrozenRecord):
     order 1, 2 or "other", whether it is unramified, and at the real place
     the sign exponent."""
 
-    __slots__ = ("order", "unramified", "real_sign", "_key")
+    __slots__ = ("order", "unramified", "real_sign")
     _fields = ("order", "unramified", "real_sign")
 
     def __init__(self, order=1, unramified: bool = True, real_sign: int = 0):
@@ -438,10 +428,7 @@ class CharacterDescriptor(FrozenRecord):
             raise DomainError("real_sign must be 0 or 1")
         if order == 1 and not unramified:
             raise DomainError("the trivial character is unramified")
-        object.__setattr__(self, "order", order)  # 1 | 2 | "other"
-        object.__setattr__(self, "unramified", unramified)
-        object.__setattr__(self, "real_sign", real_sign)
-        object.__setattr__(self, "_key", (order, unramified, real_sign))
+        self._freeze((order, unramified, real_sign))
 
 
 class ReducibilityVerdict(FrozenRecord):
@@ -451,16 +438,13 @@ class ReducibilityVerdict(FrozenRecord):
     direct_sum | steinberg_quotient | steinberg_sub | finite_quotient | trivial_sub.
     """
 
-    __slots__ = ("residue", "constituents", "structure", "_key")
+    __slots__ = ("residue", "constituents", "structure")
     _fields = ("residue", "constituents", "structure")
 
     def __init__(
         self, residue: str, constituents: tuple[str, ...] = (), structure: Optional[str] = None
     ):
-        object.__setattr__(self, "residue", residue)
-        object.__setattr__(self, "constituents", constituents)
-        object.__setattr__(self, "structure", structure)
-        object.__setattr__(self, "_key", (residue, constituents, structure))
+        self._freeze((residue, constituents, structure))
 
     @property
     def reducible(self) -> bool:

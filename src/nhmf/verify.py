@@ -58,16 +58,11 @@ from .series import NearlyHolomorphicForm
 
 class PropertyResult(Record):
     _fields = ("name", "passed", "detail")
-    __hash__ = None  # mutable
 
     def __init__(self, name: str, passed: bool, detail: str = ""):
         self.name = name
         self.passed = passed
         self.detail = detail
-
-    @property
-    def _key(self) -> tuple:
-        return (self.name, self.passed, self.detail)
 
     def to_json(self) -> dict:
         return {"name": self.name, "pass": self.passed, "detail": self.detail}

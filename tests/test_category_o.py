@@ -444,6 +444,35 @@ class TestCatalog:
         with pytest.raises(DomainError):
             catalog(1, 0)
 
+    @pytest.mark.parametrize(
+        "call, args",
+        [
+            (catalog, (1, 2.5)),
+            (catalog, (1.5, 3)),
+            (catalog, (1, 4.0)),
+            (catalog, (True, 2)),
+            (catalog, (1, True)),
+            (catalog, (Fraction(1), 4)),
+            (catalog, (1, Fraction(4))),
+            (catalog, ("1", 4)),
+            (constant_term_report, (4.0,)),
+            (constant_term_report, (True,)),
+            (constant_term_report, (Fraction(4),)),
+            (constant_term_report, (4, 1.0)),
+            (constant_term_report, (4, True)),
+            (constant_term_report, (2, Fraction(1))),
+            (constant_term_report, ("4",)),
+        ],
+    )
+    def test_a_weight_or_degree_that_is_not_an_int_is_refused(self, call, args):
+        # A float, a bool or a Fraction of integral value is no weight or
+        # degree: the call refuses it rather than answering with it, and a
+        # string is refused before a comparison could raise TypeError.
+        with pytest.raises(DomainError) as err:
+            call(*args)
+        assert err.value.code == "out-of-domain"
+        assert "integer" in str(err.value)
+
 
 class TestIntegralParallelFilter:
     def test_already_parallel(self):

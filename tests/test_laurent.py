@@ -503,7 +503,9 @@ class TestLaurentBounds:
         assert err.value.code == "out-of-domain"
         assert str(MAX_WEIGHT) in str(err.value)
 
-    @pytest.mark.parametrize("args", [(0, 2.0), (0, 2, 2.0), (0, Fraction(2)), (0, "2")])
+    @pytest.mark.parametrize(
+        "args", [(0, 2.0), (0, 2, 2.0), (0, Fraction(2)), (0, "2"), (3, True, 1), (3, 4, True)]
+    )
     def test_a_weight_or_degree_that_is_not_an_int_is_refused(self, args):
         with pytest.raises(DomainError) as err:
             archimedean_factor(*args)

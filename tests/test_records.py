@@ -6,12 +6,16 @@ default containers, now from the bases Record and FrozenRecord of arith.
 """
 
 import copy
+import importlib
+import inspect
 import pickle
+import pkgutil
 from fractions import Fraction
 from functools import cached_property
 
 import pytest
 
+import nhmf
 from nhmf.arith import FrozenRecord, Record
 from nhmf.category_o import (
     BlockClassification,
@@ -160,6 +164,32 @@ def test_the_twenty_record_classes():
     assert len(CASES) == 20
     assert all(issubclass(cls, Record) for cls in CASES)
     assert [cls for cls in CASES if issubclass(cls, FrozenRecord)] == FROZEN
+
+
+def subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from subclasses(sub)
+
+
+def test_every_record_class_of_the_package_is_a_case_and_leaves_the_layout_to_its_base():
+    for module in pkgutil.iter_modules(nhmf.__path__):
+        importlib.import_module(f"nhmf.{module.name}")
+    package = [cls for cls in subclasses(Record) if cls.__module__.split(".")[0] == "nhmf"]
+    assert FrozenRecord in package
+    package.remove(FrozenRecord)
+    assert set(package) == set(CASES)
+    # _key and __hash__ come from Record and FrozenRecord alone.
+    assert [cls for cls in package if "_key" in vars(cls) or "__hash__" in vars(cls)] == []
+
+
+@pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)
+def test_a_frozen_records_init_takes_its_fields_in_order(cls):
+    # _freeze pairs the values with _fields, and __reduce__ calls the class
+    # on _key, so the positional parameters must be the fields in order.
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+    assert tuple(p.name for p in params) == cls._fields
 
 
 @pytest.mark.parametrize("cls", CASES, ids=lambda cls: cls.__name__)
