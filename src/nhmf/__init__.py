@@ -60,7 +60,6 @@ _LAZY = {
         "BinaryForm",
         "bernoulli",
         "delta_cusp",
-        "divisor_power_sum",
         "eisenstein",
         "eisenstein2",
         "level1_basis",

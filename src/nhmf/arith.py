@@ -7,7 +7,10 @@ bound), and the one elimination routine of the package: the reduced echelon
 form of integer vectors, on which decompose's span test and the membership
 test of verify's quasimodular closure are built.  It also holds the domain
 bounds MAX_WEIGHT, MAX_DEGREE and MAX_TRUNCATION, which every command loads
-with this module, and Record and FrozenRecord, the value semantics of the
+with this module; check_int, the one check of an integer argument and its
+bounds, which every weight, degree, truncation, count and residue
+cardinality of the package passes, so that each is refused with DomainError
+in the same words; and Record and FrozenRecord, the value semantics of the
 package's small record classes: FrozenRecord._freeze is the one place that
 stores a record's fields.  Nothing here knows about forms.
 """
@@ -41,6 +44,18 @@ def as_fraction(x) -> Fraction:
 def is_int(x) -> bool:
     """x is an int and not a bool (JSON true and false are not numbers)."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def check_int(name: str, value, low=None, high=None) -> None:
+    """DomainError unless value is an int, not a bool, in low..high; an end
+    given as None is open.  name is the argument as the refusal calls it."""
+    if is_int(value) and (low is None or value >= low) and (high is None or value <= high):
+        return
+    if low is None:
+        domain = "" if high is None else f" <= {high}"
+    else:
+        domain = f" >= {low}" if high is None else f" in {low}..{high}"
+    raise DomainError(f"{name} must be an integer{domain}, got {value!r}")
 
 
 # The exponent of a literal such as "1.5e-3", as Fraction reads it.
@@ -209,8 +224,7 @@ def is_prime(n: int) -> bool:
 
 def prime_power_base(q: int) -> int:
     """The prime p with q = p^e; DomainError if q is not a prime power."""
-    if not isinstance(q, int) or q < 2:
-        raise DomainError(f"residue cardinality must be a prime power >= 2, got {q}")
+    check_int("residue cardinality", q, 2)
     p = next(prime_factors(q))
     n = q
     while n % p == 0:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, as_fraction, is_int
+from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, as_fraction, check_int
 from .errors import AmbiguousModuleError, DomainError
 from .laurent import constant_term_report, weight_parity
 from .operators import (
@@ -357,14 +357,8 @@ def catalog(d: int, k: int) -> DecompositionDescriptor:
             constants generated by the weight-two Eisenstein series, and
             where it has none a plain trivial summand instead.
     """
-    if not (is_int(d) and is_int(k)):
-        raise DomainError(f"catalog needs integers d and k, got d={d!r}, k={k!r}")
-    if d < 1 or k < 1:
-        raise DomainError(f"catalog needs d >= 1 and k >= 1, got d={d}, k={k}")
-    if d > MAX_DEGREE or k > MAX_WEIGHT:
-        raise DomainError(
-            f"catalog needs d <= {MAX_DEGREE} and k <= {MAX_WEIGHT}, got d={d}, k={k}"
-        )
+    check_int("degree d", d, 1, MAX_DEGREE)
+    check_int("weight k", k, 1, MAX_WEIGHT)
     if k >= 3:
         summands = (_induced(k, d),)
     elif k == 1:

@@ -14,9 +14,10 @@ multiplicativity over one table of least prime factors, not by factoring
 each n.
 
 Every generator refuses, before any work, a weight (or Bernoulli index) that
-is not an int or is above MAX_WEIGHT, and a truncation above MAX_TRUNCATION,
-with DomainError.  At the bounds, on a 2-core x86 host with Python 3.11, a
-cold bernoulli(MAX_WEIGHT) takes about 0.4 s, eisenstein(4, MAX_TRUNCATION)
+is not an int or is above arith.MAX_WEIGHT, and a truncation that is not an
+int in 0..arith.MAX_TRUNCATION, with DomainError from arith.check_int.  At
+the bounds, on a 2-core x86 host with Python 3.11, a cold
+bernoulli(MAX_WEIGHT) takes about 0.4 s, eisenstein(4, MAX_TRUNCATION)
 about 0.01 s and eisenstein(MAX_WEIGHT, MAX_TRUNCATION) about 0.15 s more.
 The products behind level1_basis multiply packed ints (Karatsuba, about the
 1.6th power of the size), and the size is the truncation times the
@@ -32,8 +33,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt
 
-# The domain bounds live in arith; all three stay importable from here.
-from .arith import MAX_DEGREE, MAX_TRUNCATION, MAX_WEIGHT, FrozenRecord, is_int  # noqa: F401
+from .arith import MAX_TRUNCATION, MAX_WEIGHT, FrozenRecord, check_int
 from .errors import DomainError
 from .series import NearlyHolomorphicForm
 
@@ -43,8 +43,7 @@ _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
 
 def bernoulli(m: int) -> Fraction:
     """B_m with B_1 = -1/2, by the standard recurrence over the even indices."""
-    if not is_int(m) or not 0 <= m <= MAX_WEIGHT:
-        raise DomainError(f"bernoulli requires an integer 0 <= m <= {MAX_WEIGHT}, got {m!r}")
+    check_int("Bernoulli index", m, 0, MAX_WEIGHT)
     table = _BERNOULLI
     while len(table) <= m:
         j = len(table)
@@ -57,21 +56,6 @@ def bernoulli(m: int) -> Fraction:
             acc += comb(j + 1, i) * table[i]
         table.append(-acc / (j + 1))
     return table[m]
-
-
-def divisor_power_sum(n: int, e: int) -> int:
-    """sigma_e(n) = sum of d^e over positive divisors d of n; 0 for n = 0."""
-    if not (is_int(n) and is_int(e)) or n < 0 or e < 0:
-        raise DomainError(
-            f"divisor_power_sum requires integers n >= 0 and e >= 0, got {n!r}, {e!r}"
-        )
-    acc = 0
-    for d in range(1, isqrt(n) + 1):
-        if n % d == 0:
-            acc += d**e
-            if d * d != n:
-                acc += (n // d) ** e
-    return acc
 
 
 def _divisor_sums(e: int, truncation: int) -> list[int]:
@@ -100,24 +84,12 @@ def _divisor_sums(e: int, truncation: int) -> list[int]:
     return sums
 
 
-def _check_truncation(truncation: int) -> None:
-    if not is_int(truncation) or not 0 <= truncation <= MAX_TRUNCATION:
-        raise DomainError(
-            f"truncation must be an integer in 0..{MAX_TRUNCATION}, got {truncation!r}"
-        )
-
-
-def _check_weight(k: int) -> None:
-    if not is_int(k) or k > MAX_WEIGHT:
-        raise DomainError(f"weight must be an integer at most {MAX_WEIGHT}, got {k!r}")
-
-
 def eisenstein(k: int, truncation: int) -> NearlyHolomorphicForm:
     """E_k = 1 - (2k/B_k) sum sigma_(k-1)(n) q^n for even k >= 4; depth 0."""
-    if not is_int(k) or k % 2 or k < 4:
-        raise DomainError(f"eisenstein requires an even integer k >= 4, got {k!r}")
-    _check_weight(k)
-    _check_truncation(truncation)
+    check_int("weight", k, 4, MAX_WEIGHT)
+    if k % 2:
+        raise DomainError(f"eisenstein requires an even weight, got {k}")
+    check_int("truncation", truncation, 0, MAX_TRUNCATION)
     factor = Fraction(-2 * k) / bernoulli(k)
     p, d = factor.numerator, factor.denominator
     col = [p * s for s in _divisor_sums(k - 1, truncation)]
@@ -127,7 +99,7 @@ def eisenstein(k: int, truncation: int) -> NearlyHolomorphicForm:
 
 def eisenstein2(truncation: int) -> NearlyHolomorphicForm:
     """The weight-two nearly holomorphic Eisenstein series 12X - 1 + 24 sum sigma_1(n) q^n."""
-    _check_truncation(truncation)
+    check_int("truncation", truncation, 0, MAX_TRUNCATION)
     col = [24 * s for s in _divisor_sums(1, truncation)]
     col[0] = -1
     top = [12] + [0] * truncation
@@ -154,8 +126,8 @@ def level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicForm]:
     weight, as its packed slots widen, so the saving is mostly in the
     mid-weight powers that this does not build.
     """
-    _check_weight(k)
-    _check_truncation(truncation)
+    check_int("weight", k, high=MAX_WEIGHT)
+    check_int("truncation", truncation, 0, MAX_TRUNCATION)
     if k % 2:
         return []
     a0, b0 = _HEAD[k % 12]
@@ -196,6 +168,8 @@ class BinaryForm(FrozenRecord):
     _fields = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
+        for name, value in zip(self._fields, (a, b, c)):
+            check_int(f"coefficient {name}", value)
         self._freeze((a, b, c))
 
     @property
@@ -218,7 +192,7 @@ def theta_series(q_form: BinaryForm, truncation: int) -> NearlyHolomorphicForm:
     """
     if not q_form.is_positive_definite:
         raise DomainError(f"theta series requires a positive definite form, got {q_form}")
-    _check_truncation(truncation)
+    check_int("truncation", truncation, 0, MAX_TRUNCATION)
     disc = -q_form.discriminant
     # Gauss-reduce to |b| <= a <= c, by x -> x - k*y and swaps of x and y:
     # an equivalent form represents every integer equally often, and the

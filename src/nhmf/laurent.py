@@ -13,7 +13,7 @@ with the archimedean factor
 Only orders of vanishing and one leading coefficient are ever needed to decide
 whether the second term vanishes, contributes a residue, or blows up, so a
 :class:`LaurentScalar` stores exactly that: the expansion point, the order
-(negative = pole, +infinity = the zero function) and the first nonzero
+(negative = pole, None = the zero function) and the first nonzero
 coefficient as a :class:`PiScalar`.  Any computation that would require
 subleading coefficients raises instead of guessing.
 
@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, as_fraction, is_int, prime_power_base
+from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, as_fraction, check_int, prime_power_base
 from .errors import (
     DomainError,
     InsufficientLaurentPrecisionError,
@@ -39,28 +39,26 @@ from .errors import (
 )
 from .pi_scalar import PiScalar
 
-INFINITE_ORDER = math.inf
-
 
 class LaurentScalar(FrozenRecord):
     """Order and leading coefficient of a meromorphic germ at a point.
 
     A nonzero germ without a leading coefficient certifies its order only
-    (exact is False).  The zero germ has order +infinity and no leading
+    (exact is False).  The zero germ has no order (None) and no leading
     coefficient, and is exact.
     """
 
     __slots__ = ("point", "order", "leading")
     _fields = ("point", "order", "leading")
 
-    def __init__(self, point: Fraction, order: float | int, leading: Optional[PiScalar] = None):
-        if leading is not None and (leading.is_zero or order == INFINITE_ORDER):
+    def __init__(self, point: Fraction, order: Optional[int], leading: Optional[PiScalar] = None):
+        if leading is not None and (leading.is_zero or order is None):
             raise ValueError("a leading coefficient must be nonzero, of a nonzero germ")
         self._freeze((point, order, leading))
 
     @classmethod
     def zero(cls, point) -> "LaurentScalar":
-        return cls(as_fraction(point), INFINITE_ORDER)
+        return cls(as_fraction(point), None)
 
     @classmethod
     def of(cls, point, order: int, leading: PiScalar) -> "LaurentScalar":
@@ -74,7 +72,7 @@ class LaurentScalar(FrozenRecord):
 
     @property
     def is_zero(self) -> bool:
-        return self.order == INFINITE_ORDER
+        return self.order is None
 
     @property
     def exact(self) -> bool:
@@ -94,7 +92,7 @@ class LaurentScalar(FrozenRecord):
 
     def invert(self) -> "LaurentScalar":
         if self.is_zero:
-            raise PoleError("reciprocal of the zero germ", order=-INFINITE_ORDER)
+            raise PoleError("reciprocal of the zero germ")
         if not self.exact:
             raise InsufficientLaurentPrecisionError(
                 "cannot invert a germ whose leading coefficient is not certified"
@@ -106,6 +104,8 @@ class LaurentScalar(FrozenRecord):
             return self.invert() ** (-n)
         if n == 0:
             return LaurentScalar.of(self.point, 0, PiScalar.one())
+        if self.is_zero:
+            return self
         leading = self.leading**n if self.leading is not None else None
         return LaurentScalar(self.point, self.order * n, leading)
 
@@ -136,16 +136,11 @@ class LaurentScalar(FrozenRecord):
     def to_json(self) -> dict:
         return {
             "point": str(self.point),
-            "order": None if self.is_zero else self.order,
+            "order": self.order,
             "zero": self.is_zero,
             "leading": self.leading.render() if self.leading is not None else None,
             "exact": self.exact,
         }
-
-
-def _check_size(name: str, value) -> None:
-    if abs(value) > MAX_WEIGHT:
-        raise DomainError(f"{name} must be at most {MAX_WEIGHT} in absolute value, got {value}")
 
 
 def _gamma(x: Fraction) -> tuple[int, Fraction, Fraction]:
@@ -174,7 +169,7 @@ def _gamma(x: Fraction) -> tuple[int, Fraction, Fraction]:
 def gamma_at(s0) -> LaurentScalar:
     """Laurent data of Gamma(s) at a half-integer point, |s0| <= MAX_WEIGHT."""
     s0 = as_fraction(s0)
-    _check_size("point", s0)
+    check_int("ceil(|point|)", math.ceil(abs(s0)), high=MAX_WEIGHT)
     order, c, e = _gamma(s0)
     return LaurentScalar.of(s0, order, PiScalar.pi_power(e, c))
 
@@ -236,20 +231,14 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     c * i^(3 ell) * pi^(1 + e_s - e_a - e_b) * (s - s0)^(o_s - o_a - o_b),
     c = 2^(1 - s0 + o_a + o_b) c_s / (c_a c_b): one monomial, raised to d.
     """
-    for name, value in (("weight ell", ell), ("degree d", d)):
-        if not is_int(value):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
+    check_int("weight ell", ell, -MAX_WEIGHT, MAX_WEIGHT)
+    check_int("degree d", d, 1, MAX_DEGREE)
     s0 = as_fraction(s0)
     if s0.denominator != 1:
         raise DomainError(
             f"archimedean factor certified at integer points only, got {s0}"
         )
-    if d < 1:
-        raise DomainError("degree d must be >= 1")
-    if d > MAX_DEGREE:
-        raise DomainError(f"degree d must be <= {MAX_DEGREE}, got {d}")
-    _check_size("point", s0)
-    _check_size("weight", ell)
+    check_int("point", s0.numerator, -MAX_WEIGHT, MAX_WEIGHT)
     o_s, c_s, e_s = _gamma(s0)
     o_a, c_a, e_a = _gamma((s0 + 1 + ell) / 2)
     o_b, c_b, e_b = _gamma((s0 + 1 - ell) / 2)
@@ -385,12 +374,7 @@ def constant_term_report(
     an order-1 germ for a place where the intertwining operator kills the
     section.
     """
-    if not (is_int(k) and is_int(d)):
-        raise DomainError(f"weight k and degree d must be integers, got k={k!r}, d={d!r}")
-    if k < 1:
-        raise DomainError(f"weight must be >= 1, got {k}")
-    if k > MAX_WEIGHT:
-        raise DomainError(f"weight must be <= {MAX_WEIGHT}, got {k}")
+    check_int("weight k", k, 1, MAX_WEIGHT)  # the degree is checked by archimedean_factor
     s0 = Fraction(k - 1)
     total = archimedean_factor(s0, k, d) * zeta_ratio_at(s0, d, character)
     for item in local_data:

@@ -52,7 +52,7 @@ from math import perm, prod
 from operator import add, mul
 from typing import NamedTuple
 
-from .arith import FrozenRecord, is_int
+from .arith import FrozenRecord, check_int
 from .errors import DomainError, NonEigenformError
 from .pi_scalar import MINUS_FOUR_PI, MINUS_INV_FOUR_PI, PiScalar
 from .series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
@@ -84,8 +84,7 @@ def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
     MAX_FILE_ENTRIES, the most a form file may hold, it is refused as
     out-of-domain before any column is built.
     """
-    if not is_int(ell) or ell < 0:
-        raise ValueError("iteration count must be >= 0")
+    check_int("iteration count", ell, 0)
     if not ell or f.is_zero:
         return f
     depth, n = f.depth + ell, f.truncation
@@ -121,8 +120,7 @@ def iterate_lower(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
     One pass by the closed form of the module docstring: column r >= l of f,
     times r! / (r - l)!, is column r - l of the image.
     """
-    if not is_int(ell) or ell < 0:
-        raise ValueError("iteration count must be >= 0")
+    check_int("iteration count", ell, 0)
     if not ell or f.is_zero:
         return f
     out = [list(map(perm(r, ell).__mul__, col)) for r, col in enumerate(f._cols[ell:], ell)]

@@ -33,7 +33,7 @@ from itertools import combinations
 from math import prod
 from typing import Optional
 
-from .arith import FrozenRecord, as_fraction, is_prime, prime_factors, prime_power_base
+from .arith import FrozenRecord, as_fraction, check_int, is_prime, prime_factors, prime_power_base
 from .errors import DomainError, InvariantViolationError
 
 
@@ -387,6 +387,7 @@ def enumerate_definite_spaces(discriminant, support_bound: int) -> list[Collecti
     out-of-domain as soon as the candidate scan has found enough primes to
     pass it, before any collection is built.
     """
+    check_int("support bound", support_bound)
     delta = as_fraction(discriminant)
     if delta >= 0:
         raise DomainError("definite binary spaces need a negative discriminant")
@@ -422,10 +423,9 @@ class CharacterDescriptor(FrozenRecord):
     _fields = ("order", "unramified", "real_sign")
 
     def __init__(self, order=1, unramified: bool = True, real_sign: int = 0):
-        if order not in (1, 2, "other"):
-            raise DomainError(f"character order must be 1, 2 or 'other', got {order}")
-        if real_sign not in (0, 1):
-            raise DomainError("real_sign must be 0 or 1")
+        if order != "other":
+            check_int("character order (or 'other')", order, 1, 2)
+        check_int("real_sign", real_sign, 0, 1)
         if order == 1 and not unramified:
             raise DomainError("the trivial character is unramified")
         self._freeze((order, unramified, real_sign))
@@ -501,9 +501,8 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
                 )
         return ReducibilityVerdict("real")
 
-    q = int(residue)
-    prime_power_base(q)  # validates prime power
-    label = str(q)
+    prime_power_base(residue)  # an int, and a prime power
+    label = str(residue)
 
     if mu.order == 2 and not mu.unramified:
         # Ramified quadratic: reducible on the full lattice sigma = 0, tau in Z.

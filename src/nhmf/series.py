@@ -40,7 +40,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg, sub
 
-from .arith import is_int, read_rational
+from .arith import check_int, is_int, read_rational
 from .errors import DomainError, FormFileError, WeightMismatchError
 
 
@@ -137,8 +137,7 @@ class NearlyHolomorphicForm:
         a nonzero form past MAX_FILE_ENTRIES stored coefficients is refused
         as out-of-domain before any is allocated.
         """
-        if not is_int(truncation) or truncation < 0:
-            raise ValueError(f"truncation must be a non-negative integer, got {truncation!r}")
+        check_int("truncation", truncation, 0)
         data: dict[tuple[int, int], Fraction] = {}
         if coeffs:
             for (r, n), c in coeffs.items():
@@ -149,8 +148,8 @@ class NearlyHolomorphicForm:
                 c = Fraction(c)
                 if c:
                     data[(r, n)] = c
-        if data and not is_int(weight):
-            raise ValueError(f"weight must be an integer, got {weight!r}")
+        if data:
+            check_int("weight", weight)
         depth = max((r for r, _ in data), default=-1)
         if data and (depth + 1) * (truncation + 1) > MAX_FILE_ENTRIES:
             raise DomainError(
@@ -324,14 +323,7 @@ class NearlyHolomorphicForm:
 
     def truncate(self, new_truncation: int) -> "NearlyHolomorphicForm":
         """Re-truncate to a smaller bound; extrapolation is refused."""
-        if not is_int(new_truncation) or new_truncation < 0:
-            raise ValueError(
-                f"truncation must be a non-negative integer, got {new_truncation!r}"
-            )
-        if new_truncation > self._trunc:
-            raise ValueError(
-                f"cannot extend truncation {self._trunc} to {new_truncation}"
-            )
+        check_int("truncation", new_truncation, 0, self._trunc)
         if new_truncation == self._trunc:
             return self
         length = new_truncation + 1

@@ -2,24 +2,27 @@
 
 These recompute expected values from first principles (analytic operator
 definitions, lattice enumeration, numeric evaluation) through code paths
-disjoint from the library internals they check.  There are two exceptions.
+disjoint from the library internals they check.  There are three exceptions.
 reference_level1_basis keeps an earlier construction of the library's
 level-1 basis, one product per power of E4 and of E6, as the reference of
 the current one.  solve_exact is an exact linear solver over the library's
 reduced echelon form: test_arith checks it against an independent
 Gauss-Jordan elimination, and the decompose and verify tests use it as the
-reference of their span tests.
+reference of their span tests.  divisor_power_sum, sigma_e by trial division
+up to the square root, is a second path to the divisor sums that the library
+builds by multiplicativity for its Eisenstein series: test_generators checks
+it against brute_divisor_sum and uses it as the reference of the library's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from typing import Optional
 
 import pytest
 
-from nhmf.arith import as_fraction, reduce_by, reduced_echelon
+from nhmf.arith import as_fraction, check_int, reduce_by, reduced_echelon
 from nhmf.generators import eisenstein
 from nhmf.pi_scalar import PiScalar
 from nhmf.series import NearlyHolomorphicForm
@@ -145,6 +148,19 @@ def reference_level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicFor
     e4 = powers(4, exponents[0][0])
     e6 = powers(6, exponents[-1][1])
     return [e4[a] * e6[b] if a and b else (e4[a] if a else e6[b]) for a, b in exponents]
+
+
+def divisor_power_sum(n: int, e: int) -> int:
+    """sigma_e(n) = sum of d^e over positive divisors d of n; 0 for n = 0."""
+    check_int("n", n, 0)
+    check_int("e", e, 0)
+    acc = 0
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            acc += d**e
+            if d * d != n:
+                acc += (n // d) ** e
+    return acc
 
 
 def brute_divisor_sum(n: int, e: int) -> int:

@@ -53,7 +53,7 @@ def test_prime_power_base_against_brute_force():
             with pytest.raises(DomainError, match=f"^{q} is not a prime power$"):
                 prime_power_base(q)
     for bad in (1, 0, -4, "9", 2.0):
-        with pytest.raises(DomainError, match="prime power >= 2"):
+        with pytest.raises(DomainError, match="residue cardinality must be an integer >= 2"):
             prime_power_base(bad)
 
 

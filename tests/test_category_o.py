@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import nhmf.operators
+from nhmf.arith import MAX_DEGREE, MAX_WEIGHT
 from nhmf.category_o import (
     ModuleClass,
     catalog,
@@ -22,14 +23,7 @@ from nhmf.category_o import (
     verma,
 )
 from nhmf.errors import AmbiguousModuleError, DomainError, NonEigenformError
-from nhmf.generators import (
-    MAX_DEGREE,
-    MAX_WEIGHT,
-    delta_cusp,
-    eisenstein,
-    eisenstein2,
-    level1_basis,
-)
+from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
 from nhmf.laurent import constant_term_report
 from nhmf.operators import (
     infinitesimal_character,

@@ -13,9 +13,10 @@ from pathlib import Path
 import pytest
 
 import nhmf.cli
+from nhmf.arith import MAX_DEGREE, MAX_WEIGHT
 from nhmf.cli import main, run
 from nhmf.errors import ERROR_CODES
-from nhmf.generators import MAX_DEGREE, MAX_WEIGHT, eisenstein
+from nhmf.generators import eisenstein
 from nhmf.operators import raise_weight
 from nhmf.series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
 

@@ -6,14 +6,12 @@ from math import comb
 
 import pytest
 
+from nhmf.arith import MAX_TRUNCATION, MAX_WEIGHT
 from nhmf.errors import DomainError
 from nhmf.generators import (
-    MAX_TRUNCATION,
-    MAX_WEIGHT,
     BinaryForm,
     bernoulli,
     delta_cusp,
-    divisor_power_sum,
     eisenstein,
     eisenstein2,
     level1_basis,
@@ -22,7 +20,12 @@ from nhmf.generators import (
 from nhmf.operators import raise_weight
 from nhmf.series import NearlyHolomorphicForm
 
-from conftest import brute_divisor_sum, brute_theta_counts, reference_level1_basis
+from conftest import (
+    brute_divisor_sum,
+    brute_theta_counts,
+    divisor_power_sum,
+    reference_level1_basis,
+)
 
 
 def test_bernoulli_values():

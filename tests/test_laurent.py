@@ -4,6 +4,7 @@ Exact leadings are cross-checked against high-precision numeric evaluation at
 s0 + 1e-6 (relative error < 1e-4).
 """
 
+import json
 import math
 import time
 from fractions import Fraction
@@ -11,9 +12,9 @@ from fractions import Fraction
 import pytest
 
 import nhmf.pi_scalar
+from nhmf.arith import MAX_WEIGHT
 from nhmf.errors import DomainError, InsufficientLaurentPrecisionError, PoleError
 from nhmf.laurent import (
-    INFINITE_ORDER,
     LaurentScalar,
     Verdict,
     archimedean_factor,
@@ -22,7 +23,6 @@ from nhmf.laurent import (
     unramified_intertwining_constant,
     zeta_ratio_at,
 )
-from nhmf.generators import MAX_WEIGHT
 from nhmf.pi_scalar import PiScalar
 
 from conftest import assert_laurent_matches_numeric, pi_scalar_to_complex
@@ -192,6 +192,18 @@ class TestLaurentScalarAlgebra:
         a = LaurentScalar.of(1, 2, PiScalar.one())
         assert (z * a).is_zero and (a * z).is_zero
 
+    def test_the_zero_germ_has_no_order(self):
+        # Its order was the float +inf, and its reciprocal's PoleError carried
+        # -inf, which JSON has no value for.
+        z = LaurentScalar.zero(1)
+        assert z.order is None and z.to_json()["order"] is None and z.to_json()["zero"]
+        for n in (1, 2, 7):
+            assert z**n == z
+        for refused in (z.invert, lambda: z**-1):
+            with pytest.raises(PoleError) as err:
+                refused()
+            json.dumps(err.value.data, allow_nan=False)
+
     def test_mismatched_points_rejected(self):
         with pytest.raises(DomainError):
             LaurentScalar.of(1, 0, PiScalar.one()) * LaurentScalar.of(
@@ -222,7 +234,7 @@ class TestLaurentScalarAlgebra:
         for make in (
             lambda: LaurentScalar.of(1, 0, None),
             lambda: LaurentScalar.of(1, 0, PiScalar.zero()),
-            lambda: LaurentScalar(Fraction(1), INFINITE_ORDER, PiScalar.one()),
+            lambda: LaurentScalar(Fraction(1), None, PiScalar.one()),
         ):
             with pytest.raises(ValueError):
                 make()

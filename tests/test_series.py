@@ -175,7 +175,7 @@ def test_truncation_monotonicity():
     prod_big = eisenstein(4, 50) * eisenstein(6, 50)
     prod_small = eisenstein(4, 20) * eisenstein(6, 20)
     assert prod_big.truncate(20) == prod_small
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"truncation must be an integer in 0\.\.20, got 30"):
         small.truncate(30)  # never extrapolate
 
 
@@ -183,10 +183,10 @@ def test_a_bool_is_no_truncation_or_weight():
     # True is an int to isinstance, yet a form built with it would write
     # JSON true into its form file, which from_doc refuses.
     for weight, trunc in ((4, True), (4, False), (True, 4)):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="must be an integer"):
             NearlyHolomorphicForm(weight, trunc, {(0, 0): 1})
     for trunc in (True, False):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="truncation must be an integer"):
             eisenstein(4, 6).truncate(trunc)
 
 
@@ -200,9 +200,9 @@ def test_a_bool_is_no_exponent():
 
 def test_truncate_checks_the_type_before_comparing():
     # The type is checked before the truncations are compared, so a str
-    # raises ValueError, not TypeError.
+    # raises DomainError, not TypeError.
     for trunc in ("3", 3.0, None, [3]):
-        with pytest.raises(ValueError, match="truncation must be a non-negative integer"):
+        with pytest.raises(DomainError, match="truncation must be an integer"):
             eisenstein(4, 6).truncate(trunc)
 
 
