@@ -1,7 +1,7 @@
 """Exact arithmetic helpers shared by every layer.
 
-Rational coercion, the one reader of rational literals from outside the
-program, integer factoring (trial division, then Pollard rho with a step
+read_rational, the one reader of a rational argument, which takes no float
+or bool; integer factoring (trial division, then Pollard rho with a step
 budget for large cofactors), a primality test (Miller-Rabin, exact below its
 bound), and the one elimination routine of the package: the reduced echelon
 form of integer vectors, on which decompose's span test and the membership
@@ -10,9 +10,10 @@ bounds MAX_WEIGHT, MAX_DEGREE and MAX_TRUNCATION, which every command loads
 with this module; check_int, the one check of an integer argument and its
 bounds, which every weight, degree, truncation, count and residue
 cardinality of the package passes, so that each is refused with DomainError
-in the same words; and Record and FrozenRecord, the value semantics of the
-package's small record classes: FrozenRecord._freeze is the one place that
-stores a record's fields.  Nothing here knows about forms.
+in the same words; check_sign, the one check of a Hasse sign; and Record and
+FrozenRecord, the value semantics of the package's small record classes:
+FrozenRecord._freeze is the one place that stores a record's fields.
+Nothing here knows about forms.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ MAX_DEGREE = 10_000
 MAX_TRUNCATION = 10_000
 
 
-def as_fraction(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 def is_int(x) -> bool:
     """x is an int and not a bool (JSON true and false are not numbers)."""
     return isinstance(x, int) and not isinstance(x, bool)
@@ -58,43 +55,57 @@ def check_int(name: str, value, low=None, high=None) -> None:
     raise DomainError(f"{name} must be an integer{domain}, got {value!r}")
 
 
+def check_sign(name: str, value) -> None:
+    """DomainError unless value is 1 or -1, as an int that is not a bool."""
+    if not (is_int(value) and value in (1, -1)):
+        raise DomainError(f"{name} must be 1 or -1, got {value!r}")
+
+
 # The exponent of a literal such as "1.5e-3", as Fraction reads it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
-def read_rational(literal, error: type[Exception]) -> Fraction:
-    """The exact value of a rational literal from outside the program: an int
-    that is not a bool, or a string as Fraction reads it ("-3/4", "0.1", "1e-3").
+def read_rational(value, error: type[Exception] = DomainError) -> Fraction:
+    """The exact value of a rational argument: a Fraction as it is, unbounded,
+    an int that is not a bool, or a string as Fraction reads it ("-3/4", "0.1").
 
-    Anything else raises error, as does a literal whose numerator or
-    denominator would have more digits than L = sys.get_int_max_str_digits(),
-    the most the interpreter converts to text.  Fraction reads each digit
-    string of a literal as an int, which bounds it by L digits already, so
-    without its exponent a literal's numerator is below 10^(2L) and its
-    denominator at most 10^L.  An exponent e with |e| > 3L therefore puts one
-    of them past L digits unless the value is 0, and such a literal is
-    refused before 10^|e| is built.
+    Anything else raises error: a float, whose binary value is not the decimal
+    it was written as, a bool, a Decimal or None.  So does an int or a string
+    whose numerator or denominator would have more digits than
+    L = sys.get_int_max_str_digits(), the most the interpreter converts to
+    text.  Fraction reads each digit string of a literal as an int, which
+    bounds it by L digits already, so without its exponent a literal's
+    numerator is below 10^(2L) and its denominator at most 10^L.  An exponent
+    e with |e| > 3L therefore puts one of them past L digits unless the value
+    is 0, and such a literal is refused before 10^|e| is built.
     """
-    if not (is_int(literal) or isinstance(literal, str)):
-        raise error(f"bad rational literal {literal!r}")
+    if isinstance(value, Fraction):
+        return value
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    exponent = _EXPONENT.search(literal) if isinstance(literal, str) else None
+    if is_int(value):
+        # 10^L has more than 3L bits, so only a longer int is compared with it.
+        if value.bit_length() > 3 * limit and limit and abs(value) >= 10**limit:
+            raise error(f"a rational literal has more than {limit} digits")
+        return Fraction(value)
+    if not isinstance(value, str):
+        raise error(f"bad rational literal {value!r}")
+    exponent = _EXPONENT.search(value)
     try:
         if limit and exponent and abs(int(exponent[1])) > 3 * limit:
             # The mantissa alone: its value times 10^e is 0 or too long.
-            value = Fraction(literal[: exponent.start()] + "e0")
-            too_long = value != 0
+            result = Fraction(value[: exponent.start()] + "e0")
+            too_long = result != 0
         else:
-            value = Fraction(literal)
+            result = Fraction(value)
             too_long = limit and any(
                 x.bit_length() > 3 * limit and x >= 10**limit
-                for x in (abs(value.numerator), value.denominator)
+                for x in (abs(result.numerator), result.denominator)
             )
     except (ValueError, ZeroDivisionError) as exc:
-        raise error(f"bad rational literal {literal!r}") from exc
+        raise error(f"bad rational literal {value!r}") from exc
     if too_long:
         raise error(f"a rational literal has more than {limit} digits")
-    return value
+    return result
 
 
 # Trial division stops below this bound; a cofactor it leaves composite goes

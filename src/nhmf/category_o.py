@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional
 
-from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, as_fraction, check_int
+from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, check_int, read_rational
 from .errors import AmbiguousModuleError, DomainError
 from .laurent import constant_term_report, weight_parity
 from .operators import (
@@ -36,15 +36,39 @@ if TYPE_CHECKING:
     from .series import NearlyHolomorphicForm
 
 
+# The notation of each kind of class with a parameter lam.
+_NOTATION = {
+    "verma": "N({})", "simple": "L({})", "dual_verma": "N({})^v",
+    "projective": "P({})", "finite": "F_{}",
+}
+
+
 class ModuleClass(FrozenRecord):
     """Label of an indecomposable object: one of verma/simple/dual_verma/
-    projective/finite/trivial, canonicalized so aliases compare equal
-    (e.g. Simple(0) is Trivial, and a simple Verma is stored as simple)."""
+    projective/finite/trivial, canonicalized here so aliases compare equal
+    (e.g. Simple(0) is Trivial, and a simple Verma is stored as simple).
+    An unknown kind, or a lam that is no rational, is a DomainError."""
 
     __slots__ = ("kind", "lam")
     _fields = ("kind", "lam")
 
-    def __init__(self, kind: str, lam: Optional[Fraction] = None):
+    def __init__(self, kind: str, lam=None):
+        if kind == "trivial" and lam is None:
+            kind, lam = "simple", 0  # triv is L(0)
+        elif kind not in _NOTATION:
+            raise DomainError(f"no module class {kind!r} with lambda {lam!r}")
+        lam = read_rational(lam)
+        integral = lam.denominator == 1
+        if kind == "finite":
+            if not integral or lam < 2:
+                raise DomainError(f"finite-dimensional class needs integer k >= 2, got {lam}")
+            kind, lam = "simple", 2 - lam  # F_k is L(2 - k)
+        elif kind == "projective" and not (integral and lam >= 2):
+            kind = "simple"  # semisimple block: P = N = L
+        elif kind in ("verma", "dual_verma") and not (integral and lam <= 0):
+            kind = "simple"  # irreducible Verma
+        if kind == "simple" and integral and lam <= 0:
+            kind, lam = ("finite", 2 - lam) if lam < 0 else ("trivial", None)
         self._freeze((kind, lam))
 
     @property
@@ -64,14 +88,7 @@ class ModuleClass(FrozenRecord):
     def render(self) -> str:
         if self.kind == "trivial":
             return "triv"
-        lam = self.lam
-        return {
-            "verma": f"N({lam})",
-            "simple": f"L({lam})",
-            "dual_verma": f"N({lam})^v",
-            "projective": f"P({lam})",
-            "finite": f"F_{lam}",
-        }[self.kind]
+        return _NOTATION[self.kind].format(self.lam)
 
     def __repr__(self):
         return f"ModuleClass({self.render()})"
@@ -90,40 +107,23 @@ def trivial() -> ModuleClass:
 
 
 def finite(k) -> ModuleClass:
-    k = as_fraction(k)
-    if k.denominator != 1 or k < 2:
-        raise DomainError(f"finite-dimensional class needs integer k >= 2, got {k}")
-    if k == 2:
-        return trivial()
     return ModuleClass("finite", k)
 
 
 def simple(lam) -> ModuleClass:
-    lam = as_fraction(lam)
-    if lam.denominator == 1 and lam <= 0:
-        return finite(2 - lam)
     return ModuleClass("simple", lam)
 
 
 def verma(lam) -> ModuleClass:
-    lam = as_fraction(lam)
-    if lam.denominator == 1 and lam <= 0:
-        return ModuleClass("verma", lam)
-    return simple(lam)  # irreducible Verma
+    return ModuleClass("verma", lam)
 
 
 def dual_verma(lam) -> ModuleClass:
-    lam = as_fraction(lam)
-    if lam.denominator == 1 and lam <= 0:
-        return ModuleClass("dual_verma", lam)
-    return simple(lam)
+    return ModuleClass("dual_verma", lam)
 
 
 def projective(lam) -> ModuleClass:
-    lam = as_fraction(lam)
-    if lam.denominator == 1 and lam >= 2:
-        return ModuleClass("projective", lam)
-    return simple(lam)  # semisimple block: P = N = L
+    return ModuleClass("projective", lam)
 
 
 def composition_factors(mc: ModuleClass) -> tuple[ModuleClass, ...]:
@@ -132,9 +132,7 @@ def composition_factors(mc: ModuleClass) -> tuple[ModuleClass, ...]:
     lam = mc.lam
     if mc.kind in ("verma", "dual_verma"):
         return (simple(2 - lam), simple(lam))
-    if mc.kind == "projective":
-        return (simple(lam), simple(2 - lam), simple(lam))
-    raise ValueError(mc.kind)
+    return (simple(lam), simple(2 - lam), simple(lam))  # projective
 
 
 class BlockClassification(FrozenRecord):
@@ -165,21 +163,16 @@ def classify_block(lam) -> BlockClassification:
     """The indecomposables of the block of chi_lam, with its exact sequences."""
     char = InfinitesimalCharacter.of(lam)
     rep = char.lam
-    if not char.integral:
-        return BlockClassification(rep, (simple(rep), simple(2 - rep)), ())
+    l_rep = simple(rep)
     if rep == 1:
-        return BlockClassification(rep, (simple(1),), ())
-    classes = (
-        simple(rep),
-        simple(2 - rep),
-        verma(2 - rep),
-        dual_verma(2 - rep),
-        projective(rep),
-    )
-    sequences = (
-        (simple(rep), verma(2 - rep), simple(2 - rep)),
-        (simple(rep), projective(rep), verma(2 - rep)),
-    )
+        return BlockClassification(rep, (l_rep,), ())
+    low = 2 - rep
+    l_low = simple(low)
+    if not char.integral:
+        return BlockClassification(rep, (l_rep, l_low), ())
+    n_low, p_rep = verma(low), projective(rep)
+    classes = (l_rep, l_low, n_low, dual_verma(low), p_rep)
+    sequences = ((l_rep, n_low, l_low), (l_rep, p_rep, n_low))
     return BlockClassification(rep, classes, sequences)
 
 
@@ -394,7 +387,7 @@ def integral_parallel_filter(lams) -> tuple[bool, Optional[tuple[int, ...]]]:
     The dot action of a sign vector w is (w . lam)_i = eps_i (lam_i - 1) + 1.
     On success returns the parallel representative normalized into Z^d_{>=1}.
     """
-    lams = [as_fraction(x) for x in lams]
+    lams = [read_rational(x) for x in lams]
     if not lams:
         raise DomainError("empty weight tuple")
     # w sends lam_i - 1 to +-(lam_i - 1): an image is parallel iff every lam_i

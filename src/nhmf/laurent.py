@@ -31,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, as_fraction, check_int, prime_power_base
+from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, check_int, prime_power_base, read_rational
 from .errors import (
     DomainError,
     InsufficientLaurentPrecisionError,
@@ -51,24 +51,24 @@ class LaurentScalar(FrozenRecord):
     __slots__ = ("point", "order", "leading")
     _fields = ("point", "order", "leading")
 
-    def __init__(self, point: Fraction, order: Optional[int], leading: Optional[PiScalar] = None):
+    def __init__(self, point, order: Optional[int], leading: Optional[PiScalar] = None):
         if leading is not None and (leading.is_zero or order is None):
             raise ValueError("a leading coefficient must be nonzero, of a nonzero germ")
-        self._freeze((point, order, leading))
+        self._freeze((read_rational(point), order, leading))
 
     @classmethod
     def zero(cls, point) -> "LaurentScalar":
-        return cls(as_fraction(point), None)
+        return cls(point, None)
 
     @classmethod
     def of(cls, point, order: int, leading: PiScalar) -> "LaurentScalar":
         if leading is None:
             raise ValueError("exact germ needs a nonzero leading coefficient")
-        return cls(as_fraction(point), order, leading)
+        return cls(point, order, leading)
 
     @classmethod
     def order_only(cls, point, order: int) -> "LaurentScalar":
-        return cls(as_fraction(point), order)
+        return cls(point, order)
 
     @property
     def is_zero(self) -> bool:
@@ -168,7 +168,7 @@ def _gamma(x: Fraction) -> tuple[int, Fraction, Fraction]:
 
 def gamma_at(s0) -> LaurentScalar:
     """Laurent data of Gamma(s) at a half-integer point, |s0| <= MAX_WEIGHT."""
-    s0 = as_fraction(s0)
+    s0 = read_rational(s0)
     check_int("ceil(|point|)", math.ceil(abs(s0)), high=MAX_WEIGHT)
     order, c, e = _gamma(s0)
     return LaurentScalar.of(s0, order, PiScalar.pi_power(e, c))
@@ -186,7 +186,7 @@ def zeta_ratio_at(
     ratio); other characters and degrees carry certified orders only, and
     points outside the certified range demand caller-supplied data.
     """
-    s0 = as_fraction(s0)
+    s0 = read_rational(s0)
     if ramified_L_data is not None:
         if ramified_L_data.point != s0:
             raise DomainError(
@@ -233,7 +233,7 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     """
     check_int("weight ell", ell, -MAX_WEIGHT, MAX_WEIGHT)
     check_int("degree d", d, 1, MAX_DEGREE)
-    s0 = as_fraction(s0)
+    s0 = read_rational(s0)
     if s0.denominator != 1:
         raise DomainError(
             f"archimedean factor certified at integer points only, got {s0}"
@@ -262,18 +262,12 @@ def unramified_intertwining_constant(q: int, mu, s0) -> Fraction:
     while qq > 1:
         qq //= p
         e += 1
-    if isinstance(mu, str):
-        mu = mu.replace("+", "")
-        try:
-            mu = Fraction(mu)
-        except ValueError as exc:
-            raise DomainError(f"unsupported root-of-unity tag {mu!r}") from exc
-    mu = as_fraction(mu)
-    if mu not in (Fraction(1), Fraction(-1)):
+    mu = read_rational(mu)
+    if mu not in (1, -1):
         raise DomainError(
             f"only the rational roots of unity +-1 are supported, got {mu}"
         )
-    s0 = as_fraction(s0)
+    s0 = read_rational(s0)
     exp = -s0 * e
     if exp.denominator != 1:
         raise DomainError(f"q^(-s0) is irrational for q = {q}, s0 = {s0}")

@@ -52,7 +52,7 @@ from math import perm, prod
 from operator import add, mul
 from typing import NamedTuple
 
-from .arith import FrozenRecord, check_int
+from .arith import FrozenRecord, check_int, read_rational
 from .errors import DomainError, NonEigenformError
 from .pi_scalar import MINUS_FOUR_PI, MINUS_INV_FOUR_PI, PiScalar
 from .series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
@@ -167,7 +167,7 @@ class InfinitesimalCharacter(FrozenRecord):
 
     @classmethod
     def of(cls, lam) -> "InfinitesimalCharacter":
-        lam = Fraction(lam)
+        lam = read_rational(lam)
         return cls(max(lam, 2 - lam))
 
     @property

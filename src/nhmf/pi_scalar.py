@@ -16,20 +16,21 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .arith import as_fraction
+from .arith import read_rational
+from .errors import DomainError
 
 
 def _coeff(c) -> tuple[Fraction, Fraction]:
     if isinstance(c, tuple):
         re, im = c
-        return as_fraction(re), as_fraction(im)
-    return as_fraction(c), Fraction(0)
+        return read_rational(re), read_rational(im)
+    return read_rational(c), Fraction(0)
 
 
 def _exponent(e) -> Fraction:
-    e = as_fraction(e)
+    e = read_rational(e)
     if e.denominator not in (1, 2):
-        raise ValueError(f"pi-exponent {e} is not a half-integer")
+        raise DomainError(f"pi-exponent {e} is not a half-integer")
     return e
 
 
@@ -65,15 +66,15 @@ class PiScalar:
 
     @classmethod
     def rational(cls, c) -> "PiScalar":
-        return cls({Fraction(0): as_fraction(c)})
+        return cls({Fraction(0): c})
 
     @classmethod
     def gaussian(cls, re, im) -> "PiScalar":
-        return cls({Fraction(0): (as_fraction(re), as_fraction(im))})
+        return cls({Fraction(0): (re, im)})
 
     @classmethod
     def pi_power(cls, e, coeff=1, imag=0) -> "PiScalar":
-        return cls({as_fraction(e): (as_fraction(coeff), as_fraction(imag))})
+        return cls({e: (coeff, imag)})
 
     # -- structure ---------------------------------------------------------
 
@@ -204,7 +205,7 @@ class PiScalar:
 
     @classmethod
     def from_json(cls, data) -> "PiScalar":
-        return cls({Fraction(e): (Fraction(re), Fraction(im)) for e, re, im in data})
+        return cls({e: (re, im) for e, re, im in data})
 
 
 MINUS_FOUR_PI = PiScalar.pi_power(1, -4)

@@ -33,7 +33,10 @@ from itertools import combinations
 from math import prod
 from typing import Optional
 
-from .arith import FrozenRecord, as_fraction, check_int, is_prime, prime_factors, prime_power_base
+from .arith import (
+    FrozenRecord, check_int, check_sign, is_int, is_prime, prime_factors, prime_power_base,
+    read_rational,
+)
 from .errors import DomainError, InvariantViolationError
 
 
@@ -86,9 +89,9 @@ class Place(FrozenRecord):
 
 def _terms(x) -> tuple[int, int]:
     # The numerator and denominator of a rational; an int or a Fraction
-    # already carries them, so only other inputs build a Fraction.
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
+    # already carries them, and read_rational reads anything else.
+    if not (isinstance(x, Fraction) or is_int(x)):
+        x = read_rational(x)
     return x.numerator, x.denominator
 
 
@@ -186,7 +189,7 @@ class QuadSpace2D(FrozenRecord):
     _fields = ("a1", "a2")
 
     def __init__(self, a1, a2):
-        a1, a2 = as_fraction(a1), as_fraction(a2)
+        a1, a2 = read_rational(a1), read_rational(a2)
         if a1 == 0 or a2 == 0:
             raise DomainError("degenerate quadratic space")
         self._freeze((a1, a2))
@@ -212,8 +215,7 @@ class LocalInvariant(FrozenRecord):
     _fields = ("place", "chi_nontrivial", "epsilon")
 
     def __init__(self, place: Place, chi_nontrivial: bool, epsilon: int):
-        if epsilon not in (1, -1):
-            raise DomainError("epsilon must be +-1")
+        check_sign("epsilon", epsilon)
         if not chi_nontrivial and epsilon == -1:
             raise InvariantViolationError(
                 f"epsilon = -1 with locally square discriminant at {place.render()}"
@@ -261,11 +263,12 @@ class Collection(FrozenRecord):
     _fields = ("discriminant", "epsilons")
 
     def __init__(self, discriminant, epsilons):
-        discriminant = as_fraction(discriminant)
+        discriminant = read_rational(discriminant)
         if discriminant == 0:
             raise DomainError("discriminant must be nonzero")
         seen = set()
-        for place, _ in epsilons:
+        for place, sign in epsilons:
+            check_sign("epsilon", sign)
             if place in seen:
                 raise DomainError(f"duplicate place {place.render()}")
             seen.add(place)
@@ -274,7 +277,7 @@ class Collection(FrozenRecord):
 
     @classmethod
     def of(cls, discriminant, epsilons: dict) -> "Collection":
-        return cls(as_fraction(discriminant), tuple(epsilons.items()))
+        return cls(discriminant, tuple(epsilons.items()))
 
     def epsilon_at(self, place: Place) -> int:
         for pl, e in self.epsilons:
@@ -357,8 +360,6 @@ def check_coherence(collection: Collection) -> CoherenceResult:
     """
     minus = []
     for place, e in collection.epsilons:
-        if e not in (1, -1):
-            raise DomainError("epsilon values must be +-1")
         if e == -1:
             if is_local_square(collection.discriminant, place):
                 raise InvariantViolationError(
@@ -388,7 +389,7 @@ def enumerate_definite_spaces(discriminant, support_bound: int) -> list[Collecti
     pass it, before any collection is built.
     """
     check_int("support bound", support_bound)
-    delta = as_fraction(discriminant)
+    delta = read_rational(discriminant)
     if delta >= 0:
         raise DomainError("definite binary spaces need a negative discriminant")
     candidates = []
@@ -482,7 +483,7 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
     exists: s in 2 Z_{>=0} with mu = sgn, or s in -1 + 2 Z_{>=0} with mu
     trivial, together with the constituents.
     """
-    sigma, tau = as_fraction(s_re), as_fraction(s_im)
+    sigma, tau = read_rational(s_re), read_rational(s_im)
 
     if residue == "real":
         # s = n with n >= -1, even for sgn and odd for the trivial character.
@@ -536,8 +537,7 @@ def unramified_eigenvalue(q: int, chi_nontrivial_unramified: bool, epsilon: int)
     ramified data (epsilon factors != 1) is out of the certified domain.
     """
     prime_power_base(q)
-    if epsilon not in (1, -1):
-        raise DomainError("epsilon must be +-1")
+    check_sign("epsilon", epsilon)
     if not chi_nontrivial_unramified:
         raise DomainError(
             "intertwining eigenvalue certified for nontrivial unramified "

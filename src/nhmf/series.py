@@ -145,7 +145,7 @@ class NearlyHolomorphicForm:
                     raise ValueError(f"bad exponent pair ({r}, {n})")
                 if n > truncation:
                     continue
-                c = Fraction(c)
+                c = read_rational(c)
                 if c:
                     data[(r, n)] = c
         if data:
@@ -196,11 +196,11 @@ class NearlyHolomorphicForm:
     @classmethod
     def constant(cls, c, truncation: int) -> "NearlyHolomorphicForm":
         """The constant c as a weight-zero form."""
-        return cls(0, truncation, {(0, 0): Fraction(c)})
+        return cls(0, truncation, {(0, 0): c})
 
     @classmethod
     def monomial(cls, weight: int, truncation: int, r: int = 0, n: int = 0, c=1):
-        return cls(weight, truncation, {(r, n): Fraction(c)})
+        return cls(weight, truncation, {(r, n): c})
 
     # -- structure ---------------------------------------------------------
 
@@ -301,7 +301,7 @@ class NearlyHolomorphicForm:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
+            c = read_rational(other)
             cols = [list(map(c.numerator.__mul__, col)) for col in self._cols]
             return NearlyHolomorphicForm._from_columns(
                 self._weight, self._trunc, self._den * c.denominator, cols

@@ -22,7 +22,7 @@ from typing import Optional
 
 import pytest
 
-from nhmf.arith import as_fraction, check_int, reduce_by, reduced_echelon
+from nhmf.arith import check_int, read_rational, reduce_by, reduced_echelon
 from nhmf.generators import eisenstein
 from nhmf.pi_scalar import PiScalar
 from nhmf.series import NearlyHolomorphicForm
@@ -109,7 +109,7 @@ def solve_exact(columns, target) -> Optional[list[Fraction]]:
     width, ncols = len(keys), len(columns)
 
     def cleared(col) -> tuple[list[int], int]:
-        values = [as_fraction(col.get(key, 0)) for key in keys]
+        values = [read_rational(col.get(key, 0)) for key in keys]
         den = lcm(*(x.denominator for x in values))
         return [(x * den).numerator for x in values], den
 

@@ -55,6 +55,30 @@ class TestModuleClassCanonicalization:
         assert projective(Fraction(3, 2)) == simple(Fraction(3, 2))
         assert projective(5).kind == "projective"
 
+    @pytest.mark.parametrize(
+        "kind, helper",
+        [("finite", finite), ("simple", simple), ("verma", verma),
+         ("dual_verma", dual_verma), ("projective", projective)],
+    )
+    def test_the_constructor_canonicalizes_as_each_helper(self, kind, helper):
+        # ModuleClass stored its arguments as given: ModuleClass("simple", 0)
+        # differed from simple(0), which is trivial().
+        for lam in [Fraction(n, 2) for n in range(-9, 10)] + [Fraction(3, 4), -3, 5]:
+            try:
+                want = helper(lam)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    ModuleClass(kind, lam)
+            else:
+                assert ModuleClass(kind, lam) == want, (kind, lam)
+        assert ModuleClass("trivial") == trivial()
+
+    @pytest.mark.parametrize("kind, lam", [("bogus", 3), ("Simple", 3), ("trivial", 2), ("simple", None)])
+    def test_an_unknown_kind_or_a_missing_lambda_is_refused(self, kind, lam):
+        # ModuleClass("bogus", 3) was stored, and rendering it raised KeyError.
+        with pytest.raises(DomainError):
+            ModuleClass(kind, lam)
+
 
 class TestClassifyBlock:
     def test_singular_point_single_class(self):

@@ -1,19 +1,25 @@
-"""The integer arguments of every public entry point, at and past their bounds.
+"""The integer, rational and sign arguments of every public entry point.
 
-Each row names an entry point, one of its integer arguments and that
+Each row of TABLE names an entry point, one of its integer arguments and that
 argument's bounds, and calls the entry point with every other argument in
 its domain.  A bool, a float and a Fraction of integral value, a value just
 below the lower bound and a value just past the upper bound must each be
 refused with DomainError, and the bounds themselves must be answered.  An end given as
 None is open: nothing is refused there.
+
+Each row of RATIONALS does the same for a rational argument, which a float,
+a bool or None must not enter, and each row of SIGNS for a Hasse sign, an
+int that is 1 or -1.
 """
 
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from nhmf.arith import MAX_DEGREE, MAX_TRUNCATION, MAX_WEIGHT, check_int, prime_power_base
-from nhmf.category_o import catalog
+from nhmf.category_o import ModuleClass, catalog, integral_parallel_filter
 from nhmf.errors import DomainError
 from nhmf.generators import (
     BinaryForm,
@@ -25,14 +31,23 @@ from nhmf.generators import (
     theta_series,
 )
 from nhmf.laurent import (
+    LaurentScalar,
     archimedean_factor,
     constant_term_report,
+    gamma_at,
     unramified_intertwining_constant,
+    zeta_ratio_at,
 )
-from nhmf.operators import iterate_lower, iterate_raise
+from nhmf.operators import InfinitesimalCharacter, iterate_lower, iterate_raise
+from nhmf.pi_scalar import PiScalar
 from nhmf.quadratic import (
     CharacterDescriptor,
+    Collection,
+    LocalInvariant,
+    Place,
+    QuadSpace2D,
     enumerate_definite_spaces,
+    hilbert_symbol,
     reducibility,
     unramified_eigenvalue,
 )
@@ -143,3 +158,103 @@ def test_check_int_words_every_refusal_alike(low, high, value, message):
     for inside in (low, high, 3):
         if inside is not None:
             assert check_int("n", inside, low, high) is None
+
+
+# (entry point, argument, the call on a value of the argument, a value the
+# call answers).  Each was answered for a float at its binary value, for a
+# bool as 0 or 1, or raised a raw TypeError for None.
+THREE = Place.finite(3)
+RATIONALS = [
+    ("gamma_at", "s0", gamma_at, Fraction(1, 2)),
+    ("zeta_ratio_at", "s0", zeta_ratio_at, Fraction(2)),
+    ("archimedean_factor", "s0", lambda s0: archimedean_factor(s0, 4), Fraction(3)),
+    ("unramified_intertwining_constant", "mu",
+     lambda mu: unramified_intertwining_constant(3, mu, 1), Fraction(-1)),
+    ("unramified_intertwining_constant", "s0",
+     lambda s0: unramified_intertwining_constant(9, 1, s0), Fraction(1, 2)),
+    ("LaurentScalar", "point", lambda point: LaurentScalar(point, 0), Fraction(3, 4)),
+    ("PiScalar", "exponent", PiScalar.pi_power, Fraction(1, 2)),
+    ("PiScalar", "coefficient", PiScalar.rational, Fraction(3, 4)),
+    ("PiScalar", "imaginary part", lambda im: PiScalar.gaussian(1, im), Fraction(3, 4)),
+    ("PiScalar.from_json", "exponent", lambda e: PiScalar.from_json([[e, "1", "0"]]), Fraction(1, 2)),
+    ("PiScalar.from_json", "coefficient", lambda c: PiScalar.from_json([["0", c, "0"]]), Fraction(3, 4)),
+    ("InfinitesimalCharacter.of", "lam", InfinitesimalCharacter.of, Fraction(3, 4)),
+    ("QuadSpace2D", "a1", lambda a1: QuadSpace2D(a1, 1), Fraction(3, 4)),
+    ("QuadSpace2D", "a2", lambda a2: QuadSpace2D(1, a2), Fraction(3, 4)),
+    ("Collection", "discriminant", lambda disc: Collection(disc, ()), Fraction(-3, 4)),
+    ("Collection.of", "discriminant", lambda disc: Collection.of(disc, {}), Fraction(-3, 4)),
+    ("enumerate_definite_spaces", "discriminant",
+     lambda disc: enumerate_definite_spaces(disc, 10), Fraction(-3, 4)),
+    ("hilbert_symbol", "a", lambda a: hilbert_symbol(a, 3, THREE), Fraction(3, 4)),
+    ("hilbert_symbol", "b", lambda b: hilbert_symbol(3, b, THREE), Fraction(3, 4)),
+    ("reducibility", "s_re", lambda s: reducibility(3, TRIVIAL, s, 0), Fraction(1)),
+    ("reducibility", "s_im", lambda s: reducibility(3, TRIVIAL, 0, s), Fraction(3, 4)),
+    ("NearlyHolomorphicForm", "coefficient",
+     lambda c: NearlyHolomorphicForm(4, 2, {(0, 0): c}), Fraction(3, 4)),
+    ("NearlyHolomorphicForm.constant", "c", lambda c: NearlyHolomorphicForm.constant(c, 2), Fraction(3, 4)),
+    ("NearlyHolomorphicForm.monomial", "c",
+     lambda c: NearlyHolomorphicForm.monomial(4, 2, c=c), Fraction(3, 4)),
+    ("ModuleClass", "lam", lambda lam: ModuleClass("simple", lam), Fraction(3, 4)),
+    ("integral_parallel_filter", "lams", lambda lam: integral_parallel_filter([lam]), Fraction(3, 4)),
+]
+RATIONAL_IDS = [f"{name}-{argument}" for name, argument, *_ in RATIONALS]
+
+
+@pytest.mark.parametrize("name, argument, call, inside", RATIONALS, ids=RATIONAL_IDS)
+def test_no_float_bool_or_none_enters_a_rational_argument(name, argument, call, inside):
+    for value in (0.5, 1.0, True, None):
+        with pytest.raises(DomainError, match="bad rational literal") as err:
+            call(value)
+        assert err.value.code == "out-of-domain", (name, argument, value)
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit"
+)
+@pytest.mark.parametrize("name, argument, call, inside", RATIONALS, ids=RATIONAL_IDS)
+def test_a_rational_argument_past_the_digit_limit_is_refused_at_once(name, argument, call, inside):
+    # QuadSpace2D("1e10000000", 1) built a 33-million-bit int for 12.8 s.
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="digits"):
+        call("1e10000000")
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("name, argument, call, inside", RATIONALS, ids=RATIONAL_IDS)
+def test_a_fraction_and_its_string_are_answered_alike(name, argument, call, inside):
+    assert type(inside) is Fraction
+    assert call(inside) == call(str(inside))
+
+
+def test_a_bool_scalar_is_refused():
+    # Each answered as a product with 1.
+    with pytest.raises(DomainError, match="bad rational literal"):
+        E4 * True
+    with pytest.raises(DomainError, match="bad rational literal"):
+        PiScalar.one() * True
+    assert E4 * Fraction(3, 4) == E4 * 3 * Fraction(1, 4)
+
+
+def test_the_string_three_quarters_is_read_exactly():
+    assert QuadSpace2D("3/4", 1).a1 == Fraction(3, 4)
+    assert InfinitesimalCharacter.of("3/4").lam == Fraction(5, 4)
+
+
+# (entry point, the call on a Hasse sign).  Each took True as the sign 1, and
+# Collection took any value, which check_coherence alone refused.
+SIGNS = [
+    ("LocalInvariant", lambda e: LocalInvariant(THREE, True, e)),
+    ("Collection", lambda e: Collection(-1, ((THREE, e),))),
+    ("Collection.of", lambda e: Collection.of(-1, {THREE: e})),
+    ("unramified_eigenvalue", lambda e: unramified_eigenvalue(3, True, e)),
+]
+
+
+@pytest.mark.parametrize("name, call", SIGNS, ids=[name for name, _ in SIGNS])
+def test_a_hasse_sign_is_the_int_one_or_minus_one(name, call):
+    for value in (True, 1.0, 0, 2, "1"):
+        with pytest.raises(DomainError, match="epsilon must be 1 or -1") as err:
+            call(value)
+        assert err.value.code == "out-of-domain", (name, value)
+    call(1)
+    call(-1)

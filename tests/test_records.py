@@ -118,7 +118,7 @@ CASES = {
         ("real",),
         "ReducibilityVerdict(residue='real', constituents=('a', 'b'), structure='direct_sum')",
     ),
-    ModuleClass: (("kind", "lam"), ("simple", Fraction(4)), ("verma", Fraction(4)), "ModuleClass(L(4))"),
+    ModuleClass: (("kind", "lam"), ("simple", Fraction(4)), ("verma", Fraction(-4)), "ModuleClass(L(4))"),
     BlockClassification: (
         ("representative", "classes", "exact_sequences"),
         (Fraction(3), (LAM3,), ()),
