@@ -99,10 +99,10 @@ class PiScalar:
         if self.is_zero:
             return Fraction(0)
         if set(self._terms) != {Fraction(0)}:
-            raise ValueError(f"{self} is not rational")
+            raise DomainError(f"{self} is not rational")
         re, im = self._terms[Fraction(0)]
         if im:
-            raise ValueError(f"{self} is not real")
+            raise DomainError(f"{self} is not real")
         return re
 
     # -- arithmetic --------------------------------------------------------
@@ -134,7 +134,7 @@ class PiScalar:
     def invert(self) -> "PiScalar":
         """Reciprocal; defined only for monomials c*pi^e."""
         if len(self._terms) != 1:
-            raise ValueError(f"cannot invert non-monomial scalar {self}")
+            raise DomainError(f"cannot invert non-monomial scalar {self}")
         ((e, (re, im)),) = self._terms.items()
         norm = re * re + im * im
         return PiScalar({-e: (re / norm, -im / norm)})

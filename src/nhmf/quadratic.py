@@ -19,7 +19,11 @@ The places a family of values can see are found by relevant_places, which
 factors only what the primes found so far leave over; values go factors
 first, so a discriminant -a1*a2 passed after a1 and a2 costs no factoring,
 and is never refused when a1 and a2 factor.  The p-adic helpers work on
-numerators and denominators as ints and build no Fraction.
+numerators and denominators as ints and build no Fraction.  So do
+local_invariants and the witness scan of check_coherence: a space keeps the
+terms of a1 and a2, each is split once per place, and the split of the
+discriminant -a1*a2 is read off theirs, so -a1*a2 is never built; the scan's
+candidates are ints, and it splits the discriminant at most once per place.
 
 Base field fixed to Q; the degree parameter elsewhere in the package is
 purely symbolic.
@@ -45,6 +49,9 @@ class Place(FrozenRecord):
     """A place of Q: a finite prime or the real place.
 
     Places order by (kind, p): the finite ones by their prime, then the real one.
+    A place is a value, so real() returns one shared instance, and finite()
+    one per prime below _SHARED_BELOW: the places that nearly every value
+    sees are built, and proved prime, once however many of them are held.
     """
 
     __slots__ = ("kind", "p")
@@ -68,11 +75,26 @@ class Place(FrozenRecord):
 
     @classmethod
     def finite(cls, p: int) -> "Place":
-        return cls("finite", p)
+        place = _SHARED.get(p) if is_int(p) else None
+        if place is None:
+            place = cls("finite", p)
+            _share(place)
+        return place
+
+    @classmethod
+    def _proved(cls, p: int) -> "Place":
+        """Trusted constructor for a finite place whose p is already proved
+        prime, as prime_factors proves each factor it yields."""
+        place = _SHARED.get(p)
+        if place is None:
+            place = object.__new__(cls)
+            place._freeze(("finite", p))
+            _share(place)
+        return place
 
     @classmethod
     def real(cls) -> "Place":
-        return cls("real")
+        return _SHARED[None]
 
     def render(self) -> str:
         return "real" if self.kind == "real" else str(self.p)
@@ -87,12 +109,25 @@ class Place(FrozenRecord):
             raise DomainError(f"bad place {text!r}") from exc
 
 
+# The shared places, keyed by p: the real place under None, and the finite
+# place of each prime below _SHARED_BELOW built so far, at most the 6542
+# primes below 2^16.
+_SHARED_BELOW = 1 << 16
+_SHARED: dict = {None: Place("real")}
+
+
+def _share(place: Place) -> None:
+    if place.p < _SHARED_BELOW:
+        _SHARED[place.p] = place
+
+
 def _terms(x) -> tuple[int, int]:
     # The numerator and denominator of a rational; an int or a Fraction
-    # already carries them, and read_rational reads anything else.
+    # already carries them, read in one call, and read_rational reads
+    # anything else.
     if not (isinstance(x, Fraction) or is_int(x)):
         x = read_rational(x)
-    return x.numerator, x.denominator
+    return x.as_integer_ratio()
 
 
 def _split(n: int, d: int, p: int) -> tuple[int, int, int]:
@@ -135,6 +170,36 @@ def legendre(u: Fraction, p: int) -> int:
     return _legendre(*_terms(u), p)
 
 
+def _split_symbol(a: tuple[int, int, int], b: tuple[int, int, int], p: int) -> int:
+    # (a, b)_p from the splits (alpha, na, da) of a = p^alpha * na/da and
+    # (beta, nb, db) of b, as _split returns them.
+    alpha, na, da = a
+    beta, nb, db = b
+    if p != 2:
+        symbol = -1 if (alpha * beta * (p - 1) // 2) % 2 else 1
+        if alpha % 2:
+            symbol *= _legendre(nb, db, p)
+        if beta % 2:
+            symbol *= _legendre(na, da, p)
+        return symbol
+    ra, rb = _unit_mod(na, da, 8), _unit_mod(nb, db, 8)
+    eps_a, eps_b = (ra - 1) // 2 % 2, (rb - 1) // 2 % 2
+    omega_a, omega_b = (ra * ra - 1) // 8 % 2, (rb * rb - 1) // 8 % 2
+    exponent = eps_a * eps_b + alpha * omega_b + beta * omega_a
+    return -1 if exponent % 2 else 1
+
+
+def _split_square(x: tuple[int, int, int], p: int) -> bool:
+    # Whether x is a square in Q_p, from its split (e, n, d): x = p^e * n/d
+    # with p dividing neither n nor d.
+    e, n, d = x
+    if e % 2:
+        return False
+    if p == 2:
+        return _unit_mod(n, d, 8) == 1
+    return _legendre(n, d, p) == 1
+
+
 def hilbert_symbol(a, b, v: Place) -> int:
     """The Hilbert symbol (a, b)_v for nonzero rationals.
 
@@ -150,19 +215,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
     if v.kind == "real":
         return -1 if (na < 0 and nb < 0) else 1
     p = v.p
-    (alpha, na, da), (beta, nb, db) = _split(na, da, p), _split(nb, db, p)
-    if p != 2:
-        symbol = -1 if (alpha * beta * (p - 1) // 2) % 2 else 1
-        if alpha % 2:
-            symbol *= _legendre(nb, db, p)
-        if beta % 2:
-            symbol *= _legendre(na, da, p)
-        return symbol
-    ra, rb = _unit_mod(na, da, 8), _unit_mod(nb, db, 8)
-    eps_a, eps_b = (ra - 1) // 2 % 2, (rb - 1) // 2 % 2
-    omega_a, omega_b = (ra * ra - 1) // 8 % 2, (rb * rb - 1) // 8 % 2
-    exponent = eps_a * eps_b + alpha * omega_b + beta * omega_a
-    return -1 if exponent % 2 else 1
+    return _split_symbol(_split(na, da, p), _split(nb, db, p), p)
 
 
 def is_local_square(x, v: Place) -> bool:
@@ -171,19 +224,14 @@ def is_local_square(x, v: Place) -> bool:
         raise DomainError("square test needs a nonzero argument")
     if v.kind == "real":
         return n > 0
-    p = v.p
-    e, n, d = _split(n, d, p)
-    if e % 2:
-        return False
-    if p == 2:
-        return _unit_mod(n, d, 8) == 1
-    return _legendre(n, d, p) == 1
+    return _split_square(_split(n, d, v.p), v.p)
 
 
 class QuadSpace2D(FrozenRecord):
     """Binary quadratic space over Q with diagonal Gram entries a1, a2.
 
-    No __slots__: the cached discriminant lives in the instance dict.
+    No __slots__: the cached discriminant and the cached terms of a1 and a2
+    live in the instance dict.
     """
 
     _fields = ("a1", "a2")
@@ -199,6 +247,12 @@ class QuadSpace2D(FrozenRecord):
         """-a1*a2, computed on first use and kept; equality and hash read a1
         and a2 only."""
         return -self.a1 * self.a2
+
+    @cached_property
+    def _ints(self) -> tuple[int, int, int, int]:
+        """The numerators and denominators of a1 and a2, read once and kept;
+        like the discriminant, out of _fields."""
+        return (*self.a1.as_integer_ratio(), *self.a2.as_integer_ratio())
 
     def to_json(self) -> dict:
         return {"a1": str(self.a1), "a2": str(self.a2)}
@@ -224,11 +278,23 @@ class LocalInvariant(FrozenRecord):
 
 
 def local_invariants(space: QuadSpace2D, v: Place) -> LocalInvariant:
-    delta = space.discriminant
+    """chi_V is nontrivial where the discriminant is not a local square, and
+    the Hasse invariant is (a1, a2)_v.
+
+    At a finite p, a1 = p^alpha u_a and a2 = p^beta u_b are split once, and
+    the discriminant -a1*a2 = p^(alpha + beta) (-u_a u_b) is read off the two
+    splits.  At the real place the discriminant is a non-square iff
+    a1*a2 > 0.
+    """
+    n1, d1, n2, d2 = space._ints
+    if v.kind == "real":
+        return LocalInvariant(v, (n1 > 0) == (n2 > 0), -1 if n1 < 0 and n2 < 0 else 1)
+    p = v.p
+    a, b = _split(n1, d1, p), _split(n2, d2, p)
     return LocalInvariant(
         v,
-        not is_local_square(delta, v),
-        hilbert_symbol(space.a1, space.a2, v),
+        not _split_square((a[0] + b[0], -a[1] * b[1], a[2] * b[2]), p),
+        _split_symbol(a, b, p),
     )
 
 
@@ -239,6 +305,7 @@ def relevant_places(*values: Fraction) -> list[Place]:
     Each numerator and denominator is first divided by every prime already
     found, and only the cofactor left is factored.  So values go factors
     first: after a1 and a2, the discriminant -a1*a2 costs no factoring.
+    prime_factors has proved each prime it yields, so no place proves it again.
     """
     primes = {2}
     for x in values:
@@ -249,7 +316,7 @@ def relevant_places(*values: Fraction) -> list[Place]:
                 while m % p == 0:
                     m //= p
             primes.update(prime_factors(m))
-    return [Place.real()] + [Place.finite(p) for p in sorted(primes)]
+    return [Place.real()] + [Place._proved(p) for p in sorted(primes)]
 
 
 class Collection(FrozenRecord):
@@ -337,16 +404,37 @@ def _witness_search(delta: Fraction, minus_places: list[Place]) -> QuadSpace2D:
     # p | a; so a runs through +-s*P, P the product of those primes, in the
     # order of |a|, and s is capped.  The places are tested in a fixed list
     # order, so the number of symbols computed is the same in every process.
+    # A candidate a is an int; each symbol comes from a's split and delta's,
+    # and delta is split at most once per place.  Outside the places of
+    # delta and the targets, a prime of s must give +1.
     targets = set(minus_places)
-    check = list(dict.fromkeys([*relevant_places(delta), *minus_places]))
-    step = prod(v.p for v in targets if v.p not in (None, 2) and padic_valuation(delta, v.p) == 0)
+    check = [(v.p, v in targets) for v in dict.fromkeys([*relevant_places(delta), *minus_places])]
+    checked = {p for p, _ in check}
+    n, d = _terms(delta)
+    splits = {}
 
-    def realizes(a: Fraction, places) -> bool:
-        return all((hilbert_symbol(a, delta, v) == -1) == (v in targets) for v in places)
+    def delta_at(p: int) -> tuple[int, int, int]:
+        if p not in splits:
+            splits[p] = _split(n, d, p)
+        return splits[p]
+
+    step = prod(v.p for v in targets if v.p not in (None, 2) and delta_at(v.p)[0] == 0)
+
+    def realizes(a: int, places) -> bool:
+        for p, target in places:
+            if p is None:
+                minus = a < 0 and n < 0
+            else:
+                minus = _split_symbol(_split(a, 1, p), delta_at(p), p) == -1
+            if minus != target:
+                return False
+        return True
 
     for s in range(1, _WITNESS_STEPS):
-        for a in (Fraction(s * step), Fraction(-s * step)):
-            if realizes(a, check) and realizes(a, relevant_places(s)):
+        for a in (s * step, -s * step):
+            if realizes(a, check) and realizes(
+                a, [(p, False) for p in dict.fromkeys(prime_factors(s)) if p not in checked]
+            ):
                 return QuadSpace2D(a, -delta * a)
     raise DomainError(f"coherent, but no witness a = +-s*{step} with s < {_WITNESS_STEPS}")
 

@@ -9,7 +9,8 @@ None is open: nothing is refused there.
 
 Each row of RATIONALS does the same for a rational argument, which a float,
 a bool or None must not enter, and each row of SIGNS for a Hasse sign, an
-int that is 1 or -1.
+int that is 1 or -1.  Each row of POINTS bounds a point s0 by MAX_WEIGHT in
+absolute value.
 """
 
 import sys
@@ -238,6 +239,29 @@ def test_a_bool_scalar_is_refused():
 def test_the_string_three_quarters_is_read_exactly():
     assert QuadSpace2D("3/4", 1).a1 == Fraction(3, 4)
     assert InfinitesimalCharacter.of("3/4").lam == Fraction(5, 4)
+
+
+# (entry point, the call on a point s0).  The point is a rational whose
+# absolute value is at most MAX_WEIGHT; past it the call is refused at once.
+# unramified_intertwining_constant had no bound and built p^(s0*e) exactly:
+# 0.1 s at s0 = 10^6, growing faster than s0.
+POINTS = [
+    ("gamma_at", gamma_at),
+    ("archimedean_factor", lambda s0: archimedean_factor(s0, 0)),
+    ("unramified_intertwining_constant", lambda s0: unramified_intertwining_constant(3, -1, s0)),
+]
+
+
+@pytest.mark.parametrize("name, call", POINTS, ids=[name for name, _ in POINTS])
+def test_a_point_is_bounded_by_the_largest_weight(name, call):
+    for s0 in (MAX_WEIGHT, -MAX_WEIGHT):
+        call(s0)
+    for s0 in (MAX_WEIGHT + 1, -MAX_WEIGHT - 1, 10**7, -(10**7)):
+        start = time.perf_counter()
+        with pytest.raises(DomainError) as err:
+            call(s0)
+        assert err.value.code == "out-of-domain", (name, s0)
+        assert time.perf_counter() - start < 1.0, (name, s0)
 
 
 # (entry point, the call on a Hasse sign).  Each took True as the sign 1, and

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import nhmf.pi_scalar
-from nhmf.arith import MAX_WEIGHT
+from nhmf.arith import MAX_DEGREE, MAX_WEIGHT
 from nhmf.errors import DomainError, InsufficientLaurentPrecisionError, PoleError
 from nhmf.laurent import (
     LaurentScalar,
@@ -236,7 +236,7 @@ class TestLaurentScalarAlgebra:
             lambda: LaurentScalar.of(1, 0, PiScalar.zero()),
             lambda: LaurentScalar(Fraction(1), None, PiScalar.one()),
         ):
-            with pytest.raises(ValueError):
+            with pytest.raises(DomainError):
                 make()
         assert LaurentScalar.zero(1).exact and not LaurentScalar.order_only(1, 2).exact
 
@@ -465,9 +465,12 @@ class TestClosedFormsMatchTheAssembly:
                         refusals.add(want[1].split(" ")[0])
         assert refusals == {"nontrivial-family", "zeta", "degree-2", "degree-5"}
 
-    def test_a_report_builds_one_pi_scalar(self, monkeypatch):
-        # Past weight two the zeta ratio is order-only, so the archimedean
-        # factor's leading coefficient is the one PiScalar a report builds.
+    def test_a_report_builds_a_pi_scalar_only_when_the_zeta_ratio_is_exact(self, monkeypatch):
+        # Past weight two, and for d > 1 or the nontrivial family, the zeta
+        # ratio is order-only, so the product keeps no leading coefficient
+        # and a report builds no PiScalar.  At k = 2, d = 1 with the trivial
+        # character it builds three: the archimedean leading coefficient,
+        # the zeta ratio's 6 pi^-2, and their product.
         built = []
         summed = nhmf.pi_scalar._summed
         monkeypatch.setattr(nhmf.pi_scalar, "_summed", lambda pairs: built.append(1) or summed(pairs))
@@ -475,7 +478,39 @@ class TestClosedFormsMatchTheAssembly:
             for d in (1, 2, 7):
                 built.clear()
                 constant_term_report(k, d, "trivial")
-                assert len(built) == 1, (k, d)
+                assert len(built) == 0, (k, d)
+        for k, d, character in ((2, 2, "trivial"), (2, 1, "nontrivial"), (MAX_WEIGHT, MAX_DEGREE, "trivial")):
+            built.clear()
+            constant_term_report(k, d, character)
+            assert len(built) == 0, (k, d, character)
+        built.clear()
+        report = constant_term_report(2, 1, "trivial")
+        assert len(built) == 3
+        assert report.second_term.leading == PiScalar.pi_power(-1, -3)
+
+    @pytest.mark.parametrize("character", ["trivial", "nontrivial"])
+    def test_a_report_is_the_product_of_its_factors(self, character):
+        # The report computes only the archimedean order when the zeta ratio
+        # is order-only; the product of the two germs is the reference.
+        def product(k, d, local_data=()):
+            germ = archimedean_factor(k - 1, k, d) * zeta_ratio_at(k - 1, d, character)
+            for item in local_data:
+                germ = germ * item
+            return germ
+
+        def report(k, d, local_data=()):
+            return constant_term_report(k, d, character, local_data).second_term
+
+        cases = [(k, d) for k in range(1, 61) for d in (1, 2, 3)] + [(MAX_WEIGHT, MAX_DEGREE)]
+        for k, d in cases:
+            assert outcome(report, k, d) == outcome(product, k, d), (k, d)
+            for local_data in (
+                [LaurentScalar.order_only(k - 1, 1)],
+                [LaurentScalar.of(k - 1, -1, PiScalar.rational(Fraction(-2, 3)))],
+                [LaurentScalar.of(k - 1, 2, PiScalar.pi_power(1)), LaurentScalar.zero(k - 1)],
+            ):
+                want = outcome(product, k, d, local_data)
+                assert outcome(report, k, d, local_data) == want, (k, d, local_data)
 
 
 class TestLaurentBounds:

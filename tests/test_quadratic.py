@@ -225,6 +225,75 @@ class TestLocalInvariants:
         with pytest.raises(InvariantViolationError):
             LocalInvariant(REAL, False, -1)
 
+    def test_the_kept_terms_take_no_part_in_equality(self):
+        space, fresh = QuadSpace2D(Fraction(2, 3), -5), QuadSpace2D(Fraction(2, 3), -5)
+        for v in relevant_places(space.a1, space.a2):
+            local_invariants(space, v)
+        assert space == fresh and hash(space) == hash(fresh) and repr(space) == repr(fresh)
+
+
+@st.composite
+def spaces_and_primes(draw):
+    """A space whose entries have either sign, denominators, and a chosen
+    prime p (2 among them) in numerators and denominators; one time in
+    two the discriminant is a square."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+
+    def entry():
+        num = draw(st.integers(1, 10**4)) * draw(st.sampled_from([1, -1]))
+        den = draw(st.integers(1, 10**3)) * p ** draw(st.integers(0, 3))
+        return Fraction(num * p ** draw(st.integers(0, 3)), den)
+
+    a1 = entry()
+    if draw(st.booleans()):
+        r = Fraction(draw(st.integers(1, 50)), draw(st.integers(1, 50)))
+        a2 = -a1 * r * r
+    else:
+        a2 = entry()
+    return QuadSpace2D(a1, a2), p
+
+
+@settings(max_examples=300, deadline=None)
+@given(spaces_and_primes())
+def test_local_invariants_on_ints_match_the_symbol_and_the_square_test(case):
+    from nhmf.quadratic import LocalInvariant
+
+    space, p = case
+    for v in [REAL, Place.finite(p)] + relevant_places(space.a1, space.a2, Fraction(p)):
+        want = LocalInvariant(
+            v,
+            not is_local_square(space.discriminant, v),
+            hilbert_symbol(space.a1, space.a2, v),
+        )
+        assert local_invariants(space, v) == want, v
+
+
+def test_relevant_places_prove_no_prime_twice(monkeypatch):
+    # prime_factors has proved each prime it yields; Place.finite, for
+    # outside input, still proves its own.
+    monkeypatch.setattr(quadratic, "is_prime", lambda p: pytest.fail(f"is_prime({p})"))
+    places = relevant_places(Fraction(41 * 41 * 1009, 7), -(10**6 + 3))
+    monkeypatch.undo()
+    assert places == [REAL] + [Place.finite(p) for p in (2, 7, 41, 1009, 10**6 + 3)]
+    assert hash(places[-1]) == hash(Place("finite", 10**6 + 3))
+    with pytest.raises(DomainError):
+        Place.finite(41 * 41)
+
+
+def test_the_real_place_and_the_small_finite_places_are_shared():
+    # A place is a value: the real place and the place of each prime below
+    # 2^16 are built once, and a place built again is equal to them.
+    assert Place.real() is Place.real() is Place.parse("oo")
+    assert Place.finite(7) is Place.finite(7) is relevant_places(Fraction(7, 2))[-1]
+    assert relevant_places(65521)[-1] is Place.finite(65521)
+    assert Place.finite(65537) is not Place.finite(65537)
+    assert Place.finite(65537) == relevant_places(65537)[-1] == Place("finite", 65537)
+    assert Place("finite", 7) == Place.finite(7) and hash(Place("finite", 7)) == hash(Place.finite(7))
+    # A shared place takes nothing that is not the int prime.
+    for p in (7.0, Fraction(7), True, "7", 49):
+        with pytest.raises(DomainError):
+            Place.finite(p)
+
 
 class TestCoherence:
     def test_actual_spaces_are_coherent_with_matching_witness(self):
@@ -349,8 +418,8 @@ from fractions import Fraction
 from nhmf import quadratic
 
 calls = []
-symbol = quadratic.hilbert_symbol
-quadratic.hilbert_symbol = lambda *args: calls.append(1) or symbol(*args)
+symbol = quadratic._split_symbol
+quadratic._split_symbol = lambda *args: calls.append(1) or symbol(*args)
 for num in range(1, 40):
     for coll in quadratic.enumerate_definite_spaces(Fraction(-num, 7), 14):
         quadratic.check_coherence(coll)
@@ -361,7 +430,9 @@ print(len(calls))
 def test_witness_search_computes_the_same_symbols_in_every_process():
     # The places are tested in list order: a set of places would iterate in
     # an order set by hashes, and hash(None) (the real place's p) is an
-    # address, so the count of symbols differed between processes.
+    # address, so the count of symbols differed between processes.  The
+    # scan takes each finite symbol from _split_symbol, which is counted; a
+    # count of 0 would mean the count misses the scan.
     src = str(Path(__file__).resolve().parents[1] / "src")
     counts = set()
     for hash_seed in ("0", "0", "1"):
@@ -372,6 +443,7 @@ def test_witness_search_computes_the_same_symbols_in_every_process():
         assert proc.returncode == 0, proc.stderr
         counts.add(int(proc.stdout))
     assert len(counts) == 1, counts
+    assert counts.pop() > 0
 
 
 PRIMES_TO_200 = [p for p in range(3, 200) if all(p % d for d in range(2, isqrt(p) + 1))]

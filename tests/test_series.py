@@ -222,8 +222,16 @@ class TestPiScalar:
     def test_invert_monomial(self):
         x = PiScalar.pi_power(Fraction(3, 2), Fraction(-2, 5))
         assert x * x.invert() == PiScalar.one()
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="non-monomial"):
             (PiScalar.one() + PiScalar.pi_power(1)).invert()
+
+    def test_as_fraction_refuses_pi_and_i(self):
+        assert PiScalar.rational(Fraction(-3, 4)).as_fraction() == Fraction(-3, 4)
+        assert PiScalar.zero().as_fraction() == 0
+        with pytest.raises(DomainError, match="not rational"):
+            PiScalar.pi_power(1).as_fraction()
+        with pytest.raises(DomainError, match="not real"):
+            PiScalar.gaussian(1, 2).as_fraction()
 
     def test_render(self):
         assert PiScalar.pi_power(-1, -3).render() == "-3·π^-1"
