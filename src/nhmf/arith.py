@@ -1,7 +1,9 @@
 """Exact arithmetic helpers shared by every layer.
 
 read_rational, the one reader of a rational argument, which takes no float
-or bool; integer factoring (trial division, then Pollard rho with a step
+or bool, and check_digits, its digit bound, which the p-adic helpers of
+quadratic also put on the ints and Fractions they take as they are; integer
+factoring (trial division, then Pollard rho with a step
 budget for large cofactors), a primality test (Miller-Rabin, exact below its
 bound), and the one elimination routine of the package: the reduced echelon
 form of integer vectors, on which decompose's span test and the membership
@@ -61,6 +63,22 @@ def check_sign(name: str, value) -> None:
         raise DomainError(f"{name} must be 1 or -1, got {value!r}")
 
 
+# An interpreter with a digit limit L accepts no L below
+# sys.int_info.str_digits_check_threshold (640) but 0, no limit at all, so an
+# int of at most SHORT_BITS bits has fewer than 640 digits and is within any
+# limit; an interpreter with no digit limit puts no bound on an int.
+SHORT_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 1 << 60)
+
+
+def check_digits(*values: int, error: type[Exception] = DomainError) -> None:
+    """error unless every int has at most L = sys.get_int_max_str_digits()
+    digits, the most the interpreter converts to text (no bound if L = 0)."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 10^L has more than 3L bits, so only a longer int is compared with it.
+    if limit and any(x.bit_length() > 3 * limit and abs(x) >= 10**limit for x in values):
+        raise error(f"a rational literal has more than {limit} digits")
+
+
 # The exponent of a literal such as "1.5e-3", as Fraction reads it.
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
@@ -81,30 +99,23 @@ def read_rational(value, error: type[Exception] = DomainError) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if is_int(value):
-        # 10^L has more than 3L bits, so only a longer int is compared with it.
-        if value.bit_length() > 3 * limit and limit and abs(value) >= 10**limit:
-            raise error(f"a rational literal has more than {limit} digits")
+        if value.bit_length() > SHORT_BITS:
+            check_digits(value, error=error)
         return Fraction(value)
     if not isinstance(value, str):
         raise error(f"bad rational literal {value!r}")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     exponent = _EXPONENT.search(value)
     try:
-        if limit and exponent and abs(int(exponent[1])) > 3 * limit:
-            # The mantissa alone: its value times 10^e is 0 or too long.
-            result = Fraction(value[: exponent.start()] + "e0")
-            too_long = result != 0
-        else:
-            result = Fraction(value)
-            too_long = limit and any(
-                x.bit_length() > 3 * limit and x >= 10**limit
-                for x in (abs(result.numerator), result.denominator)
-            )
+        # Past 3L, the mantissa alone: its value times 10^e is 0 or too long.
+        huge = limit and exponent and abs(int(exponent[1])) > 3 * limit
+        result = Fraction(value[: exponent.start()] + "e0" if huge else value)
     except (ValueError, ZeroDivisionError) as exc:
         raise error(f"bad rational literal {value!r}") from exc
-    if too_long:
+    if huge and result:
         raise error(f"a rational literal has more than {limit} digits")
+    check_digits(*result.as_integer_ratio(), error=error)
     return result
 
 

@@ -181,7 +181,8 @@ def _invariants(args) -> dict:
     from .quadratic import QuadSpace2D, local_invariants, relevant_places
 
     space = QuadSpace2D(read_rational(args.a1, UsageError), read_rational(args.a2, UsageError))
-    places = relevant_places(space.a1, space.a2, space.discriminant)
+    # -a1*a2 has no prime that a1 or a2 has not.
+    places = relevant_places(space.a1, space.a2)
     return {
         "a1": str(space.a1),
         "a2": str(space.a2),

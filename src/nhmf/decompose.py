@@ -14,6 +14,16 @@ divided by).  The seed is therefore the top column over c(w, p), read off
 with no linear solve (top_seed).  Depth strictly decreases, so peeling ends
 in depth+1 steps.
 
+The peel works on the remainder's integer storage: one common denominator
+and a list of integer columns, as a form stores them.  A step reads the seed
+g off the top column, pops that column, and subtracts b_j theta^(p-j) g from
+each lower column j, the b_j of delta^(p) (operators.delta_coefficients),
+after scaling both sides to lcm(denominator, denominator of g).  The raised
+image delta^(p) g is never built: its X^p column is c(w, p) g, the popped
+column itself.  One gcd pass, skipped at denominator 1, keeps the storage
+canonical, so a refusal's residual, the only remainder ever made a form, is
+the form the remainder stands for.
+
 The seed must lie in the span of the basis of its weight.  The basis is put
 in reduced echelon form, one primitive integer row per pivot q-index, and
 the top column is tested against it by integer elimination over all
@@ -28,7 +38,8 @@ new weight, since the depth falls).
 A weight-2 seed at the top depth cannot be matched at level 1 (there are no
 holomorphic weight-two forms there); the weight-two Eisenstein series instead
 surfaces as the unique seed whose X-column one step above the holomorphic
-range is constant, i.e. at residual weight 0.
+range is constant, i.e. at residual weight 0.  Its raised images come from
+the shared basis, which keeps each one it has built.
 
 decompose never returns a silently wrong answer: the supplied truncation must
 reach the dimension-detecting bound of each weight in play (a Sturm-type
@@ -40,13 +51,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
+from operator import mul, neg, sub
 from typing import Callable, Iterator, Optional
 
 from .arith import FrozenRecord, reduce_by, reduced_echelon
 from .errors import DecompositionError, InsufficientTruncationError
 from .generators import eisenstein2, level1_basis
-from .operators import InfinitesimalCharacter, iterate_raise, leading_column_factor
+from .operators import (
+    InfinitesimalCharacter,
+    delta_coefficients,
+    iterate_raise,
+    leading_column_factor,
+)
 from .series import NearlyHolomorphicForm
+
+
+def _seed(w: int, p: int, truncation: int, den: int, top) -> NearlyHolomorphicForm:
+    # The holomorphic g of weight w with delta^(p) g having the X^p column
+    # top / den: top over den * c(w, p), c(w, p) nonzero.
+    factor = leading_column_factor(w, p)
+    seed = top if factor > 0 else list(map(neg, top))
+    return NearlyHolomorphicForm._from_columns(w, truncation, den * abs(factor), [seed])
 
 
 def top_seed(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
@@ -54,11 +80,7 @@ def top_seed(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     X^p column of f (k the weight, p the depth of the nonzero f): that column
     over c(w, p), which must be nonzero."""
     p = f.depth
-    w = f.weight - 2 * p
-    factor = leading_column_factor(w, p)
-    top = f._cols[p]
-    seed = list(top) if factor > 0 else [-x for x in top]
-    return NearlyHolomorphicForm._from_columns(w, f.truncation, f._den * abs(factor), [seed])
+    return _seed(f.weight - 2 * p, p, f.truncation, f._den, f._cols[p])
 
 
 class Level1Basis:
@@ -69,13 +91,15 @@ class Level1Basis:
 
     Each weight's reduced echelon rows are built once (rows); every call
     returns a fresh list of the (immutable) forms made from them.  The
-    instance also holds the weight-two Eisenstein series at its truncation.
+    instance also holds the weight-two Eisenstein series at its truncation,
+    and keeps each raised image delta^(m) of it once built (raised_e2).
     """
 
     def __init__(self, truncation: int):
         self.truncation = truncation
         self.eisenstein2 = eisenstein2(truncation)
         self._rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        self._raised_e2: dict[int, NearlyHolomorphicForm] = {}
 
     def rows(self, w: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (pivot, row) pairs of the weight-w basis in reduced echelon form."""
@@ -84,6 +108,12 @@ class Level1Basis:
             cols = [b._cols[0] for b in level1_basis(w, trunc)]
             self._rows[w] = [(p, tuple(row)) for p, row in reduced_echelon(cols, trunc + 1)]
         return self._rows[w]
+
+    def raised_e2(self, m: int) -> NearlyHolomorphicForm:
+        """delta^(m) applied to the weight-two Eisenstein series."""
+        if m not in self._raised_e2:
+            self._raised_e2[m] = iterate_raise(self.eisenstein2, m)
+        return self._raised_e2[m]
 
     def __call__(self, w: int) -> list[NearlyHolomorphicForm]:
         return [
@@ -104,8 +134,9 @@ def shared_level1_basis(truncation: int) -> Level1Basis:
 
 
 def raised_e2(truncation: int, m: int) -> NearlyHolomorphicForm:
-    """delta^(m) applied to the weight-two Eisenstein series."""
-    return iterate_raise(shared_level1_basis(truncation).eisenstein2, m)
+    """delta^(m) applied to the weight-two Eisenstein series, as the shared
+    basis of the truncation keeps it."""
+    return shared_level1_basis(truncation).raised_e2(m)
 
 
 class Decomposition(FrozenRecord):
@@ -172,6 +203,22 @@ def _supplied_rows(
     return rows
 
 
+def _canonical(cols: list, den: int) -> int:
+    """Bring the columns over den to a form's storage in place: drop the zero
+    columns at the top and divide den and every entry by their gcd, which is
+    sought only while den != 1.  Returns the new den."""
+    while cols and not any(cols[-1]):
+        cols.pop()
+    g = den
+    for col in cols:
+        if g == 1:
+            break
+        g = gcd(g, *col)
+    if g != 1:
+        cols[:] = [list(map(g.__rfloordiv__, col)) for col in cols]
+    return den // g
+
+
 def decompose(
     f: NearlyHolomorphicForm,
     basis_provider: Optional[Callable[[int], list[NearlyHolomorphicForm]]] = None,
@@ -192,29 +239,41 @@ def decompose(
     else:
         basis_rows = _supplied_rows(basis_provider, trunc)
     sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
-    rem = f
+    ns = range(trunc + 1)
+    # The remainder: cols over den, stored as a form stores them.
+    den, cols = f._den, list(f._cols)
     terms: list[tuple[int, NearlyHolomorphicForm]] = []
     e2_term: Optional[tuple[int, Fraction]] = None
 
-    while not rem.is_zero:
-        p = rem.depth
+    def refuse(message: str) -> DecompositionError:
+        residual = NearlyHolomorphicForm._from_columns(k, trunc, den, list(cols))
+        return DecompositionError(message, residual=residual)
+
+    while cols:
+        p = len(cols) - 1
         w = k - 2 * p
-        top = rem._cols[p]
+        top = cols[p]
 
         if w == 0 and p >= 1:
             # Only the weight-two Eisenstein seed can put a constant column
             # at this depth: record c * delta^(p-1) of it.
             if any(top[1:]):
-                raise DecompositionError(
+                raise refuse(
                     "depth-top column of weight-0 type is not constant; "
-                    "not decomposable over supplied basis",
-                    residual=rem,
+                    "not decomposable over supplied basis"
                 )
             m = p - 1
             raised = raised_e2(trunc, m)
-            c = Fraction(top[0] * raised._den, rem._den * raised._cols[p][0])
-            e2_term = (m, c)
-            rem = rem - raised * c
+            a, b = raised._cols[p][0], top[0]
+            e2_term = (m, Fraction(b * raised._den, den * a))
+            # c * delta^(m) E2 is b / (den * a) times the raised columns.
+            if a < 0:
+                a, b = -a, -b
+            cols.pop()
+            for j in range(p):
+                scaled = cols[j] if a == 1 else map(a.__mul__, cols[j])
+                cols[j] = list(map(sub, scaled, map(b.__mul__, raised._cols[j])))
+            den = _canonical(cols, den * a)
             continue
 
         if trunc < sturm(max(w, 0)):
@@ -223,18 +282,20 @@ def decompose(
                 f"{sturm(max(w, 0))} for weight {w}"
             )
         if any(reduce_by(basis_rows(w) if w >= 0 else [], top)):
-            raise DecompositionError(
-                "not decomposable over supplied basis", residual=rem
-            )
-        g = top_seed(rem)
-        new_rem = rem - iterate_raise(g, p)
-        if not new_rem.is_zero and new_rem.depth >= p:
-            # The raised seed must cancel the whole top column.
-            raise DecompositionError(
-                "not decomposable over supplied basis", residual=rem
-            )
+            raise refuse("not decomposable over supplied basis")
+        g = _seed(w, p, trunc, den, top)
         terms.append((p, g))
-        rem = new_rem
+        # delta^(p) g has the popped column at X^p, b_j theta^(p-j) g below.
+        cols.pop()
+        new_den = lcm(den, g._den)
+        s1, s2 = new_den // den, new_den // g._den
+        b = delta_coefficients(-w, p)
+        theta = g._cols[0]
+        for j in range(p - 1, -1, -1):
+            theta = list(map(mul, ns, theta))
+            scaled = cols[j] if s1 == 1 else map(s1.__mul__, cols[j])
+            cols[j] = list(map(sub, scaled, map((b[j] * s2).__mul__, theta)))
+        den = _canonical(cols, new_den)
 
     terms.sort(key=lambda t: t[0])
     return Decomposition(k, trunc, tuple(terms), e2_term)

@@ -19,11 +19,13 @@ by n.  For the column f_r in front of X^r of a weight-k form,
 Applying the monomial rule once more at weight kappa = k + 2l gives the
 recurrence b_j <- b_j + (r + j - 1 - kappa) b_(j-1) (from b_0 = 1), which the
 product solves.  For a holomorphic seed (r = 0) of weight w, b_l is c(w, l),
-the factor of :func:`leading_column_factor`.  :func:`iterate_raise` and
+the factor of :func:`leading_column_factor`.  :func:`delta_coefficients` is
+the one place the b_j are computed.  :func:`iterate_raise` and
 :func:`iterate_lower` apply the closed forms in one pass, column by column on
 the integer storage of :mod:`series` over an unchanged common denominator, so
 their cost grows like l, not l^2.  They are the only two column kernels of
-the sl2 action.
+the sl2 action; the peel of :func:`nhmf.decompose.decompose` subtracts a
+raised seed with the same b_j, column by column, without building it.
 
 These are the rational-preserving normalizations.  The analytic operators
 
@@ -63,6 +65,15 @@ def leading_column_factor(w: int, ell: int) -> int:
     return prod(-(w + j) for j in range(ell))
 
 
+def delta_coefficients(a: int, ell: int) -> list[int]:
+    """b_0, ..., b_l of delta^(l) for the column in front of X^r of a weight-k
+    form, a = r - k: b_j = C(l, j) (a - l + 1) ... (a - l + j)."""
+    b = [1]
+    for j in range(1, ell + 1):
+        b.append(b[-1] * (ell - j + 1) * (a - ell + j) // j)
+    return b
+
+
 def raise_weight(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     """delta_k: weight k -> k + 2, preserving rational coefficients."""
     return iterate_raise(f, 1)
@@ -99,9 +110,7 @@ def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
     for r, col in enumerate(f._cols):
         if not any(col):
             continue
-        b = [1]
-        for j in range(1, ell + 1):
-            b.append(b[-1] * (ell - j + 1) * (r - k - ell + j) // j)
+        b = delta_coefficients(r - k, ell)
         for j in range(ell, -1, -1):
             if b[j]:
                 term = col if b[j] == 1 else list(map(b[j].__mul__, col))

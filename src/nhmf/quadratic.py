@@ -38,8 +38,8 @@ from math import prod
 from typing import Optional
 
 from .arith import (
-    FrozenRecord, check_int, check_sign, is_int, is_prime, prime_factors, prime_power_base,
-    read_rational,
+    SHORT_BITS, FrozenRecord, check_digits, check_int, check_sign, is_int, is_prime,
+    prime_factors, prime_power_base, read_rational,
 )
 from .errors import DomainError, InvariantViolationError
 
@@ -124,10 +124,29 @@ def _share(place: Place) -> None:
 def _terms(x) -> tuple[int, int]:
     # The numerator and denominator of a rational; an int or a Fraction
     # already carries them, read in one call, and read_rational reads
-    # anything else.
+    # anything else.  Either is held to read_rational's digit bound, which
+    # only a product n * d longer than SHORT_BITS can pass.
     if not (isinstance(x, Fraction) or is_int(x)):
         x = read_rational(x)
-    return x.as_integer_ratio()
+    terms = x.as_integer_ratio()
+    if (terms[0] * terms[1]).bit_length() > SHORT_BITS:
+        check_digits(*terms)
+    return terms
+
+
+def _strip(n: int, p: int) -> tuple[int, int]:
+    # (v, n / p^v) for the largest v with p^v dividing n != 0.  Each pass
+    # divides by p, p^2, p^4, ... for as long as they divide, so it takes
+    # 2^t - 1 factors off in t + 1 trials, and each pass leaves less than
+    # half of what is left: O(log(v)^2) divisions in place of v.
+    v = 0
+    while not n % p:
+        q, e = p, 1
+        while not n % q:
+            n //= q
+            v += e
+            q, e = q * q, e + e
+    return v, n
 
 
 def _split(n: int, d: int, p: int) -> tuple[int, int, int]:
@@ -135,13 +154,20 @@ def _split(n: int, d: int, p: int) -> tuple[int, int, int]:
     n/d in lowest terms, so p is divided out of one of them only."""
     if n == 0:
         raise DomainError("valuation of zero")
+    # v = 0 and v = +-1 are the common cases, and call no _strip.
     v = 0
-    while n % p == 0:
+    if not n % p:
         n //= p
-        v += 1
-    while d % p == 0:
+        v = 1
+        if not n % p:
+            u, n = _strip(n, p)
+            v += u
+    elif not d % p:
         d //= p
-        v -= 1
+        v = -1
+        if not d % p:
+            u, d = _strip(d, p)
+            v -= u
     return v, n, d
 
 
@@ -366,7 +392,8 @@ class Collection(FrozenRecord):
 
 
 def collection_of(space: QuadSpace2D) -> Collection:
-    places = relevant_places(space.a1, space.a2, space.discriminant)
+    # -a1*a2 has no prime that a1 or a2 has not.
+    places = relevant_places(space.a1, space.a2)
     eps = {v: local_invariants(space, v).epsilon for v in places}
     return Collection.of(space.discriminant, eps)
 

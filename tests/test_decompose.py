@@ -19,6 +19,7 @@ from nhmf.decompose import (
     character_split,
     decompose,
     leading_column_factor,
+    raised_e2,
     shared_level1_basis,
     top_seed,
 )
@@ -515,6 +516,75 @@ def test_a_supplied_basis_decomposes_as_before():
     # Decompositions, refusals off the span, the Sturm-type bound and a basis
     # truncated below the form ("basis for weight ...").
     assert seen == {"ok", "not", "depth-top", "truncation", "basis"}, seen
+
+
+def seeded_holomorphic(rng, w, trunc):
+    """A seeded rational combination of the weight-w level-1 basis, nonzero
+    where the basis is."""
+    g = NearlyHolomorphicForm.zero(trunc)
+    while g.is_zero and level1_basis(w, trunc):
+        for b in level1_basis(w, trunc):
+            g = g + b * Fraction(rng.randrange(-9, 10), rng.choice([1, 2, 3, 7]))
+    return g
+
+
+def deep_form(rng, k, depths, e2, trunc):
+    """sum of R^p(g_p) over the depths, g_p seeded of weight k - 2p, plus a
+    seeded multiple of R^(k/2 - 1)(E2) when e2."""
+    f = NearlyHolomorphicForm.zero(trunc)
+    for p in depths:
+        f = f + iterate_raise(seeded_holomorphic(rng, k - 2 * p, trunc), p)
+    if e2:
+        f = f + iterate_raise(eisenstein2(trunc), k // 2 - 1) * Fraction(rng.randrange(1, 9), rng.choice([1, 5]))
+    return f
+
+
+@pytest.mark.parametrize("trunc", [12, 30, 100])
+def test_deep_and_mixed_forms_decompose_as_before(trunc):
+    # Weight 28 with a seed at every depth 0..12 and the E2 term at depth
+    # 14 = k/2, and at each depth d a refusal: an off-span monomial X^d q^N
+    # in the column that is on top when the peel reaches depth d, and, at
+    # weight 2d, a weight-0 top column with a q^n term, n >= 1.  Both the
+    # shared basis and a supplied one must answer as the parent did: the
+    # same Decomposition, or the same error type, message and residual.
+    rng = random.Random(trunc)
+
+    def supplied(w):
+        return level1_basis(w, trunc)
+
+    full = deep_form(rng, 28, range(13), True, trunc)
+    # (form, depth of the residual it is refused with, or None)
+    cases = [(full, None)]
+    for d in range(13):
+        cases.append((full + NearlyHolomorphicForm.monomial(28, trunc, d, trunc, Fraction(1, 3)), d))
+        if d:
+            # Seeds of weight 2d - 2p >= 4 below depth d, the E2 term at depth d.
+            partial = deep_form(rng, 2 * d, range(d - 1), True, trunc)
+            cases.append((partial + NearlyHolomorphicForm.monomial(2 * d, trunc, d, rng.randrange(1, trunc + 1)), d))
+    verdicts = []
+    for f, depth in cases:
+        for provider in (None, supplied):
+            want = decompose_outcome(parent_decompose, f, provider or shared_level1_basis(trunc))
+            assert decompose_outcome(decompose, f, provider) == want, (trunc, f)
+        if depth is None:
+            verdicts.append(len(want.terms))
+        else:
+            verdicts.append(want[1].split(" ")[0])
+            assert want[2]["residual"].depth == depth
+    # The full form peels all 13 seeds and the E2 term; each injected
+    # refusal is of the kind put in, at the depth it was put.
+    assert verdicts == [13, "not"] + ["not", "depth-top"] * 12
+    assert decompose(full).e2_term[0] == 13
+    assert decompose(full).reassemble() == full
+
+
+def test_raised_e2_is_built_once_per_depth():
+    for trunc in (0, 5, 30):
+        for m in range(6):
+            first = raised_e2(trunc, m)
+            assert first._key() == stepwise_raise(eisenstein2(trunc), m)._key()
+            assert raised_e2(trunc, m) is first
+            assert shared_level1_basis(trunc).raised_e2(m) is first
 
 
 _FRESH_DECOMPOSE = """

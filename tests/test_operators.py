@@ -13,6 +13,7 @@ from nhmf.operators import (
     InfinitesimalCharacter,
     casimir,
     casimir_eigenvalue,
+    delta_coefficients,
     infinitesimal_character,
     iterate_lower,
     iterate_raise,
@@ -345,6 +346,17 @@ class TestIterateRaiseReference:
                         image = iterate_raise(NearlyHolomorphicForm(k, 4, {(r, n): 1}), ell)
                         want = {(r + j, n): b[j] * n ** (ell - j) for j in range(ell + 1)}
                         assert dict(image.terms()) == {key: c for key, c in want.items() if c}
+
+    def test_the_shared_coefficients_solve_the_recurrence(self):
+        # delta_coefficients states b_0..b_l once, for iterate_raise and for
+        # the peel of decompose, which subtracts b_j theta^(l-j) g from column
+        # j of the remainder; at r = 0, b_l = c(w, l) is what the popped top
+        # column holds.
+        for k in range(-6, 31):
+            for ell in range(9):
+                for r in range(4):
+                    assert delta_coefficients(r - k, ell) == raise_coefficients(k, r, ell), (k, r, ell)
+                assert delta_coefficients(-k, ell)[ell] == leading_column_factor(k, ell), (k, ell)
 
     def test_a_negative_count_is_refused(self):
         with pytest.raises(DomainError, match="iteration count must be an integer >= 0"):

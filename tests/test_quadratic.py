@@ -64,6 +64,109 @@ class TestHilbertSymbol:
             hilbert_symbol(0, 3, REAL)
 
 
+def _longest_power_of_three(digits: int) -> int:
+    # The largest e with 3^e below 10^digits, that is with at most digits digits.
+    e = int(digits / 0.47712125472)
+    while 3**e >= 10**digits:
+        e -= 1
+    while 3 ** (e + 1) < 10**digits:
+        e += 1
+    return e
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no digit limit"
+)
+class TestDigitBoundOfIntsAndFractions:
+    # An int or a Fraction goes to the symbol helpers as it is, held to the
+    # digit bound read_rational puts on an int or a string: at most
+    # L = sys.get_int_max_str_digits() digits in the numerator and the
+    # denominator.  hilbert_symbol(3^40000, 5, 3) ran 0.64 s before it was
+    # bounded, where QuadSpace2D(3^40000, 5) was refused at once.
+
+    def test_a_value_at_the_bound_is_answered_at_once(self):
+        e = _longest_power_of_three(sys.get_int_max_str_digits())
+        three = Place.finite(3)
+        start = time.perf_counter()
+        # 5 is no square mod 3, so (3^e, 5)_3 = (5|3)^e = (-1)^e.
+        for a in (3**e, -(3**e), Fraction(1, 3**e), Fraction(3**e, 7)):
+            assert hilbert_symbol(a, 5, three) == hilbert_symbol(5, a, three) == (-1) ** e
+            assert quadratic.padic_valuation(a, 3) == (e if a.numerator % 3 == 0 else -e)
+            # Its unit part 1, -1 or 1/7 is a square mod 3 iff it is positive.
+            assert is_local_square(a, three) == (e % 2 == 0 and a > 0)
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "value",
+        ["power", "negative power", "denominator", "fraction"],
+    )
+    def test_a_value_one_digit_past_the_bound_is_refused_at_once(self, value):
+        big = 3 ** (_longest_power_of_three(sys.get_int_max_str_digits()) + 1)
+        a = {
+            "power": big,
+            "negative power": -big,
+            "denominator": Fraction(1, big),
+            "fraction": Fraction(big, 7),
+        }[value]
+        three = Place.finite(3)
+        start = time.perf_counter()
+        for call in (
+            lambda: hilbert_symbol(a, 5, three),
+            lambda: hilbert_symbol(5, a, REAL),
+            lambda: is_local_square(a, three),
+            lambda: quadratic.padic_valuation(a, 3),
+            lambda: relevant_places(a),
+        ):
+            with pytest.raises(DomainError, match="digits") as err:
+                call()
+            assert err.value.code == "out-of-domain"
+        assert time.perf_counter() - start < 0.5
+
+    def test_a_space_whose_discriminant_alone_is_past_the_bound_is_answered(self):
+        # -a1*a2 has twice the digits of a1 and a2, and no prime they lack,
+        # so collection_of finds the places from a1 and a2 alone.
+        e = _longest_power_of_three(sys.get_int_max_str_digits())
+        space = QuadSpace2D(3**e, -2 * 3 ** (e - 1))
+        places = [REAL, Place.finite(2), Place.finite(3)]
+        assert relevant_places(space.a1, space.a2) == places
+        eps = {v: local_invariants(space, v).epsilon for v in places}
+        assert collection_of(space) == Collection.of(space.discriminant, eps)
+
+
+def test_split_divides_out_the_prime_by_repeated_squaring():
+    # Every valuation 0..70 at 2, 3 and 5, in the numerator or the
+    # denominator, against one division at a time.
+    for p in (2, 3, 5):
+        for v in range(71):
+            for unit in (1, -7, 11 * 13):
+                for n, d, want in ((unit * p**v, 1, v), (unit, p**v * 17, -v)):
+                    m, k = n, d
+                    while m % p == 0:
+                        m //= p
+                    while k % p == 0:
+                        k //= p
+                    assert quadratic._split(n, d, p) == (want, m, k)
+
+
+def test_a_large_valuation_costs_a_few_divisions():
+    # With no digit limit, 7^40000 * 10 / 3 still splits at once; one
+    # division at a time took about a second for a power of this size.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        a = Fraction(7**40000 * 10, 3)
+        start = time.perf_counter()
+        assert quadratic.padic_valuation(a, 7) == 40000
+        assert quadratic.unit_part(a, 7) == Fraction(10, 3)
+        assert quadratic.padic_valuation(1 / a, 7) == -40000
+        assert hilbert_symbol(a, 3, Place.finite(7)) == 1
+        assert time.perf_counter() - start < 0.5
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=30).filter(
     lambda x: x != 0
 )
