@@ -19,13 +19,14 @@ int in 0..arith.MAX_TRUNCATION, with DomainError from arith.check_int.  At
 the bounds, on a 2-core x86 host with Python 3.11, a cold
 bernoulli(MAX_WEIGHT) takes about 0.4 s, eisenstein(4, MAX_TRUNCATION)
 about 0.01 s and eisenstein(MAX_WEIGHT, MAX_TRUNCATION) about 0.15 s more.
-The products behind level1_basis multiply packed ints (Karatsuba, about the
-1.6th power of the size), and the size is the truncation times the
-coefficient length, which grows with the weight.  level1_basis takes one
-product at weight k per monomial, so level1_basis(24, 2000) takes about
-0.2 s and level1_basis(12, MAX_TRUNCATION) about 0.75 s, but
-level1_basis(100, 2000) about 6 s, and level1_basis(MAX_WEIGHT,
-MAX_TRUNCATION) far longer.
+The products behind level1_basis multiply packed ints, two of about half
+the size per pair of columns (Karatsuba, about the 1.6th power of the
+size), and the size is the truncation times the coefficient length, which
+grows with the weight.  level1_basis takes one product at weight k per
+monomial, so level1_basis(24, 2000) takes about 0.1 s and
+level1_basis(12, MAX_TRUNCATION) about 0.35 s, but level1_basis(100, 2000)
+about 3 s, and level1_basis(MAX_WEIGHT, MAX_TRUNCATION) far longer.
+delta_cusp(MAX_TRUNCATION) takes about 0.1 s.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from math import comb, isqrt
 
 from .arith import MAX_TRUNCATION, MAX_WEIGHT, FrozenRecord, check_int
 from .errors import DomainError
-from .series import NearlyHolomorphicForm
+from .series import NearlyHolomorphicForm, _convolve_into
 
 # B_0, B_1, ... as computed so far; odd indices above 1 hold 0.
 _BERNOULLI = [Fraction(1), Fraction(-1, 2)]
@@ -155,10 +156,25 @@ def level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicForm]:
 
 
 def delta_cusp(truncation: int) -> NearlyHolomorphicForm:
-    """The normalized weight-12 cusp form (E4^3 - E6^2)/1728."""
-    e4 = eisenstein(4, truncation)
-    e6 = eisenstein(6, truncation)
-    return (e4 * e4 * e4 - e6 * e6) * Fraction(1, 1728)
+    """The normalized weight-12 cusp form Delta = q prod (1 - q^n)^24, which
+    is (E4^3 - E6^2)/1728.
+
+    By Jacobi's identity prod (1 - q^n)^3 = J = sum over m >= 0 of
+    (-1)^m (2m + 1) q^(m(m+1)/2), so Delta = q J^8: three squarings of a
+    sparse column of small entries, with no Eisenstein series and no division.
+    """
+    check_int("truncation", truncation, 0, MAX_TRUNCATION)
+    power = [0] * truncation  # J, then J^2, J^4, J^8, below q^truncation
+    m = t = 0  # t = m(m + 1)/2
+    while t < truncation:
+        power[t] = (-1) ** m * (2 * m + 1)
+        m += 1
+        t += m
+    for _ in range(3):
+        square = [0] * truncation
+        _convolve_into(square, power, power)
+        power = square
+    return NearlyHolomorphicForm._from_columns(12, truncation, 1, [[0] + power])
 
 
 class BinaryForm(FrozenRecord):

@@ -16,12 +16,14 @@ storage is canonical: gcd(d, every entry) = 1, the top column is nonzero, and
 the zero form has no columns, so equality and hashing compare plain ints.
 Sums, products, truncation and the operators of :mod:`operators` run on the
 integer columns; Fractions appear only at the public accessors.  A product
-multiplies each pair of columns by Kronecker substitution (_convolve_into):
-each column is packed into one int, one coefficient per fixed-width slot,
-the two ints are multiplied once, and the slots of the product are the
-coefficients of the product column.  The slot is sized from the entries so
-that no coefficient can overflow into its neighbour, which keeps the product
-exact; it is the only product path.
+multiplies each pair of columns by two-point Kronecker substitution
+(_convolve_into): each column is evaluated at +2^(s/2) and at -2^(s/2) as
+two ints, built from its even- and odd-index entries packed one per s-bit
+slot; the two pairs of ints are multiplied, and the half-sum and the
+half-difference of the two products hold the even- and the odd-index
+coefficients of the product column, one per slot.  The slot is sized from
+the entries so that no coefficient can overflow into its neighbour, which
+keeps the product exact; it is the only product path.
 
 A difference a - b is the same one pass over the columns as a sum, with the
 entries of b subtracted in place of added, so it never builds -b.
@@ -65,37 +67,64 @@ def _stripped(col, length: int):
     return col[:n]
 
 
-def _pack(col, width: int, top: int) -> int:
-    """sum of col[i] * 2^(8 * width * i), for entries in [-2^(8 * width - 1),
-    2^(8 * width - 1)).
+def _pack(col, width: int, tops) -> list:
+    """[E, O], the even- and odd-index entries of col packed at s = 8 * width
+    bits a slot: E = sum of col[2i] * 2^(s * i) and O = sum of col[2i + 1] *
+    2^(s * i), for entries in [-2^(s - 1), 2^(s - 1)).
 
-    Each entry is written as width bytes of two's complement and the bytes
-    are read back as one non-negative int.  xor with top (the sign bit of
-    every slot) adds 2^(8 * width - 1) to each entry, which is then taken
-    off in one subtraction; slots of top past the end of col come out 0.
+    Each entry is written once as width bytes of two's complement, and the
+    bytes of each half are joined and read back as one non-negative int.
+    xor with that half's top (the sign bit of every slot) adds 2^(s - 1) to
+    each entry, which is then taken off in one subtraction; each top spans
+    at least its half's slots, and its slots past the end of the half come
+    out 0.
     """
-    raw = int.from_bytes(
-        b"".join([x.to_bytes(width, "little", signed=True) for x in col]), "little"
-    )
-    return (raw ^ top) - top
+    chunks = [x.to_bytes(width, "little", signed=True) for x in col]
+    from_bytes, join = int.from_bytes, b"".join
+    return [(from_bytes(join(chunks[i::2]), "little") ^ top) - top for i, top in enumerate(tops)]
+
+
+def _unpack(value: int, width: int, top: int) -> list:
+    """[c[0], ..., c[count - 1]] for value = sum of c[i] * 2^(s * i), s =
+    8 * width, where every c[i] lies in (-2^(s - 1), 2^(s - 1)) and top holds
+    the sign bit of each of the count low slots, so that it has s * count
+    bits.
+
+    Adding top makes each of the count low slots a digit c[i] + 2^(s - 1) in
+    [0, 2^s) with no borrow between slots, and the slots at and past count
+    never reach them, so the low count slots read off exactly; xor with the
+    same sign bits turns each digit into the two's complement of c[i], which
+    is read back signed.
+    """
+    bits = top.bit_length()
+    size = bits // 8
+    data = (((value + top) & ((1 << bits) - 1)) ^ top).to_bytes(size, "little")
+    from_bytes = int.from_bytes
+    return [from_bytes(data[i : i + width], "little", signed=True) for i in range(0, size, width)]
 
 
 def _convolve_into(acc: list, a, b) -> None:
     """acc[n] += sum of a[i] * b[n - i] for every n < len(acc).
 
-    Kronecker substitution: each column becomes one int with one slot of
-    s = 8 * width bits per entry, the two ints are multiplied once (CPython
-    multiplies large ints by Karatsuba), and slot n of the product is
-    coefficient n of the convolution.  The slot is wide enough to be exact:
-    |a[i]| < 2^bits(max|a|), |b[j]| < 2^bits(max|b|), and a coefficient has
-    at most min(len a, len b) terms, so it lies strictly between -2^(s - 1)
-    and 2^(s - 1) once s >= bits(max|a|) + bits(max|b|) + bits(min(len a,
-    len b)) + 1; the extra bit is the sign.  Adding the bias 2^(s - 1) to
-    each of the first len(acc) slots makes every slot a digit in [0, 2^s)
-    with no borrow between slots, so the low len(acc) slots of the biased
-    product read off exactly; slots at and past len(acc) never reach them.
-    xor with the same sign bits turns each digit into its coefficient's
-    two's complement, which is read back signed.
+    Two-point Kronecker substitution.  The convolution c = a * b, as
+    polynomials, is c(x) = C_e(x^2) + x C_o(x^2), with C_e holding the
+    even-index coefficients of c and C_o the odd ones; likewise a(x) =
+    A_e(x^2) + x A_o(x^2).  With s = 8 * width and X = 2^(s / 2), each of
+    A_e(X^2), A_o(X^2) is one int with one s-bit slot per entry (_pack), and
+    a(+-X) = A_e(X^2) +- (A_o(X^2) << s / 2).  The two products
+    P+- = a(+-X) * b(+-X) = C_e(X^2) +- X C_o(X^2) (squares when a is b)
+    each have about half the digits of the one product a(X^2) * b(X^2) that
+    packs every entry in its own slot, and CPython's Karatsuba makes two
+    half-size products cheaper than one full one.  Then P+ + P- =
+    2 C_e(X^2) and P+ - P- = 2 X C_o(X^2) exactly, so the shifts by 1 and
+    by s / 2 + 1 divide exactly, and each quotient is a polynomial in
+    X^2 = 2^s, one s-bit slot per coefficient of c, read off by _unpack.
+
+    The slot is wide enough to be exact: |a[i]| < 2^bits(max|a|), |b[j]| <
+    2^bits(max|b|), and a coefficient has at most min(len a, len b) terms,
+    so it lies strictly between -2^(s - 1) and 2^(s - 1) once s >=
+    bits(max|a|) + bits(max|b|) + bits(min(len a, len b)) + 1; the extra bit
+    is the sign.
     """
     length = len(acc)
     same = a is b
@@ -110,19 +139,22 @@ def _convolve_into(acc: list, a, b) -> None:
         + 1
     )
     width = (bits + 7) // 8
+    half = 4 * width
     out = min(length, len(a) + len(b) - 1)
-    top = int.from_bytes((b"\0" * (width - 1) + b"\x80") * out, "little")
-    packed = _pack(a, width, top)
-    product = packed * (packed if same else _pack(b, width, top))
-    data = (((product + top) & ((1 << (8 * width * out)) - 1)) ^ top).to_bytes(
-        width * out, "little"
-    )
-    from_bytes = int.from_bytes
-    acc[:out] = map(
-        add,
-        acc[:out],
-        [from_bytes(data[i : i + width], "little", signed=True) for i in range(0, width * out, width)],
-    )
+    slot = b"\0" * (width - 1) + b"\x80"
+    # one sign bit per slot of the even and of the odd indices below out
+    tops = [int.from_bytes(slot * count, "little") for count in ((out + 1) // 2, out // 2)]
+    even, odd = _pack(a, width, tops)
+    odd <<= half
+    plus, minus = even + odd, even - odd
+    if same:
+        plus, minus = plus * plus, minus * minus
+    else:
+        even, odd = _pack(b, width, tops)
+        odd <<= half
+        plus, minus = plus * (even + odd), minus * (even - odd)
+    acc[0:out:2] = map(add, acc[0:out:2], _unpack((plus + minus) >> 1, width, tops[0]))
+    acc[1:out:2] = map(add, acc[1:out:2], _unpack((plus - minus) >> (half + 1), width, tops[1]))
 
 
 class NearlyHolomorphicForm:

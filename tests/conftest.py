@@ -2,16 +2,20 @@
 
 These recompute expected values from first principles (analytic operator
 definitions, lattice enumeration, numeric evaluation) through code paths
-disjoint from the library internals they check.  There are three exceptions.
+disjoint from the library internals they check.  There are four exceptions.
 reference_level1_basis keeps an earlier construction of the library's
 level-1 basis, one product per power of E4 and of E6, as the reference of
-the current one.  solve_exact is an exact linear solver over the library's
-reduced echelon form: test_arith checks it against an independent
-Gauss-Jordan elimination, and the decompose and verify tests use it as the
-reference of their span tests.  divisor_power_sum, sigma_e by trial division
-up to the square root, is a second path to the divisor sums that the library
-builds by multiplicativity for its Eisenstein series: test_generators checks
-it against brute_divisor_sum and uses it as the reference of the library's.
+the current one, and reference_delta_cusp keeps the earlier construction of
+Delta as (E4^3 - E6^2)/1728 as the reference of the library's q J^8 from
+Jacobi's identity; both multiply with the library's form product, which
+test_kernel checks against a schoolbook one.  solve_exact is an exact
+linear solver over the library's reduced echelon form: test_arith checks it
+against an independent Gauss-Jordan elimination, and the decompose and
+verify tests use it as the reference of their span tests.
+divisor_power_sum, sigma_e by trial division up to the square root, is a
+second path to the divisor sums that the library builds by multiplicativity
+for its Eisenstein series: test_generators checks it against
+brute_divisor_sum and uses it as the reference of the library's.
 """
 
 from __future__ import annotations
@@ -148,6 +152,13 @@ def reference_level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicFor
     e4 = powers(4, exponents[0][0])
     e6 = powers(6, exponents[-1][1])
     return [e4[a] * e6[b] if a and b else (e4[a] if a else e6[b]) for a, b in exponents]
+
+
+def reference_delta_cusp(truncation: int) -> NearlyHolomorphicForm:
+    """The normalized weight-12 cusp form as (E4^3 - E6^2)/1728."""
+    e4 = eisenstein(4, truncation)
+    e6 = eisenstein(6, truncation)
+    return (e4 * e4 * e4 - e6 * e6) * Fraction(1, 1728)
 
 
 def divisor_power_sum(n: int, e: int) -> int:

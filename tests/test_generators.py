@@ -24,6 +24,7 @@ from conftest import (
     brute_divisor_sum,
     brute_theta_counts,
     divisor_power_sum,
+    reference_delta_cusp,
     reference_level1_basis,
 )
 
@@ -145,8 +146,9 @@ class TestLevel1Basis:
     def test_weight24_at_truncation_2000_is_quick(self):
         # About 4 s with a schoolbook product, about 0.4 s with the
         # Kronecker-substitution one when every power of E4 and E6 was
-        # built, and about 0.2 s with one product at weight 24 per monomial
-        # (2-core x86, Python 3.11).
+        # built, about 0.2 s with one product at weight 24 per monomial,
+        # and about 0.1 s with the two-point Kronecker substitution, two
+        # half-size products per pair of columns (2-core x86, Python 3.11).
         start = time.perf_counter()
         basis = level1_basis(24, 2000)
         elapsed = time.perf_counter() - start
@@ -223,6 +225,19 @@ def test_delta_cusp_is_cuspidal():
     assert d.coefficient(0, 1) == 1
     assert d.coefficient(0, 2) == -24
     assert d.coefficient(0, 3) == 252
+
+
+@pytest.mark.parametrize("truncation", [*range(41), 100, 201, 1000])
+def test_delta_cusp_is_the_eisenstein_combination(truncation):
+    # q J^8 from Jacobi's identity against (E4^3 - E6^2)/1728, every byte.
+    assert delta_cusp(truncation) == reference_delta_cusp(truncation)
+
+
+def test_ramanujan_tau_up_to_ten():
+    tau = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
+    d = delta_cusp(10)
+    assert d.weight == 12 and d.truncation == 10
+    assert [d.coefficient(0, n) for n in range(11)] == [0] + tau
 
 
 def test_quasimodular_closure_under_raising():

@@ -124,6 +124,111 @@ def test_random_columns():
         check(length, a, b)
 
 
+# -- the two-point split: even- and odd-index halves -------------------------------
+
+
+def squared(length, a, start=None):
+    """The kernel's square of a, passing one tuple as both columns."""
+    acc = list(start) if start is not None else [0] * length
+    col = tuple(a)
+    _convolve_into(acc, col, col)
+    return acc
+
+
+def slot_bytes(a, b):
+    """The slot width in bytes that the kernel's bound gives for a and b."""
+    bits = max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+    return (bits + min(len(a), len(b)).bit_length() + 1 + 7) // 8
+
+
+def test_every_parity_of_the_lengths():
+    rng = random.Random(41)
+    for len_a in range(1, 8):
+        for len_b in range(1, 8):
+            for length in range(1, len_a + len_b + 2):
+                a = [rng.randrange(-10**6, 10**6) or 1 for _ in range(len_a)]
+                b = [rng.randrange(-99, 100) or -1 for _ in range(len_b)]
+                start = [rng.randrange(-10**9, 10**9) for _ in range(length)]
+                want = [s + c for s, c in zip(start, schoolbook(length, a, b))]
+                assert convolved(length, a, b, start) == want
+                assert convolved(length, b, a, start) == want
+
+
+def test_one_entry_columns_and_one_output_slot():
+    # A one-entry column has an empty odd half, and out = 1 reads no odd slot.
+    for x, y in ((1, 1), (-1, 1), (-5, -7), (10**40, -(10**40) + 3), (edge(3), -edge(3) - 1)):
+        for length in (1, 2, 3, 4):
+            check(length, [x], [y])
+            check(length, [x], [y, -x, 2 * y])
+            assert squared(length, [x]) == schoolbook(length, [x], [x])
+        assert convolved(1, [x, y, 5], [y, x]) == [x * y]
+        assert convolved(1, [x], [y], [9]) == [9 + x * y]
+        assert squared(1, [x, y]) == [x * x]
+
+
+def test_a_square_at_each_parity():
+    rng = random.Random(43)
+    for len_a in range(1, 10):
+        for length in range(1, 2 * len_a + 2):
+            for bound in (1, 200, 10**25):
+                a = [rng.randrange(-bound, bound + 1) for _ in range(len_a)]
+                a[rng.randrange(len_a)] = bound
+                start = [rng.randrange(-50, 50) for _ in range(length)]
+                want = [s + c for s, c in zip(start, schoolbook(length, a, a))]
+                assert squared(length, a, start) == want
+                assert convolved(length, a, a, start) == want
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_odd_slot_widths_where_the_half_slot_is_no_whole_byte(m):
+    # s / 2 = 4m bits: the odd half is shifted by a whole number of bytes
+    # only for even m.  Entries of one magnitude 2^k - 1, with k chosen so
+    # that the bound asks for exactly m bytes, fill the slot as far as the
+    # bound allows.
+    rng = random.Random(47 + m)
+    for len_a in (1, 2, 3, 4, 5):
+        for len_b in (1, 2, 3, 6, 7):
+            spare = 8 * m - min(len_a, len_b).bit_length() - 1
+            for k in sorted({1, spare // 2, spare - 1}):
+                big_a, big_b = (1 << k) - 1, (1 << (spare - k)) - 1
+                for signs in range(4):
+                    a = [(-1) ** (signs & 1) * big_a] * len_a
+                    b = [(-1) ** (signs >> 1) * big_b] * len_b
+                    assert slot_bytes(a, b) == m
+                    for length in range(1, len_a + len_b + 1):
+                        check(length, a, b)
+                    mixed = [rng.choice((-1, 1)) * big_a for _ in range(len_a)]
+                    check(len_a + len_b - 1, mixed, b)
+                    if slot_bytes(mixed, mixed) == m:
+                        for length in range(1, 2 * len_a):
+                            assert squared(length, mixed) == schoolbook(length, mixed, mixed)
+
+
+def divisor_sums_up_to(e, n_max):
+    """[0, sigma_e(1), ..., sigma_e(n_max)], adding d^e to every multiple of d."""
+    sums = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        power = d**e
+        for n in range(d, n_max + 1, d):
+            sums[n] += power
+    return sums
+
+
+def test_eisenstein_products_at_truncation_2000():
+    # E4 E4 = E8 and E4 E6 = E10, the spaces being one-dimensional: long
+    # columns, so the two half-size products run at Karatsuba sizes.
+    n_max = 2000
+
+    def series(c, e):
+        # 1 + c sum sigma_e(n) q^n, of weight e + 1
+        sums = divisor_sums_up_to(e, n_max)
+        return NearlyHolomorphicForm(e + 1, n_max, {(0, n): c * x if n else 1 for n, x in enumerate(sums)})
+
+    e4, e6, e8, e10 = series(240, 3), series(-504, 5), series(480, 7), series(-264, 9)
+    assert e4 * e4 == e8
+    assert e4 * e6 == e10 and e6 * e4 == e10
+
+
 # -- the form product --------------------------------------------------------------
 
 
