@@ -23,6 +23,7 @@ are descriptors with parity and constraint tags, never enumerated.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, check_int, read_rational
@@ -160,15 +161,24 @@ class BlockClassification(FrozenRecord):
 
 
 def classify_block(lam) -> BlockClassification:
-    """The indecomposables of the block of chi_lam, with its exact sequences."""
-    char = InfinitesimalCharacter.of(lam)
-    rep = char.lam
+    """The indecomposables of the block of chi_lam, with its exact sequences.
+
+    The block is a value of the orbit representative alone, built once for
+    each of the last 1024 representatives asked for and then shared: the
+    calls for lam and for 2 - lam return the same object.
+    """
+    return _block(InfinitesimalCharacter.of(lam).lam)
+
+
+@lru_cache(maxsize=1024)
+def _block(rep: Fraction) -> BlockClassification:
+    # The block of chi_rep, for the orbit representative rep >= 1.
     l_rep = simple(rep)
     if rep == 1:
         return BlockClassification(rep, (l_rep,), ())
     low = 2 - rep
     l_low = simple(low)
-    if not char.integral:
+    if rep.denominator != 1:
         return BlockClassification(rep, (l_rep, l_low), ())
     n_low, p_rep = verma(low), projective(rep)
     classes = (l_rep, l_low, n_low, dual_verma(low), p_rep)

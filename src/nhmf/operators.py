@@ -177,7 +177,9 @@ class InfinitesimalCharacter(FrozenRecord):
     @classmethod
     def of(cls, lam) -> "InfinitesimalCharacter":
         lam = read_rational(lam)
-        return cls(max(lam, 2 - lam))
+        n, d = lam.as_integer_ratio()
+        # lam < 1 iff n < d; then 2 - lam = (2d - n)/d, in lowest terms as lam is.
+        return cls(lam if n >= d else Fraction(2 * d - n, d))
 
     @property
     def integral(self) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .arith import read_rational
+from .arith import check_digits, read_rational
 from .errors import DomainError
 
 
@@ -167,12 +167,20 @@ class PiScalar:
     def __bool__(self):
         return not self.is_zero
 
+    def _shown_terms(self):
+        # The terms, refused as out-of-domain where a coefficient has more
+        # digits than the interpreter converts to text.
+        terms = self.terms()
+        parts = (x for _, c in terms for part in c for x in part.as_integer_ratio())
+        check_digits(*parts, what="a coefficient of a pi-scalar")
+        return terms
+
     def render(self) -> str:
         """Human form like ``-3·π^-1`` or ``6·π^-2 + π^1/2``."""
         if self.is_zero:
             return "0"
         parts = []
-        for e, (re, im) in self.terms():
+        for e, (re, im) in self._shown_terms():
             if im == 0:
                 coeff = str(re)
             elif re == 0:
@@ -201,7 +209,7 @@ class PiScalar:
 
     def to_json(self):
         """Loss-free JSON: list of [exponent, re, im] with "num/den" strings."""
-        return [[str(e), str(re), str(im)] for e, (re, im) in self.terms()]
+        return [[str(e), str(re), str(im)] for e, (re, im) in self._shown_terms()]
 
     @classmethod
     def from_json(cls, data) -> "PiScalar":

@@ -311,17 +311,32 @@ def local_invariants(space: QuadSpace2D, v: Place) -> LocalInvariant:
     the discriminant -a1*a2 = p^(alpha + beta) (-u_a u_b) is read off the two
     splits.  At the real place the discriminant is a non-square iff
     a1*a2 > 0.
+
+    An invariant is a value, so at the shared places (the real place and
+    each prime below _SHARED_BELOW) one instance per (place, chi_nontrivial,
+    epsilon) is built, and checked, on first use and returned from then on:
+    at most 3 * 6543 of them.  A larger prime gets a fresh instance.
     """
     n1, d1, n2, d2 = space._ints
     if v.kind == "real":
-        return LocalInvariant(v, (n1 > 0) == (n2 > 0), -1 if n1 < 0 and n2 < 0 else 1)
-    p = v.p
-    a, b = _split(n1, d1, p), _split(n2, d2, p)
-    return LocalInvariant(
-        v,
-        not _split_square((a[0] + b[0], -a[1] * b[1], a[2] * b[2]), p),
-        _split_symbol(a, b, p),
-    )
+        p, chi, epsilon = None, (n1 > 0) == (n2 > 0), -1 if n1 < 0 and n2 < 0 else 1
+    else:
+        p = v.p
+        a, b = _split(n1, d1, p), _split(n2, d2, p)
+        chi = not _split_square((a[0] + b[0], -a[1] * b[1], a[2] * b[2]), p)
+        epsilon = _split_symbol(a, b, p)
+        if p >= _SHARED_BELOW:
+            return LocalInvariant(v, chi, epsilon)
+    key = (p, chi, epsilon)
+    invariant = _SHARED_INVARIANTS.get(key)
+    if invariant is None:
+        invariant = _SHARED_INVARIANTS[key] = LocalInvariant(v, chi, epsilon)
+    return invariant
+
+
+# The shared invariants, keyed by (p, chi_nontrivial, epsilon), with p None at
+# the real place.
+_SHARED_INVARIANTS: dict = {}
 
 
 def relevant_places(*values: Fraction) -> list[Place]:

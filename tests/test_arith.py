@@ -8,6 +8,7 @@ from math import isqrt, prod
 
 import pytest
 
+from nhmf import arith
 from nhmf.arith import is_prime, prime_factors, prime_power_base, read_rational
 from nhmf.errors import DomainError, UsageError
 
@@ -92,6 +93,43 @@ def test_carmichael_numbers():
         assert not is_prime(n)
     for n, factors in ((561, [3, 11, 17]), (41041, [7, 11, 13, 41])):
         assert list(prime_factors(n)) == factors
+
+
+def brute_factors(n):
+    # Division by every d from 2 up to the square root of what is left.
+    factors, d = [], 2
+    while d * d <= n:
+        while n % d == 0:
+            factors.append(d)
+            n //= d
+        d += 1
+    return factors + [n] if n > 1 else factors
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        65521**2,  # the largest prime of the trial table, squared
+        65519 * 65521,
+        65521 * 65537,  # the table's last prime times the first prime past it
+        65537**2,  # past (2^16 + 1)^2 - 1: to Pollard rho
+        65537 * 65539,  # to Pollard rho, split there
+        4294967279,  # primes just below 2^32
+        4294967291,
+        2**32,
+        4294967311,  # a prime just above 2^32, below 65537^2
+        6 * 4294967291,
+        2 * 3 * 65521 * 65537,
+    ],
+)
+def test_prime_factors_against_brute_force_across_the_trial_table_edge(n):
+    assert list(prime_factors(n)) == brute_factors(n)
+
+
+def test_the_trial_table_holds_the_primes_below_its_bound():
+    primes = arith._trial_primes()
+    assert len(primes) == 6542 and list(primes[:6]) == [2, 3, 5, 7, 11, 13] and primes[-1] == 65521
+    assert arith._trial_primes() is primes  # sieved once
 
 
 def test_large_primes_are_prime():

@@ -9,6 +9,7 @@ import pytest
 import nhmf.operators
 from nhmf.arith import MAX_DEGREE, MAX_WEIGHT
 from nhmf.category_o import (
+    BlockClassification,
     ModuleClass,
     catalog,
     classify_block,
@@ -80,6 +81,19 @@ class TestModuleClassCanonicalization:
             ModuleClass(kind, lam)
 
 
+def reference_block(lam: Fraction) -> BlockClassification:
+    """The block of chi_lam built afresh, by the list of the module docstring."""
+    rep = max(lam, 2 - lam)
+    low = 2 - rep
+    if rep == 1:
+        return BlockClassification(rep, (simple(1),), ())
+    if rep.denominator != 1:
+        return BlockClassification(rep, (simple(rep), simple(low)), ())
+    classes = (simple(rep), simple(low), verma(low), dual_verma(low), projective(rep))
+    sequences = ((simple(rep), verma(low), simple(low)), (simple(rep), projective(rep), verma(low)))
+    return BlockClassification(rep, classes, sequences)
+
+
 class TestClassifyBlock:
     def test_singular_point_single_class(self):
         block = classify_block(1)
@@ -108,6 +122,17 @@ class TestClassifyBlock:
         for lam in (Fraction(1, 2), 3, 5, Fraction(7, 3), 1, 0, -4):
             a, b = classify_block(lam), classify_block(2 - Fraction(lam))
             assert set(a.classes) == set(b.classes)
+
+    @pytest.mark.parametrize(
+        "lam",
+        [1, 2, 5, 0, -4, -40, Fraction(1, 2), Fraction(-1, 2), Fraction(7, 2), Fraction(-9, 2),
+         Fraction(7, 3), Fraction(-5, 3), "-13/6"],
+    )
+    def test_the_block_of_a_character_is_built_once(self, lam):
+        lam = Fraction(lam)
+        block = classify_block(lam)
+        assert classify_block(2 - lam) is block and classify_block(str(lam)) is block
+        assert block == reference_block(lam)
 
     def test_composition_factor_consistency(self):
         for lam in (2, 3, 5, 9):

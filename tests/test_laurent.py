@@ -6,13 +6,15 @@ s0 + 1e-6 (relative error < 1e-4).
 
 import json
 import math
+import re
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
 import nhmf.pi_scalar
-from nhmf.arith import MAX_DEGREE, MAX_WEIGHT
+from nhmf.arith import MAX_DEGREE, MAX_WEIGHT, digit_limit
 from nhmf.errors import DomainError, InsufficientLaurentPrecisionError, PoleError
 from nhmf.laurent import (
     LaurentScalar,
@@ -558,3 +560,54 @@ class TestLaurentBounds:
             archimedean_factor(*args)
         assert err.value.code == "out-of-domain"
         assert "must be an integer" in str(err.value)
+
+
+def longest_int(germ: LaurentScalar) -> int:
+    """The longest int that the germ's JSON shows."""
+    return int(max(re.findall(r"\d+", json.dumps(germ.to_json())), key=len))
+
+
+@pytest.mark.skipif(not digit_limit(), reason="the interpreter has no digit limit")
+class TestTheDigitLimitOfTheArchimedeanFactor:
+    @pytest.mark.parametrize("args", [(1, 4, MAX_DEGREE), (3, 4, MAX_DEGREE), (-7, 2, 5000)])
+    def test_a_leading_past_the_digit_limit_is_refused_where_it_is_shown(self, args):
+        germ = archimedean_factor(*args)  # in bound: the germ is built and its order read
+        assert germ.exact and germ.order % args[2] == 0
+        for show in (germ.to_json, lambda: repr(germ), germ.leading.to_json):
+            start = time.perf_counter()
+            with pytest.raises(DomainError) as err:
+                show()
+            assert time.perf_counter() - start < 0.1
+            assert err.value.code == "out-of-domain"
+            assert f"more than {digit_limit()} digits" in str(err.value)
+
+    @pytest.mark.parametrize("s0, ell", [(-500, -500), (250, -250), (100, 37), (20, 3)])
+    def test_a_power_is_refused_exactly_when_it_cannot_be_shown(self, s0, ell):
+        # Along d, around the first power whose leading has more than L
+        # digits; the reference is the JSON of the same power, assembled
+        # from the germs with no digit limit.
+        limit = digit_limit()
+        t = math.ceil(limit / math.log10(longest_int(archimedean_factor(s0, ell, 1))))
+        seen = set()
+        for d in range(max(1, t - 4), t + max(8, t // 10)):
+            try:
+                shown = longest_int(archimedean_factor(s0, ell, d))
+            except DomainError:
+                shown = None
+            sys.set_int_max_str_digits(0)
+            try:
+                unbounded = longest_int(reference_archimedean_factor(s0, ell, d))
+            finally:
+                sys.set_int_max_str_digits(limit)
+            assert (shown is None) == (unbounded >= 10**limit), d
+            assert shown in (None, unbounded), d
+            seen.add(shown is None)
+        assert seen == {True, False}
+
+    def test_with_no_digit_limit_nothing_is_refused(self):
+        limit = digit_limit()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert longest_int(archimedean_factor(20, 3, 2000)) >= 10**limit
+        finally:
+            sys.set_int_max_str_digits(limit)

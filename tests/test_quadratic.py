@@ -1,7 +1,9 @@
 """Local quadratic invariants: symbols, coherence, reducibility, eigenvalues."""
 
+import copy
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -381,6 +383,33 @@ def test_relevant_places_prove_no_prime_twice(monkeypatch):
     assert hash(places[-1]) == hash(Place("finite", 10**6 + 3))
     with pytest.raises(DomainError):
         Place.finite(41 * 41)
+
+
+def test_the_invariants_at_the_shared_places_are_shared():
+    # An invariant is a value: at the real place and at each prime below 2^16
+    # one is built per (place, chi_nontrivial, epsilon).  The second space
+    # scales the first by squares, so it has the same invariants everywhere.
+    from nhmf.quadratic import LocalInvariant
+
+    space, scaled = QuadSpace2D(3, -7 * 65521), QuadSpace2D(Fraction(3, 4), Fraction(-7 * 65521, 25))
+    for v in relevant_places(space.a1, space.a2) + [Place.finite(5), Place("finite", 3)]:
+        inv = local_invariants(space, v)
+        assert local_invariants(scaled, v) is inv, v
+        for twin in (copy.copy(inv), copy.deepcopy(inv), pickle.loads(pickle.dumps(inv))):
+            assert twin == inv and hash(twin) == hash(inv), v
+    assert local_invariants(space, Place.finite(3)) is local_invariants(space, Place("finite", 3))
+    # A larger prime gets a fresh, equal invariant.
+    space = QuadSpace2D(65537, 3)
+    v = Place.finite(65537)
+    assert local_invariants(space, v) is not local_invariants(space, v)
+    assert local_invariants(space, v) == LocalInvariant(v, True, -1)
+    assert all(p is None or p < 1 << 16 for p, _, _ in quadratic._SHARED_INVARIANTS)
+    # The check of each value still runs: the violating pair is refused,
+    # also at a place whose valid invariants are shared.
+    three = Place("finite", 3)
+    assert local_invariants(QuadSpace2D(1, -1), three) == LocalInvariant(three, False, 1)
+    with pytest.raises(InvariantViolationError):
+        LocalInvariant(three, False, -1)
 
 
 def test_the_real_place_and_the_small_finite_places_are_shared():
