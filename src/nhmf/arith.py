@@ -3,7 +3,7 @@
 read_rational, the one reader of a rational argument, which takes no float
 or bool, and check_digits, its digit bound, which the p-adic helpers of
 quadratic also put on the ints and Fractions they take as they are; integer
-factoring (trial division by sieved primes, then Pollard rho with a step
+factoring (trial division, then Pollard rho with a step
 budget for large cofactors), a primality test (Miller-Rabin, exact below its
 bound), and the one elimination routine of the package: the reduced echelon
 form of integer vectors, on which decompose's span test and the membership
@@ -23,9 +23,8 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import cache
-from itertools import compress, count
-from math import gcd, isqrt
+from itertools import count
+from math import gcd
 
 from .errors import DomainError
 
@@ -129,9 +128,8 @@ def read_rational(value, error: type[Exception] = DomainError) -> Fraction:
     return result
 
 
-# Trial division is by the primes below this bound; a cofactor it leaves
-# composite goes to Pollard rho.  Every n <= 2^32 is factored by trial
-# division alone.
+# Trial division stops below this bound; a cofactor it leaves composite goes
+# to Pollard rho.  Every n <= 2^32 is factored by trial division alone.
 _TRIAL_BOUND = 1 << 16
 
 # Miller-Rabin with the first 13 prime bases is exact below _MR_EXACT_BOUND
@@ -151,43 +149,26 @@ _RHO_STEPS = 1 << 19
 def prime_factors(n: int):
     """The prime factors of n in ascending order, with multiplicity; none for n < 2.
 
-    Trial division by the primes below _TRIAL_BOUND, about 1 ms for a prime
-    near 2^32 on a 2-core x86 host (Python 3.11), then Pollard rho on the
-    cofactor.  DomainError when a factor left by trial division passes
-    Miller-Rabin at or above _MR_EXACT_BOUND, where passing does not prove it
-    prime, or when rho finds no factor in _RHO_STEPS steps, about 0.5 s.
+    DomainError when a factor left by trial division passes Miller-Rabin at
+    or above _MR_EXACT_BOUND, where passing does not prove it prime, or when
+    Pollard rho finds no factor in _RHO_STEPS steps, about 0.5 s.
     """
     if n < 2:
         return
-    for p in _trial_primes():
-        if p * p > n:
-            break
-        while n % p == 0:
-            yield p
-            n //= p
+    while n % 2 == 0:
+        yield 2
+        n //= 2
+    d = 3
+    while d * d <= n and d < _TRIAL_BOUND:
+        while n % d == 0:
+            yield d
+            n //= d
+        d += 2
+    if d * d > n:
+        if n > 1:
+            yield n
     else:
-        # No prime below the even _TRIAL_BOUND divides n, so below
-        # (_TRIAL_BOUND + 1)^2 it is prime; at or above, it may not be.
-        if n >= (_TRIAL_BOUND + 1) ** 2:
-            yield from sorted(_large_factors(n))
-            return
-    if n > 1:
-        yield n
-
-
-@cache
-def _trial_primes():
-    """The 6542 primes below _TRIAL_BOUND, in order, sieved on the first call:
-    every CLI process imports this module, and few of them factor.  An array
-    of two bytes each, 13 KB, where a tuple of ints would hold about 250 KB."""
-    from array import array
-
-    sieve = bytearray([1]) * _TRIAL_BOUND
-    sieve[:2] = b"\0\0"
-    for p in range(2, isqrt(_TRIAL_BOUND - 1) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, _TRIAL_BOUND, p)))
-    return array("H", compress(range(_TRIAL_BOUND), sieve))
+        yield from sorted(_large_factors(n))
 
 
 def _large_factors(n: int) -> list[int]:

@@ -177,9 +177,7 @@ class InfinitesimalCharacter(FrozenRecord):
     @classmethod
     def of(cls, lam) -> "InfinitesimalCharacter":
         lam = read_rational(lam)
-        n, d = lam.as_integer_ratio()
-        # lam < 1 iff n < d; then 2 - lam = (2d - n)/d, in lowest terms as lam is.
-        return cls(lam if n >= d else Fraction(2 * d - n, d))
+        return cls(max(lam, 2 - lam))
 
     @property
     def integral(self) -> bool:

@@ -32,7 +32,7 @@ purely symbolic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, total_ordering
+from functools import cache, cached_property, total_ordering
 from itertools import combinations
 from math import prod
 from typing import Optional
@@ -319,24 +319,20 @@ def local_invariants(space: QuadSpace2D, v: Place) -> LocalInvariant:
     """
     n1, d1, n2, d2 = space._ints
     if v.kind == "real":
-        p, chi, epsilon = None, (n1 > 0) == (n2 > 0), -1 if n1 < 0 and n2 < 0 else 1
-    else:
-        p = v.p
-        a, b = _split(n1, d1, p), _split(n2, d2, p)
-        chi = not _split_square((a[0] + b[0], -a[1] * b[1], a[2] * b[2]), p)
-        epsilon = _split_symbol(a, b, p)
-        if p >= _SHARED_BELOW:
-            return LocalInvariant(v, chi, epsilon)
-    key = (p, chi, epsilon)
-    invariant = _SHARED_INVARIANTS.get(key)
-    if invariant is None:
-        invariant = _SHARED_INVARIANTS[key] = LocalInvariant(v, chi, epsilon)
-    return invariant
+        return _shared_invariant(v, (n1 > 0) == (n2 > 0), -1 if n1 < 0 and n2 < 0 else 1)
+    p = v.p
+    a, b = _split(n1, d1, p), _split(n2, d2, p)
+    chi = not _split_square((a[0] + b[0], -a[1] * b[1], a[2] * b[2]), p)
+    epsilon = _split_symbol(a, b, p)
+    if p < _SHARED_BELOW:
+        return _shared_invariant(v, chi, epsilon)
+    return LocalInvariant(v, chi, epsilon)
 
 
-# The shared invariants, keyed by (p, chi_nontrivial, epsilon), with p None at
-# the real place.
-_SHARED_INVARIANTS: dict = {}
+@cache
+def _shared_invariant(v: Place, chi: bool, epsilon: int) -> LocalInvariant:
+    # Called only at the shared places, so it holds at most 3 * 6543 values.
+    return LocalInvariant(v, chi, epsilon)
 
 
 def relevant_places(*values: Fraction) -> list[Place]:

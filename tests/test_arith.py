@@ -8,7 +8,6 @@ from math import isqrt, prod
 
 import pytest
 
-from nhmf import arith
 from nhmf.arith import is_prime, prime_factors, prime_power_base, read_rational
 from nhmf.errors import DomainError, UsageError
 
@@ -109,9 +108,9 @@ def brute_factors(n):
 @pytest.mark.parametrize(
     "n",
     [
-        65521**2,  # the largest prime of the trial table, squared
+        65521**2,  # the largest prime below the trial bound, squared
         65519 * 65521,
-        65521 * 65537,  # the table's last prime times the first prime past it
+        65521 * 65537,  # the primes on either side of the trial bound
         65537**2,  # past (2^16 + 1)^2 - 1: to Pollard rho
         65537 * 65539,  # to Pollard rho, split there
         4294967279,  # primes just below 2^32
@@ -122,14 +121,8 @@ def brute_factors(n):
         2 * 3 * 65521 * 65537,
     ],
 )
-def test_prime_factors_against_brute_force_across_the_trial_table_edge(n):
+def test_prime_factors_against_brute_force_across_the_trial_bound(n):
     assert list(prime_factors(n)) == brute_factors(n)
-
-
-def test_the_trial_table_holds_the_primes_below_its_bound():
-    primes = arith._trial_primes()
-    assert len(primes) == 6542 and list(primes[:6]) == [2, 3, 5, 7, 11, 13] and primes[-1] == 65521
-    assert arith._trial_primes() is primes  # sieved once
 
 
 def test_large_primes_are_prime():

@@ -159,14 +159,6 @@ class TestInfinitesimalCharacter:
         assert InfinitesimalCharacter.of(4).lam == 4
         assert InfinitesimalCharacter.of(4).integral
 
-    def test_the_representative_is_the_orbit_maximum(self):
-        for n in range(-40, 41):
-            for d in (1, 2, 3, 4, 7, 12):
-                lam = Fraction(n, d)
-                for given in (lam, str(lam)) + ((n,) if d == 1 else ()):
-                    rep = InfinitesimalCharacter.of(given).lam
-                    assert type(rep) is Fraction and rep == max(lam, 2 - lam), given
-
     def test_holomorphic_weights(self):
         assert infinitesimal_character(eisenstein(4, 8)).lam == 4
         assert infinitesimal_character(delta_cusp(14)).lam == 12

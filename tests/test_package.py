@@ -71,17 +71,6 @@ def test_importing_the_cli_leaves_the_adelic_side_and_the_suite_unloaded():
     assert out == "[]\n"
 
 
-def test_the_trial_division_table_is_sieved_on_the_first_factoring_not_at_import():
-    out = run_fresh("""
-        import nhmf.cli
-        from nhmf import arith
-        print(arith._trial_primes.cache_info().currsize, end=" ")
-        nhmf.cli.main(["local", "invariants", "3", "5"])
-        print(arith._trial_primes.cache_info().currsize)
-    """)
-    assert out.startswith("0 {") and out.endswith("}\n1\n")
-
-
 def test_importing_the_package_loads_only_errors():
     out = run_fresh("""
         import sys, nhmf

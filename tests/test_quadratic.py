@@ -398,12 +398,13 @@ def test_the_invariants_at_the_shared_places_are_shared():
         for twin in (copy.copy(inv), copy.deepcopy(inv), pickle.loads(pickle.dumps(inv))):
             assert twin == inv and hash(twin) == hash(inv), v
     assert local_invariants(space, Place.finite(3)) is local_invariants(space, Place("finite", 3))
-    # A larger prime gets a fresh, equal invariant.
+    # A larger prime gets a fresh, equal invariant, and is not kept.
     space = QuadSpace2D(65537, 3)
     v = Place.finite(65537)
+    kept = quadratic._shared_invariant.cache_info().currsize
     assert local_invariants(space, v) is not local_invariants(space, v)
     assert local_invariants(space, v) == LocalInvariant(v, True, -1)
-    assert all(p is None or p < 1 << 16 for p, _, _ in quadratic._SHARED_INVARIANTS)
+    assert quadratic._shared_invariant.cache_info().currsize == kept
     # The check of each value still runs: the violating pair is refused,
     # also at a place whose valid invariants are shared.
     three = Place("finite", 3)
