@@ -6,8 +6,9 @@ quadratic also put on the ints and Fractions they take as they are; integer
 factoring (trial division, then Pollard rho with a step
 budget for large cofactors), a primality test (Miller-Rabin, exact below its
 bound), and the one elimination routine of the package: the reduced echelon
-form of integer vectors, on which decompose's span test and the membership
-test of verify's quasimodular closure are built.  It also holds the domain
+form of integer vectors and the one-pass reduction of a vector by it, on
+which decompose's span test and the membership test of verify's
+quasimodular closure are built.  It also holds the domain
 bounds MAX_WEIGHT, MAX_DEGREE and MAX_TRUNCATION, which every command loads
 with this module; check_int, the one check of an integer argument and its
 bounds, which every weight, degree, truncation, count and residue
@@ -24,7 +25,8 @@ import re
 import sys
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import gcd, lcm
+from operator import sub
 
 from .errors import DomainError
 
@@ -281,22 +283,31 @@ def reduced_echelon(vectors, width: int) -> list[tuple[int, list[int]]]:
         pivot = next((i for i in range(width) if v[i]), None)
         if pivot is None:
             continue
-        if v[pivot] < 0:
-            v = [-x for x in v]
+        g = gcd(*v) if v[pivot] > 0 else -gcd(*v)
+        if g != 1:
+            v = [x // g for x in v]
         rows = [(p, _eliminate(r, v, pivot) if r[pivot] else r) for p, r in rows]
-        rows.append((pivot, list(v)))
+        rows.append((pivot, v))
     return rows
 
 
 def reduce_by(rows, v) -> list[int]:
     """v less its components along the rows of a reduced echelon form, times
-    a positive integer.  Every pivot entry is cleared, so the result vanishes
-    in the entries the pivots were sought in exactly when v lies in the span
-    of the rows there."""
-    for pivot, r in rows:
-        if v[pivot]:
-            v = _eliminate(v, r, pivot)
-    return v
+    a positive integer, as a new list.  Every pivot entry is cleared, so the
+    result vanishes in the entries the pivots were sought in exactly when v
+    lies in the span of the rows there.
+
+    The rows vanish at each other's pivots, so no row changes v at another
+    row's pivot and one pass does it: the result is
+    D v - sum v[p] (D / r[p]) r over the rows r with v[p] != 0, D the lcm of
+    their r[p] > 0.  It is not made primitive.
+    """
+    hits = [(v[p], r[p], r) for p, r in rows if v[p]]
+    d = lcm(*(a for _, a, _ in hits))
+    out = v if d == 1 else map(d.__mul__, v)
+    for b, a, r in hits:
+        out = map(sub, out, map((b * (d // a)).__mul__, r))
+    return list(out)
 
 
 def _eliminate(v, r, pivot: int) -> list[int]:

@@ -20,14 +20,19 @@ g off the top column, pops that column, and subtracts b_j theta^(p-j) g from
 each lower column j, the b_j of delta^(p) (operators.delta_coefficients),
 after scaling both sides to lcm(denominator, denominator of g).  The raised
 image delta^(p) g is never built: its X^p column is c(w, p) g, the popped
-column itself.  One gcd pass, skipped at denominator 1, keeps the storage
-canonical, so a refusal's residual, the only remainder ever made a form, is
-the form the remainder stands for.
+column itself.  The remainder is not reduced between steps: a step drops
+the zero columns at the top and takes no gcd of the entries, so the
+denominator and the entries may share a factor.  That costs little size: a
+seed step scales the remainder by lcm(den, den_g) / den, which divides
+c(w, p), and the weight-two step by the leading entry of the raised series
+over its gcd with the top entry.  Each seed is made canonical when it is
+built as a form, and a refusal's residual, the only remainder ever made a
+form, is made canonical once, then.
 
 The seed must lie in the span of the basis of its weight.  The basis is put
 in reduced echelon form, one primitive integer row per pivot q-index, and
-the top column is tested against it by integer elimination over all
-truncation+1 coefficients, not only the first dim: a column that agrees with
+the top column is tested against it over all truncation+1 coefficients, not
+only the first dim, by one pass of arith.reduce_by: a column that agrees with
 a modular form up to q^(dim-1) and not beyond is refused.  The shared level-1
 basis keeps its rows in that form (the Miller basis q^i + O(q^dim) up to
 scaling), built once per weight, and the peel step reads them directly: it is
@@ -67,10 +72,9 @@ from .operators import (
 from .series import NearlyHolomorphicForm
 
 
-def _seed(w: int, p: int, truncation: int, den: int, top) -> NearlyHolomorphicForm:
+def _seed(w: int, factor: int, truncation: int, den: int, top) -> NearlyHolomorphicForm:
     # The holomorphic g of weight w with delta^(p) g having the X^p column
-    # top / den: top over den * c(w, p), c(w, p) nonzero.
-    factor = leading_column_factor(w, p)
+    # top / den: top over den * factor, factor = c(w, p) nonzero.
     seed = top if factor > 0 else list(map(neg, top))
     return NearlyHolomorphicForm._from_columns(w, truncation, den * abs(factor), [seed])
 
@@ -80,7 +84,8 @@ def top_seed(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     X^p column of f (k the weight, p the depth of the nonzero f): that column
     over c(w, p), which must be nonzero."""
     p = f.depth
-    return _seed(f.weight - 2 * p, p, f.truncation, f._den, f._cols[p])
+    w = f.weight - 2 * p
+    return _seed(w, leading_column_factor(w, p), f.truncation, f._den, f._cols[p])
 
 
 class Level1Basis:
@@ -203,20 +208,10 @@ def _supplied_rows(
     return rows
 
 
-def _canonical(cols: list, den: int) -> int:
-    """Bring the columns over den to a form's storage in place: drop the zero
-    columns at the top and divide den and every entry by their gcd, which is
-    sought only while den != 1.  Returns the new den."""
+def _pop_zero_columns(cols: list) -> None:
+    # The storage of a form has no zero column at the top.
     while cols and not any(cols[-1]):
         cols.pop()
-    g = den
-    for col in cols:
-        if g == 1:
-            break
-        g = gcd(g, *col)
-    if g != 1:
-        cols[:] = [list(map(g.__rfloordiv__, col)) for col in cols]
-    return den // g
 
 
 def decompose(
@@ -266,14 +261,16 @@ def decompose(
             raised = raised_e2(trunc, m)
             a, b = raised._cols[p][0], top[0]
             e2_term = (m, Fraction(b * raised._den, den * a))
-            # c * delta^(m) E2 is b / (den * a) times the raised columns.
-            if a < 0:
-                a, b = -a, -b
+            # c * delta^(m) E2 is b / (den * a) times the raised columns;
+            # a and b over their gcd, with a > 0, scale the remainder least.
+            g = gcd(a, b) if a > 0 else -gcd(a, b)
+            a, b = a // g, b // g
             cols.pop()
             for j in range(p):
                 scaled = cols[j] if a == 1 else map(a.__mul__, cols[j])
                 cols[j] = list(map(sub, scaled, map(b.__mul__, raised._cols[j])))
-            den = _canonical(cols, den * a)
+            den *= a
+            _pop_zero_columns(cols)
             continue
 
         if trunc < sturm(max(w, 0)):
@@ -283,19 +280,21 @@ def decompose(
             )
         if any(reduce_by(basis_rows(w) if w >= 0 else [], top)):
             raise refuse("not decomposable over supplied basis")
-        g = _seed(w, p, trunc, den, top)
+        # delta^(p) g has the popped column at X^p, b_j theta^(p-j) g
+        # below, and b_p = c(w, p).
+        b = delta_coefficients(-w, p)
+        g = _seed(w, b[p], trunc, den, top)
         terms.append((p, g))
-        # delta^(p) g has the popped column at X^p, b_j theta^(p-j) g below.
         cols.pop()
         new_den = lcm(den, g._den)
         s1, s2 = new_den // den, new_den // g._den
-        b = delta_coefficients(-w, p)
         theta = g._cols[0]
         for j in range(p - 1, -1, -1):
             theta = list(map(mul, ns, theta))
             scaled = cols[j] if s1 == 1 else map(s1.__mul__, cols[j])
             cols[j] = list(map(sub, scaled, map((b[j] * s2).__mul__, theta)))
-        den = _canonical(cols, new_den)
+        den = new_den
+        _pop_zero_columns(cols)
 
     terms.sort(key=lambda t: t[0])
     return Decomposition(k, trunc, tuple(terms), e2_term)

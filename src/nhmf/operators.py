@@ -23,9 +23,10 @@ the factor of :func:`leading_column_factor`.  :func:`delta_coefficients` is
 the one place the b_j are computed.  :func:`iterate_raise` and
 :func:`iterate_lower` apply the closed forms in one pass, column by column on
 the integer storage of :mod:`series` over an unchanged common denominator, so
-their cost grows like l, not l^2.  They are the only two column kernels of
-the sl2 action; the peel of :func:`nhmf.decompose.decompose` subtracts a
-raised seed with the same b_j, column by column, without building it.
+their cost grows like l, not l^2.  They and :func:`casimir` are the only
+column kernels of the sl2 action; the peel of :func:`nhmf.decompose.decompose`
+subtracts a raised seed with the same b_j, column by column, without
+building it.
 
 These are the rational-preserving normalizations.  The analytic operators
 
@@ -35,8 +36,14 @@ are exact scalar multiples:  R_k = -4*pi * delta_k  and  L_k = -1/(4*pi) * Lambd
 exposed through :func:`raise_analytic` / :func:`lower_analytic` which return a
 PiScalar-times-form pair.
 
-The Casimir acts on the top X^m column of a weight-k, depth-m form by
-w^2 - 2w, w = k - 2m.  So a Casimir eigenform has eigenvalue w^2 - 2w and
+The Casimir (k^2 - 2k) + 4 delta_(k-2) Lambda has a closed form too: on the
+column f_s in front of X^s of a weight-k form the two monomial rules give
+
+    Omega f = sum_s ((k^2 - 2k + 4 s (s + 1 - k)) f_s + 4 (s + 1) theta f_(s+1)) X^s,
+
+which :func:`casimir` applies in one pass.  On the top X^m column of a
+weight-k, depth-m form it acts by k^2 - 2k + 4m(m + 1 - k) = w^2 - 2w,
+w = k - 2m.  So a Casimir eigenform has eigenvalue w^2 - 2w and
 character chi_w, read off (w, m) with no search; and w^2 - 2w is invariant
 under w -> 2 - w, which is what makes :class:`InfinitesimalCharacter` well
 defined.
@@ -154,11 +161,22 @@ def lower_analytic(f: NearlyHolomorphicForm) -> ScaledForm:
 
 
 def casimir(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
-    """(k^2 - 2k) f + 4 delta_(k-2) Lambda f; commutes with raising and lowering."""
+    """(k^2 - 2k) f + 4 delta_(k-2) Lambda f; commutes with raising and lowering.
+
+    One pass by the closed form of the module docstring: column s of the
+    image is (k^2 - 2k + 4 s (s + 1 - k)) f_s + 4 (s + 1) theta f_(s+1).
+    """
     if f.is_zero:
         return f
-    k = f.weight
-    return f * Fraction(k * k - 2 * k) + raise_weight(lower_weight(f)) * 4
+    k, cols = f.weight, f._cols
+    ns = range(f.truncation + 1)
+    out = []
+    for s, col in enumerate(cols):
+        term = map((k * k - 2 * k + 4 * s * (s + 1 - k)).__mul__, col)
+        if s + 1 < len(cols):
+            term = map(add, term, map((4 * (s + 1)).__mul__, map(mul, ns, cols[s + 1])))
+        out.append(list(term))
+    return NearlyHolomorphicForm._from_columns(k, f.truncation, f._den, out)
 
 
 class InfinitesimalCharacter(FrozenRecord):

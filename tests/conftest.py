@@ -2,7 +2,7 @@
 
 These recompute expected values from first principles (analytic operator
 definitions, lattice enumeration, numeric evaluation) through code paths
-disjoint from the library internals they check.  There are four exceptions.
+disjoint from the library internals they check.  There are six exceptions.
 reference_level1_basis keeps an earlier construction of the library's
 level-1 basis, one product per power of E4 and of E6, as the reference of
 the current one, and reference_delta_cusp keeps the earlier construction of
@@ -12,6 +12,10 @@ test_kernel checks against a schoolbook one.  solve_exact is an exact
 linear solver over the library's reduced echelon form: test_arith checks it
 against an independent Gauss-Jordan elimination, and the decompose and
 verify tests use it as the reference of their span tests.
+sequential_reduce_by keeps the earlier reduce_by, one primitive elimination
+per pivot in turn, as the reference of the one-pass one, and
+composed_casimir keeps the earlier Casimir, composed of four form
+operations, as the reference of its closed form.
 divisor_power_sum, sigma_e by trial division up to the square root, is a
 second path to the divisor sums that the library builds by multiplicativity
 for its Eisenstein series: test_generators checks it against
@@ -21,13 +25,14 @@ brute_divisor_sum and uses it as the reference of the library's.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Optional
 
 import pytest
 
 from nhmf.arith import check_int, read_rational, reduce_by, reduced_echelon
 from nhmf.generators import eisenstein
+from nhmf.operators import lower_weight, raise_weight
 from nhmf.pi_scalar import PiScalar
 from nhmf.series import NearlyHolomorphicForm
 
@@ -128,6 +133,28 @@ def solve_exact(columns, target) -> Optional[list[Fraction]]:
     if any(rest[:width]):
         return None
     return [Fraction(-x, rest[-1]) for x in rest[width:-1]]
+
+
+def sequential_reduce_by(rows, v) -> list[int]:
+    """v reduced by the rows of a reduced echelon form one pivot at a time:
+    r[p] v - v[p] r at each pivot p with v[p] != 0, made primitive each
+    time."""
+    for p, r in rows:
+        if v[p]:
+            a, b = r[p], v[p]
+            v = [a * x - b * y for x, y in zip(v, r)]
+            g = gcd(*v)
+            v = [x // g for x in v] if g > 1 else v
+    return list(v)
+
+
+def composed_casimir(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
+    """(k^2 - 2k) f + 4 delta_(k-2) Lambda f, composed of the form product
+    by a scalar, lowering, raising and the form sum."""
+    if f.is_zero:
+        return f
+    k = f.weight
+    return f * Fraction(k * k - 2 * k) + raise_weight(lower_weight(f)) * 4
 
 
 def reference_level1_basis(k: int, truncation: int) -> list[NearlyHolomorphicForm]:

@@ -1,17 +1,25 @@
-"""Shared arithmetic helpers: factoring against brute force, the exact solver."""
+"""Shared arithmetic helpers: factoring against brute force, the exact
+solver, the reduced echelon form and the one-pass reduction by it."""
 
 import random
 import sys
 import time
 from fractions import Fraction
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import pytest
 
-from nhmf.arith import is_prime, prime_factors, prime_power_base, read_rational
+from nhmf.arith import (
+    is_prime,
+    prime_factors,
+    prime_power_base,
+    read_rational,
+    reduce_by,
+    reduced_echelon,
+)
 from nhmf.errors import DomainError, UsageError
 
-from conftest import solve_exact
+from conftest import sequential_reduce_by, solve_exact
 
 N_MAX = 2000
 
@@ -265,6 +273,96 @@ def test_solve_exact_matches_gauss_jordan_reference():
         assert solve_exact(columns, target) == want
         seen[want is None] += 1
     assert seen[True] > 30 and seen[False] > 30
+
+
+def fraction_rref(vectors, width):
+    """The reduced row echelon form over Q, each row 1 at its pivot, as
+    (pivot, row) pairs: pivots are sought among the first width entries."""
+    rows = []
+    for v in vectors:
+        v = [Fraction(x) for x in v]
+        for p, r in rows:
+            if v[p]:
+                v = [x - v[p] * y for x, y in zip(v, r)]
+        pivot = next((i for i in range(width) if v[i]), None)
+        if pivot is None:
+            continue
+        v = [x / v[pivot] for x in v]
+        rows = [(p, [x - r[pivot] * y for x, y in zip(r, v)]) for p, r in rows]
+        rows.append((pivot, v))
+    return rows
+
+
+def assert_reduced_echelon(rows, vectors, width):
+    # Each row primitive, positive at its own pivot and 0 at every other
+    # row's pivot; over Q, the rows are those of the reduced row echelon form.
+    pivots = [p for p, _ in rows]
+    for p, r in rows:
+        assert gcd(*r) == 1 and r[p] > 0, (p, r)
+        assert all(r[q] == 0 for q in pivots if q != p), (p, r)
+    want = fraction_rref(vectors, width)
+    assert [(p, [Fraction(x, r[p]) for x in r]) for p, r in rows] == want
+
+
+def test_reduced_echelon_rows_are_primitive_and_positive_at_their_pivots():
+    assert reduced_echelon([[2, 4, 6]], 3) == [(0, [1, 2, 3])]
+    assert reduced_echelon([[2, 4, 6], [0, 3, 9]], 3) == [(0, [1, 0, -3]), (1, [0, 1, 3])]
+    assert reduced_echelon([[0, -6, 4, 2]], 2) == [(1, [0, 3, -2, -1])]
+    rng = random.Random(27)
+    for _ in range(300):
+        width, length = rng.randrange(1, 7), rng.randrange(7, 10)
+        vectors = []
+        for _ in range(rng.randrange(0, 6)):
+            scale = rng.choice([1, -1, 2, -3, 6, 35])
+            if vectors and rng.random() < 0.2:
+                v = [scale * x for x in rng.choice(vectors)]
+            else:
+                v = [scale * rng.randrange(-5, 6) * (rng.random() < 0.7) for _ in range(length)]
+            vectors.append(v)
+        assert_reduced_echelon(reduced_echelon(vectors, width), vectors, width)
+
+
+def random_echelon_rows(rng, width, length):
+    """Rows of a reduced echelon form over the first width entries, pivot
+    entries in 2..9 (never a unit), not necessarily primitive."""
+    pivots = sorted(rng.sample(range(width), rng.randrange(0, width + 1)))
+    rows = []
+    for p in pivots:
+        r = [0] * p + [rng.randrange(2, 10)]
+        r += [0 if i in pivots else rng.randrange(-20, 21) for i in range(p + 1, length)]
+        rows.append((p, r))
+    return rows
+
+
+def assert_positive_multiple(one, ref):
+    # one == c * ref for an integer c > 0, or both zero.
+    i = next((i for i, x in enumerate(ref) if x), None)
+    if i is None:
+        assert not any(one)
+        return
+    c, rest = divmod(one[i], ref[i])
+    assert rest == 0 and c > 0 and one == [c * x for x in ref], (one, ref)
+
+
+def test_reduce_by_is_a_positive_multiple_of_the_sequential_elimination():
+    rng = random.Random(2027)
+    in_span = 0
+    for _ in range(400):
+        width = rng.randrange(1, 9)
+        length = width + rng.randrange(0, 4)
+        rows = random_echelon_rows(rng, width, length)
+        v = [rng.randrange(-30, 31) for _ in range(length)]
+        if rows and rng.random() < 0.4:
+            # An integer combination of the rows lies in their span.
+            v = [0] * length
+            for _, r in rows:
+                c = rng.randrange(-4, 5)
+                v = [x + c * y for x, y in zip(v, r)]
+        one = reduce_by(rows, v)
+        assert_positive_multiple(one, sequential_reduce_by(rows, v))
+        assert all(one[p] == 0 for p, _ in rows)
+        in_span += not any(one[:width])
+    assert in_span > 100
 
 
 def test_pollard_rho_budget_leaves_factors_near_1e10():

@@ -226,8 +226,9 @@ class TestIdentifyModule:
 
     def test_seed_is_read_off_the_top_column(self, monkeypatch):
         # The class is read off the weight, depth and top column, so the
-        # Casimir of the eigenform check lowers once and raises once, at
-        # every depth and for a constant of negative weight alike.
+        # Casimir of the eigenform check, one column pass, is the only
+        # operator applied, at every depth and for a constant of negative
+        # weight alike.
         seeds = (eisenstein(4, 8), delta_cusp(8), NearlyHolomorphicForm.monomial(1, 3, n=2))
         cases = [(iterate_raise(g, m), simple(g.weight)) for g in seeds for m in range(7)]
         cases += [
@@ -235,7 +236,7 @@ class TestIdentifyModule:
             (NearlyHolomorphicForm.monomial(-5, 3, c=7), finite(7)),
         ]
         calls = []
-        for name in ("lower_weight", "raise_weight"):
+        for name in ("casimir", "iterate_lower", "iterate_raise", "lower_weight", "raise_weight"):
             operator = getattr(nhmf.operators, name)
 
             def counting(f, name=name, operator=operator):
@@ -246,7 +247,7 @@ class TestIdentifyModule:
         for f, want in cases:
             calls.clear()
             assert identify_module(f) == want
-            assert sorted(calls) == ["lower_weight", "raise_weight"], (f.weight, f.depth, calls)
+            assert calls == ["casimir"], (f.weight, f.depth, calls)
 
 
 def reference_identify_module(f: NearlyHolomorphicForm, max_steps: int = 24):

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -29,7 +30,8 @@ from nhmf.operators import infinitesimal_character, iterate_raise, raise_weight
 from nhmf.series import NearlyHolomorphicForm
 from nhmf.verify import random_decomposable
 
-from conftest import oracle_raise, solve_exact
+from conftest import oracle_raise, sequential_reduce_by, solve_exact
+from test_arith import assert_positive_multiple
 from test_operators import stepwise_raise
 
 
@@ -576,6 +578,94 @@ def test_deep_and_mixed_forms_decompose_as_before(trunc):
     assert verdicts == [13, "not"] + ["not", "depth-top"] * 12
     assert decompose(full).e2_term[0] == 13
     assert decompose(full).reassemble() == full
+
+
+def test_deep_form_with_fractional_seeds_and_e2_reassembles_exactly():
+    # The peel takes no gcd between steps; seeds with denominators 2, 3 and
+    # 7 at every depth and the E2 term on top still come back exactly.
+    trunc, k = 40, 36
+    rng = random.Random(36)
+    seeds = {p: seeded_holomorphic(rng, k - 2 * p, trunc) for p in range(17)}
+    f = sum((iterate_raise(g, p) for p, g in seeds.items()), NearlyHolomorphicForm.zero(trunc))
+    f = f + iterate_raise(eisenstein2(trunc), 17) * Fraction(-7, 15)
+    dec = decompose(f)
+    assert dec.terms == tuple(sorted(seeds.items()))
+    assert dec.e2_term == (17, Fraction(-7, 15))
+    assert dec.reassemble() == f
+
+
+def test_a_refusal_after_several_steps_reports_the_canonical_remainder():
+    # Seeds at depths 0..12 and an off-span monomial in column 4: the peel
+    # takes the seeds at depths 12..5 and refuses at depth 4, with f less
+    # those raised seeds as the residual, stored canonically although the
+    # remainder is never reduced between steps.
+    trunc, k = 30, 28
+    rng = random.Random(28)
+    seeds = {p: seeded_holomorphic(rng, k - 2 * p, trunc) for p in range(13)}
+    f = sum((iterate_raise(g, p) for p, g in seeds.items()), NearlyHolomorphicForm.zero(trunc))
+    f = f + NearlyHolomorphicForm.monomial(k, trunc, 4, trunc, Fraction(1, 3))
+    with pytest.raises(DecompositionError) as err:
+        decompose(f)
+    residual = err.value.data["residual"]
+    want = f
+    for p in range(5, 13):
+        want = want - iterate_raise(seeds[p], p)
+    assert residual == want and residual.depth == 4
+    assert residual._den > 1
+    assert gcd(residual._den, *(x for col in residual._cols for x in col)) == 1
+
+
+def test_the_span_test_of_a_supplied_basis_reduces_in_one_pass(monkeypatch):
+    # A supplied basis of random integer q-series has reduced echelon rows
+    # with pivot entries other than 1.  Every span test decompose makes on
+    # it must give a positive multiple of the sequential elimination's
+    # result, on decompositions and refusals alike.
+    trunc = 12
+    rng = random.Random(12)
+    bases = {}
+
+    def provider(w):
+        if w not in bases:
+            bases[w] = [
+                NearlyHolomorphicForm(w, trunc, {(0, n): rng.randrange(-6, 7) for n in range(trunc + 1)})
+                for _ in range(rng.randrange(1, 4))
+            ]
+        return bases[w]
+
+    calls = []
+
+    def checked(rows, v):
+        out = reduce_by(rows, v)
+        assert_positive_multiple(out, sequential_reduce_by(rows, v))
+        calls.append(any(v[p] and r[p] > 1 for p, r in rows))
+        return out
+
+    monkeypatch.setattr(sys.modules["nhmf.decompose"], "reduce_by", checked)
+    verdicts = {"ok": 0, "refused": 0}
+    for k in (8, 12, 16, 20):
+        for i in range(6):
+            seeds = {}
+            for p in range(k // 2 - 1):
+                combination = NearlyHolomorphicForm.zero(trunc)
+                for b in provider(k - 2 * p):
+                    combination = combination + b * Fraction(rng.randrange(-5, 6), rng.choice([1, 2, 3]))
+                if not combination.is_zero:
+                    seeds[p] = combination
+            f = sum((iterate_raise(g, p) for p, g in seeds.items()), NearlyHolomorphicForm.zero(trunc))
+            if f.is_zero:
+                continue
+            if i % 2:
+                f = f + NearlyHolomorphicForm.monomial(k, trunc, rng.randrange(f.depth + 1), trunc, 1)
+                with pytest.raises(DecompositionError):
+                    decompose(f, provider)
+                verdicts["refused"] += 1
+            else:
+                dec = decompose(f, provider)
+                assert dec.terms == tuple(sorted(seeds.items()))
+                assert dec.reassemble() == f
+                verdicts["ok"] += 1
+    assert verdicts["ok"] >= 10 and verdicts["refused"] >= 10, verdicts
+    assert sum(calls) >= 20, (sum(calls), len(calls))
 
 
 def test_raised_e2_is_built_once_per_depth():

@@ -27,7 +27,7 @@ from nhmf.operators import (
 from nhmf.pi_scalar import PiScalar
 from nhmf.series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
 
-from conftest import oracle_lower, oracle_raise
+from conftest import composed_casimir, oracle_lower, oracle_raise
 from test_category_o import seeded_module_forms
 
 
@@ -148,6 +148,30 @@ class TestCasimir:
     def test_commutes_past_raising(self):
         f = raise_weight(eisenstein(4, 8))
         assert casimir(f) == f * 8
+
+    def test_closed_form_matches_the_composition(self):
+        # The one column pass against (k^2 - 2k) f + 4 delta Lambda f built
+        # from four form operations: the zero form, negative weights and
+        # depths 0 to 5, stored the same way.
+        zero = NearlyHolomorphicForm.zero(6)
+        assert casimir(zero) is zero and composed_casimir(zero).is_zero
+        rng = random.Random(300)
+        depths = set()
+        for _ in range(300):
+            trunc, depth = rng.randrange(0, 13), rng.randrange(6)
+            coeffs = {
+                (rng.randrange(depth + 1), rng.randrange(trunc + 1)): Fraction(
+                    rng.randrange(-9, 10), rng.choice([1, 2, 3, 5, 12])
+                )
+                for _ in range(rng.randrange(1, 8))
+            }
+            coeffs[(depth, rng.randrange(trunc + 1))] = Fraction(rng.choice([-3, 1, 7]), rng.choice([1, 4]))
+            f = NearlyHolomorphicForm(rng.randrange(-12, 25), trunc, coeffs)
+            depths.add(f.depth)
+            assert casimir(f)._key() == composed_casimir(f)._key(), f
+        assert depths == set(range(6))
+        for f in suite():
+            assert casimir(f)._key() == composed_casimir(f)._key()
 
 
 class TestInfinitesimalCharacter:
