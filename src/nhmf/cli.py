@@ -3,15 +3,21 @@
 Every subcommand reads/writes the JSON form file format or a JSON verdict
 document; output is deterministic and bit-exact across runs.  Exit code 0
 iff the command succeeded.
+
+One table, _ROOT, gives each command's help line, handler, options and
+positional arguments (or subcommands), COMMANDS and every --help text, and
+one small parser reads each command line by it with the rules of argparse
+(of Python 3.10 and 3.11): a cold process imports no argparse or gettext.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
+from importlib import import_module
+from types import SimpleNamespace
 from typing import Optional
 
 from . import __version__
@@ -22,21 +28,12 @@ from .errors import DomainError, FormFileError, NhmfError, UsageError
 class CommandResult(Record):
     _fields = ("payload", "diagnostics", "code", "out_path", "json_indent", "text")
 
-    def __init__(
-        self,
-        payload: dict,
-        diagnostics: Optional[list[str]] = None,
-        code: Optional[str] = None,
-        out_path: Optional[str] = None,
-        json_indent: Optional[int] = None,
-        text: str = "",
-    ):
-        self.payload = payload
-        self.diagnostics = [] if diagnostics is None else diagnostics
+    def __init__(self, payload: dict, diagnostics: Optional[list[str]] = None, code: Optional[str] = None,
+                 out_path: Optional[str] = None, json_indent: Optional[int] = None, text: str = ""):
+        self.payload, self.diagnostics = payload, [] if diagnostics is None else diagnostics
         self.code = code  # the error code; None iff the command succeeded
-        self.out_path = out_path
-        self.json_indent = json_indent
-        self.text = text  # the rendered document
+        self.out_path, self.json_indent = out_path, json_indent
+        self.text = text  # the rendered document, or the text -h, --help or --version asked for
 
     @property
     def ok(self) -> bool:
@@ -60,19 +57,12 @@ def _failure(code: str, message: str, diagnostics=(), extra=None) -> CommandResu
 MAX_JSON_INDENT = 64
 
 
-class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # A negative fraction such as -3/4 is an argument wherever -3 is.
-        self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
-
-    def error(self, message):
-        raise UsageError(message)
+def _engine(name: str):
+    """The engine module nhmf.<name>, imported when a command first needs it."""
+    return import_module(f"{__package__}.{name}")
 
 
 def _read_form(path: str):
-    from .series import NearlyHolomorphicForm
-
     try:
         if path == "-":
             text = sys.stdin.read()
@@ -85,123 +75,53 @@ def _read_form(path: str):
         doc = json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise FormFileError(f"form file {path!r} is not valid JSON: {exc}") from exc
-    return NearlyHolomorphicForm.from_doc(doc)
-
-
-def _int_arg(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError as exc:
-        raise UsageError(f"bad integer argument {text!r}") from exc
+    return _engine("series").NearlyHolomorphicForm.from_doc(doc)
 
 
 # -- command handlers: each takes the parsed arguments and returns the JSON
 # payload or a finished CommandResult.  This module imports no part of the
-# engine but arith and errors: each handler imports what it calls, in its
-# body, so that a cold process loads only the modules its command needs, and
-# the names are looked up when the command runs.
+# engine but arith and errors: a handler reaches the rest through _engine, so
+# that a cold process loads only the modules its command calls.
 
 
-def _refuse(message: str):
-    raise UsageError(message)
-
-
-def _eis(args) -> dict:
-    from .generators import eisenstein
-
-    return eisenstein(args.k, args.trunc).to_doc()
-
-
-def _e2(args) -> dict:
-    from .generators import eisenstein2
-
-    return eisenstein2(args.trunc).to_doc()
-
-
-def _theta(args) -> dict:
-    from .generators import BinaryForm, theta_series
-
-    return theta_series(BinaryForm(args.a, args.b, args.c), args.trunc).to_doc()
-
-
-def _operator(args, plain, analytic) -> dict:
-    f = _read_form(args.infile)
+def _operator(args, name: str) -> dict:
+    """raise or lower: operators.<name>_weight of the form, or with --analytic
+    <name>_analytic, the analytic image as a pi-scalar times a form."""
+    form = _read_form(args.infile)
+    image = getattr(_engine("operators"), f"{name}_{'analytic' if args.analytic else 'weight'}")(form)
     if args.analytic:
-        scaled = analytic(f)
-        return {"scalar": scaled.scalar.to_json(), "form": scaled.form.to_doc()}
-    return plain(f).to_doc()
-
-
-def _raise(args) -> dict:
-    from .operators import raise_analytic, raise_weight
-
-    return _operator(args, raise_weight, raise_analytic)
-
-
-def _lower(args) -> dict:
-    from .operators import lower_analytic, lower_weight
-
-    return _operator(args, lower_weight, lower_analytic)
-
-
-def _casimir(args) -> dict:
-    from .operators import casimir
-
-    return casimir(_read_form(args.infile)).to_doc()
-
-
-def _decompose(args) -> dict:
-    from .decompose import decompose
-
-    return decompose(_read_form(args.infile)).to_json()
+        return {"scalar": image.scalar.to_json(), "form": image.form.to_doc()}
+    return image.to_doc()
 
 
 def _constant_term(args) -> dict:
-    from .laurent import LaurentScalar, constant_term_report
-
+    laurent = _engine("laurent")
     family = "trivial" if args.character == "trivial" else "nontrivial"
-    local = [LaurentScalar.order_only(args.k - 1, order) for order in args.local_order]
-    return constant_term_report(args.k, args.d, family, local).to_json()
+    local = [laurent.LaurentScalar.order_only(args.k - 1, order) for order in args.local_order]
+    return laurent.constant_term_report(args.k, args.d, family, local).to_json()
 
 
 def _hilbert(args) -> dict:
-    from .quadratic import Place, hilbert_symbol
-
+    quadratic = _engine("quadratic")
     a, b = read_rational(args.a, UsageError), read_rational(args.b, UsageError)
-    place = Place.parse(args.v)
-    return {
-        "a": str(a),
-        "b": str(b),
-        "place": place.render(),
-        "symbol": hilbert_symbol(a, b, place),
-    }
+    place = quadratic.Place.parse(args.v)
+    symbol = quadratic.hilbert_symbol(a, b, place)
+    return {"a": str(a), "b": str(b), "place": place.render(), "symbol": symbol}
 
 
 def _invariants(args) -> dict:
-    from .quadratic import QuadSpace2D, local_invariants, relevant_places
-
-    space = QuadSpace2D(read_rational(args.a1, UsageError), read_rational(args.a2, UsageError))
-    # -a1*a2 has no prime that a1 or a2 has not.
-    places = relevant_places(space.a1, space.a2)
-    return {
-        "a1": str(space.a1),
-        "a2": str(space.a2),
-        "discriminant": str(space.discriminant),
-        "places": [
-            {
-                "place": v.render(),
-                "chi_nontrivial": inv.chi_nontrivial,
-                "epsilon": inv.epsilon,
-            }
-            for v in places
-            for inv in [local_invariants(space, v)]
-        ],
-    }
+    quadratic = _engine("quadratic")
+    space = quadratic.QuadSpace2D(read_rational(args.a1, UsageError), read_rational(args.a2, UsageError))
+    places = []
+    for v in quadratic.relevant_places(space.a1, space.a2):  # -a1*a2 has no prime that a1 or a2 has not
+        inv = quadratic.local_invariants(space, v)
+        places.append({"place": v.render(), "chi_nontrivial": inv.chi_nontrivial, "epsilon": inv.epsilon})
+    a1, a2, disc = map(str, (space.a1, space.a2, space.discriminant))
+    return {"a1": a1, "a2": a2, "discriminant": disc, "places": places}
 
 
 def _coherent(args) -> dict:
-    from .quadratic import Collection, Place, check_coherence
-
+    quadratic = _engine("quadratic")
     try:
         doc = json.loads(args.collection)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
@@ -213,8 +133,8 @@ def _coherent(args) -> dict:
     if not isinstance(epsilons, dict):
         raise UsageError("bad collection document: epsilons must be a JSON object")
     disc = read_rational(disc, UsageError)
-    eps = {Place.parse(key): _epsilon(val) for key, val in epsilons.items()}
-    return check_coherence(Collection.of(disc, eps)).to_json()
+    eps = {quadratic.Place.parse(key): _epsilon(val) for key, val in epsilons.items()}
+    return quadratic.check_coherence(quadratic.Collection.of(disc, eps)).to_json()
 
 
 def _epsilon(value) -> int:
@@ -229,32 +149,19 @@ def _epsilon(value) -> int:
 
 
 def _reducible(args) -> dict:
-    from .quadratic import CharacterDescriptor, reducibility
-
+    quadratic = _engine("quadratic")
     order = int(args.mu_order) if args.mu_order in ("1", "2") else "other"
-    mu = CharacterDescriptor(order=order, unramified=not args.ramified, real_sign=args.real_sign)
-    residue = "real" if args.q == "real" else _int_arg(args.q)
+    mu = quadratic.CharacterDescriptor(order=order, unramified=not args.ramified, real_sign=args.real_sign)
+    try:
+        residue = "real" if args.q == "real" else int(args.q)
+    except ValueError as exc:
+        raise UsageError(f"bad integer argument {args.q!r}") from exc
     s_re, s_im = read_rational(args.s_re, UsageError), read_rational(args.s_im, UsageError)
-    verdict = reducibility(residue, mu, s_re, s_im)
-    return verdict.to_json()
-
-
-def _identify(args) -> dict:
-    from .category_o import identify_module
-
-    return identify_module(_read_form(args.infile)).to_json()
-
-
-def _catalog(args) -> dict:
-    from .category_o import catalog
-
-    return catalog(args.d, args.k).to_json()
+    return quadratic.reducibility(residue, mu, s_re, s_im).to_json()
 
 
 def _verify(args):
-    from . import verify  # the one command that needs the suite loads it
-
-    results = verify.run_all()
+    results = _engine("verify").run_all()  # the one command that needs the suite loads it
     failed = [r.name for r in results if not r.passed]
     payload = {"properties": [r.to_json() for r in results], "all_pass": not failed}
     if not failed:
@@ -263,127 +170,223 @@ def _verify(args):
     return _failure("verify-failed", message, [message], payload)
 
 
-def _build_parser() -> tuple[_Parser, tuple[str, ...]]:
-    """The nhmf parser, each subcommand carrying its handler, and the
-    subcommand names in order."""
-    parser = _Parser(prog="nhmf", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"nhmf {__version__}")
-    sub = parser.add_subparsers(dest="command")
-    # A parser's default handler is replaced by that of the subcommand given.
-    parser.set_defaults(
-        handler=lambda args: _refuse("missing command; expected one of: " + ", ".join(COMMANDS))
-    )
-
-    def common(p, handler, with_trunc=False, with_in=False):
-        p.set_defaults(handler=handler)
-        p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--json-indent", type=int, default=None)
-        if with_trunc:
-            p.add_argument("--trunc", type=int, required=True, help="q-truncation N")
-        if with_in:
-            p.add_argument("--in", dest="infile", default="-", help="form file ('-' = stdin)")
-
-    p = sub.add_parser("eis", help="holomorphic Eisenstein series of even weight >= 4")
-    p.add_argument("--k", type=int, required=True)
-    common(p, _eis, with_trunc=True)
-
-    p = sub.add_parser("e2", help="the weight-two nearly holomorphic Eisenstein series")
-    common(p, _e2, with_trunc=True)
-
-    p = sub.add_parser("theta", help="theta series of a positive definite binary form")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    common(p, _theta, with_trunc=True)
-
-    for name, helptext, handler in (
-        ("raise", "weight-raising operator", _raise),
-        ("lower", "weight-lowering operator", _lower),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        common(p, handler, with_in=True)
-        p.add_argument(
-            "--analytic",
-            action="store_true",
-            help="return the analytically normalized image (pi-scalar times form)",
-        )
-
-    p = sub.add_parser("casimir", help="Casimir operator")
-    common(p, _casimir, with_in=True)
-
-    p = sub.add_parser("decompose", help="structure decomposition over the level-1 basis")
-    common(p, _decompose, with_in=True)
-
-    p = sub.add_parser("identify", help="indecomposable module class generated by a form")
-    p.add_argument(
-        "--max-steps",
-        type=int,
-        help="deprecated and ignored: identify applies one Casimir at any depth",
-    )
-    common(p, _identify, with_in=True)
-
-    p = sub.add_parser("constant-term", help="Eisenstein constant-term report at s = k - 1")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument(
-        "--character",
-        choices=["trivial", "sgn", "quadratic", "other"],
-        default="trivial",
-    )
-    p.add_argument(
-        "--local-order",
-        type=int,
-        action="append",
-        default=[],
-        help="vanishing order of an extra finite local factor (repeatable)",
-    )
-    common(p, _constant_term)
-
-    p = sub.add_parser("local", help="local quadratic-space invariants")
-    lsub = p.add_subparsers(dest="local_command")
-
-    lp = lsub.add_parser("hilbert", help="Hilbert symbol (a, b)_v")
-    lp.add_argument("a")
-    lp.add_argument("b")
-    lp.add_argument("v", help="prime or 'real'")
-    common(lp, _hilbert)
-
-    lp = lsub.add_parser("invariants", help="local invariants of <a1, a2>")
-    lp.add_argument("a1")
-    lp.add_argument("a2")
-    common(lp, _invariants)
-
-    lp = lsub.add_parser("coherent", help="coherence check of a collection")
-    lp.add_argument(
-        "collection",
-        help='JSON {"discriminant": "num/den", "epsilons": {"2": -1, "real": 1, ...}}',
-    )
-    common(lp, _coherent)
-
-    lp = lsub.add_parser("reducible", help="degenerate principal series reducibility")
-    lp.add_argument("--q", required=True, help="residue cardinality or 'real'")
-    lp.add_argument("--mu-order", choices=["1", "2", "other"], default="1")
-    lp.add_argument("--ramified", action="store_true")
-    lp.add_argument("--real-sign", type=int, choices=[0, 1], default=0)
-    lp.add_argument("--s-re", default="0")
-    lp.add_argument("--s-im", default="0", help="coefficient of pi*i/log q")
-    common(lp, _reducible)
-
-    local_commands = " | ".join(lsub.choices)
-    p.set_defaults(handler=lambda args: _refuse(f"local needs a subcommand: {local_commands}"))
-
-    p = sub.add_parser("catalog", help="symbolic spectrum decomposition for (d, k)")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    common(p, _catalog)
-
-    p = sub.add_parser("verify", help="run the invariant suite")
-    common(p, _verify)
-
-    return parser, tuple(sub.choices)
+# -- the command table -------------------------------------------------------------------
 
 
-_PARSER, COMMANDS = _build_parser()
+class _Option:
+    """An option.  A "value" option takes one value, read by type and checked
+    against choices, an "append" one collects every value, a "switch" takes
+    none; "help" and "version" print their text.  "-h/--help" is two names."""
+
+    def __init__(self, name, type=str, default=None, required=False, choices=None, kind="value",
+                 dest=None, help=""):
+        self.name, self.type, self.required, self.choices = name, type, required, choices
+        self.kind, self.dest, self.help = kind, dest or name.lstrip("-").replace("-", "_"), help
+        self.default = {"switch": False, "append": []}.get(kind, default)
+        self.takes_value = kind in ("value", "append")
+
+    def row(self) -> tuple[str, str]:
+        """The option's line of --help: how it is written, and its help."""
+        if not self.takes_value:
+            return self.name.replace("/", ", "), self.help
+        metavar = "{%s}" % ",".join(map(str, self.choices)) if self.choices else self.dest.upper()
+        default = f"(default: {self.default})" if self.kind == "value" and self.default is not None else ""
+        return f"{self.name} {metavar}", f"{self.help} {'(required)' if self.required else default}".strip()
+
+    def read(self, text: str):
+        try:
+            value = self.type(text)
+        except ValueError as exc:
+            raise UsageError(f"argument {self.name}: invalid {self.type.__name__} value: {text!r}") from exc
+        if self.choices is not None and value not in self.choices:
+            choices = ", ".join(map(repr, self.choices))
+            raise UsageError(f"argument {self.name}: invalid choice: {value!r} (choose from {choices})")
+        return value
+
+
+_HELP = _Option("-h/--help", kind="help", help="show this help and exit")
+_OUT = (_Option("--out", help="output file (default stdout)"), _Option("--json-indent", int))
+
+
+class _Command:
+    """A command: its help line, handler, options and positional arguments
+    (name, help), or the subcommands it stands for.  Each takes -h/--help,
+    and each that has a handler --out and --json-indent after its options."""
+
+    def __init__(self, name, help, handler=None, *options, positionals=(), commands=()):
+        self.name, self.help, self.handler, self.positionals = name, help, handler, positionals
+        self.listed = (_HELP, *options, *(_OUT if handler else ()))
+        self.options = {spelling: o for o in self.listed for spelling in o.name.split("/")}
+        self.commands = {c.name: c for c in commands}
+
+    def usage(self, prog: str) -> str:
+        if self.commands:
+            return f"usage: {prog} {{{','.join(self.commands)}}} [options]; see {prog} <cmd> --help"
+        return " ".join(["usage:", prog, *(name for name, _ in self.positionals), "[options]"])
+
+    def help_text(self, prog: str) -> str:
+        """The usage and help lines, then a line per subcommand, positional and option."""
+        groups = [[(c.name, c.help) for c in self.commands.values()], self.positionals]
+        groups.append([o.row() for o in self.listed])
+        width = max(len(left) for group in groups for left, _ in group)
+        blocks = ["\n".join(f"  {left:<{width}}  {text}".rstrip() for left, text in rows) for rows in groups]
+        return "\n\n".join([self.usage(prog), self.help, *filter(None, blocks)])
+
+
+_K = _Option("--k", int, required=True)
+_TRUNC = _Option("--trunc", int, required=True, help="q-truncation N")
+_IN = _Option("--in", dest="infile", default="-", help="form file ('-' = stdin)")
+_ANALYTIC = _Option("--analytic", kind="switch",
+                    help="return the analytically normalized image (pi-scalar times form)")
+
+_ROOT = _Command(
+    "nhmf", "exact nearly holomorphic modular forms: each command writes one JSON document", None,
+    _Option("--version", kind="version", help="show the version and exit"),
+    commands=(
+        _Command("eis", "holomorphic Eisenstein series of even weight >= 4",
+                 lambda args: _engine("generators").eisenstein(args.k, args.trunc).to_doc(), _K, _TRUNC),
+        _Command("e2", "the weight-two nearly holomorphic Eisenstein series",
+                 lambda args: _engine("generators").eisenstein2(args.trunc).to_doc(), _TRUNC),
+        _Command("theta", "theta series of a positive definite binary form",
+                 lambda args: _engine("generators").theta_series(
+                     _engine("generators").BinaryForm(args.a, args.b, args.c), args.trunc).to_doc(),
+                 *(_Option(name, int, required=True) for name in ("--a", "--b", "--c")), _TRUNC),
+        _Command("raise", "weight-raising operator", lambda args: _operator(args, "raise"), _IN, _ANALYTIC),
+        _Command("lower", "weight-lowering operator", lambda args: _operator(args, "lower"), _IN, _ANALYTIC),
+        _Command("casimir", "Casimir operator",
+                 lambda args: _engine("operators").casimir(_read_form(args.infile)).to_doc(), _IN),
+        _Command("decompose", "structure decomposition over the level-1 basis",
+                 lambda args: _engine("decompose").decompose(_read_form(args.infile)).to_json(), _IN),
+        _Command("identify", "indecomposable module class generated by a form",
+                 lambda args: _engine("category_o").identify_module(_read_form(args.infile)).to_json(),
+                 _Option("--max-steps", int,
+                         help="deprecated and ignored: identify applies one Casimir at any depth"), _IN),
+        _Command("constant-term", "Eisenstein constant-term report at s = k - 1", _constant_term, _K,
+                 _Option("--d", int, default=1),
+                 _Option("--character", choices=("trivial", "sgn", "quadratic", "other"), default="trivial"),
+                 _Option("--local-order", int, kind="append",
+                         help="vanishing order of an extra finite local factor (repeatable)")),
+        _Command("local", "local quadratic-space invariants", commands=(
+            _Command("hilbert", "Hilbert symbol (a, b)_v", _hilbert,
+                     positionals=(("a", ""), ("b", ""), ("v", "prime or 'real'"))),
+            _Command("invariants", "local invariants of <a1, a2>", _invariants,
+                     positionals=(("a1", ""), ("a2", ""))),
+            _Command("coherent", "coherence check of a collection", _coherent, positionals=(
+                ("collection", 'JSON {"discriminant": "num/den", "epsilons": {"2": -1, "real": 1, ...}}'),)),
+            _Command("reducible", "degenerate principal series reducibility", _reducible,
+                     _Option("--q", required=True, help="residue cardinality or 'real'"),
+                     _Option("--mu-order", choices=("1", "2", "other"), default="1"),
+                     _Option("--ramified", kind="switch"),
+                     _Option("--real-sign", int, choices=(0, 1), default=0),
+                     _Option("--s-re", default="0"),
+                     _Option("--s-im", default="0", help="coefficient of pi*i/log q")),
+        )),
+        _Command("catalog", "symbolic spectrum decomposition for (d, k)",
+                 lambda args: _engine("category_o").catalog(args.d, args.k).to_json(),
+                 _Option("--d", int, required=True), _K),
+        _Command("verify", "run the invariant suite", _verify),
+    ),
+)
+COMMANDS = tuple(_ROOT.commands)
+
+
+# -- the parser: argparse's rules over the table --------------------------------------
+
+
+class _Help(Exception):
+    """-h, --help or --version: the text to print in place of a document."""
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """The values of a command line and its command's handler; UsageError
+    for a line refused, _Help for one that asks for help or the version."""
+    values, extras = {}, []
+    node = _read_level(_ROOT, "nhmf", argv, values, extras)
+    if extras:
+        raise UsageError("unrecognized arguments: " + " ".join(extras))
+    if node is _ROOT:
+        raise UsageError("missing command; expected one of: " + ", ".join(COMMANDS))
+    if node.commands:
+        raise UsageError(f"{node.name} needs a subcommand: " + " | ".join(node.commands))
+    return SimpleNamespace(handler=node.handler, **values)
+
+
+def _read_level(node: _Command, prog: str, tokens: list[str], values: dict, extras: list) -> _Command:
+    """Read the tokens after a command name as argparse did (`--opt value` or
+    `--opt=value`, a negative number as a value, `--` to end the options, the
+    last repeated value winning, options and positionals in any order), then a
+    subcommand's, into values and extras; returns the last command read."""
+    values.update((o.dest, o.default) for o in node.listed if o.takes_value or o.kind == "switch")
+    # Each token's reading: (option or None, name, value after "=" or None),
+    # "A" for a value, or "--"; after the first "--" every token is a value.
+    readings = []
+    for i, token in enumerate(tokens):
+        if token == "--":
+            readings += ["--"] + ["A"] * (len(tokens) - i - 1)
+            break
+        readings.append(_reading(node.options, token))
+    positionals, i = [name for name, _ in node.positionals], 0
+    while i < len(tokens):
+        if readings[i] in ("A", "--"):
+            # A run of values, up to the next option: a subcommand's name and
+            # all that follows it, or the next positionals and the "--" among them.
+            end = next((j for j in range(i, len(tokens)) if readings[j] not in ("A", "--")), len(tokens))
+            run = [j for j in range(i, end) if readings[j] == "A"]
+            if node.commands and run:
+                child = node.commands.get(tokens[i])
+                if child is None:
+                    dest = "_".join([*prog.split()[1:], "command"])  # command, or local_command
+                    names = ", ".join(map(repr, node.commands))
+                    raise UsageError(f"argument {dest}: invalid choice: {tokens[i]!r} (choose from {names})")
+                return _read_level(child, f"{prog} {child.name}", tokens[i + 1:], values, extras)
+            for j in run[:len(positionals)]:
+                values[positionals.pop(0)] = tokens[j]
+                i = j + 1 + (j + 1 < end and readings[j + 1] == "--")
+            extras += tokens[i:end]
+            i = end
+            continue
+        option, name, explicit = readings[i]
+        i += 1
+        if option is None:
+            extras.append(name)
+        elif option.takes_value:
+            if explicit is None:
+                if i == len(tokens) or readings[i] != "A":
+                    raise UsageError(f"argument {option.name}: expected one argument")
+                explicit, i = tokens[i], i + 1
+            value = option.read(explicit)
+            values[option.dest] = [*values[option.dest], value] if option.kind == "append" else value
+        elif explicit is not None and (name != "-h" or explicit.strip("h") or not explicit):
+            # An option that takes no value refuses one; -hh is -h twice.
+            ignored = explicit.lstrip("h") if name == "-h" else explicit
+            raise UsageError(f"argument {option.name}: ignored explicit argument {ignored!r}")
+        elif option.kind == "switch":
+            values[option.dest] = True
+        else:
+            raise _Help(node.help_text(prog) if option.kind == "help" else f"nhmf {__version__}")
+    missing = [*positionals, *(o.name for o in node.listed if o.required and values[o.dest] is None)]
+    if missing:
+        raise UsageError("the following arguments are required: " + ", ".join(missing))
+    return node
+
+
+def _reading(options: dict, token: str):
+    """argparse's reading of a token before any "--": "A" for a value, else (the
+    option it names or None, its name, the value after "=" or after -h)."""
+    name, eq, explicit = token.partition("=")
+    if name in options:
+        return options[name], name, explicit if eq else None
+    if token[:1] != "-" or token == "-":
+        return "A"
+    # A long option is named by a unique prefix; -h may carry a value, as -hh.
+    matches = ([(o, n, explicit if eq else None) for n, o in options.items() if n.startswith(name)]
+               if token[1] == "-" else [(o, n, token[2:]) for n, o in options.items() if n == token[:2]])
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option: {token} could match {', '.join(n for _, n, _ in matches)}")
+    if matches:
+        return matches[0]
+    # A token such as -3, -3/4 or -.5 is a value wherever a word is.
+    return "A" if " " in token or re.match(r"^-\d+(/\d+)?$|^-\d*\.\d+$", token) else (None, token, None)
 
 
 def run(argv: list[str]) -> CommandResult:
@@ -398,29 +401,27 @@ def run(argv: list[str]) -> CommandResult:
     """
     try:
         try:
-            args = _PARSER.parse_args(argv)
-            indent = getattr(args, "json_indent", None)
+            args = parse_args(argv)
+            indent = args.json_indent
             if indent is not None and indent > MAX_JSON_INDENT:
                 raise UsageError(f"--json-indent must be at most {MAX_JSON_INDENT}, got {indent}")
             payload = args.handler(args)
             result = payload if isinstance(payload, CommandResult) else CommandResult(payload)
-            result.out_path = getattr(args, "out", None)
+            result.out_path = args.out
             result.json_indent = indent
+        except _Help as shown:
+            return CommandResult({}, text=str(shown))
         except NhmfError as exc:
             # Numbers and lists (an ambiguous module's class names) stay JSON values.
-            extra = {
-                key: (value if isinstance(value, (int, float, bool, list)) else str(value))
-                for key, value in exc.data.items()
-            }
-            usage = [_usage_text()] if isinstance(exc, UsageError) else []
+            extra = {key: value if isinstance(value, (int, float, bool, list)) else str(value)
+                     for key, value in exc.data.items()}
+            usage = [_ROOT.usage("nhmf")] if isinstance(exc, UsageError) else []
             result = _failure(exc.code, str(exc), usage, extra)
         result.text = _serialize(result.document, result.json_indent)
     except Exception as exc:
         if isinstance(exc, ValueError) and "integer string conversion" in str(exc):
-            message = (
-                f"a number has more than {sys.get_int_max_str_digits()} digits, "
-                "the most the interpreter converts between int and text"
-            )
+            message = (f"a number has more than {sys.get_int_max_str_digits()} digits, "
+                       "the most the interpreter converts between int and text")
             result = _failure(DomainError.code, message)
         else:
             import traceback
@@ -428,10 +429,6 @@ def run(argv: list[str]) -> CommandResult:
             result = _failure("internal", f"{type(exc).__name__}: {exc}", [traceback.format_exc()])
         result.text = _serialize(result.document, None)
     return result
-
-
-def _usage_text() -> str:
-    return "usage: nhmf {" + ",".join(COMMANDS) + "} [options]; see nhmf <cmd> --help"
 
 
 def _serialize(doc: dict, indent: Optional[int]) -> str:

@@ -59,12 +59,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import perm, prod
 from operator import add, mul
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import FrozenRecord, check_int, read_rational
 from .errors import DomainError, NonEigenformError
-from .pi_scalar import MINUS_FOUR_PI, MINUS_INV_FOUR_PI, PiScalar
 from .series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
+
+if TYPE_CHECKING:
+    from .pi_scalar import PiScalar
 
 
 def leading_column_factor(w: int, ell: int) -> int:
@@ -152,11 +154,15 @@ class ScaledForm(NamedTuple):
 
 def raise_analytic(f: NearlyHolomorphicForm) -> ScaledForm:
     """R_k f = (k/y + 2i d/dz) f, returned as (-4*pi) times the rational image."""
+    from .pi_scalar import MINUS_FOUR_PI  # only the analytic operators load pi_scalar
+
     return ScaledForm(MINUS_FOUR_PI, raise_weight(f))
 
 
 def lower_analytic(f: NearlyHolomorphicForm) -> ScaledForm:
     """L_k f = -2i y^2 (d/dzbar) f, returned as (-1/(4*pi)) times the rational image."""
+    from .pi_scalar import MINUS_INV_FOUR_PI
+
     return ScaledForm(MINUS_INV_FOUR_PI, lower_weight(f))
 
 

@@ -2,7 +2,7 @@
 
 These recompute expected values from first principles (analytic operator
 definitions, lattice enumeration, numeric evaluation) through code paths
-disjoint from the library internals they check.  There are six exceptions.
+disjoint from the library internals they check.  There are seven exceptions.
 reference_level1_basis keeps an earlier construction of the library's
 level-1 basis, one product per power of E4 and of E6, as the reference of
 the current one, and reference_delta_cusp keeps the earlier construction of
@@ -20,6 +20,8 @@ divisor_power_sum, sigma_e by trial division up to the square root, is a
 second path to the divisor sums that the library builds by multiplicativity
 for its Eisenstein series: test_generators checks it against
 brute_divisor_sum and uses it as the reference of the library's.
+reference_parser keeps the argparse front end that the CLI had before its
+command table, as the reference of the table's parser in test_cli_parse.
 """
 
 from __future__ import annotations
@@ -249,3 +251,90 @@ def mp():
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 40
     return mpmath
+
+
+def reference_parser():
+    """The argparse front end of nhmf.cli before its command table, as the
+    reference of the table's parser.  A command's handler is its name
+    ("eis", "local hilbert"), None where a subcommand is missing; -h,
+    --help and --version print to stdout and raise SystemExit(0)."""
+    import argparse
+    import re
+
+    from nhmf import __version__
+    from nhmf.errors import UsageError
+
+    class Parser(argparse.ArgumentParser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            # A negative fraction such as -3/4 is an argument wherever -3 is.
+            self._negative_number_matcher = re.compile(r"^-\d+(/\d+)?$|^-\d*\.\d+$")
+
+        def error(self, message):
+            raise UsageError(message)
+
+    parser = Parser(prog="nhmf")
+    parser.add_argument("--version", action="version", version=f"nhmf {__version__}")
+    sub = parser.add_subparsers(dest="command")
+    parser.set_defaults(handler=None)
+
+    def common(p, handler, with_trunc=False, with_in=False):
+        p.set_defaults(handler=handler)
+        p.add_argument("--out", default=None)
+        p.add_argument("--json-indent", type=int, default=None)
+        if with_trunc:
+            p.add_argument("--trunc", type=int, required=True)
+        if with_in:
+            p.add_argument("--in", dest="infile", default="-")
+
+    p = sub.add_parser("eis")
+    p.add_argument("--k", type=int, required=True)
+    common(p, "eis", with_trunc=True)
+    common(sub.add_parser("e2"), "e2", with_trunc=True)
+    p = sub.add_parser("theta")
+    for name in ("--a", "--b", "--c"):
+        p.add_argument(name, type=int, required=True)
+    common(p, "theta", with_trunc=True)
+    for name in ("raise", "lower"):
+        p = sub.add_parser(name)
+        common(p, name, with_in=True)
+        p.add_argument("--analytic", action="store_true")
+    common(sub.add_parser("casimir"), "casimir", with_in=True)
+    common(sub.add_parser("decompose"), "decompose", with_in=True)
+    p = sub.add_parser("identify")
+    p.add_argument("--max-steps", type=int)
+    common(p, "identify", with_in=True)
+    p = sub.add_parser("constant-term")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--character", choices=["trivial", "sgn", "quadratic", "other"], default="trivial")
+    p.add_argument("--local-order", type=int, action="append", default=[])
+    common(p, "constant-term")
+    p = sub.add_parser("local")
+    p.set_defaults(handler=None)
+    lsub = p.add_subparsers(dest="local_command")
+    lp = lsub.add_parser("hilbert")
+    for name in ("a", "b", "v"):
+        lp.add_argument(name)
+    common(lp, "local hilbert")
+    lp = lsub.add_parser("invariants")
+    lp.add_argument("a1")
+    lp.add_argument("a2")
+    common(lp, "local invariants")
+    lp = lsub.add_parser("coherent")
+    lp.add_argument("collection")
+    common(lp, "local coherent")
+    lp = lsub.add_parser("reducible")
+    lp.add_argument("--q", required=True)
+    lp.add_argument("--mu-order", choices=["1", "2", "other"], default="1")
+    lp.add_argument("--ramified", action="store_true")
+    lp.add_argument("--real-sign", type=int, choices=[0, 1], default=0)
+    lp.add_argument("--s-re", default="0")
+    lp.add_argument("--s-im", default="0")
+    common(lp, "local reducible")
+    p = sub.add_parser("catalog")
+    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    common(p, "catalog")
+    common(sub.add_parser("verify"), "verify")
+    return parser

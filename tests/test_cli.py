@@ -169,7 +169,7 @@ class TestLocal:
 )
 def test_negative_fractions_are_arguments(argv, spelled_out, capsys):
     # -3/4 is read as a value wherever -3 is, with the answer it gets when
-    # argparse is told outright that it is one.
+    # the command line says outright that it is one.
     assert main(argv.split()) == 0
     out, err = capsys.readouterr()
     assert err == ""
@@ -379,12 +379,37 @@ def test_a_missing_subcommand_is_a_usage_error(argv, message, capsys):
     assert doc["error"] == "usage" and doc["message"] == message
 
 
-def test_importing_the_cli_leaves_the_verify_suite_unloaded():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, nhmf.cli; print('nhmf.verify' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.stdout == "False\n", proc.stderr
+@pytest.mark.parametrize("argv", [["--help"], ["local", "--help"], ["eis", "-h"], ["local", "reducible", "-h"]])
+def test_help_is_printed_to_stdout_from_the_table(argv, capsys):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    usage, _, help_line, _, *rows = out.splitlines()
+    node = nhmf.cli._ROOT
+    for name in argv[:-1]:
+        node = node.commands[name]
+    assert usage.startswith("usage: " + " ".join(["nhmf", *argv[:-1]]))
+    assert help_line == node.help
+    # A line for each subcommand and option, the first word naming it.
+    named = [row.split()[0].rstrip(",") for row in rows if row]
+    assert named == [*node.commands, "-h", *(o.name for o in node.listed[1:])]
+    if argv == ["--help"]:
+        assert usage == nhmf.cli._ROOT.usage("nhmf") and [*node.commands] == list(nhmf.cli.COMMANDS)
+    if argv == ["eis", "-h"]:
+        assert out == (
+            "usage: nhmf eis [options]\n\n"
+            "holomorphic Eisenstein series of even weight >= 4\n\n"
+            "  -h, --help                 show this help and exit\n"
+            "  --k K                      (required)\n"
+            "  --trunc TRUNC              q-truncation N (required)\n"
+            "  --out OUT                  output file (default stdout)\n"
+            "  --json-indent JSON_INDENT\n"
+        )
+
+
+def test_version_is_printed_to_stdout(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr() == (f"nhmf {nhmf.__version__}\n", "")
 
 
 def test_invariants_of_large_semiprime_are_fast(capsys):

@@ -90,7 +90,7 @@ OPTION_VALUES = {
 }
 # Every command but verify (a whole suite run), its options and how many
 # positional arguments it takes; --help and --version are left out, since
-# argparse answers them itself.
+# their answer is text and not a JSON document (test_cli checks them).
 COMMAND_LINES = {
     "eis": (["--k", "--trunc"], 0),
     "e2": (["--trunc"], 0),

@@ -54,21 +54,12 @@ SUBMODULES = [
 ]
 
 
-def run_fresh(code: str) -> str:
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+def run_fresh(code: str, **env: str) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])), **env}
     proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
-
-
-def test_importing_the_cli_leaves_the_adelic_side_and_the_suite_unloaded():
-    out = run_fresh("""
-        import sys, nhmf.cli
-        lazy = ("nhmf.verify", "nhmf.laurent", "nhmf.quadratic", "nhmf.category_o")
-        print(sorted(name for name in lazy if name in sys.modules))
-    """)
-    assert out == "[]\n"
 
 
 def test_importing_the_package_loads_only_errors():
@@ -81,49 +72,56 @@ def test_importing_the_package_loads_only_errors():
 
 # E4 to q^3, the form file that the commands reading one get on stdin.
 E4_DOC = '{"weight": 4, "truncation": 3, "terms": [[0, 0, "1"], [0, 1, "240"], [0, 2, "2160"], [0, 3, "6720"]]}'
-SERIES = ["arith", "cli", "errors", "generators", "series"]
-OPERATORS = ["arith", "cli", "errors", "operators", "pi_scalar", "series"]
-LOCAL = ["arith", "cli", "errors", "quadratic"]
-CATEGORY_O = [
-    "arith", "category_o", "cli", "decompose", "errors", "generators", "laurent", "operators",
-    "pi_scalar", "series",
-]
+CLI = ["arith", "cli", "errors"]
+SERIES = [*CLI, "generators", "series"]
+OPERATORS = [*CLI, "operators", "series"]
+LOCAL = [*CLI, "quadratic"]
+CATEGORY_O = [*CLI, "category_o", "decompose", "generators", "laurent", "operators", "pi_scalar", "series"]
 
 
-# The nhmf modules (less the "nhmf." prefix) that each command has loaded once it is done.
+# The nhmf modules (less the "nhmf." prefix) that each command of the cold
+# mix has loaded once it is done, and its exit status; no argv only imports
+# the CLI, which leaves the verify suite, the q-series core and the adelic
+# side unloaded.
 COMMAND_MODULES = [
-    (["eis", "--k", "4", "--trunc", "3"], SERIES),
-    (["e2", "--trunc", "3"], SERIES),
-    (["theta", "--a", "1", "--b", "0", "--c", "1", "--trunc", "3"], SERIES),
-    (["raise", "--analytic"], OPERATORS),
-    (["lower"], OPERATORS),
-    (["casimir"], OPERATORS),
-    (["decompose"], ["arith", "cli", "decompose", "errors", "generators", "operators", "pi_scalar", "series"]),
-    (["identify"], CATEGORY_O),
-    (["constant-term", "--k", "4"], ["arith", "cli", "errors", "laurent", "pi_scalar"]),
-    (["local", "hilbert", "3", "5", "7"], LOCAL),
-    (["local", "invariants", "3", "5"], LOCAL),
-    (["local", "coherent", '{"discriminant": "-1", "epsilons": {}}'], LOCAL),
-    (["local", "reducible", "--q", "3"], LOCAL),
-    (["catalog", "--d", "1", "--k", "4"], [
-        "arith", "category_o", "cli", "errors", "laurent", "operators", "pi_scalar", "series",
-    ]),
+    (None, CLI, 0),
+    (["eis", "--k", "4", "--trunc", "3"], SERIES, 0),
+    (["e2", "--trunc", "3"], SERIES, 0),
+    (["theta", "--a", "1", "--b", "0", "--c", "1", "--trunc", "3"], SERIES, 0),
+    (["raise"], OPERATORS, 0),
+    (["raise", "--analytic"], [*OPERATORS, "pi_scalar"], 0),
+    (["lower"], OPERATORS, 0),
+    (["lower", "--analytic"], [*OPERATORS, "pi_scalar"], 0),
+    (["casimir"], OPERATORS, 0),
+    (["decompose"], [*CLI, "decompose", "generators", "operators", "series"], 0),
+    (["identify"], CATEGORY_O, 0),
+    (["constant-term", "--k", "4"], [*CLI, "laurent", "pi_scalar"], 0),
+    (["local", "hilbert", "3", "5", "7"], LOCAL, 0),
+    (["local", "invariants", "3", "5"], LOCAL, 0),
+    (["local", "coherent", '{"discriminant": "-1", "epsilons": {}}'], LOCAL, 0),
+    (["local", "reducible", "--q", "3"], LOCAL, 0),
+    (["catalog", "--d", "1", "--k", "4"], [*CLI, "category_o", "laurent", "operators", "pi_scalar", "series"], 0),
+    (["frobnicate", "--k", "3"], CLI, 1),
+    (["eis", "--k", "4", "--trunc", "-1"], SERIES, 1),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, loaded", COMMAND_MODULES, ids=[" ".join(argv[:2]) for argv, _ in COMMAND_MODULES]
+    "argv, loaded, status", COMMAND_MODULES,
+    ids=[" ".join(argv[:2]) + " (refused)" * status if argv else "import" for argv, _, status in COMMAND_MODULES],
 )
-def test_a_command_loads_only_the_modules_it_calls_and_never_dataclasses(argv, loaded):
+def test_a_command_loads_only_the_modules_it_calls_and_never_dataclasses(argv, loaded, status):
+    # A fresh process that compiles every module it imports, as a cold
+    # `nhmf` does, and never argparse or the gettext and locale it pulls in.
     out = run_fresh(f"""
         import contextlib, io, sys, nhmf.cli
         sys.stdin = io.StringIO({E4_DOC!r})
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert nhmf.cli.main({argv!r}) == 0
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert {argv!r} is None or nhmf.cli.main({argv!r}) == {status}
         print(sorted(name[5:] for name in sys.modules if name.startswith("nhmf.")))
-        print("dataclasses" in sys.modules)
-    """)
-    assert out == f"{loaded}\nFalse\n"
+        print(sorted(set(sys.modules) & {{"argparse", "dataclasses", "gettext", "locale"}}))
+    """, PYTHONDONTWRITEBYTECODE="1")
+    assert out == f"{sorted(loaded)}\n[]\n"
 
 
 @pytest.mark.parametrize(
