@@ -3,12 +3,13 @@
 read_rational, the one reader of a rational argument, which takes no float
 or bool, and check_digits, its digit bound, which the p-adic helpers of
 quadratic also put on the ints and Fractions they take as they are; integer
-factoring (trial division, then Pollard rho with a step
-budget for large cofactors), a primality test (Miller-Rabin, exact below its
-bound), and the one elimination routine of the package: the reduced echelon
-form of integer vectors and the one-pass reduction of a vector by it, on
-which decompose's span test and the membership test of verify's
-quasimodular closure are built.  It also holds the domain
+factoring (trial division, then Pollard rho with a step budget for large
+cofactors), a primality test (Miller-Rabin, exact below its bound), _strip,
+the one p-adic strip n = p^v * m (of quadratic, prime_power_base, laurent),
+and the one elimination routine of the package: reduce_by, the one-pass
+reduction of a vector by a reduced echelon form, which reduced_echelon also
+clears its old rows with, on which decompose's span test and the membership
+test of verify's quasimodular closure are built.  It also holds the domain
 bounds MAX_WEIGHT, MAX_DEGREE and MAX_TRUNCATION, which every command loads
 with this module; check_int, the one check of an integer argument and its
 bounds, which every weight, degree, truncation, count and residue
@@ -256,14 +257,26 @@ def is_prime(n: int) -> bool:
     return next(prime_factors(n)) == n
 
 
+def _strip(n: int, p: int) -> tuple[int, int]:
+    # (v, n / p^v) for the largest v with p^v dividing n != 0.  Each pass
+    # divides by p, p^2, p^4, ... for as long as they divide, so it takes
+    # 2^t - 1 factors off in t + 1 trials, and each pass leaves less than
+    # half of what is left: O(log(v)^2) divisions in place of v.
+    v = 0
+    while not n % p:
+        q, e = p, 1
+        while not n % q:
+            n //= q
+            v += e
+            q, e = q * q, e + e
+    return v, n
+
+
 def prime_power_base(q: int) -> int:
     """The prime p with q = p^e; DomainError if q is not a prime power."""
     check_int("residue cardinality", q, 2)
     p = next(prime_factors(q))
-    n = q
-    while n % p == 0:
-        n //= p
-    if n != 1:
+    if _strip(q, p)[1] != 1:
         raise DomainError(f"{q} is not a prime power")
     return p
 
@@ -283,12 +296,16 @@ def reduced_echelon(vectors, width: int) -> list[tuple[int, list[int]]]:
         pivot = next((i for i in range(width) if v[i]), None)
         if pivot is None:
             continue
-        g = gcd(*v) if v[pivot] > 0 else -gcd(*v)
-        if g != 1:
-            v = [x // g for x in v]
-        rows = [(p, _eliminate(r, v, pivot) if r[pivot] else r) for p, r in rows]
-        rows.append((pivot, v))
+        row = [(pivot, _primitive(v, pivot))]
+        rows = [(p, _primitive(reduce_by(row, r), p)) if r[pivot] else (p, r) for p, r in rows]
+        rows += row
     return rows
+
+
+def _primitive(v: list[int], pivot: int) -> list[int]:
+    # v over the gcd of its entries, signed to be positive at the pivot.
+    g = gcd(*v) if v[pivot] > 0 else -gcd(*v)
+    return v if g == 1 else [x // g for x in v]
 
 
 def reduce_by(rows, v) -> list[int]:
@@ -308,15 +325,6 @@ def reduce_by(rows, v) -> list[int]:
     for b, a, r in hits:
         out = map(sub, out, map((b * (d // a)).__mul__, r))
     return list(out)
-
-
-def _eliminate(v, r, pivot: int) -> list[int]:
-    # r[pivot] * v - v[pivot] * r, made primitive: clears v's entry at the
-    # pivot and scales v by a positive factor, since r[pivot] > 0.
-    a, b = r[pivot], v[pivot]
-    out = [a * x - b * y for x, y in zip(v, r)]
-    g = gcd(*out)
-    return [x // g for x in out] if g > 1 else out
 
 
 class Record:
@@ -350,14 +358,20 @@ class Record:
 class FrozenRecord(Record):
     """A Record whose fields are set once, and which hashes as its key.
 
-    Its __init__ takes the fields as its positional parameters, in the order
-    of _fields, and ends in _freeze, which stores them and their tuple as
-    _key; assigning or deleting an attribute later raises AttributeError.  A
-    copy or pickle is rebuilt by calling the class on the key, which passes
-    the values through __init__ again.
+    A subclass with __slots__ and no _fields of its own takes its slots as
+    _fields.  Its __init__ takes the fields as its positional parameters, in
+    the order of _fields, and ends in _freeze, which stores them and their
+    tuple as _key; assigning or deleting an attribute later raises
+    AttributeError.  A copy or pickle is rebuilt by calling the class on the
+    key, which passes the values through __init__ again.
     """
 
     __slots__ = ("_key",)
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "__slots__" in vars(cls) and "_fields" not in vars(cls):
+            cls._fields = cls.__slots__
 
     def _freeze(self, values: tuple) -> None:
         store = object.__setattr__  # looked up once, not once per field

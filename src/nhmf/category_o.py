@@ -51,7 +51,6 @@ class ModuleClass(FrozenRecord):
     An unknown kind, or a lam that is no rational, is a DomainError."""
 
     __slots__ = ("kind", "lam")
-    _fields = ("kind", "lam")
 
     def __init__(self, kind: str, lam=None):
         if kind == "trivial" and lam is None:
@@ -138,7 +137,6 @@ def composition_factors(mc: ModuleClass) -> tuple[ModuleClass, ...]:
 
 class BlockClassification(FrozenRecord):
     __slots__ = ("representative", "classes", "exact_sequences")
-    _fields = ("representative", "classes", "exact_sequences")
 
     def __init__(
         self,
@@ -252,7 +250,6 @@ class CharacterFamily(FrozenRecord):
     """
 
     __slots__ = ("archimedean_parity", "constraints")
-    _fields = ("archimedean_parity", "constraints")
 
     def __init__(self, archimedean_parity: int, constraints: tuple[str, ...] = ()):
         self._freeze((archimedean_parity, constraints))
@@ -271,7 +268,6 @@ class Summand(FrozenRecord):
     """
 
     __slots__ = ("finite_kind", "archimedean", "family", "s", "detail")
-    _fields = ("finite_kind", "archimedean", "family", "s", "detail")
 
     def __init__(
         self,
@@ -298,7 +294,6 @@ class DecompositionDescriptor(FrozenRecord):
     """The summands of catalog(d, k); every other field is read off them."""
 
     __slots__ = ("d", "k", "summands")
-    _fields = ("d", "k", "summands")
 
     def __init__(self, d: int, k: int, summands: tuple[Summand, ...]):
         self._freeze((d, k, summands))

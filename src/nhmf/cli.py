@@ -259,8 +259,7 @@ _ROOT = _Command(
                  lambda args: _engine("decompose").decompose(_read_form(args.infile)).to_json(), _IN),
         _Command("identify", "indecomposable module class generated by a form",
                  lambda args: _engine("category_o").identify_module(_read_form(args.infile)).to_json(),
-                 _Option("--max-steps", int,
-                         help="deprecated and ignored: identify applies one Casimir at any depth"), _IN),
+                 _IN),
         _Command("constant-term", "Eisenstein constant-term report at s = k - 1", _constant_term, _K,
                  _Option("--d", int, default=1),
                  _Option("--character", choices=("trivial", "sgn", "quadratic", "other"), default="trivial"),

@@ -21,24 +21,25 @@ each lower column j, the b_j of delta^(p) (operators.delta_coefficients),
 after scaling both sides to lcm(denominator, denominator of g).  The raised
 image delta^(p) g is never built: its X^p column is c(w, p) g, the popped
 column itself.  The remainder is not reduced between steps: a step drops
-the zero columns at the top and takes no gcd of the entries, so the
-denominator and the entries may share a factor.  That costs little size: a
-seed step scales the remainder by lcm(den, den_g) / den, which divides
-c(w, p), and the weight-two step by the leading entry of the raised series
-over its gcd with the top entry.  Each seed is made canonical when it is
-built as a form, and a refusal's residual, the only remainder ever made a
-form, is made canonical once, then.
+its zero top columns as a form does (series._pop_zero_columns) and takes
+no gcd of the entries, so the denominator and the entries may share a
+factor.  That costs little size: a seed step scales the remainder by
+lcm(den, den_g) / den, which divides c(w, p), and the weight-two step by
+the leading entry of the raised series over its gcd with the top entry.
+Each seed is made canonical when it is built as a form, and a refusal's
+residual, the only remainder ever made a form, is made canonical once, then.
 
 The seed must lie in the span of the basis of its weight.  The basis is put
 in reduced echelon form, one primitive integer row per pivot q-index, and
 the top column is tested against it over all truncation+1 coefficients, not
 only the first dim, by one pass of arith.reduce_by: a column that agrees with
-a modular form up to q^(dim-1) and not beyond is refused.  The shared level-1
-basis keeps its rows in that form (the Miller basis q^i + O(q^dim) up to
-scaling), built once per weight, and the peel step reads them directly: it is
-never reduced again.  A supplied basis is checked against the truncation,
-truncated to it and reduced once per weight in play (each peel step is at a
-new weight, since the depth falls).
+a modular form up to q^(dim-1) and not beyond is refused.  One routine,
+_echelon_rows, checks a basis against the truncation, truncates it to it and
+puts it in that form.  The shared level-1 basis keeps its rows (the Miller
+basis q^i + O(q^dim) up to scaling), built once per weight, and the peel step
+reads them directly: they are never reduced again.  A supplied basis is
+reduced once per weight in play (each peel step is at a new weight, since
+the depth falls).
 
 A weight-2 seed at the top depth cannot be matched at level 1 (there are no
 holomorphic weight-two forms there); the weight-two Eisenstein series instead
@@ -69,7 +70,7 @@ from .operators import (
     iterate_raise,
     leading_column_factor,
 )
-from .series import NearlyHolomorphicForm
+from .series import NearlyHolomorphicForm, _pop_zero_columns
 
 
 def _seed(w: int, factor: int, truncation: int, den: int, top) -> NearlyHolomorphicForm:
@@ -109,9 +110,7 @@ class Level1Basis:
     def rows(self, w: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (pivot, row) pairs of the weight-w basis in reduced echelon form."""
         if w not in self._rows:
-            trunc = self.truncation
-            cols = [b._cols[0] for b in level1_basis(w, trunc)]
-            self._rows[w] = [(p, tuple(row)) for p, row in reduced_echelon(cols, trunc + 1)]
+            self._rows[w] = _echelon_rows(w, level1_basis(w, self.truncation), self.truncation)
         return self._rows[w]
 
     def raised_e2(self, m: int) -> NearlyHolomorphicForm:
@@ -154,7 +153,6 @@ class Decomposition(FrozenRecord):
     """
 
     __slots__ = ("weight", "truncation", "terms", "e2_term")
-    _fields = ("weight", "truncation", "terms", "e2_term")
 
     def __init__(
         self,
@@ -190,28 +188,15 @@ class Decomposition(FrozenRecord):
         return doc
 
 
-def _supplied_rows(
-    provider: Callable[[int], list[NearlyHolomorphicForm]], trunc: int
-) -> Callable[[int], list[tuple[int, list[int]]]]:
-    """w -> the reduced echelon rows, at truncation trunc, of the basis the
-    provider supplies for weight w, which must reach trunc."""
-
-    def rows(w: int) -> list[tuple[int, list[int]]]:
-        basis = provider(w)
-        if any(b.truncation < trunc for b in basis):
-            raise InsufficientTruncationError(
-                f"basis for weight {w} truncated below the input truncation {trunc}"
-            )
-        cols = [t._cols[0] for t in (b.truncate(trunc) for b in basis) if not t.is_zero]
-        return reduced_echelon(cols, trunc + 1)
-
-    return rows
-
-
-def _pop_zero_columns(cols: list) -> None:
-    # The storage of a form has no zero column at the top.
-    while cols and not any(cols[-1]):
-        cols.pop()
+def _echelon_rows(w: int, basis, trunc: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The (pivot, row) pairs, in reduced echelon form at truncation trunc, of
+    the weight-w basis forms, which must reach trunc."""
+    if any(b.truncation < trunc for b in basis):
+        raise InsufficientTruncationError(
+            f"basis for weight {w} truncated below the input truncation {trunc}"
+        )
+    cols = [t._cols[0] for t in (b.truncate(trunc) for b in basis) if not t.is_zero]
+    return [(p, tuple(row)) for p, row in reduced_echelon(cols, trunc + 1)]
 
 
 def decompose(
@@ -232,7 +217,8 @@ def decompose(
     if basis_provider is None:
         basis_rows = shared_level1_basis(trunc).rows
     else:
-        basis_rows = _supplied_rows(basis_provider, trunc)
+        def basis_rows(w: int) -> list[tuple[int, tuple[int, ...]]]:
+            return _echelon_rows(w, basis_provider(w), trunc)
     sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
     ns = range(trunc + 1)
     # The remainder: cols over den, stored as a form stores them.

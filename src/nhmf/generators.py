@@ -181,7 +181,6 @@ class BinaryForm(FrozenRecord):
     """The integral binary quadratic form a x^2 + b xy + c y^2."""
 
     __slots__ = ("a", "b", "c")
-    _fields = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
         for name, value in zip(self._fields, (a, b, c)):

@@ -34,7 +34,9 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, check_int, prime_power_base, read_rational
+from .arith import (
+    MAX_DEGREE, MAX_WEIGHT, FrozenRecord, _strip, check_int, prime_power_base, read_rational,
+)
 from .errors import (
     DomainError,
     InsufficientLaurentPrecisionError,
@@ -52,7 +54,6 @@ class LaurentScalar(FrozenRecord):
     """
 
     __slots__ = ("point", "order", "leading")
-    _fields = ("point", "order", "leading")
 
     def __init__(self, point, order: Optional[int], leading: Optional[PiScalar] = None):
         if leading is not None and (leading.is_zero or order is None):
@@ -163,10 +164,17 @@ def _gamma(t: int) -> tuple[int, int, int, int]:
     return 0, (-4) ** -n * math.factorial(-n), math.factorial(-2 * n), 1
 
 
+def _point(s0) -> Fraction:
+    """The point s0 as read_rational reads it; DomainError past |s0| <= MAX_WEIGHT."""
+    s0 = read_rational(s0)
+    n, d = s0.as_integer_ratio()
+    check_int("ceil(|point|)", -(-abs(n) // d), high=MAX_WEIGHT)
+    return s0
+
+
 def gamma_at(s0) -> LaurentScalar:
     """Laurent data of Gamma(s) at a half-integer point, |s0| <= MAX_WEIGHT."""
-    s0 = read_rational(s0)
-    check_int("ceil(|point|)", math.ceil(abs(s0)), high=MAX_WEIGHT)
+    s0 = _point(s0)
     if s0.denominator > 2:
         raise DomainError(f"gamma Laurent data certified at half-integers only, got {s0}")
     order, num, den, t_e = _gamma(s0.numerator * (2 // s0.denominator))
@@ -179,13 +187,14 @@ def zeta_ratio_at(
     character: str = "trivial",
     ramified_L_data: Optional[LaurentScalar] = None,
 ) -> LaurentScalar:
-    """Laurent data of L^S(s, mu)/L^S(s+1, mu) at s0.
+    """Laurent data of L^S(s, mu)/L^S(s+1, mu) at s0, |s0| <= MAX_WEIGHT.
 
     Built in exactly for the degree-1 trivial character (the Riemann zeta
     ratio); other characters and degrees carry certified orders only, and
     points outside the certified range demand caller-supplied data.
     """
-    s0 = read_rational(s0)
+    check_int("degree d", d, 1, MAX_DEGREE)
+    s0 = _point(s0)
     if ramified_L_data is not None:
         if ramified_L_data.point != s0:
             raise DomainError(
@@ -199,7 +208,7 @@ def zeta_ratio_at(
             f"zeta ratio is certified at integer points only, got {s0}; "
             "supply ramified_L_data"
         )
-    n = int(s0)
+    n = s0.numerator
     exact = d == 1 and character == "trivial"
     if n >= 2 or (n == 1 and character == "nontrivial"):
         # Finite and nonzero: zeta(n)/zeta(n+1) has an odd argument, so its
@@ -232,13 +241,12 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     """
     check_int("weight ell", ell, -MAX_WEIGHT, MAX_WEIGHT)
     check_int("degree d", d, 1, MAX_DEGREE)
-    s0 = read_rational(s0)
+    s0 = _point(s0)
     if s0.denominator != 1:
         raise DomainError(
             f"archimedean factor certified at integer points only, got {s0}"
         )
     n = s0.numerator
-    check_int("point", n, -MAX_WEIGHT, MAX_WEIGHT)
     # alpha = (n + 1 + ell)/2 and beta = (n + 1 - ell)/2, each as twice itself
     o_s, n_s, d_s, t_s = _gamma(2 * n)
     o_a, n_a, d_a, t_a = _gamma(n + 1 + ell)
@@ -260,18 +268,13 @@ def unramified_intertwining_constant(q: int, mu, s0) -> Fraction:
     Raises PoleError (order -1) when mu q^(-s0) = 1.
     """
     p = prime_power_base(q)
-    e = 0
-    qq = q
-    while qq > 1:
-        qq //= p
-        e += 1
+    e = _strip(q, p)[0]
     mu = read_rational(mu)
     if mu not in (1, -1):
         raise DomainError(
             f"only the rational roots of unity +-1 are supported, got {mu}"
         )
-    s0 = read_rational(s0)
-    check_int("ceil(|point|)", math.ceil(abs(s0)), high=MAX_WEIGHT)
+    s0 = _point(s0)
     exp = -s0 * e
     if exp.denominator != 1:
         raise DomainError(f"q^(-s0) is irrational for q = {q}, s0 = {s0}")
@@ -293,7 +296,6 @@ def weight_parity(k: int) -> int:
 
 class Verdict(FrozenRecord):
     __slots__ = ("kind", "leading", "exact", "order")
-    _fields = ("kind", "leading", "exact", "order")
 
     def __init__(
         self,
@@ -332,7 +334,6 @@ class ConstantTermReport(FrozenRecord):
     """
 
     __slots__ = ("k", "d", "character", "second_term")
-    _fields = ("k", "d", "character", "second_term")
 
     def __init__(self, k: int, d: int, character: str, second_term: LaurentScalar):
         self._freeze((k, d, character, second_term))
@@ -379,9 +380,8 @@ def constant_term_report(
     alpha = k and beta = 0.
     """
     check_int("weight k", k, 1, MAX_WEIGHT)
-    check_int("degree d", d, 1, MAX_DEGREE)
     s0 = Fraction(k - 1)
-    zeta = zeta_ratio_at(s0, d, character)
+    zeta = zeta_ratio_at(s0, d, character)  # which checks d first
     if zeta.exact:
         total = archimedean_factor(s0, k, d) * zeta
     else:

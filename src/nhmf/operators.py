@@ -19,8 +19,8 @@ by n.  For the column f_r in front of X^r of a weight-k form,
 Applying the monomial rule once more at weight kappa = k + 2l gives the
 recurrence b_j <- b_j + (r + j - 1 - kappa) b_(j-1) (from b_0 = 1), which the
 product solves.  For a holomorphic seed (r = 0) of weight w, b_l is c(w, l),
-the factor of :func:`leading_column_factor`.  :func:`delta_coefficients` is
-the one place the b_j are computed.  :func:`iterate_raise` and
+which :func:`leading_column_factor` reads off :func:`delta_coefficients`, the
+one place the b_j are computed.  :func:`iterate_raise` and
 :func:`iterate_lower` apply the closed forms in one pass, column by column on
 the integer storage of :mod:`series` over an unchanged common denominator, so
 their cost grows like l, not l^2.  They and :func:`casimir` are the only
@@ -57,7 +57,7 @@ represented here, so weight-indefinite input is impossible by construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import perm, prod
+from math import perm
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -69,11 +69,6 @@ if TYPE_CHECKING:
     from .pi_scalar import PiScalar
 
 
-def leading_column_factor(w: int, ell: int) -> int:
-    """c(w, l): the X^l column of delta^(l) g is c(w, l) * g for holomorphic g of weight w."""
-    return prod(-(w + j) for j in range(ell))
-
-
 def delta_coefficients(a: int, ell: int) -> list[int]:
     """b_0, ..., b_l of delta^(l) for the column in front of X^r of a weight-k
     form, a = r - k: b_j = C(l, j) (a - l + 1) ... (a - l + j)."""
@@ -81,6 +76,11 @@ def delta_coefficients(a: int, ell: int) -> list[int]:
     for j in range(1, ell + 1):
         b.append(b[-1] * (ell - j + 1) * (a - ell + j) // j)
     return b
+
+
+def leading_column_factor(w: int, ell: int) -> int:
+    """c(w, l): the X^l column of delta^(l) g is c(w, l) * g for holomorphic g of weight w."""
+    return delta_coefficients(-w, ell)[ell]
 
 
 def raise_weight(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
@@ -193,7 +193,6 @@ class InfinitesimalCharacter(FrozenRecord):
     """
 
     __slots__ = ("lam",)
-    _fields = ("lam",)
 
     def __init__(self, lam: Fraction):
         self._freeze((lam,))

@@ -24,6 +24,7 @@ local_invariants and the witness scan of check_coherence: a space keeps the
 terms of a1 and a2, each is split once per place, and the split of the
 discriminant -a1*a2 is read off theirs, so -a1*a2 is never built; the scan's
 candidates are ints, and it splits the discriminant at most once per place.
+Past a first factor of p, _split takes p off with arith._strip.
 
 Base field fixed to Q; the degree parameter elsewhere in the package is
 purely symbolic.
@@ -38,7 +39,7 @@ from math import prod
 from typing import Optional
 
 from .arith import (
-    SHORT_BITS, FrozenRecord, check_digits, check_int, check_sign, is_int, is_prime,
+    SHORT_BITS, FrozenRecord, _strip, check_digits, check_int, check_sign, is_int, is_prime,
     prime_factors, prime_power_base, read_rational,
 )
 from .errors import DomainError, InvariantViolationError
@@ -55,7 +56,6 @@ class Place(FrozenRecord):
     """
 
     __slots__ = ("kind", "p")
-    _fields = ("kind", "p")
 
     def __init__(self, kind: str, p: Optional[int] = None):
         if kind == "finite":
@@ -134,21 +134,6 @@ def _terms(x) -> tuple[int, int]:
     return terms
 
 
-def _strip(n: int, p: int) -> tuple[int, int]:
-    # (v, n / p^v) for the largest v with p^v dividing n != 0.  Each pass
-    # divides by p, p^2, p^4, ... for as long as they divide, so it takes
-    # 2^t - 1 factors off in t + 1 trials, and each pass leaves less than
-    # half of what is left: O(log(v)^2) divisions in place of v.
-    v = 0
-    while not n % p:
-        q, e = p, 1
-        while not n % q:
-            n //= q
-            v += e
-            q, e = q * q, e + e
-    return v, n
-
-
 def _split(n: int, d: int, p: int) -> tuple[int, int, int]:
     """(v, n', d') with n/d = p^v * n'/d' and p dividing neither n' nor d';
     n/d in lowest terms, so p is divided out of one of them only."""
@@ -189,11 +174,6 @@ def _legendre(n: int, d: int, p: int) -> int:
     # (n/d | p) for n, d prime to the odd prime p; (1/d | p) = (d | p), so
     # n*d has the same symbol and no inverse is needed.
     return 1 if pow(n * d % p, (p - 1) // 2, p) == 1 else -1
-
-
-def legendre(u: Fraction, p: int) -> int:
-    """(u|p) for a p-adic unit u and odd prime p."""
-    return _legendre(*_terms(u), p)
 
 
 def _split_symbol(a: tuple[int, int, int], b: tuple[int, int, int], p: int) -> int:
@@ -292,7 +272,6 @@ class LocalInvariant(FrozenRecord):
     """
 
     __slots__ = ("place", "chi_nontrivial", "epsilon")
-    _fields = ("place", "chi_nontrivial", "epsilon")
 
     def __init__(self, place: Place, chi_nontrivial: bool, epsilon: int):
         check_sign("epsilon", epsilon)
@@ -360,11 +339,10 @@ class Collection(FrozenRecord):
     """A family of local binary-space data: global discriminant class plus
     Hasse signs at finitely many places (+1 off the listed support).
 
-    epsilons holds (place, sign) pairs sorted by place.
+    epsilons holds (Place, sign) pairs sorted by place.
     """
 
     __slots__ = ("discriminant", "epsilons")
-    _fields = ("discriminant", "epsilons")
 
     def __init__(self, discriminant, epsilons):
         discriminant = read_rational(discriminant)
@@ -372,6 +350,8 @@ class Collection(FrozenRecord):
             raise DomainError("discriminant must be nonzero")
         seen = set()
         for place, sign in epsilons:
+            if not isinstance(place, Place):
+                raise DomainError(f"a Hasse sign must be keyed by a Place, got {place!r}")
             check_sign("epsilon", sign)
             if place in seen:
                 raise DomainError(f"duplicate place {place.render()}")
@@ -413,7 +393,6 @@ class CoherenceResult(FrozenRecord):
     """The verdict of check_coherence: a witness space iff coherent."""
 
     __slots__ = ("witness",)
-    _fields = ("witness",)
 
     def __init__(self, witness: Optional[QuadSpace2D]):
         self._freeze((witness,))
@@ -547,7 +526,6 @@ class CharacterDescriptor(FrozenRecord):
     the sign exponent."""
 
     __slots__ = ("order", "unramified", "real_sign")
-    _fields = ("order", "unramified", "real_sign")
 
     def __init__(self, order=1, unramified: bool = True, real_sign: int = 0):
         if order != "other":
@@ -566,7 +544,6 @@ class ReducibilityVerdict(FrozenRecord):
     """
 
     __slots__ = ("residue", "constituents", "structure")
-    _fields = ("residue", "constituents", "structure")
 
     def __init__(
         self, residue: str, constituents: tuple[str, ...] = (), structure: Optional[str] = None

@@ -67,6 +67,12 @@ def _stripped(col, length: int):
     return col[:n]
 
 
+def _pop_zero_columns(cols: list) -> None:
+    """Drop the zero columns at the top of cols in place; a stored form has none."""
+    while cols and not any(cols[-1]):
+        cols.pop()
+
+
 def _pack(col, width: int, tops) -> list:
     """[E, O], the even- and odd-index entries of col packed at s = 8 * width
     bits a slot: E = sum of col[2i] * 2^(s * i) and O = sum of col[2i + 1] *
@@ -174,7 +180,7 @@ class NearlyHolomorphicForm:
         if coeffs:
             for (r, n), c in coeffs.items():
                 if not (is_int(r) and is_int(n)) or r < 0 or n < 0:
-                    raise ValueError(f"bad exponent pair ({r}, {n})")
+                    raise DomainError(f"bad exponent pair ({r}, {n})")
                 if n > truncation:
                     continue
                 c = read_rational(c)
@@ -203,8 +209,7 @@ class NearlyHolomorphicForm:
         """Trusted constructor for kernel results: den > 0, cols a list of
         integer sequences of length truncation + 1, which this brings to the
         canonical storage."""
-        while cols and not any(cols[-1]):
-            cols.pop()
+        _pop_zero_columns(cols)
         out = object.__new__(cls)
         out._trunc = truncation
         if not cols:
@@ -259,8 +264,9 @@ class NearlyHolomorphicForm:
         return self.depth == 0
 
     def coefficient(self, r: int, n: int) -> Fraction:
-        if n > self._trunc:
-            raise ValueError(f"coefficient q^{n} beyond truncation {self._trunc}")
+        """c(r, n), 0 off the stored terms; DomainError past the truncation."""
+        check_int("X-exponent r", r)
+        check_int("q-exponent n", n, high=self._trunc)
         if 0 <= r < len(self._cols) and n >= 0:
             return Fraction(self._cols[r][n], self._den)
         return Fraction(0)

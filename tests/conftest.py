@@ -301,9 +301,7 @@ def reference_parser():
         p.add_argument("--analytic", action="store_true")
     common(sub.add_parser("casimir"), "casimir", with_in=True)
     common(sub.add_parser("decompose"), "decompose", with_in=True)
-    p = sub.add_parser("identify")
-    p.add_argument("--max-steps", type=int)
-    common(p, "identify", with_in=True)
+    common(sub.add_parser("identify"), "identify", with_in=True)
     p = sub.add_parser("constant-term")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, default=1)

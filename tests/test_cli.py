@@ -82,16 +82,16 @@ class TestDecomposeIdentify:
         doc = payload(["identify", "--in", str(out)])
         assert doc == {"kind": "dual_verma", "lambda": "0"}
 
-    def test_max_steps_is_accepted_and_ignored(self, tmp_path):
-        # --max-steps is accepted and ignored, at any value.
+    def test_max_steps_is_retired(self, tmp_path):
+        # --max-steps was accepted and ignored; it is now an unknown option.
         out = tmp_path / "e4.json"
         main(["eis", "--k", "4", "--trunc", "6", "--out", str(out)])
         raised = tmp_path / "r_e4.json"
         main(["raise", "--in", str(out), "--out", str(raised)])
-        for budget in ([], ["--max-steps", "2"], ["--max-steps", "0"]):
-            assert payload(["identify", "--in", str(raised), *budget]) == {
-                "kind": "simple", "lambda": "4"
-            }
+        assert payload(["identify", "--in", str(raised)]) == {"kind": "simple", "lambda": "4"}
+        for budget in (["--max-steps", "2"], ["--max-steps", "0"], ["--max-steps=2"]):
+            result = run(["identify", "--in", str(raised), *budget])
+            assert result.code == "usage", budget
 
     def test_ambiguous_module_candidates_are_a_json_array(self, tmp_path):
         # A weight-two Casimir eigenform that is not a multiple of the

@@ -4,7 +4,7 @@ Whatever the input, `main` either succeeds (exit 0, one JSON document on
 stdout, nothing on stderr) or fails with exit 1, nothing on stdout and one
 JSON error document on stderr whose code is in ERROR_CODES and is not
 ``internal`` (the code of an engine defect).  Every truncation, weight and
-step count drawn here is small, so each example answers in milliseconds.
+degree drawn here is small, so each example answers in milliseconds.
 """
 
 import contextlib
@@ -78,7 +78,7 @@ FORM_FILES = st.sampled_from(["<good-form>", "<garbage>", "<missing>", "-"])
 # The value each option takes, mostly well-formed.
 OPTION_VALUES = {
     "--k": NUMBERS, "--trunc": NUMBERS, "--a": NUMBERS, "--b": NUMBERS, "--c": NUMBERS,
-    "--d": NUMBERS, "--max-steps": NUMBERS, "--local-order": NUMBERS,
+    "--d": NUMBERS, "--local-order": NUMBERS,
     "--in": FORM_FILES, "--out": st.sampled_from(["<missing>", "out.json"]),
     "--json-indent": st.sampled_from(["0", "2", "-1", "x", "100000000000", "99999999999999999999"]),
     "--character": st.sampled_from(["trivial", "sgn", "quadratic", "other", "odd"]),
@@ -99,7 +99,7 @@ COMMAND_LINES = {
     "lower": (["--in", "--analytic"], 0),
     "casimir": (["--in"], 0),
     "decompose": (["--in"], 0),
-    "identify": (["--in", "--max-steps"], 0),
+    "identify": (["--in"], 0),
     "constant-term": (["--k", "--d", "--character", "--local-order", "--local-order"], 0),
     "local hilbert": ([], 3),
     "local invariants": ([], 2),
@@ -134,9 +134,9 @@ def argvs(draw):
 
 def prepared(argv, files):
     """argv with its file tokens resolved and its truncation, weight and
-    step budget capped, so that the example stays small."""
+    degree capped, so that the example stays small."""
     argv = [files.get(token, token) for token in argv]
-    for flag, cap in (("--trunc", 40), ("--max-steps", 30), ("--k", 40), ("--d", 40)):
+    for flag, cap in (("--trunc", 40), ("--k", 40), ("--d", 40)):
         for i, token in enumerate(argv[:-1]):
             if token == flag and argv[i + 1].lstrip("-").isdigit() and int(argv[i + 1]) > cap:
                 argv[i + 1] = str(cap)
@@ -194,7 +194,7 @@ def form_documents(draw):
 
 
 FORM_COMMANDS = [["raise"], ["lower"], ["lower", "--analytic"], ["raise", "--analytic"],
-                 ["casimir"], ["decompose"], ["identify", "--max-steps", "8"]]
+                 ["casimir"], ["decompose"], ["identify"]]
 
 
 def run_on_document(files, command, doc):

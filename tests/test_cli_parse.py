@@ -98,7 +98,7 @@ CORPUS = [
     "--out x eis", "eis -x=3 --k 4 --trunc 3",
     # every command once
     "e2 --trunc 5", "theta --a 1 --b 0 --c 1 --trunc 3", "raise --in -", "raise --in=-",
-    "lower --in - --out o.json --json-indent 2", "casimir", "decompose", "identify --max-steps 2",
+    "lower --in - --out o.json --json-indent 2", "casimir", "decompose", "identify",
     "constant-term --k 4 --character sgn", "local invariants 1 1", "local reducible --q real --ramified",
     "catalog --d 1 --k 2", "verify --json-indent 2",
     # help and version, and which comes first when a line also has an error

@@ -78,6 +78,7 @@ TABLE = [
     ("iterate_lower", "ell", lambda ell: iterate_lower(E4, ell), 0, None),
     ("archimedean_factor", "ell", lambda ell: archimedean_factor(1, ell), -MAX_WEIGHT, MAX_WEIGHT),
     ("archimedean_factor", "d", lambda d: archimedean_factor(1, 4, d), 1, MAX_DEGREE),
+    ("zeta_ratio_at", "d", lambda d: zeta_ratio_at(1, d), 1, MAX_DEGREE),
     ("constant_term_report", "k", constant_term_report, 1, MAX_WEIGHT),
     ("constant_term_report", "d", lambda d: constant_term_report(4, d), 1, MAX_DEGREE),
     ("catalog", "d", lambda d: catalog(d, 4), 1, MAX_DEGREE),
@@ -244,10 +245,12 @@ def test_the_string_three_quarters_is_read_exactly():
 # (entry point, the call on a point s0).  The point is a rational whose
 # absolute value is at most MAX_WEIGHT; past it the call is refused at once.
 # unramified_intertwining_constant had no bound and built p^(s0*e) exactly:
-# 0.1 s at s0 = 10^6, growing faster than s0.
+# 0.1 s at s0 = 10^6, growing faster than s0.  zeta_ratio_at had none
+# either, and answered 10^9; past the bound, supplied data is refused too.
 POINTS = [
     ("gamma_at", gamma_at),
     ("archimedean_factor", lambda s0: archimedean_factor(s0, 0)),
+    ("zeta_ratio_at", lambda s0: zeta_ratio_at(s0, ramified_L_data=LaurentScalar.order_only(s0, 0))),
     ("unramified_intertwining_constant", lambda s0: unramified_intertwining_constant(3, -1, s0)),
 ]
 

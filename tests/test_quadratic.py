@@ -469,6 +469,16 @@ class TestCoherence:
         with pytest.raises(InvariantViolationError):
             check_coherence(coll)
 
+    def test_a_sign_keyed_by_no_place_is_refused(self):
+        # Collection(1, ((2, 1),)) was built, and check_coherence on a
+        # collection keyed by an int escaped as a raw AttributeError.
+        for key in (2, "2", None, "real"):
+            with pytest.raises(DomainError, match="must be keyed by a Place"):
+                Collection(1, ((key, 1),))
+            with pytest.raises(DomainError, match="must be keyed by a Place"):
+                Collection.of(-1, {key: -1})
+        assert Collection.of(-1, {Place.finite(2): -1, REAL: -1}).epsilon_at(REAL) == -1
+
 
 def scan_witness_to_1e5(delta, minus_places):
     """The witness scan as it stood before it stepped by the forced prime

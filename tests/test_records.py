@@ -5,11 +5,13 @@ Name(field=value, ...) repr, frozen fields, the order of places and fresh
 default containers, now from the bases Record and FrozenRecord of arith.
 """
 
+import ast
 import copy
 import importlib
 import inspect
 import pickle
 import pkgutil
+import textwrap
 from fractions import Fraction
 from functools import cached_property
 
@@ -181,6 +183,22 @@ def test_every_record_class_of_the_package_is_a_case_and_leaves_the_layout_to_it
     assert set(package) == set(CASES)
     # _key and __hash__ come from Record and FrozenRecord alone.
     assert [cls for cls in package if "_key" in vars(cls) or "__hash__" in vars(cls)] == []
+
+
+def stated(cls) -> set:
+    """The names the class body of cls assigns."""
+    body = ast.parse(textwrap.dedent(inspect.getsource(cls))).body[0].body
+    return {t.id for node in body if isinstance(node, ast.Assign) for t in node.targets}
+
+
+def test_each_frozen_record_states_its_fields_once():
+    # As __slots__, which FrozenRecord takes as _fields, or, for the one
+    # class with no slots, as _fields.
+    for cls in FROZEN:
+        assert len(stated(cls) & {"__slots__", "_fields"}) == 1, cls
+        if "__slots__" in vars(cls):
+            assert cls._fields == cls.__slots__ == CASES[cls][0], cls
+    assert [cls for cls in FROZEN if "__slots__" not in vars(cls)] == [QuadSpace2D]
 
 
 @pytest.mark.parametrize("cls", FROZEN, ids=lambda cls: cls.__name__)

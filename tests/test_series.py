@@ -194,8 +194,17 @@ def test_a_bool_is_no_exponent():
     # True is an int to isinstance: {(True, 0): 1} would be stored at r = 1,
     # and from_doc refuses JSON true as an exponent.
     for key in ((True, 0), (0, True), (False, 0), (0, False)):
-        with pytest.raises(ValueError, match="bad exponent pair"):
+        with pytest.raises(DomainError, match="bad exponent pair"):
             NearlyHolomorphicForm(4, 3, {key: 1})
+
+
+def test_a_coefficient_outside_the_form_is_a_domain_error():
+    # Past the truncation was a raw ValueError, and a str exponent a raw TypeError.
+    f = NearlyHolomorphicForm.monomial(4, 3, 1, 2, 5)
+    assert f.coefficient(1, 2) == 5 and f.coefficient(0, 3) == 0 and f.coefficient(7, 0) == 0
+    for r, n in ((0, 4), (0, "a"), ("a", 0), (True, 0), (0, 1.0)):
+        with pytest.raises(DomainError, match="must be an integer"):
+            f.coefficient(r, n)
 
 
 def test_truncate_checks_the_type_before_comparing():
