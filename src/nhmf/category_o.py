@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, check_int, read_rational
 from .errors import AmbiguousModuleError, DomainError
@@ -32,9 +32,7 @@ from .laurent import constant_term_report, weight_parity
 from .operators import (
     InfinitesimalCharacter, infinitesimal_character, leading_column_factor, scalar_ratio,
 )
-
-if TYPE_CHECKING:
-    from .series import NearlyHolomorphicForm
+from .series import NearlyHolomorphicForm, check_form
 
 
 # The notation of each kind of class with a parameter lam.
@@ -201,6 +199,7 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: Optional[int] = None) -
     """
     from .decompose import raised_e2, top_seed
 
+    check_form("f", f)
     if f.is_zero:
         raise DomainError("the zero form generates no module")
     char = infinitesimal_character(f)  # raises on non-eigenforms

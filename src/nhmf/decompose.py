@@ -9,10 +9,11 @@ weight-(k-2p) holomorphic seed up to the combinatorial factor
     c(w, l) = prod_{j=0}^{l-1} (j - (w + 2j)) = prod_{j=0}^{l-1} -(w + j),
 
 which is computed from the raising monomial rule itself and vanishes only for
-weight-0 seeds with l >= 1 (and those contribute nothing, so it is never
-divided by).  The seed is therefore the top column over c(w, p), read off
-with no linear solve (top_seed).  Depth strictly decreases, so peeling ends
-in depth+1 steps.
+seeds of weight w <= 0 with l > -w.  The seed is therefore the top column
+over c(w, p), read off with no linear solve (top_seed).  It is never divided
+by 0: weight 0 with p >= 1 is the weight-two Eisenstein step below, and a
+negative seed weight, where no holomorphic form lives, is refused before any
+seed is built.  Depth strictly decreases, so peeling ends in depth+1 steps.
 
 The peel works on the remainder's integer storage: one common denominator
 and a list of integer columns, as a form stores them.  A step reads the seed
@@ -20,7 +21,16 @@ g off the top column, pops that column, and subtracts b_j theta^(p-j) g from
 each lower column j, the b_j of delta^(p) (operators.delta_coefficients),
 after scaling both sides to lcm(denominator, denominator of g).  The raised
 image delta^(p) g is never built: its X^p column is c(w, p) g, the popped
-column itself.  The remainder is not reduced between steps: a step drops
+column itself.  A step reads its constants from tables instead of computing
+them: the b_j of each (w, p), kept as a tuple in a bounded cache
+(_peel_coefficients), and the columns n^m over the q-indices n, kept with the
+shared basis of the truncation (Level1Basis.powers), grown to the deepest
+step asked for and released with that basis.  theta^(p-j) g is then the
+entrywise product of g with the column n^(p-j), and the update of column j,
+s1 * col_j - (b_j * s2) * (n^(p-j) * g), is one chain of lazy maps into one
+new list.  The seed is built in its canonical storage in one pass (_seed):
+one gcd of den * |c(w, p)| and the top column, with the sign of c(w, p) taken
+in the one division.  The remainder is not reduced between steps: a step drops
 its zero top columns as a form does (series._pop_zero_columns) and takes
 no gcd of the entries, so the denominator and the entries may share a
 factor.  That costs little size: a seed step scales the remainder by
@@ -31,15 +41,16 @@ residual, the only remainder ever made a form, is made canonical once, then.
 
 The seed must lie in the span of the basis of its weight.  The basis is put
 in reduced echelon form, one primitive integer row per pivot q-index, and
-the top column is tested against it over all truncation+1 coefficients, not
-only the first dim, by one pass of arith.reduce_by: a column that agrees with
-a modular form up to q^(dim-1) and not beyond is refused.  One routine,
-_echelon_rows, checks a basis against the truncation, truncates it to it and
-puts it in that form.  The shared level-1 basis keeps its rows (the Miller
-basis q^i + O(q^dim) up to scaling), built once per weight, and the peel step
-reads them directly: they are never reduced again.  A supplied basis is
-reduced once per weight in play (each peel step is at a new weight, since
-the depth falls).
+the seed column, the top column over its gcd with den * c(w, p), is tested
+against it over all truncation+1 coefficients, not only the first dim, by one
+pass of arith.reduce_by: a column that agrees with a modular form up to
+q^(dim-1) and not beyond is refused.  One routine, _echelon_rows, checks that
+a basis is a list or tuple of forms that reach the truncation, truncates it
+to it and puts it in that form.  The shared level-1 basis keeps its rows
+(the Miller basis q^i + O(q^dim) up to scaling), built once per weight, and
+the peel step reads them directly: they are never reduced again.  A supplied
+basis is reduced once per weight in play (each peel step is at a new weight,
+since the depth falls).
 
 A weight-2 seed at the top depth cannot be matched at level 1 (there are no
 holomorphic weight-two forms there); the weight-two Eisenstein series instead
@@ -58,11 +69,11 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import mul, neg, sub
+from operator import mul, sub
 from typing import Callable, Iterator, Optional
 
 from .arith import FrozenRecord, reduce_by, reduced_echelon
-from .errors import DecompositionError, InsufficientTruncationError
+from .errors import DecompositionError, DomainError, InsufficientTruncationError
 from .generators import eisenstein2, level1_basis
 from .operators import (
     InfinitesimalCharacter,
@@ -70,14 +81,29 @@ from .operators import (
     iterate_raise,
     leading_column_factor,
 )
-from .series import NearlyHolomorphicForm, _pop_zero_columns
+from .series import NearlyHolomorphicForm, _pop_zero_columns, check_form
+
+
+@lru_cache(maxsize=128)
+def _peel_coefficients(w: int, p: int) -> tuple[int, ...]:
+    # b_0, ..., b_p of delta^(p) on a holomorphic seed of weight w, b_p =
+    # c(w, p): the constants of a peel step, read once per (w, p).
+    return tuple(delta_coefficients(-w, p))
 
 
 def _seed(w: int, factor: int, truncation: int, den: int, top) -> NearlyHolomorphicForm:
     # The holomorphic g of weight w with delta^(p) g having the X^p column
-    # top / den: top over den * factor, factor = c(w, p) nonzero.
-    seed = top if factor > 0 else list(map(neg, top))
-    return NearlyHolomorphicForm._from_columns(w, truncation, den * abs(factor), [seed])
+    # top / den: top over den * factor, factor = c(w, p) nonzero, built in
+    # its canonical storage in one pass: one gcd of den * |factor| and the
+    # nonzero top, and the sign of factor taken in the one division.
+    den *= abs(factor)
+    g = gcd(den, *top)
+    seed = object.__new__(NearlyHolomorphicForm)
+    seed._weight, seed._trunc, seed._den = w, truncation, den // g
+    if factor < 0:
+        g = -g
+    seed._cols = (tuple(top) if g == 1 else tuple(map(g.__rfloordiv__, top)),)
+    return seed
 
 
 def top_seed(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
@@ -98,7 +124,8 @@ class Level1Basis:
     Each weight's reduced echelon rows are built once (rows); every call
     returns a fresh list of the (immutable) forms made from them.  The
     instance also holds the weight-two Eisenstein series at its truncation,
-    and keeps each raised image delta^(m) of it once built (raised_e2).
+    keeps each raised image delta^(m) of it once built (raised_e2), and the
+    columns n^m over its q-indices n that the peel multiplies by (powers).
     """
 
     def __init__(self, truncation: int):
@@ -106,6 +133,7 @@ class Level1Basis:
         self.eisenstein2 = eisenstein2(truncation)
         self._rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         self._raised_e2: dict[int, NearlyHolomorphicForm] = {}
+        self._powers: list[tuple[int, ...]] = [(1,) * (truncation + 1)]
 
     def rows(self, w: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (pivot, row) pairs of the weight-w basis in reduced echelon form."""
@@ -118,6 +146,16 @@ class Level1Basis:
         if m not in self._raised_e2:
             self._raised_e2[m] = iterate_raise(self.eisenstein2, m)
         return self._raised_e2[m]
+
+    def powers(self, depth: int) -> list[tuple[int, ...]]:
+        """[n^0, ..., n^depth], each over n = 0..truncation, so that theta^m g
+        is the entrywise product of g and the column n^m; the table grows to
+        the deepest depth asked for and lives as long as the instance."""
+        powers = self._powers
+        ns = range(self.truncation + 1)
+        while len(powers) <= depth:
+            powers.append(tuple(map(mul, ns, powers[-1])))
+        return powers
 
     def __call__(self, w: int) -> list[NearlyHolomorphicForm]:
         return [
@@ -190,7 +228,14 @@ class Decomposition(FrozenRecord):
 
 def _echelon_rows(w: int, basis, trunc: int) -> list[tuple[int, tuple[int, ...]]]:
     """The (pivot, row) pairs, in reduced echelon form at truncation trunc, of
-    the weight-w basis forms, which must reach trunc."""
+    the weight-w basis forms, which must reach trunc; DomainError unless
+    the basis is a list or tuple of forms."""
+    if not isinstance(basis, (list, tuple)):
+        raise DomainError(
+            f"the basis for weight {w} must be a list or tuple of forms, got {type(basis).__name__}"
+        )
+    for b in basis:
+        check_form(f"a basis form for weight {w}", b)
     if any(b.truncation < trunc for b in basis):
         raise InsufficientTruncationError(
             f"basis for weight {w} truncated below the input truncation {trunc}"
@@ -210,17 +255,19 @@ def decompose(
     monomial basis.  Residuals outside the span raise DecompositionError
     carrying the residual (the usual sign of a wrong level or basis).
     """
+    check_form("f", f)
     if f.is_zero:
         return Decomposition(None, f.truncation, (), None)
     k = f.weight
     trunc = f.truncation
+    shared = shared_level1_basis(trunc)
     if basis_provider is None:
-        basis_rows = shared_level1_basis(trunc).rows
+        basis_rows = shared.rows
     else:
         def basis_rows(w: int) -> list[tuple[int, tuple[int, ...]]]:
             return _echelon_rows(w, basis_provider(w), trunc)
     sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
-    ns = range(trunc + 1)
+    powers = shared.powers(f.depth)
     # The remainder: cols over den, stored as a form stores them.
     den, cols = f._den, list(f._cols)
     terms: list[tuple[int, NearlyHolomorphicForm]] = []
@@ -244,7 +291,7 @@ def decompose(
                     "not decomposable over supplied basis"
                 )
             m = p - 1
-            raised = raised_e2(trunc, m)
+            raised = shared.raised_e2(m)
             a, b = raised._cols[p][0], top[0]
             e2_term = (m, Fraction(b * raised._den, den * a))
             # c * delta^(m) E2 is b / (den * a) times the raised columns;
@@ -264,25 +311,29 @@ def decompose(
                 f"truncation {trunc} below the dimension-detecting bound "
                 f"{sturm(max(w, 0))} for weight {w}"
             )
-        if any(reduce_by(basis_rows(w) if w >= 0 else [], top)):
+        if w < 0:
+            # No holomorphic form of negative weight; and c(w, p) may vanish.
             raise refuse("not decomposable over supplied basis")
         # delta^(p) g has the popped column at X^p, b_j theta^(p-j) g
-        # below, and b_p = c(w, p).
-        b = delta_coefficients(-w, p)
+        # below, and b_p = c(w, p), which is nonzero for w > 0 and for p = 0.
+        b = _peel_coefficients(w, p)
         g = _seed(w, b[p], trunc, den, top)
+        seed = g._cols[0]
+        if any(reduce_by(basis_rows(w), seed)):
+            raise refuse("not decomposable over supplied basis")
         terms.append((p, g))
         cols.pop()
         new_den = lcm(den, g._den)
         s1, s2 = new_den // den, new_den // g._den
-        theta = g._cols[0]
-        for j in range(p - 1, -1, -1):
-            theta = list(map(mul, ns, theta))
+        for j in range(p):
             scaled = cols[j] if s1 == 1 else map(s1.__mul__, cols[j])
+            theta = map(mul, powers[p - j], seed)
             cols[j] = list(map(sub, scaled, map((b[j] * s2).__mul__, theta)))
         den = new_den
         _pop_zero_columns(cols)
 
-    terms.sort(key=lambda t: t[0])
+    # The seeds were taken top-down, at strictly falling depths.
+    terms.reverse()
     return Decomposition(k, trunc, tuple(terms), e2_term)
 
 

@@ -205,6 +205,8 @@ def theta_series(q_form: BinaryForm, truncation: int) -> NearlyHolomorphicForm:
     Only positive definite forms are in scope (the anisotropic, signature
     (2,0) case); indefinite input is refused.
     """
+    if not isinstance(q_form, BinaryForm):
+        raise DomainError(f"q_form must be a BinaryForm, got {type(q_form).__name__}")
     if not q_form.is_positive_definite:
         raise DomainError(f"theta series requires a positive definite form, got {q_form}")
     check_int("truncation", truncation, 0, MAX_TRUNCATION)

@@ -195,14 +195,14 @@ def zeta_ratio_at(
     """
     check_int("degree d", d, 1, MAX_DEGREE)
     s0 = _point(s0)
+    if character not in ("trivial", "nontrivial"):
+        raise DomainError(f"unknown character family tag {character!r}")
     if ramified_L_data is not None:
         if ramified_L_data.point != s0:
             raise DomainError(
                 f"supplied L-data expands at {ramified_L_data.point}, need {s0}"
             )
         return ramified_L_data
-    if character not in ("trivial", "nontrivial"):
-        raise DomainError(f"unknown character family tag {character!r}")
     if s0.denominator != 1:
         raise DomainError(
             f"zeta ratio is certified at integer points only, got {s0}; "

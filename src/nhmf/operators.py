@@ -63,7 +63,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .arith import FrozenRecord, check_int, read_rational
 from .errors import DomainError, NonEigenformError
-from .series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
+from .series import MAX_FILE_ENTRIES, NearlyHolomorphicForm, check_form
 
 if TYPE_CHECKING:
     from .pi_scalar import PiScalar
@@ -80,6 +80,8 @@ def delta_coefficients(a: int, ell: int) -> list[int]:
 
 def leading_column_factor(w: int, ell: int) -> int:
     """c(w, l): the X^l column of delta^(l) g is c(w, l) * g for holomorphic g of weight w."""
+    check_int("weight", w)
+    check_int("iteration count", ell, 0)
     return delta_coefficients(-w, ell)[ell]
 
 
@@ -104,6 +106,7 @@ def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
     MAX_FILE_ENTRIES, the most a form file may hold, it is refused as
     out-of-domain before any column is built.
     """
+    check_form("f", f)
     check_int("iteration count", ell, 0)
     if not ell or f.is_zero:
         return f
@@ -138,6 +141,7 @@ def iterate_lower(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
     One pass by the closed form of the module docstring: column r >= l of f,
     times r! / (r - l)!, is column r - l of the image.
     """
+    check_form("f", f)
     check_int("iteration count", ell, 0)
     if not ell or f.is_zero:
         return f
@@ -172,6 +176,7 @@ def casimir(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     One pass by the closed form of the module docstring: column s of the
     image is (k^2 - 2k + 4 s (s + 1 - k)) f_s + 4 (s + 1) theta f_(s+1).
     """
+    check_form("f", f)
     if f.is_zero:
         return f
     k, cols = f.weight, f._cols
@@ -218,6 +223,8 @@ def _leading_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fracti
 
 def scalar_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fraction | None:
     """c with f = c*g coefficientwise, or None."""
+    check_form("f", f)
+    check_form("g", g)
     if g.is_zero:
         return Fraction(0) if f.is_zero else None
     c = _leading_ratio(f, g)
@@ -227,6 +234,7 @@ def scalar_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fraction
 def casimir_eigenvalue(f: NearlyHolomorphicForm) -> Fraction:
     """w^2 - 2w, w = k - 2m, if casimir(f) is that multiple of f;
     NonEigenformError otherwise."""
+    check_form("f", f)
     if f.is_zero:
         raise NonEigenformError("zero form has no eigenvalue")
     w = f.weight - 2 * f.depth

@@ -32,6 +32,7 @@ purely symbolic.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cache, cached_property, total_ordering
 from itertools import combinations
@@ -107,6 +108,13 @@ class Place(FrozenRecord):
             return cls.finite(int(text))
         except ValueError as exc:
             raise DomainError(f"bad place {text!r}") from exc
+
+
+def check_place(name: str, value) -> None:
+    """DomainError unless value is a Place; name is the argument as the
+    refusal calls it."""
+    if not isinstance(value, Place):
+        raise DomainError(f"{name} must be a Place, got {value!r}")
 
 
 # The shared places, keyed by p: the real place under None, and the finite
@@ -215,6 +223,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
     p = 2:  (-1)^(eps(u_a) eps(u_b) + alpha omega(u_b) + beta omega(u_a))
             with eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
     """
+    check_place("place v", v)
     (na, da), (nb, db) = _terms(a), _terms(b)
     if na == 0 or nb == 0:
         raise DomainError("Hilbert symbol needs nonzero arguments")
@@ -225,6 +234,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
 
 
 def is_local_square(x, v: Place) -> bool:
+    check_place("place v", v)
     n, d = _terms(x)
     if n == 0:
         raise DomainError("square test needs a nonzero argument")
@@ -348,16 +358,20 @@ class Collection(FrozenRecord):
         discriminant = read_rational(discriminant)
         if discriminant == 0:
             raise DomainError("discriminant must be nonzero")
-        seen = set()
-        for place, sign in epsilons:
+        if not isinstance(epsilons, Iterable):
+            raise DomainError(f"epsilons must be (place, sign) pairs, got {epsilons!r}")
+        signs = {}
+        for entry in epsilons:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise DomainError(f"an epsilons entry must be a (place, sign) pair, got {entry!r}")
+            place, sign = entry
             if not isinstance(place, Place):
                 raise DomainError(f"a Hasse sign must be keyed by a Place, got {place!r}")
             check_sign("epsilon", sign)
-            if place in seen:
+            if place in signs:
                 raise DomainError(f"duplicate place {place.render()}")
-            seen.add(place)
-        epsilons = tuple(sorted(epsilons, key=lambda t: t[0]))
-        self._freeze((discriminant, epsilons))
+            signs[place] = sign
+        self._freeze((discriminant, tuple(sorted(signs.items()))))
 
     @classmethod
     def of(cls, discriminant, epsilons: dict) -> "Collection":

@@ -163,6 +163,14 @@ def _convolve_into(acc: list, a, b) -> None:
     acc[1:out:2] = map(add, acc[1:out:2], _unpack((plus - minus) >> (half + 1), width, tops[1]))
 
 
+def check_form(name: str, value) -> None:
+    """DomainError unless value is a NearlyHolomorphicForm; name is the
+    argument as the refusal calls it.  One isinstance test, made once at a
+    public entry point that takes a form, never in a kernel loop."""
+    if not isinstance(value, NearlyHolomorphicForm):
+        raise DomainError(f"{name} must be a nearly holomorphic form, got {type(value).__name__}")
+
+
 class NearlyHolomorphicForm:
     __slots__ = ("_weight", "_trunc", "_den", "_cols")
 

@@ -17,6 +17,8 @@ from nhmf.arith import reduce_by, reduced_echelon
 from nhmf.decompose import (
     Decomposition,
     Level1Basis,
+    _peel_coefficients,
+    _seed,
     character_split,
     decompose,
     leading_column_factor,
@@ -24,9 +26,9 @@ from nhmf.decompose import (
     shared_level1_basis,
     top_seed,
 )
-from nhmf.errors import DecompositionError, InsufficientTruncationError, NhmfError
+from nhmf.errors import DecompositionError, DomainError, InsufficientTruncationError, NhmfError
 from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
-from nhmf.operators import infinitesimal_character, iterate_raise, raise_weight
+from nhmf.operators import delta_coefficients, infinitesimal_character, iterate_raise, raise_weight
 from nhmf.series import NearlyHolomorphicForm
 from nhmf.verify import random_decomposable
 
@@ -71,6 +73,34 @@ class TestIterateRaise:
             for ell in range(4):
                 if leading_column_factor(w, ell):
                     assert top_seed(iterate_raise(g, ell)) == g
+
+    def test_the_one_pass_seed_is_stored_as_the_constructor_stores_it(self):
+        # _seed divides the top column by one gcd with the sign of c(w, p)
+        # in the division; the trusted constructor, given the column negated
+        # where c(w, p) < 0, must store the same form.
+        rng = random.Random(76)
+        for _ in range(300):
+            top = [rng.choice([0, 0, rng.randrange(-60, 61)]) for _ in range(rng.randrange(1, 9))]
+            top[rng.randrange(len(top))] = rng.choice([-1, 1]) * rng.randrange(1, 90)
+            den = rng.choice([1, 2, 6, 35, 360])
+            factor = rng.choice([-1, 1]) * rng.choice([1, 2, 6, 20, 210, 5040])
+            seed = _seed(4, factor, len(top) - 1, den, tuple(top))
+            column = top if factor > 0 else [-x for x in top]
+            want = NearlyHolomorphicForm._from_columns(4, len(top) - 1, den * abs(factor), [column])
+            assert seed._key() == want._key(), (top, den, factor)
+            assert type(seed._cols[0]) is tuple
+
+    def test_the_peel_tables_hold_the_closed_form(self):
+        # The b_j of each (w, p) are those of delta_coefficients, and the
+        # shared basis holds the columns n^m, grown to the deepest step.
+        for w in range(0, 30, 3):
+            for p in range(9):
+                assert _peel_coefficients(w, p) == tuple(delta_coefficients(-w, p))
+        basis = Level1Basis(7)
+        powers = basis.powers(3)
+        assert powers == [tuple(n**m for n in range(8)) for m in range(4)]
+        assert basis.powers(1) is powers and len(powers) == 4
+        assert basis.powers(6)[6] == tuple(n**6 for n in range(8))
 
 
 class TestDecomposeExamples:
@@ -666,6 +696,17 @@ def test_the_span_test_of_a_supplied_basis_reduces_in_one_pass(monkeypatch):
                 verdicts["ok"] += 1
     assert verdicts["ok"] >= 10 and verdicts["refused"] >= 10, verdicts
     assert sum(calls) >= 20, (sum(calls), len(calls))
+
+
+def test_a_basis_provider_that_returns_no_list_of_forms_is_refused():
+    # [1] escaped as a raw AttributeError and 5 as a raw TypeError.
+    f = eisenstein(4, 6)
+    for provider in (lambda w: [1], lambda w: 5, lambda w: None, lambda w: iter(level1_basis(w, 6))):
+        with pytest.raises(DomainError, match="for weight 4 must be a") as err:
+            decompose(f, provider)
+        assert err.value.code == "out-of-domain"
+    for provider in (lambda w: level1_basis(w, 6), lambda w: tuple(level1_basis(w, 6))):
+        assert decompose(f, provider).terms == ((0, f),)
 
 
 def test_raised_e2_is_built_once_per_depth():

@@ -20,7 +20,8 @@ from fractions import Fraction
 import pytest
 
 from nhmf.arith import MAX_DEGREE, MAX_TRUNCATION, MAX_WEIGHT, check_int, prime_power_base
-from nhmf.category_o import ModuleClass, catalog, integral_parallel_filter
+from nhmf.category_o import ModuleClass, catalog, identify_module, integral_parallel_filter
+from nhmf.decompose import decompose
 from nhmf.errors import DomainError
 from nhmf.generators import (
     BinaryForm,
@@ -39,7 +40,17 @@ from nhmf.laurent import (
     unramified_intertwining_constant,
     zeta_ratio_at,
 )
-from nhmf.operators import InfinitesimalCharacter, iterate_lower, iterate_raise
+from nhmf.operators import (
+    InfinitesimalCharacter,
+    casimir,
+    casimir_eigenvalue,
+    iterate_lower,
+    iterate_raise,
+    leading_column_factor,
+    lower_weight,
+    raise_weight,
+    scalar_ratio,
+)
 from nhmf.pi_scalar import PiScalar
 from nhmf.quadratic import (
     CharacterDescriptor,
@@ -49,6 +60,7 @@ from nhmf.quadratic import (
     QuadSpace2D,
     enumerate_definite_spaces,
     hilbert_symbol,
+    is_local_square,
     reducibility,
     unramified_eigenvalue,
 )
@@ -76,6 +88,8 @@ TABLE = [
     ("truncate", "truncation", E4.truncate, 0, E4.truncation),
     ("iterate_raise", "ell", lambda ell: iterate_raise(E4, ell), 0, None),
     ("iterate_lower", "ell", lambda ell: iterate_lower(E4, ell), 0, None),
+    ("leading_column_factor", "w", lambda w: leading_column_factor(w, 2), None, None),
+    ("leading_column_factor", "ell", lambda ell: leading_column_factor(4, ell), 0, None),
     ("archimedean_factor", "ell", lambda ell: archimedean_factor(1, ell), -MAX_WEIGHT, MAX_WEIGHT),
     ("archimedean_factor", "d", lambda d: archimedean_factor(1, 4, d), 1, MAX_DEGREE),
     ("zeta_ratio_at", "d", lambda d: zeta_ratio_at(1, d), 1, MAX_DEGREE),
@@ -141,6 +155,44 @@ def test_a_coefficient_or_support_bound_that_is_no_int_is_refused():
         theta_series(BinaryForm(1.5, 0, 1), 5)
     with pytest.raises(DomainError, match="coefficient a must be an integer"):
         BinaryForm(True, 0, 1)
+
+
+def test_leading_column_factor_answers_integers_only():
+    # Each was answered: (1.5, 1) as -2.0 where c(3/2, 1) = -3/2, and
+    # (Fraction(3, 2), 2) as 3 where c = 15/4, by the floor division of
+    # delta_coefficients; (True, 2) as c(1, 2) and (4, -1) as 1.
+    for w, ell in ((1.5, 1), (Fraction(3, 2), 2), (True, 2), (4, -1)):
+        with pytest.raises(DomainError) as err:
+            leading_column_factor(w, ell)
+        assert err.value.code == "out-of-domain", (w, ell)
+    assert [leading_column_factor(w, 2) for w in (-1, 0, 1, 4)] == [0, 0, 2, 20]
+
+
+# (entry point, the call on a value that is not a form, a BinaryForm or a
+# Place).  Each let a raw AttributeError out.
+WRONG_KIND = [
+    ("raise_weight", raise_weight),
+    ("lower_weight", lower_weight),
+    ("iterate_raise", lambda f: iterate_raise(f, 2)),
+    ("iterate_lower", lambda f: iterate_lower(f, 2)),
+    ("casimir", casimir),
+    ("casimir_eigenvalue", casimir_eigenvalue),
+    ("scalar_ratio f", lambda f: scalar_ratio(f, E4)),
+    ("scalar_ratio g", lambda g: scalar_ratio(E4, g)),
+    ("decompose", decompose),
+    ("identify_module", identify_module),
+    ("theta_series", lambda q_form: theta_series(q_form, 5)),
+    ("hilbert_symbol", lambda v: hilbert_symbol(3, 5, v)),
+    ("is_local_square", lambda v: is_local_square(3, v)),
+]
+
+
+@pytest.mark.parametrize("name, call", WRONG_KIND, ids=[name for name, _ in WRONG_KIND])
+def test_an_argument_of_the_wrong_kind_is_a_domain_error(name, call):
+    for value in (1, 7, None, "x", (1, 0, 1), [E4]):
+        with pytest.raises(DomainError, match="must be a") as err:
+            call(value)
+        assert err.value.code == "out-of-domain", (name, value)
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,15 @@ class TestZetaRatio:
         with pytest.raises(DomainError):
             zeta_ratio_at(3, ramified_L_data=germ)  # wrong point
 
+    def test_an_unknown_family_is_refused_with_supplied_data_too(self):
+        # The supplied data was returned before the tag was read, so an
+        # unknown tag was answered with data and refused without.
+        germ = LaurentScalar.order_only(2, 0)
+        for data in (None, germ):
+            with pytest.raises(DomainError, match="unknown character family tag 'bogus'"):
+                zeta_ratio_at(2, character="bogus", ramified_L_data=data)
+        assert zeta_ratio_at(2, character="nontrivial", ramified_L_data=germ) is germ
+
 
 class TestArchimedeanFactor:
     def test_weight_two_point(self, mp):

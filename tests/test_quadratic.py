@@ -479,6 +479,22 @@ class TestCoherence:
                 Collection.of(-1, {key: -1})
         assert Collection.of(-1, {Place.finite(2): -1, REAL: -1}).epsilon_at(REAL) == -1
 
+    def test_epsilons_that_are_no_place_sign_pairs_are_refused(self):
+        # Collection(1, (1,)) and Collection(1, 5) escaped as raw TypeErrors.
+        for entry in (1, (REAL,), (REAL, 1, 1), "ab", None):
+            with pytest.raises(DomainError, match="must be a \\(place, sign\\) pair") as err:
+                Collection(1, (entry,))
+            assert err.value.code == "out-of-domain"
+        for epsilons in (5, None, 1.5):
+            with pytest.raises(DomainError, match="must be \\(place, sign\\) pairs"):
+                Collection(1, epsilons)
+        # Any iterable of pairs is read once, a generator included, and a
+        # pair given as a list is stored as a tuple, so the record hashes.
+        want = Collection.of(-1, {Place.finite(3): -1, REAL: -1})
+        assert Collection(-1, ((place, -1) for place in (REAL, Place.finite(3)))) == want
+        listed = Collection(-1, [[REAL, -1], [Place.finite(3), -1]])
+        assert listed == want and hash(listed) == hash(want)
+
 
 def scan_witness_to_1e5(delta, minus_places):
     """The witness scan as it stood before it stepped by the forced prime

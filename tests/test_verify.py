@@ -1,5 +1,11 @@
 """The invariant suite behind `nhmf verify` passes in full."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import nhmf.verify
 from nhmf.generators import eisenstein2, level1_basis
 from nhmf.operators import raise_weight
@@ -14,6 +20,24 @@ def test_run_all_passes():
     assert len(results) == len(ALL_CHECKS) == 28
     failed = [(r.name, r.detail) for r in results if not r.passed]
     assert failed == []
+
+
+# The sha256 of `nhmf verify` stdout; the same value is pinned in
+# .github/workflows/tier1.yml.
+VERIFY_SHA256 = "0c0d8aa08a78465067cad417534f06a2c82d696122803549c1e8d0783864a6c6"
+
+
+def test_the_verify_report_is_the_one_ci_pins():
+    """`python -W error -m nhmf.cli verify`, in a fresh process, prints the
+    report whose sha256 the workflow .github/workflows/tier1.yml checks.  A
+    change that alters the report must update this pin and that workflow
+    together, and log the change."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "nhmf.cli", "verify"],
+                          env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == VERIFY_SHA256
 
 
 def test_quasimodular_closure_agrees_with_solve_exact(monkeypatch):
