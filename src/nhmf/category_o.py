@@ -22,6 +22,7 @@ are descriptors with parity and constraint tags, never enumerated.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -53,7 +54,7 @@ class ModuleClass(FrozenRecord):
     def __init__(self, kind: str, lam=None):
         if kind == "trivial" and lam is None:
             kind, lam = "simple", 0  # triv is L(0)
-        elif kind not in _NOTATION:
+        elif not (isinstance(kind, str) and kind in _NOTATION):
             raise DomainError(f"no module class {kind!r} with lambda {lam!r}")
         lam = read_rational(lam)
         integral = lam.denominator == 1
@@ -125,6 +126,8 @@ def projective(lam) -> ModuleClass:
 
 
 def composition_factors(mc: ModuleClass) -> tuple[ModuleClass, ...]:
+    if not isinstance(mc, ModuleClass):
+        raise DomainError(f"mc must be a ModuleClass, got {mc!r}")
     if mc.kind in ("trivial", "finite", "simple"):
         return (mc,)
     lam = mc.lam
@@ -391,6 +394,8 @@ def integral_parallel_filter(lams) -> tuple[bool, Optional[tuple[int, ...]]]:
     The dot action of a sign vector w is (w . lam)_i = eps_i (lam_i - 1) + 1.
     On success returns the parallel representative normalized into Z^d_{>=1}.
     """
+    if not isinstance(lams, Iterable):
+        raise DomainError(f"lams must be an iterable of rationals, got {lams!r}")
     lams = [read_rational(x) for x in lams]
     if not lams:
         raise DomainError("empty weight tuple")

@@ -8,17 +8,25 @@ One table, _ROOT, gives each command's help line, handler, options and
 positional arguments (or subcommands), COMMANDS and every --help text, and
 one small parser reads each command line by it with the rules of argparse
 (of Python 3.10 and 3.11): a cold process imports no argparse or gettext.
+
+A process enters through main_process, which runs main and then freezes the
+collector (gc.freeze) before the interpreter exits: shutdown still flushes
+stdout and stderr, runs atexit handlers and frees every module by reference
+count, but its full collections no longer traverse the objects the command
+left alive, which a process about to exit never needs swept.  main itself
+leaves the collector as it found it, so that tests and library callers can
+run commands in-process.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
 import sys
 from importlib import import_module
 from types import SimpleNamespace
-from typing import Optional
 
 from . import __version__
 from .arith import Record, is_int, read_rational
@@ -28,8 +36,8 @@ from .errors import DomainError, FormFileError, NhmfError, UsageError
 class CommandResult(Record):
     _fields = ("payload", "diagnostics", "code", "out_path", "json_indent", "text")
 
-    def __init__(self, payload: dict, diagnostics: Optional[list[str]] = None, code: Optional[str] = None,
-                 out_path: Optional[str] = None, json_indent: Optional[int] = None, text: str = ""):
+    def __init__(self, payload: dict, diagnostics: list[str] | None = None, code: str | None = None,
+                 out_path: str | None = None, json_indent: int | None = None, text: str = ""):
         self.payload, self.diagnostics = payload, [] if diagnostics is None else diagnostics
         self.code = code  # the error code; None iff the command succeeded
         self.out_path, self.json_indent = out_path, json_indent
@@ -430,11 +438,11 @@ def run(argv: list[str]) -> CommandResult:
     return result
 
 
-def _serialize(doc: dict, indent: Optional[int]) -> str:
+def _serialize(doc: dict, indent: int | None) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True)
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     result = run(sys.argv[1:] if argv is None else argv)
     if result.ok and result.out_path:
         try:
@@ -460,5 +468,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     return 0
 
 
+def main_process(argv: list[str] | None = None) -> int:
+    """The entry of an nhmf process, which exits with the status returned:
+    main, then gc.freeze(), whose effect outlives the command."""
+    status = main(argv)
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main_process())

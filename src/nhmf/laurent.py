@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .arith import (
     MAX_DEGREE, MAX_WEIGHT, FrozenRecord, _strip, check_int, prime_power_base, read_rational,
@@ -55,7 +54,7 @@ class LaurentScalar(FrozenRecord):
 
     __slots__ = ("point", "order", "leading")
 
-    def __init__(self, point, order: Optional[int], leading: Optional[PiScalar] = None):
+    def __init__(self, point, order: int | None, leading: PiScalar | None = None):
         if leading is not None and (leading.is_zero or order is None):
             raise DomainError("a leading coefficient must be nonzero, of a nonzero germ")
         self._freeze((read_rational(point), order, leading))
@@ -185,7 +184,7 @@ def zeta_ratio_at(
     s0,
     d: int = 1,
     character: str = "trivial",
-    ramified_L_data: Optional[LaurentScalar] = None,
+    ramified_L_data: LaurentScalar | None = None,
 ) -> LaurentScalar:
     """Laurent data of L^S(s, mu)/L^S(s+1, mu) at s0, |s0| <= MAX_WEIGHT.
 
@@ -300,9 +299,9 @@ class Verdict(FrozenRecord):
     def __init__(
         self,
         kind: str,  # PureSection | SectionPlusResidue | Pole
-        leading: Optional[PiScalar] = None,
+        leading: PiScalar | None = None,
         exact: bool = True,
-        order: Optional[int] = None,
+        order: int | None = None,
     ):
         self._freeze((kind, leading, exact, order))
 
@@ -336,6 +335,9 @@ class ConstantTermReport(FrozenRecord):
     __slots__ = ("k", "d", "character", "second_term")
 
     def __init__(self, k: int, d: int, character: str, second_term: LaurentScalar):
+        check_int("weight k", k, 1, MAX_WEIGHT)
+        if not isinstance(second_term, LaurentScalar):
+            raise DomainError(f"second_term must be a LaurentScalar, got {second_term!r}")
         self._freeze((k, d, character, second_term))
 
     @property

@@ -37,7 +37,6 @@ from fractions import Fraction
 from functools import cache, cached_property, total_ordering
 from itertools import combinations
 from math import prod
-from typing import Optional
 
 from .arith import (
     SHORT_BITS, FrozenRecord, _strip, check_digits, check_int, check_sign, is_int, is_prime,
@@ -58,7 +57,7 @@ class Place(FrozenRecord):
 
     __slots__ = ("kind", "p")
 
-    def __init__(self, kind: str, p: Optional[int] = None):
+    def __init__(self, kind: str, p: int | None = None):
         if kind == "finite":
             if not isinstance(p, int) or not is_prime(p):
                 raise DomainError(f"{p} is not prime")
@@ -284,6 +283,7 @@ class LocalInvariant(FrozenRecord):
     __slots__ = ("place", "chi_nontrivial", "epsilon")
 
     def __init__(self, place: Place, chi_nontrivial: bool, epsilon: int):
+        check_place("place", place)
         check_sign("epsilon", epsilon)
         if not chi_nontrivial and epsilon == -1:
             raise InvariantViolationError(
@@ -306,6 +306,9 @@ def local_invariants(space: QuadSpace2D, v: Place) -> LocalInvariant:
     epsilon) is built, and checked, on first use and returned from then on:
     at most 3 * 6543 of them.  A larger prime gets a fresh instance.
     """
+    if not isinstance(space, QuadSpace2D):
+        raise DomainError(f"space must be a QuadSpace2D, got {space!r}")
+    check_place("v", v)
     n1, d1, n2, d2 = space._ints
     if v.kind == "real":
         return _shared_invariant(v, (n1 > 0) == (n2 > 0), -1 if n1 < 0 and n2 < 0 else 1)
@@ -397,6 +400,8 @@ class Collection(FrozenRecord):
 
 
 def collection_of(space: QuadSpace2D) -> Collection:
+    if not isinstance(space, QuadSpace2D):
+        raise DomainError(f"space must be a QuadSpace2D, got {space!r}")
     # -a1*a2 has no prime that a1 or a2 has not.
     places = relevant_places(space.a1, space.a2)
     eps = {v: local_invariants(space, v).epsilon for v in places}
@@ -408,7 +413,7 @@ class CoherenceResult(FrozenRecord):
 
     __slots__ = ("witness",)
 
-    def __init__(self, witness: Optional[QuadSpace2D]):
+    def __init__(self, witness: QuadSpace2D | None):
         self._freeze((witness,))
 
     @property
@@ -477,6 +482,8 @@ def check_coherence(collection: Collection) -> CoherenceResult:
     Support entries with eps = -1 at places where the discriminant is a
     local square violate the two-dimensional invariant constraint.
     """
+    if not isinstance(collection, Collection):
+        raise DomainError(f"collection must be a Collection, got {collection!r}")
     minus = []
     for place, e in collection.epsilons:
         if e == -1:
@@ -560,7 +567,7 @@ class ReducibilityVerdict(FrozenRecord):
     __slots__ = ("residue", "constituents", "structure")
 
     def __init__(
-        self, residue: str, constituents: tuple[str, ...] = (), structure: Optional[str] = None
+        self, residue: str, constituents: tuple[str, ...] = (), structure: str | None = None
     ):
         self._freeze((residue, constituents, structure))
 
@@ -569,7 +576,7 @@ class ReducibilityVerdict(FrozenRecord):
         return self.structure is not None
 
     @property
-    def pfinite(self) -> Optional[bool]:
+    def pfinite(self) -> bool | None:
         """Whether a lowering-finite vector exists: reducibility, at the real place only."""
         return self.reducible if self.residue == "real" else None
 
@@ -600,6 +607,8 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
     exists: s in 2 Z_{>=0} with mu = sgn, or s in -1 + 2 Z_{>=0} with mu
     trivial, together with the constituents.
     """
+    if not isinstance(mu, CharacterDescriptor):
+        raise DomainError(f"mu must be a CharacterDescriptor, got {mu!r}")
     sigma, tau = read_rational(s_re), read_rational(s_im)
 
     if residue == "real":

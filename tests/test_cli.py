@@ -1,5 +1,6 @@
 """CLI dispatcher: JSON I/O, determinism, error codes, exit behavior."""
 
+import gc
 import json
 import os
 import re
@@ -14,7 +15,7 @@ import pytest
 
 import nhmf.cli
 from nhmf.arith import MAX_DEGREE, MAX_WEIGHT
-from nhmf.cli import main, run
+from nhmf.cli import main, main_process, run
 from nhmf.errors import ERROR_CODES
 from nhmf.generators import eisenstein
 from nhmf.operators import raise_weight
@@ -319,22 +320,73 @@ class TestErrors:
         assert out == "" and json.loads(err)["error"] == "internal"
 
 
+# A cold `nhmf` process, run from this checkout's source.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+COLD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+COLD = [sys.executable, "-m", "nhmf.cli"]
+
+
 def test_a_closed_stdout_pipe_exits_nonzero_without_a_traceback():
     # The pipe has no reader from the start, as after `nhmf verify | head -c 300`
     # once head has exited: every write to it fails with EPIPE.
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     for argv in (["eis", "--k", "4", "--trunc", "8"],
                  ["theta", "--a", "1", "--b", "0", "--c", "1", "--trunc", "5000"]):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "nhmf.cli", *argv], stdout=write_end,
-                                  stderr=subprocess.PIPE, env=env, timeout=60)
+            proc = subprocess.run([*COLD, *argv], stdout=write_end,
+                                  stderr=subprocess.PIPE, env=COLD_ENV, timeout=60)
         finally:
             os.close(write_end)
         assert proc.returncode != 0, argv
         assert proc.stderr == b"", proc.stderr  # in particular, no traceback
+
+
+# A success, a typed refusal (odd weight) and a usage error.
+ENTRY_ARGV = [(["eis", "--k", "4", "--trunc", "3"], 0),
+              (["eis", "--k", "3", "--trunc", "2"], 1),
+              (["frobnicate"], 1)]
+
+
+def test_main_in_process_leaves_the_collector_as_it_was(capsys):
+    before = gc.isenabled(), gc.get_freeze_count()
+    for argv, status in [*ENTRY_ARGV, (["--help"], 0)]:
+        assert main(argv) == status
+        assert (gc.isenabled(), gc.get_freeze_count()) == before, argv
+
+
+def test_the_process_entry_freezes_once_after_the_document_is_written(monkeypatch, tmp_path, capsys):
+    # At each freeze, what the command had written by then.
+    seen = []
+    target = tmp_path / "e4.json"
+    monkeypatch.setattr(gc, "freeze", lambda: seen.append((capsys.readouterr(), target.exists())))
+    for argv, status in ENTRY_ARGV:
+        assert main(argv) == status
+        expected = capsys.readouterr()
+        del seen[:]
+        assert main_process(argv) == status
+        assert seen == [(expected, False)], argv
+    del seen[:]
+    assert main_process(["eis", "--k", "4", "--trunc", "3", "--out", str(target)]) == 0
+    assert seen == [(("", ""), True)]
+
+
+@pytest.mark.parametrize("argv", [["eis"], ["eis", "--k", "3"], ["eis", "--k", "3", "--trunc", "2"],
+                                  ["frobnicate"], ["--help"], ["eis", "--k", "4", "--trunc", "3"]],
+                         ids=" ".join)
+def test_a_cold_process_answers_as_main_does_in_process(argv, tmp_path, capsys):
+    status = main(argv)
+    expected = capsys.readouterr()
+    proc = subprocess.run([*COLD, *argv], capture_output=True, text=True, env=COLD_ENV, timeout=60)
+    assert (proc.stdout, proc.stderr, proc.returncode) == (expected.out, expected.err, status)
+    # The same command with --out: the file's contents, and nothing on stdout.
+    if status == 0 and argv != ["--help"]:
+        cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+        assert main([*argv, "--out", str(warm)]) == 0
+        proc = subprocess.run([*COLD, *argv, "--out", str(cold)], capture_output=True, text=True,
+                              env=COLD_ENV, timeout=60)
+        assert (proc.stdout, proc.stderr, proc.returncode) == ("", "", 0)
+        assert cold.read_text() == warm.read_text() != ""
 
 
 def test_a_failing_property_fails_verify(monkeypatch, capsys):

@@ -11,18 +11,30 @@ Each row of RATIONALS does the same for a rational argument, which a float,
 a bool or None must not enter, and each row of SIGNS for a Hasse sign, an
 int that is 1 or -1.  Each row of POINTS bounds a point s0 by MAX_WEIGHT in
 absolute value.
+
+Past the tables, a sweep calls every public callable with every tuple of a
+fixed set of values: an answer or an NhmfError may come out, nothing else.
 """
 
+import inspect
+import itertools
 import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import nhmf
 from nhmf.arith import MAX_DEGREE, MAX_TRUNCATION, MAX_WEIGHT, check_int, prime_power_base
-from nhmf.category_o import ModuleClass, catalog, identify_module, integral_parallel_filter
+from nhmf.category_o import (
+    ModuleClass,
+    catalog,
+    composition_factors,
+    identify_module,
+    integral_parallel_filter,
+)
 from nhmf.decompose import decompose
-from nhmf.errors import DomainError
+from nhmf.errors import DomainError, NhmfError
 from nhmf.generators import (
     BinaryForm,
     bernoulli,
@@ -33,6 +45,7 @@ from nhmf.generators import (
     theta_series,
 )
 from nhmf.laurent import (
+    ConstantTermReport,
     LaurentScalar,
     archimedean_factor,
     constant_term_report,
@@ -58,9 +71,12 @@ from nhmf.quadratic import (
     LocalInvariant,
     Place,
     QuadSpace2D,
+    check_coherence,
+    collection_of,
     enumerate_definite_spaces,
     hilbert_symbol,
     is_local_square,
+    local_invariants,
     reducibility,
     unramified_eigenvalue,
 )
@@ -168,8 +184,9 @@ def test_leading_column_factor_answers_integers_only():
     assert [leading_column_factor(w, 2) for w in (-1, 0, 1, 4)] == [0, 0, 2, 20]
 
 
-# (entry point, the call on a value that is not a form, a BinaryForm or a
-# Place).  Each let a raw AttributeError out.
+# (entry point, the call on a value that is not a form, a BinaryForm, a Place
+# or the record the entry point takes).  Each let a raw AttributeError out,
+# or for LocalInvariant built a record whose place was no Place.
 WRONG_KIND = [
     ("raise_weight", raise_weight),
     ("lower_weight", lower_weight),
@@ -184,6 +201,14 @@ WRONG_KIND = [
     ("theta_series", lambda q_form: theta_series(q_form, 5)),
     ("hilbert_symbol", lambda v: hilbert_symbol(3, 5, v)),
     ("is_local_square", lambda v: is_local_square(3, v)),
+    ("LocalInvariant", lambda v: LocalInvariant(v, True, -1)),
+    ("local_invariants space", lambda space: local_invariants(space, Place.real())),
+    ("local_invariants v", lambda v: local_invariants(QuadSpace2D(1, 1), v)),
+    ("collection_of", collection_of),
+    ("check_coherence", check_coherence),
+    ("reducibility", lambda mu: reducibility(3, mu, 0)),
+    ("composition_factors", composition_factors),
+    ("ConstantTermReport", lambda germ: ConstantTermReport(4, 1, "trivial", germ).to_json()),
 ]
 
 
@@ -193,6 +218,48 @@ def test_an_argument_of_the_wrong_kind_is_a_domain_error(name, call):
         with pytest.raises(DomainError, match="must be a") as err:
             call(value)
         assert err.value.code == "out-of-domain", (name, value)
+
+
+# Every value the sweep below passes as each argument.  No value lies in every
+# domain, and each reached a raw attribute read or iteration of some entry
+# point before that entry point checked its arguments.
+SWEEP = (None, "x", 1.5, True, -1, 0, 3, (1, 2), [], eisenstein(4, 3))
+
+
+def _sweep(call, arity: int) -> list[str]:
+    """The calls on every tuple of arity SWEEP values that raise an exception
+    other than an NhmfError, each with what it raised."""
+    escaped = []
+    for args in itertools.product(SWEEP, repeat=arity):
+        try:
+            call(*args)
+        except NhmfError:
+            pass
+        except Exception as exc:
+            escaped.append(f"{args!r}: {type(exc).__name__}: {exc}")
+    return escaped
+
+
+def test_no_public_callable_lets_a_raw_exception_out_of_the_sweep():
+    # Every callable of the package with at most three required positional
+    # parameters, called with those alone.
+    calls, escaped, wider = 0, {}, []
+    for name in nhmf.__all__:
+        call = getattr(nhmf, name)
+        required = [p for p in inspect.signature(call).parameters.values()
+                    if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+        if len(required) > 3:
+            wider.append(name)
+            continue
+        calls += len(SWEEP) ** len(required)
+        escaped[name] = _sweep(call, len(required))
+    assert calls == 9903 and sorted(wider) == ["ConstantTermReport", "Decomposition"]
+    assert {name: rows for name, rows in escaped.items() if rows} == {}
+
+
+def test_a_constant_term_report_lets_no_raw_exception_out_of_the_sweep():
+    # Four arguments, past the sweep above; a record that was built must also render.
+    assert _sweep(lambda *args: ConstantTermReport(*args).to_json(), 4) == []
 
 
 @pytest.mark.parametrize(

@@ -54,9 +54,9 @@ SUBMODULES = [
 ]
 
 
-def run_fresh(code: str, **env: str) -> str:
+def run_fresh(code: str, *flags: str, **env: str) -> str:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])), **env}
-    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+    proc = subprocess.run([sys.executable, *flags, "-c", textwrap.dedent(code)], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -113,15 +113,19 @@ COMMAND_MODULES = [
 def test_a_command_loads_only_the_modules_it_calls_and_never_dataclasses(argv, loaded, status):
     # A fresh process that compiles every module it imports, as a cold
     # `nhmf` does, and never argparse or the gettext and locale it pulls in.
+    # It runs under -S, so that site has loaded nothing first: typing comes
+    # only with operators, for NamedTuple, since every other module writes
+    # Optional[X] as X | None, which `from __future__ import annotations`
+    # keeps as text.
     out = run_fresh(f"""
         import contextlib, io, sys, nhmf.cli
         sys.stdin = io.StringIO({E4_DOC!r})
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert {argv!r} is None or nhmf.cli.main({argv!r}) == {status}
         print(sorted(name[5:] for name in sys.modules if name.startswith("nhmf.")))
-        print(sorted(set(sys.modules) & {{"argparse", "dataclasses", "gettext", "locale"}}))
-    """, PYTHONDONTWRITEBYTECODE="1")
-    assert out == f"{sorted(loaded)}\n[]\n"
+        print(sorted(set(sys.modules) & {{"argparse", "dataclasses", "gettext", "locale"}}), "typing" in sys.modules)
+    """, "-S", PYTHONDONTWRITEBYTECODE="1")
+    assert out == f"{sorted(loaded)}\n[] {'operators' in loaded}\n"
 
 
 @pytest.mark.parametrize(
