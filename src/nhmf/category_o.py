@@ -81,8 +81,8 @@ class ModuleClass(FrozenRecord):
     @property
     def character(self) -> InfinitesimalCharacter:
         if self.kind == "trivial":
-            return InfinitesimalCharacter.of(2)
-        return InfinitesimalCharacter.of(self.lam)
+            return InfinitesimalCharacter(2)
+        return InfinitesimalCharacter(self.lam)
 
     def render(self) -> str:
         if self.kind == "trivial":
@@ -101,39 +101,15 @@ class ModuleClass(FrozenRecord):
         return doc
 
 
-def trivial() -> ModuleClass:
-    return ModuleClass("trivial")
-
-
-def finite(k) -> ModuleClass:
-    return ModuleClass("finite", k)
-
-
-def simple(lam) -> ModuleClass:
-    return ModuleClass("simple", lam)
-
-
-def verma(lam) -> ModuleClass:
-    return ModuleClass("verma", lam)
-
-
-def dual_verma(lam) -> ModuleClass:
-    return ModuleClass("dual_verma", lam)
-
-
-def projective(lam) -> ModuleClass:
-    return ModuleClass("projective", lam)
-
-
 def composition_factors(mc: ModuleClass) -> tuple[ModuleClass, ...]:
     if not isinstance(mc, ModuleClass):
         raise DomainError(f"mc must be a ModuleClass, got {mc!r}")
     if mc.kind in ("trivial", "finite", "simple"):
         return (mc,)
-    lam = mc.lam
+    low, high = ModuleClass("simple", 2 - mc.lam), ModuleClass("simple", mc.lam)
     if mc.kind in ("verma", "dual_verma"):
-        return (simple(2 - lam), simple(lam))
-    return (simple(lam), simple(2 - lam), simple(lam))  # projective
+        return (low, high)
+    return (high, low, high)  # projective
 
 
 class BlockClassification(FrozenRecord):
@@ -166,21 +142,21 @@ def classify_block(lam) -> BlockClassification:
     each of the last 1024 representatives asked for and then shared: the
     calls for lam and for 2 - lam return the same object.
     """
-    return _block(InfinitesimalCharacter.of(lam).lam)
+    return _block(InfinitesimalCharacter(lam).lam)
 
 
 @lru_cache(maxsize=1024)
 def _block(rep: Fraction) -> BlockClassification:
     # The block of chi_rep, for the orbit representative rep >= 1.
-    l_rep = simple(rep)
+    l_rep = ModuleClass("simple", rep)
     if rep == 1:
         return BlockClassification(rep, (l_rep,), ())
     low = 2 - rep
-    l_low = simple(low)
+    l_low = ModuleClass("simple", low)
     if rep.denominator != 1:
         return BlockClassification(rep, (l_rep, l_low), ())
-    n_low, p_rep = verma(low), projective(rep)
-    classes = (l_rep, l_low, n_low, dual_verma(low), p_rep)
+    n_low, p_rep = ModuleClass("verma", low), ModuleClass("projective", rep)
+    classes = (l_rep, l_low, n_low, ModuleClass("dual_verma", low), p_rep)
     sequences = ((l_rep, n_low, l_low), (l_rep, p_rep, n_low))
     return BlockClassification(rep, classes, sequences)
 
@@ -200,7 +176,7 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: Optional[int] = None) -
     max_steps is deprecated and ignored: the call does the same work at any
     depth, so no step budget applies.  It is still accepted, by position too.
     """
-    from .decompose import raised_e2, top_seed
+    from .decompose import shared_level1_basis, top_seed
 
     check_form("f", f)
     if f.is_zero:
@@ -219,22 +195,22 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: Optional[int] = None) -
     if w == 0 and m >= 1:
         # Candidate: the dual Verma N(0)^v generated by the weight-two
         # Eisenstein seed (socle = constants, quotient = L(2)).
-        if scalar_ratio(f, raised_e2(f.truncation, m - 1)) is None:
+        if scalar_ratio(f, shared_level1_basis(f.truncation).raised_e2(m - 1)) is None:
             raise ambiguous("form is not a multiple of the raised weight-two seed")
-        return dual_verma(0)
+        return ModuleClass("dual_verma", 0)
 
     # L^m R^m acts on a seed of weight w by m! c(w, m).
     if leading_column_factor(w, m) == 0:
         raise ambiguous("operator orbit is inconsistent with a cyclic seed")
     if w >= 1:
-        return simple(w)
+        return ModuleClass("simple", w)
     # w <= 0: R^(1 - w) kills the seed, the top column over c(w, m), iff
     # the seed is constant.  At w = 0 that is the trivial module, else a free
     # weight-0 seed; at w < 0 it is the finite quotient of the Verma with
     # non-dominant highest weight.
     if top_seed(f).is_constant_series():
-        return trivial() if w == 0 else finite(2 - w)
-    return verma(w)
+        return ModuleClass("trivial") if w == 0 else ModuleClass("finite", 2 - w)
+    return ModuleClass("verma", w)
 
 
 # ---------------------------------------------------------------------------

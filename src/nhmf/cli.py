@@ -105,7 +105,7 @@ def _operator(args, name: str) -> dict:
 def _constant_term(args) -> dict:
     laurent = _engine("laurent")
     family = "trivial" if args.character == "trivial" else "nontrivial"
-    local = [laurent.LaurentScalar.order_only(args.k - 1, order) for order in args.local_order]
+    local = [laurent.LaurentScalar(args.k - 1, order) for order in args.local_order]
     return laurent.constant_term_report(args.k, args.d, family, local).to_json()
 
 

@@ -72,7 +72,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Callable, Iterator, Optional
 
-from .arith import FrozenRecord, reduce_by, reduced_echelon
+from .arith import FrozenRecord, check_int, read_rational, reduce_by, reduced_echelon
 from .errors import DecompositionError, DomainError, InsufficientTruncationError
 from .generators import eisenstein2, level1_basis
 from .operators import (
@@ -175,19 +175,16 @@ def shared_level1_basis(truncation: int) -> Level1Basis:
     return Level1Basis(truncation)
 
 
-def raised_e2(truncation: int, m: int) -> NearlyHolomorphicForm:
-    """delta^(m) applied to the weight-two Eisenstein series, as the shared
-    basis of the truncation keeps it."""
-    return shared_level1_basis(truncation).raised_e2(m)
-
-
 class Decomposition(FrozenRecord):
     """Seeds of a structure decomposition.
 
     terms: pairs (ell, g) with g holomorphic of weight (input weight) - 2*ell,
     at most one per ell.  e2_term: optional (m, c) standing for c * delta^(m)
     applied to the weight-two Eisenstein series.  Reassembly reproduces the
-    input to its truncation.
+    input to its truncation.  A field of the wrong kind is a DomainError: a
+    weight that is no int or None, a truncation that is no int >= 0, terms
+    that are no tuple of (int ell >= 0, form) pairs, an e2_term that is no
+    (int m >= 0, rational) pair.
     """
 
     __slots__ = ("weight", "truncation", "terms", "e2_term")
@@ -199,6 +196,21 @@ class Decomposition(FrozenRecord):
         terms: tuple[tuple[int, NearlyHolomorphicForm], ...],
         e2_term: Optional[tuple[int, Fraction]],
     ):
+        if weight is not None:
+            check_int("the weight of a decomposition", weight)
+        check_int("the truncation of a decomposition", truncation, 0)
+        if not isinstance(terms, tuple):
+            raise DomainError(f"terms must be a tuple of (ell, seed) pairs, got {type(terms).__name__}")
+        for term in terms:
+            if not (isinstance(term, tuple) and len(term) == 2):
+                raise DomainError(f"a term must be an (ell, seed) pair, got {type(term).__name__}")
+            check_int("the ell of a term", term[0], 0)
+            check_form("the seed of a term", term[1])
+        if e2_term is not None:
+            if not (isinstance(e2_term, tuple) and len(e2_term) == 2):
+                raise DomainError(f"e2_term must be None or an (m, c) pair, got {type(e2_term).__name__}")
+            check_int("the m of e2_term", e2_term[0], 0)
+            e2_term = (e2_term[0], read_rational(e2_term[1]))
         self._freeze((weight, truncation, terms, e2_term))
 
     def pieces(self) -> Iterator[tuple[int, NearlyHolomorphicForm]]:
@@ -207,7 +219,7 @@ class Decomposition(FrozenRecord):
             yield g.weight, iterate_raise(g, ell)
         if self.e2_term is not None:
             m, c = self.e2_term
-            yield 2, raised_e2(self.truncation, m) * c
+            yield 2, shared_level1_basis(self.truncation).raised_e2(m) * c
 
     def reassemble(self) -> NearlyHolomorphicForm:
         out = NearlyHolomorphicForm.zero(self.truncation)
@@ -348,6 +360,6 @@ def character_split(
     """
     parts: dict[InfinitesimalCharacter, NearlyHolomorphicForm] = {}
     for w, piece in decompose(f).pieces():
-        char = InfinitesimalCharacter.of(w)
+        char = InfinitesimalCharacter(w)
         parts[char] = parts.get(char, NearlyHolomorphicForm.zero(f.truncation)) + piece
     return parts

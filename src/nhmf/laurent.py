@@ -49,29 +49,19 @@ class LaurentScalar(FrozenRecord):
 
     A nonzero germ without a leading coefficient certifies its order only
     (exact is False).  The zero germ has no order (None) and no leading
-    coefficient, and is exact.
+    coefficient, and is exact.  An order that is no int or None, or a
+    leading coefficient that is no nonzero PiScalar, is a DomainError.
     """
 
     __slots__ = ("point", "order", "leading")
 
     def __init__(self, point, order: int | None, leading: PiScalar | None = None):
-        if leading is not None and (leading.is_zero or order is None):
-            raise DomainError("a leading coefficient must be nonzero, of a nonzero germ")
-        self._freeze((read_rational(point), order, leading))
-
-    @classmethod
-    def zero(cls, point) -> "LaurentScalar":
-        return cls(point, None)
-
-    @classmethod
-    def of(cls, point, order: int, leading: PiScalar) -> "LaurentScalar":
-        if leading is None:
-            raise DomainError("exact germ needs a nonzero leading coefficient")
-        return cls(point, order, leading)
-
-    @classmethod
-    def order_only(cls, point, order: int) -> "LaurentScalar":
-        return cls(point, order)
+        point = read_rational(point)
+        if order is not None:
+            check_int("the order of a germ", order)
+        if leading is not None and not (isinstance(leading, PiScalar) and leading and order is not None):
+            raise DomainError("a leading coefficient must be a nonzero PiScalar, of a nonzero germ")
+        self._freeze((point, order, leading))
 
     @property
     def is_zero(self) -> bool:
@@ -89,7 +79,7 @@ class LaurentScalar(FrozenRecord):
                 f"cannot multiply germs at {self.point} and {other.point}"
             )
         if self.is_zero or other.is_zero:
-            return LaurentScalar.zero(self.point)
+            return LaurentScalar(self.point, None)
         leading = self.leading * other.leading if self.exact and other.exact else None
         return LaurentScalar(self.point, self.order + other.order, leading)
 
@@ -106,7 +96,7 @@ class LaurentScalar(FrozenRecord):
         if n < 0:
             return self.invert() ** (-n)
         if n == 0:
-            return LaurentScalar.of(self.point, 0, PiScalar.one())
+            return LaurentScalar(self.point, 0, PiScalar.pi_power(0))
         if self.is_zero:
             return self
         leading = self.leading**n if self.leading is not None else None
@@ -177,7 +167,7 @@ def gamma_at(s0) -> LaurentScalar:
     if s0.denominator > 2:
         raise DomainError(f"gamma Laurent data certified at half-integers only, got {s0}")
     order, num, den, t_e = _gamma(s0.numerator * (2 // s0.denominator))
-    return LaurentScalar.of(s0, order, PiScalar.pi_power(Fraction(t_e, 2), Fraction(num, den)))
+    return LaurentScalar(s0, order, PiScalar.pi_power(Fraction(t_e, 2), Fraction(num, den)))
 
 
 def zeta_ratio_at(
@@ -213,16 +203,16 @@ def zeta_ratio_at(
         # Finite and nonzero: zeta(n)/zeta(n+1) has an odd argument, so its
         # value is not in the exact ring; a nontrivial unitary L(s, mu) is
         # entire and nonvanishing at real s >= 1.  Only the order is certified.
-        return LaurentScalar.order_only(s0, 0)
+        return LaurentScalar(s0, 0)
     if n == 1:
         # zeta has residue 1 and zeta(2) = pi^2/6; a Dedekind zeta has a
         # simple pole with an uncertified residue.
         if exact:
-            return LaurentScalar.of(s0, -1, PiScalar.pi_power(-2, 6))
-        return LaurentScalar.order_only(s0, -1)
+            return LaurentScalar(s0, -1, PiScalar.pi_power(-2, 6))
+        return LaurentScalar(s0, -1)
     if n == 0 and exact:
         # zeta(0) = -1/2 against the simple pole of zeta(s+1).
-        return LaurentScalar.of(s0, 1, PiScalar.rational(Fraction(-1, 2)))
+        return LaurentScalar(s0, 1, PiScalar.pi_power(0, Fraction(-1, 2)))
     if character == "nontrivial":
         raise DomainError("nontrivial-family L-ratio below s = 1 requires caller data")
     degree = "" if d == 1 else f"degree-{d} "
@@ -256,7 +246,7 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     # (-i)^(ell d) = i^(3 ell d), as (re, im) for each power of i
     re, im = ((c, 0), (0, c), (-c, 0), (0, -c))[3 * ell * d % 4]
     leading = PiScalar.pi_power(Fraction(d * (2 + t_s - t_a - t_b), 2), re, im)
-    return LaurentScalar.of(s0, d * (o_s - o_a - o_b), leading)
+    return LaurentScalar(s0, d * (o_s - o_a - o_b), leading)
 
 
 def unramified_intertwining_constant(q: int, mu, s0) -> Fraction:
@@ -389,7 +379,7 @@ def constant_term_report(
     else:
         # s0 = k - 1, alpha = k and beta = 0, each as twice itself
         o_s, o_a, o_b = (_gamma(t)[0] for t in (2 * k - 2, 2 * k, 0))
-        total = LaurentScalar.order_only(s0, d * (o_s - o_a - o_b) + zeta.order)
+        total = LaurentScalar(s0, d * (o_s - o_a - o_b) + zeta.order)
     for item in local_data:
         if not isinstance(item, LaurentScalar):
             raise DomainError("local data must be LaurentScalar germs")

@@ -193,19 +193,15 @@ def casimir(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
 class InfinitesimalCharacter(FrozenRecord):
     """The character chi_lambda, stored by its orbit representative.
 
-    chi_lambda = chi_mu iff mu in {lambda, 2 - lambda}; the representative is
-    the orbit maximum, so lam >= 1 always.
+    chi_lambda = chi_mu iff mu in {lambda, 2 - lambda}; the constructor takes
+    any rational lambda and stores the orbit maximum, so lam >= 1 always.
     """
 
     __slots__ = ("lam",)
 
-    def __init__(self, lam: Fraction):
-        self._freeze((lam,))
-
-    @classmethod
-    def of(cls, lam) -> "InfinitesimalCharacter":
+    def __init__(self, lam):
         lam = read_rational(lam)
-        return cls(max(lam, 2 - lam))
+        self._freeze((max(lam, 2 - lam),))
 
     @property
     def integral(self) -> bool:
@@ -249,4 +245,4 @@ def casimir_eigenvalue(f: NearlyHolomorphicForm) -> Fraction:
 def infinitesimal_character(f: NearlyHolomorphicForm) -> InfinitesimalCharacter:
     """chi_w, w = k - 2m, of a Casimir eigenform f; NonEigenformError otherwise."""
     casimir_eigenvalue(f)
-    return InfinitesimalCharacter.of(f.weight - 2 * f.depth)
+    return InfinitesimalCharacter(f.weight - 2 * f.depth)

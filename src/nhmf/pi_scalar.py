@@ -21,7 +21,7 @@ from .errors import DomainError
 
 
 def _coeff(c) -> tuple[Fraction, Fraction]:
-    if isinstance(c, tuple):
+    if isinstance(c, tuple) and len(c) == 2:
         re, im = c
         return read_rational(re), read_rational(im)
     return read_rational(c), Fraction(0)
@@ -51,26 +51,12 @@ class PiScalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
+        if not isinstance(terms, (dict, type(None))):
+            raise DomainError(f"the terms of a PiScalar must be a dict, got {type(terms).__name__}")
         pairs = ((_exponent(e), _coeff(c)) for e, c in (terms or {}).items())
         self._terms = _summed(pairs)._terms
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "PiScalar":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "PiScalar":
-        return cls({Fraction(0): Fraction(1)})
-
-    @classmethod
-    def rational(cls, c) -> "PiScalar":
-        return cls({Fraction(0): c})
-
-    @classmethod
-    def gaussian(cls, re, im) -> "PiScalar":
-        return cls({Fraction(0): (re, im)})
 
     @classmethod
     def pi_power(cls, e, coeff=1, imag=0) -> "PiScalar":
@@ -120,7 +106,7 @@ class PiScalar:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = PiScalar.rational(other)
+            other = PiScalar.pi_power(0, other)
         if not isinstance(other, PiScalar):
             return NotImplemented
         return _summed(
@@ -144,7 +130,7 @@ class PiScalar:
             return NotImplemented
         if n < 0:
             return self.invert() ** (-n)
-        out, square = PiScalar.one(), self
+        out, square = PiScalar.pi_power(0), self
         while n:
             if n & 1:
                 out = out * square

@@ -13,12 +13,11 @@ from fractions import Fraction
 
 from .arith import Record, reduce_by, reduced_echelon
 from .category_o import (
+    ModuleClass,
     catalog,
     classify_block,
     composition_factors,
     identify_module,
-    simple,
-    trivial,
 )
 from .decompose import character_split, decompose
 from .generators import (
@@ -126,8 +125,8 @@ def check_pi_scalar_axioms() -> Outcome:
     root_pi = PiScalar.pi_power(Fraction(1, 2))
     if root_pi * root_pi != PiScalar.pi_power(1):
         return False, "(sqrt pi)^2"
-    i = PiScalar.gaussian(0, 1)
-    if i * i != PiScalar.rational(-1):
+    i = PiScalar.pi_power(0, 0, 1)
+    if i * i != PiScalar.pi_power(0, -1):
         return False, "i^2"
     rng = random.Random(7)
 
@@ -353,12 +352,12 @@ def check_laurent_multiplicativity() -> Outcome:
                 Fraction(rng.randrange(-2, 3)),
                 Fraction(rng.randrange(1, 9)) * rng.choice([1, -1]),
             )
-            factors.append(LaurentScalar.of(point, order, lead))
+            factors.append(LaurentScalar(point, order, lead))
         prod = factors[0]
         for x in factors[1:]:
             prod = prod * x
         want_order = sum(x.order for x in factors)
-        want_lead = PiScalar.one()
+        want_lead = PiScalar.pi_power(0)
         for x in factors:
             want_lead = want_lead * x.leading
         if prod.order != want_order or prod.leading != want_lead:
@@ -552,12 +551,12 @@ def check_identify_raising_stable() -> Outcome:
     for w in (4, 6, 12):
         for g in level1_basis(w, trunc):
             want = identify_module(g)
-            if want != simple(w):
+            if want != ModuleClass("simple", w):
                 return False, f"seed {w}"
             for r in (1, 2):
                 if identify_module(iterate_raise(g, r)) != want:
                     return False, f"w={w}, r={r}"
-    if identify_module(NearlyHolomorphicForm.constant(3, trunc)) != trivial():
+    if identify_module(NearlyHolomorphicForm.constant(3, trunc)) != ModuleClass("trivial"):
         return False, "constant"
     return True
 

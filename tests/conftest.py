@@ -43,7 +43,7 @@ from nhmf.series import NearlyHolomorphicForm
 #   d(q^n)/dz = 2*pi*i*n*q^n,   y^2 X^2 = 1/(16*pi^2).
 FOUR_PI = PiScalar.pi_power(1, 4)
 TWO_PI_I = PiScalar.pi_power(1, 0, 2)
-TWO_I = PiScalar.gaussian(0, 2)
+TWO_I = PiScalar.pi_power(0, 0, 2)
 
 
 def oracle_raise(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
@@ -52,18 +52,18 @@ def oracle_raise(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     acc: dict[tuple[int, int], PiScalar] = {}
 
     def add(key, scalar):
-        acc[key] = acc.get(key, PiScalar.zero()) + scalar
+        acc[key] = acc.get(key, PiScalar()) + scalar
 
     for (r, n), c in f.terms():
-        coeff = PiScalar.rational(c)
+        coeff = PiScalar.pi_power(0, c)
         # (k/y) X^r q^n = 4*pi*k X^(r+1) q^n
-        add((r + 1, n), FOUR_PI * PiScalar.rational(k) * coeff)
+        add((r + 1, n), FOUR_PI * PiScalar.pi_power(0, k) * coeff)
         # 2i * r X^(r-1) (dX/dz) q^n = 2i * 2*pi*i * r X^(r+1) q^n
         if r:
-            add((r + 1, n), TWO_I * TWO_PI_I * PiScalar.rational(r) * coeff)
+            add((r + 1, n), TWO_I * TWO_PI_I * PiScalar.pi_power(0, r) * coeff)
         # 2i * X^r * 2*pi*i*n q^n
         if n:
-            add((r, n), TWO_I * TWO_PI_I * PiScalar.rational(n) * coeff)
+            add((r, n), TWO_I * TWO_PI_I * PiScalar.pi_power(0, n) * coeff)
     inv = PiScalar.pi_power(1, -4).invert()  # 1 / (-4*pi)
     out = {}
     for key, scalar in acc.items():
@@ -76,7 +76,7 @@ def oracle_raise(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
 def oracle_lower(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     """Apply L_k = -2i y^2 d/dzbar term by term, then divide by -1/(4*pi)."""
     acc: dict[tuple[int, int], PiScalar] = {}
-    minus_two_i = PiScalar.gaussian(0, -2)
+    minus_two_i = PiScalar.pi_power(0, 0, -2)
     minus_two_pi_i = PiScalar.pi_power(1, 0, -2)
     inv_16_pi2 = PiScalar.pi_power(-2, Fraction(1, 16))  # y^2 X^2
     for (r, n), c in f.terms():
@@ -86,11 +86,11 @@ def oracle_lower(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
         scalar = (
             minus_two_i
             * minus_two_pi_i
-            * PiScalar.rational(r * c)
+            * PiScalar.pi_power(0, r * c)
             * inv_16_pi2
         )
         key = (r - 1, n)
-        acc[key] = acc.get(key, PiScalar.zero()) + scalar
+        acc[key] = acc.get(key, PiScalar()) + scalar
     inv = PiScalar.pi_power(-1, Fraction(-1, 4)).invert()  # 1 / (-1/(4*pi))
     out = {}
     for key, scalar in acc.items():

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from nhmf.category_o import catalog, classify_block, dual_verma, identify_module, simple, trivial
+from nhmf.category_o import ModuleClass, catalog, classify_block, identify_module
 from nhmf.decompose import decompose
 from nhmf.generators import (
     BinaryForm,
@@ -66,7 +66,7 @@ def test_criterion_01_weight_two_lowering_constant():
 
         # Analytic normalization: L_2 E_2 = -3/pi, as an exact PiScalar.
         scaled = lower_analytic(e2)
-        route_one = scaled.scalar * PiScalar.rational(scaled.form.coefficient(0, 0))
+        route_one = scaled.scalar * PiScalar.pi_power(0, scaled.form.coefficient(0, 0))
 
         # Independent route: the residue in the Eisenstein constant term.
         report = constant_term_report(2, 1, "trivial")
@@ -314,14 +314,14 @@ def test_criterion_08_reducibility_table():
 def test_criterion_09_module_identification():
     with criterion(9, "module identification", 5.0):
         trunc = 12
-        assert identify_module(NearlyHolomorphicForm.constant(1, trunc)) == trivial()
-        assert identify_module(NearlyHolomorphicForm.constant(-7, trunc)) == trivial()
+        assert identify_module(NearlyHolomorphicForm.constant(1, trunc)) == ModuleClass("trivial")
+        assert identify_module(NearlyHolomorphicForm.constant(-7, trunc)) == ModuleClass("trivial")
         for w in (4, 6, 8, 10, 12):
             for g in level1_basis(w, trunc):
-                assert identify_module(g) == simple(w)
+                assert identify_module(g) == ModuleClass("simple", w)
         e2 = eisenstein2(trunc)
         got = identify_module(e2)
-        assert got == dual_verma(0)
+        assert got == ModuleClass("dual_verma", 0)
         # Consistency with the block class list: the dual Verma at 0 is one of
         # the five indecomposables of the integral block through 2, and its
         # composition factors realize the extension of L(2) by the constants.
@@ -329,7 +329,7 @@ def test_criterion_09_module_identification():
         assert got in block.classes
         from nhmf.category_o import composition_factors
 
-        assert set(composition_factors(got)) == {trivial(), simple(2)}
+        assert set(composition_factors(got)) == {ModuleClass("trivial"), ModuleClass("simple", 2)}
 
 
 GOLDEN_CATALOGS = {

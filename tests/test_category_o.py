@@ -14,19 +14,14 @@ from nhmf.category_o import (
     catalog,
     classify_block,
     composition_factors,
-    dual_verma,
-    finite,
     identify_module,
     integral_parallel_filter,
-    projective,
-    simple,
-    trivial,
-    verma,
 )
 from nhmf.errors import AmbiguousModuleError, DomainError, NonEigenformError
 from nhmf.generators import delta_cusp, eisenstein, eisenstein2, level1_basis
 from nhmf.laurent import constant_term_report
 from nhmf.operators import (
+    InfinitesimalCharacter,
     infinitesimal_character,
     iterate_lower,
     iterate_raise,
@@ -37,42 +32,49 @@ from nhmf.series import NearlyHolomorphicForm
 
 class TestModuleClassCanonicalization:
     def test_simple_zero_is_trivial(self):
-        assert simple(0) == trivial()
+        assert ModuleClass("simple", 0) == ModuleClass("trivial")
 
     def test_finite_two_is_trivial(self):
-        assert finite(2) == trivial()
+        assert ModuleClass("finite", 2) == ModuleClass("trivial")
 
     def test_negative_simple_is_finite(self):
-        assert simple(-2) == finite(4)
-        assert finite(4).dimension == 3
+        assert ModuleClass("simple", -2) == ModuleClass("finite", 4)
+        assert ModuleClass("finite", 4).dimension == 3
 
     def test_irreducible_verma_is_simple(self):
-        assert verma(4) == simple(4)
-        assert verma(Fraction(1, 2)) == simple(Fraction(1, 2))
-        assert verma(0) != simple(0)  # N(0) is reducible
+        assert ModuleClass("verma", 4) == ModuleClass("simple", 4)
+        assert ModuleClass("verma", Fraction(1, 2)) == ModuleClass("simple", Fraction(1, 2))
+        assert ModuleClass("verma", 0) != ModuleClass("simple", 0)  # N(0) is reducible
 
     def test_projective_collapses_off_integral_blocks(self):
-        assert projective(1) == simple(1)
-        assert projective(Fraction(3, 2)) == simple(Fraction(3, 2))
-        assert projective(5).kind == "projective"
+        assert ModuleClass("projective", 1) == ModuleClass("simple", 1)
+        assert ModuleClass("projective", Fraction(3, 2)) == ModuleClass("simple", Fraction(3, 2))
+        assert ModuleClass("projective", 5).kind == "projective"
 
-    @pytest.mark.parametrize(
-        "kind, helper",
-        [("finite", finite), ("simple", simple), ("verma", verma),
-         ("dual_verma", dual_verma), ("projective", projective)],
-    )
-    def test_the_constructor_canonicalizes_as_each_helper(self, kind, helper):
+    @pytest.mark.parametrize("kind", ["finite", "simple", "verma", "dual_verma", "projective"])
+    def test_the_constructor_stores_one_canonical_form(self, kind):
         # ModuleClass stored its arguments as given: ModuleClass("simple", 0)
-        # differed from simple(0), which is trivial().
+        # differed from ModuleClass("trivial"), which is L(0).  A class keeps
+        # the character of its arguments, has a kind its lam allows, and is
+        # rebuilt as itself from its fields.
         for lam in [Fraction(n, 2) for n in range(-9, 10)] + [Fraction(3, 4), -3, 5]:
-            try:
-                want = helper(lam)
-            except DomainError:
+            if kind == "finite" and not (Fraction(lam).denominator == 1 and lam >= 2):
                 with pytest.raises(DomainError):
                     ModuleClass(kind, lam)
-            else:
-                assert ModuleClass(kind, lam) == want, (kind, lam)
-        assert ModuleClass("trivial") == trivial()
+                continue
+            mc = ModuleClass(kind, lam)
+            assert ModuleClass(mc.kind, mc.lam) == mc, (kind, lam)
+            assert mc.character == InfinitesimalCharacter(lam), (kind, lam)
+            if mc.kind != "trivial":
+                integral = mc.lam.denominator == 1
+                allowed = {
+                    "finite": integral and mc.lam >= 3,
+                    "simple": not (integral and mc.lam <= 0),
+                    "verma": integral and mc.lam <= 0,
+                    "dual_verma": integral and mc.lam <= 0,
+                    "projective": integral and mc.lam >= 2,
+                }
+                assert allowed[mc.kind], (kind, lam, mc)
 
     @pytest.mark.parametrize("kind, lam", [("bogus", 3), ("Simple", 3), ("trivial", 2), ("simple", None)])
     def test_an_unknown_kind_or_a_missing_lambda_is_refused(self, kind, lam):
@@ -86,37 +88,42 @@ def reference_block(lam: Fraction) -> BlockClassification:
     rep = max(lam, 2 - lam)
     low = 2 - rep
     if rep == 1:
-        return BlockClassification(rep, (simple(1),), ())
+        return BlockClassification(rep, (ModuleClass("simple", 1),), ())
+    l_rep, l_low = ModuleClass("simple", rep), ModuleClass("simple", low)
     if rep.denominator != 1:
-        return BlockClassification(rep, (simple(rep), simple(low)), ())
-    classes = (simple(rep), simple(low), verma(low), dual_verma(low), projective(rep))
-    sequences = ((simple(rep), verma(low), simple(low)), (simple(rep), projective(rep), verma(low)))
+        return BlockClassification(rep, (l_rep, l_low), ())
+    n_low, p_rep = ModuleClass("verma", low), ModuleClass("projective", rep)
+    classes = (l_rep, l_low, n_low, ModuleClass("dual_verma", low), p_rep)
+    sequences = ((l_rep, n_low, l_low), (l_rep, p_rep, n_low))
     return BlockClassification(rep, classes, sequences)
 
 
 class TestClassifyBlock:
     def test_singular_point_single_class(self):
         block = classify_block(1)
-        assert block.classes == (simple(1),)
+        assert block.classes == (ModuleClass("simple", 1),)
         assert block.exact_sequences == ()
 
     def test_integral_regular_block_has_five_classes(self):
         block = classify_block(5)
         assert set(block.classes) == {
-            simple(5),
-            simple(-3),
-            verma(-3),
-            dual_verma(-3),
-            projective(5),
+            ModuleClass("simple", 5),
+            ModuleClass("simple", -3),
+            ModuleClass("verma", -3),
+            ModuleClass("dual_verma", -3),
+            ModuleClass("projective", 5),
         }
         assert len(block.classes) == 5
         seqs = block.exact_sequences
-        assert seqs[0] == (simple(5), verma(-3), simple(-3))
-        assert seqs[1] == (simple(5), projective(5), verma(-3))
+        l5, l_3 = ModuleClass("simple", 5), ModuleClass("simple", -3)
+        assert seqs[0] == (l5, ModuleClass("verma", -3), l_3)
+        assert seqs[1] == (l5, ModuleClass("projective", 5), ModuleClass("verma", -3))
 
     def test_nonintegral_block_two_simple_vermas(self):
         block = classify_block(Fraction(1, 2))
-        assert set(block.classes) == {simple(Fraction(1, 2)), simple(Fraction(3, 2))}
+        assert set(block.classes) == {
+            ModuleClass("simple", Fraction(1, 2)), ModuleClass("simple", Fraction(3, 2)),
+        }
 
     def test_orbit_symmetry(self):
         for lam in (Fraction(1, 2), 3, 5, Fraction(7, 3), 1, 0, -4):
@@ -145,35 +152,34 @@ class TestClassifyBlock:
                 )
 
     def test_verma_factors(self):
-        assert set(composition_factors(verma(-3))) == {simple(5), simple(-3)}
+        l5, l_3 = ModuleClass("simple", 5), ModuleClass("simple", -3)
+        assert set(composition_factors(ModuleClass("verma", -3))) == {l5, l_3}
         from collections import Counter
 
-        assert Counter(composition_factors(projective(5))) == Counter(
-            [simple(5), simple(5), simple(-3)]
-        )
+        assert Counter(composition_factors(ModuleClass("projective", 5))) == Counter([l5, l5, l_3])
 
 
 class TestIdentifyModule:
     def test_holomorphic_forms_generate_simples(self):
-        assert identify_module(eisenstein(4, 10)) == simple(4)
-        assert identify_module(delta_cusp(12)) == simple(12)
+        assert identify_module(eisenstein(4, 10)) == ModuleClass("simple", 4)
+        assert identify_module(delta_cusp(12)) == ModuleClass("simple", 12)
         for g in level1_basis(8, 10):
-            assert identify_module(g) == simple(8)
+            assert identify_module(g) == ModuleClass("simple", 8)
 
     def test_constants_generate_trivial(self):
-        assert identify_module(NearlyHolomorphicForm.constant(5, 6)) == trivial()
+        assert identify_module(NearlyHolomorphicForm.constant(5, 6)) == ModuleClass("trivial")
 
     def test_weight_two_series_generates_dual_verma(self):
         # Lowering reaches the constants (a submodule), the quotient is L(2).
-        assert identify_module(eisenstein2(10)) == dual_verma(0)
+        assert identify_module(eisenstein2(10)) == ModuleClass("dual_verma", 0)
 
     def test_raising_stability(self):
         for w in (4, 6, 12):
             for g in level1_basis(w, 12):
                 for r in (1, 2, 3):
-                    assert identify_module(iterate_raise(g, r)) == simple(w)
+                    assert identify_module(iterate_raise(g, r)) == ModuleClass("simple", w)
         for r in (1, 2):
-            assert identify_module(iterate_raise(eisenstein2(12), r)) == dual_verma(0)
+            assert identify_module(iterate_raise(eisenstein2(12), r)) == ModuleClass("dual_verma", 0)
 
     def test_zero_rejected(self):
         with pytest.raises(DomainError):
@@ -187,8 +193,8 @@ class TestIdentifyModule:
     def test_the_budget_no_longer_refuses(self):
         # max_steps is ignored, by keyword and by position.
         f = iterate_raise(eisenstein(4, 12), 3)
-        assert identify_module(f, max_steps=2) == simple(4)
-        assert identify_module(f, 2) == simple(4)
+        assert identify_module(f, max_steps=2) == ModuleClass("simple", 4)
+        assert identify_module(f, 2) == ModuleClass("simple", 4)
 
     def test_deep_raised_eigenforms_answer_quickly(self):
         # One Casimir at any depth: R^m E4 generates L(4) for every m, with
@@ -200,7 +206,7 @@ class TestIdentifyModule:
             f = iterate_raise(e4, m)
             for kwargs in ({}, {"max_steps": 0}):
                 start = time.perf_counter()
-                assert identify_module(f, **kwargs) == simple(4), (m, kwargs)
+                assert identify_module(f, **kwargs) == ModuleClass("simple", 4), (m, kwargs)
                 assert time.perf_counter() - start < 1.0, (m, kwargs)
 
     def test_impure_orbit_is_ambiguous(self):
@@ -216,13 +222,13 @@ class TestIdentifyModule:
 
     def test_free_weight_zero_seed_is_verma(self):
         f = NearlyHolomorphicForm(0, 8, {(0, 0): 1, (0, 1): 1})
-        assert identify_module(f) == verma(0)
+        assert identify_module(f) == ModuleClass("verma", 0)
 
     def test_negative_weight_constant_generates_finite_quotient(self):
         # delta^(1-w) kills a constant of weight w < 0: the module is F_(2-w).
-        assert identify_module(NearlyHolomorphicForm.monomial(-2, 6)) == finite(4)
-        assert identify_module(NearlyHolomorphicForm.monomial(-3, 6)) == finite(5)
-        assert identify_module(NearlyHolomorphicForm.monomial(-2, 6, n=1)) == verma(-2)
+        assert identify_module(NearlyHolomorphicForm.monomial(-2, 6)) == ModuleClass("finite", 4)
+        assert identify_module(NearlyHolomorphicForm.monomial(-3, 6)) == ModuleClass("finite", 5)
+        assert identify_module(NearlyHolomorphicForm.monomial(-2, 6, n=1)) == ModuleClass("verma", -2)
 
     def test_seed_is_read_off_the_top_column(self, monkeypatch):
         # The class is read off the weight, depth and top column, so the
@@ -230,10 +236,10 @@ class TestIdentifyModule:
         # operator applied, at every depth and for a constant of negative
         # weight alike.
         seeds = (eisenstein(4, 8), delta_cusp(8), NearlyHolomorphicForm.monomial(1, 3, n=2))
-        cases = [(iterate_raise(g, m), simple(g.weight)) for g in seeds for m in range(7)]
+        cases = [(iterate_raise(g, m), ModuleClass("simple", g.weight)) for g in seeds for m in range(7)]
         cases += [
-            (NearlyHolomorphicForm.monomial(-2, 6), finite(4)),
-            (NearlyHolomorphicForm.monomial(-5, 3, c=7), finite(7)),
+            (NearlyHolomorphicForm.monomial(-2, 6), ModuleClass("finite", 4)),
+            (NearlyHolomorphicForm.monomial(-5, 3, c=7), ModuleClass("finite", 7)),
         ]
         calls = []
         for name in ("casimir", "iterate_lower", "iterate_raise", "lower_weight", "raise_weight"):
@@ -285,7 +291,7 @@ def reference_identify_module(f: NearlyHolomorphicForm, max_steps: int = 24):
         c = scalar_ratio(f, e2_image)
         if c is None:
             raise ambiguous("form is not a multiple of the raised weight-two seed")
-        return dual_verma(0)
+        return ModuleClass("dual_verma", 0)
 
     probe = iterate_raise(seed, m)
     ratio = scalar_ratio(iterate_lower(probe, m), seed)
@@ -295,15 +301,15 @@ def reference_identify_module(f: NearlyHolomorphicForm, max_steps: int = 24):
         raise ambiguous("form is not a pure raised image of its lowered seed")
 
     if w >= 1:
-        return simple(w)
+        return ModuleClass("simple", w)
     if w == 0:
         # depth 0, weight 0: constants, or a free weight-0 seed.
         if seed.is_constant_series():
-            return trivial()
-        return verma(0)
+            return ModuleClass("trivial")
+        return ModuleClass("verma", 0)
     # w < 0: a Verma with non-dominant highest weight, or its finite quotient.
     top = iterate_raise(seed, 1 - w)
-    return finite(2 - w) if top.is_zero else verma(w)
+    return ModuleClass("finite", 2 - w) if top.is_zero else ModuleClass("verma", w)
 
 
 def seeded_module_forms(seed=12):

@@ -22,7 +22,6 @@ from nhmf.decompose import (
     character_split,
     decompose,
     leading_column_factor,
-    raised_e2,
     shared_level1_basis,
     top_seed,
 )
@@ -712,9 +711,8 @@ def test_a_basis_provider_that_returns_no_list_of_forms_is_refused():
 def test_raised_e2_is_built_once_per_depth():
     for trunc in (0, 5, 30):
         for m in range(6):
-            first = raised_e2(trunc, m)
+            first = shared_level1_basis(trunc).raised_e2(m)
             assert first._key() == stepwise_raise(eisenstein2(trunc), m)._key()
-            assert raised_e2(trunc, m) is first
             assert shared_level1_basis(trunc).raised_e2(m) is first
 
 

@@ -1,6 +1,8 @@
 """Raising/lowering/Casimir against the symbolic-differentiation oracle."""
 
+import copy
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -102,7 +104,7 @@ class TestLower:
         low = lower_weight(e2)
         assert low == NearlyHolomorphicForm.constant(12, 10)
         scaled = lower_analytic(e2)
-        value = scaled.scalar * PiScalar.rational(scaled.form.coefficient(0, 0))
+        value = scaled.scalar * PiScalar.pi_power(0, scaled.form.coefficient(0, 0))
         assert value == PiScalar.pi_power(-1, -3)
 
     def test_matches_oracle_on_random_forms(self):
@@ -176,12 +178,24 @@ class TestCasimir:
 
 class TestInfinitesimalCharacter:
     def test_orbit_normalization(self):
-        assert InfinitesimalCharacter.of(4) == InfinitesimalCharacter.of(-2)
-        assert InfinitesimalCharacter.of(Fraction(1, 2)) == InfinitesimalCharacter.of(
+        assert InfinitesimalCharacter(4) == InfinitesimalCharacter(-2)
+        assert InfinitesimalCharacter(Fraction(1, 2)) == InfinitesimalCharacter(
             Fraction(3, 2)
         )
-        assert InfinitesimalCharacter.of(4).lam == 4
-        assert InfinitesimalCharacter.of(4).integral
+        assert InfinitesimalCharacter(4).lam == 4
+        assert InfinitesimalCharacter(4).integral
+
+    def test_the_constructor_stores_the_orbit_representative(self):
+        # The constructor stored lam as given: chi_0 differed from chi_2, and
+        # 1.5, "x" and None were stored too.
+        assert InfinitesimalCharacter(0) == InfinitesimalCharacter(2)
+        assert hash(InfinitesimalCharacter(0)) == hash(InfinitesimalCharacter(2))
+        assert repr(InfinitesimalCharacter(Fraction(-1, 2))) == "chi_5/2"
+        chi = InfinitesimalCharacter(-2)
+        assert pickle.loads(pickle.dumps(chi)) == chi and copy.copy(chi) == chi
+        for value in (1.5, "x", None):
+            with pytest.raises(DomainError, match="bad rational literal"):
+                InfinitesimalCharacter(value)
 
     def test_holomorphic_weights(self):
         assert infinitesimal_character(eisenstein(4, 8)).lam == 4
@@ -248,7 +262,7 @@ def reference_infinitesimal_character(f: NearlyHolomorphicForm) -> Infinitesimal
     root = _rational_sqrt(1 + c)
     if root is None:
         raise NonRationalCharacter(f"Casimir eigenvalue {c} has no rational character parameter")
-    return InfinitesimalCharacter.of(1 + root)
+    return InfinitesimalCharacter(1 + root)
 
 
 def character_inputs():

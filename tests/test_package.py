@@ -4,10 +4,13 @@ Each check runs in a fresh interpreter, since what a process has loaded
 depends on everything it imported before.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -200,3 +203,31 @@ def test_an_unknown_name_is_an_attribute_error():
             print(exc)
     """)
     assert out == "module 'nhmf' has no attribute 'no_such_name'\n"
+
+
+def readme_tour():
+    """The README's library quick tour, run in one namespace: the names it
+    binds, and the value of each expression statement, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", text, re.S).group(1)
+    names, values = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            values.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), names))
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), names)
+    return names, values
+
+
+def test_the_readme_library_tour_gives_each_value_its_comments_state():
+    from nhmf import NearlyHolomorphicForm, eisenstein
+
+    names, values = readme_tour()
+    lowered, lam, same, module, leading, symbol = values
+    assert lowered == NearlyHolomorphicForm.constant(12, 20)
+    assert type(lam) is Fraction and lam == 2
+    assert names["dec"].terms == ((0, eisenstein(6, 20)), (1, eisenstein(4, 20)))
+    assert same is True
+    assert repr(module) == "ModuleClass(N(0)^v)"
+    assert leading == "-3·π^-1"
+    assert symbol == -1

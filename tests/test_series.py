@@ -221,26 +221,33 @@ class TestPiScalar:
         assert sqrt_pi * sqrt_pi == PiScalar.pi_power(1)
 
     def test_i_squared(self):
-        i = PiScalar.gaussian(0, 1)
-        assert i * i == PiScalar.rational(-1)
+        i = PiScalar.pi_power(0, 0, 1)
+        assert i * i == PiScalar.pi_power(0, -1)
 
     def test_zero_is_empty(self):
-        z = PiScalar.rational(3) - PiScalar.rational(3)
-        assert z.is_zero and z == PiScalar.zero()
+        z = PiScalar.pi_power(0, 3) - PiScalar.pi_power(0, 3)
+        assert z.is_zero and z == PiScalar()
+
+    def test_terms_of_the_wrong_kind_are_refused(self):
+        # A raw AttributeError and ValueError.
+        with pytest.raises(DomainError, match="must be a dict"):
+            PiScalar("x")
+        with pytest.raises(DomainError, match="bad rational literal"):
+            PiScalar({0: (1, 2, 3)})
 
     def test_invert_monomial(self):
         x = PiScalar.pi_power(Fraction(3, 2), Fraction(-2, 5))
-        assert x * x.invert() == PiScalar.one()
+        assert x * x.invert() == PiScalar.pi_power(0)
         with pytest.raises(DomainError, match="non-monomial"):
-            (PiScalar.one() + PiScalar.pi_power(1)).invert()
+            (PiScalar.pi_power(0) + PiScalar.pi_power(1)).invert()
 
     def test_as_fraction_refuses_pi_and_i(self):
-        assert PiScalar.rational(Fraction(-3, 4)).as_fraction() == Fraction(-3, 4)
-        assert PiScalar.zero().as_fraction() == 0
+        assert PiScalar.pi_power(0, Fraction(-3, 4)).as_fraction() == Fraction(-3, 4)
+        assert PiScalar().as_fraction() == 0
         with pytest.raises(DomainError, match="not rational"):
             PiScalar.pi_power(1).as_fraction()
         with pytest.raises(DomainError, match="not real"):
-            PiScalar.gaussian(1, 2).as_fraction()
+            PiScalar.pi_power(0, 1, 2).as_fraction()
 
     def test_render(self):
         assert PiScalar.pi_power(-1, -3).render() == "-3·π^-1"
@@ -254,14 +261,14 @@ class TestPiScalar:
     @pytest.mark.parametrize(
         "x",
         [
-            PiScalar.gaussian(1, 1),
+            PiScalar.pi_power(0, 1, 1),
             PiScalar({Fraction(-1, 2): (Fraction(2, 3), 1), 1: (0, Fraction(1, 2))}),
-            PiScalar.pi_power(Fraction(1, 2)) - PiScalar.one(),
-            PiScalar.zero(),
+            PiScalar.pi_power(Fraction(1, 2)) - PiScalar.pi_power(0),
+            PiScalar(),
         ],
     )
     def test_pow_is_the_repeated_product(self, x):
-        want = PiScalar.one()
+        want = PiScalar.pi_power(0)
         for n in range(41):
             assert x ** n == want, n
             want = want * x
@@ -270,9 +277,9 @@ class TestPiScalar:
         "x", [PiScalar.pi_power(Fraction(3, 2), Fraction(-2, 5), 1), MINUS_INV_FOUR_PI]
     )
     def test_negative_pow_of_a_monomial_repeats_the_inverse(self, x):
-        want = PiScalar.one()
+        want = PiScalar.pi_power(0)
         for n in range(41):
-            assert x ** -n == want and x ** -n * x ** n == PiScalar.one(), n
+            assert x ** -n == want and x ** -n * x ** n == PiScalar.pi_power(0), n
             want = want * x.invert()
 
     @settings(max_examples=60, deadline=None)
