@@ -14,9 +14,12 @@ bounds MAX_WEIGHT, MAX_DEGREE and MAX_TRUNCATION, which every command loads
 with this module; check_int, the one check of an integer argument and its
 bounds, which every weight, degree, truncation, count and residue
 cardinality of the package passes, so that each is refused with DomainError
-in the same words; check_sign, the one check of a Hasse sign; and Record and
-FrozenRecord, the value semantics of the package's small record classes:
-FrozenRecord._freeze is the one place that stores a record's fields.
+in the same words; check_sign, the one check of a Hasse sign; check_type,
+the one check of an argument's kind, which names the type it got and never
+the value; shown, the one way a refusal shows a caller's value, which stays
+text past the digit limit; and Record and FrozenRecord, the value semantics
+of the package's small record classes: FrozenRecord._freeze is the one place
+that stores a record's fields.
 Nothing here knows about forms.
 """
 
@@ -57,13 +60,31 @@ def check_int(name: str, value, low=None, high=None) -> None:
         domain = "" if high is None else f" <= {high}"
     else:
         domain = f" >= {low}" if high is None else f" in {low}..{high}"
-    raise DomainError(f"{name} must be an integer{domain}, got {value!r}")
+    raise DomainError(f"{name} must be an integer{domain}, got {shown(value)}")
 
 
 def check_sign(name: str, value) -> None:
     """DomainError unless value is 1 or -1, as an int that is not a bool."""
     if not (is_int(value) and value in (1, -1)):
-        raise DomainError(f"{name} must be 1 or -1, got {value!r}")
+        raise DomainError(f"{name} must be 1 or -1, got {shown(value)}")
+
+
+def check_type(name: str, value, kinds, what: str = "") -> None:
+    """DomainError unless isinstance(value, kinds), reading "name must be
+    what, got T" for the type T of value; what is by default "a" and the
+    name of the one class kinds.  The value itself is never shown."""
+    if not isinstance(value, kinds):
+        raise DomainError(f"{name} must be {what or 'a ' + kinds.__name__}, got {type(value).__name__}")
+
+
+def shown(value, render=repr) -> str:
+    """render(value), as a refusal shows a caller's value; where the
+    interpreter refuses that conversion for a number past its digit limit,
+    the type of value and the limit instead.  Called on a refusal path only."""
+    try:
+        return render(value)
+    except ValueError:
+        return f"{type(value).__name__} of more than {digit_limit()} digits"
 
 
 # An interpreter with a digit limit L accepts no L below
@@ -116,7 +137,7 @@ def read_rational(value, error: type[Exception] = DomainError) -> Fraction:
             check_digits(value, error=error)
         return Fraction(value)
     if not isinstance(value, str):
-        raise error(f"bad rational literal {value!r}")
+        raise error(f"bad rational literal {shown(value)}")
     limit = digit_limit()
     exponent = _EXPONENT.search(value)
     try:
@@ -179,7 +200,7 @@ def _large_factors(n: int) -> list[int]:
     if _is_strong_probable_prime(n):
         if n >= _MR_EXACT_BOUND:
             raise DomainError(
-                f"cannot factor {n}: primality is decided only below {_MR_EXACT_BOUND}"
+                f"cannot factor {shown(n, str)}: primality is decided only below {_MR_EXACT_BOUND}"
             )
         return [n]
     g = _pollard_rho(n)
@@ -215,7 +236,7 @@ def _pollard_rho(n: int) -> int:
         while g == 1:
             if steps >= _RHO_STEPS:
                 raise DomainError(
-                    f"cannot factor {n}: no factor found in {_RHO_STEPS} Pollard rho steps"
+                    f"cannot factor {shown(n, str)}: no factor found in {_RHO_STEPS} Pollard rho steps"
                 )
             x = y
             for _ in range(r):
@@ -277,7 +298,7 @@ def prime_power_base(q: int) -> int:
     check_int("residue cardinality", q, 2)
     p = next(prime_factors(q))
     if _strip(q, p)[1] != 1:
-        raise DomainError(f"{q} is not a prime power")
+        raise DomainError(f"{shown(q, str)} is not a prime power")
     return p
 
 

@@ -27,13 +27,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, check_int, read_rational
+from .arith import MAX_DEGREE, MAX_WEIGHT, FrozenRecord, check_int, check_type, read_rational, shown
 from .errors import AmbiguousModuleError, DomainError
 from .laurent import constant_term_report, weight_parity
 from .operators import (
     InfinitesimalCharacter, infinitesimal_character, leading_column_factor, scalar_ratio,
 )
-from .series import NearlyHolomorphicForm, check_form
+from .series import NearlyHolomorphicForm
 
 
 # The notation of each kind of class with a parameter lam.
@@ -55,12 +55,12 @@ class ModuleClass(FrozenRecord):
         if kind == "trivial" and lam is None:
             kind, lam = "simple", 0  # triv is L(0)
         elif not (isinstance(kind, str) and kind in _NOTATION):
-            raise DomainError(f"no module class {kind!r} with lambda {lam!r}")
+            raise DomainError(f"no module class {shown(kind)} with lambda {shown(lam)}")
         lam = read_rational(lam)
         integral = lam.denominator == 1
         if kind == "finite":
             if not integral or lam < 2:
-                raise DomainError(f"finite-dimensional class needs integer k >= 2, got {lam}")
+                raise DomainError(f"finite-dimensional class needs integer k >= 2, got {shown(lam, str)}")
             kind, lam = "simple", 2 - lam  # F_k is L(2 - k)
         elif kind == "projective" and not (integral and lam >= 2):
             kind = "simple"  # semisimple block: P = N = L
@@ -102,8 +102,7 @@ class ModuleClass(FrozenRecord):
 
 
 def composition_factors(mc: ModuleClass) -> tuple[ModuleClass, ...]:
-    if not isinstance(mc, ModuleClass):
-        raise DomainError(f"mc must be a ModuleClass, got {mc!r}")
+    check_type("mc", mc, ModuleClass)
     if mc.kind in ("trivial", "finite", "simple"):
         return (mc,)
     low, high = ModuleClass("simple", 2 - mc.lam), ModuleClass("simple", mc.lam)
@@ -178,7 +177,7 @@ def identify_module(f: NearlyHolomorphicForm, max_steps: Optional[int] = None) -
     """
     from .decompose import shared_level1_basis, top_seed
 
-    check_form("f", f)
+    check_type("f", f, NearlyHolomorphicForm)
     if f.is_zero:
         raise DomainError("the zero form generates no module")
     char = infinitesimal_character(f)  # raises on non-eigenforms
@@ -370,8 +369,7 @@ def integral_parallel_filter(lams) -> tuple[bool, Optional[tuple[int, ...]]]:
     The dot action of a sign vector w is (w . lam)_i = eps_i (lam_i - 1) + 1.
     On success returns the parallel representative normalized into Z^d_{>=1}.
     """
-    if not isinstance(lams, Iterable):
-        raise DomainError(f"lams must be an iterable of rationals, got {lams!r}")
+    check_type("lams", lams, Iterable, "an iterable of rationals")
     lams = [read_rational(x) for x in lams]
     if not lams:
         raise DomainError("empty weight tuple")

@@ -72,7 +72,7 @@ from math import gcd, lcm
 from operator import mul, sub
 from typing import Callable, Iterator, Optional
 
-from .arith import FrozenRecord, check_int, read_rational, reduce_by, reduced_echelon
+from .arith import FrozenRecord, check_int, check_type, read_rational, reduce_by, reduced_echelon, shown
 from .errors import DecompositionError, DomainError, InsufficientTruncationError
 from .generators import eisenstein2, level1_basis
 from .operators import (
@@ -81,7 +81,7 @@ from .operators import (
     iterate_raise,
     leading_column_factor,
 )
-from .series import NearlyHolomorphicForm, _pop_zero_columns, check_form
+from .series import NearlyHolomorphicForm, _pop_zero_columns
 
 
 @lru_cache(maxsize=128)
@@ -199,13 +199,12 @@ class Decomposition(FrozenRecord):
         if weight is not None:
             check_int("the weight of a decomposition", weight)
         check_int("the truncation of a decomposition", truncation, 0)
-        if not isinstance(terms, tuple):
-            raise DomainError(f"terms must be a tuple of (ell, seed) pairs, got {type(terms).__name__}")
+        check_type("terms", terms, tuple, "a tuple of (ell, seed) pairs")
         for term in terms:
             if not (isinstance(term, tuple) and len(term) == 2):
                 raise DomainError(f"a term must be an (ell, seed) pair, got {type(term).__name__}")
             check_int("the ell of a term", term[0], 0)
-            check_form("the seed of a term", term[1])
+            check_type("the seed of a term", term[1], NearlyHolomorphicForm)
         if e2_term is not None:
             if not (isinstance(e2_term, tuple) and len(e2_term) == 2):
                 raise DomainError(f"e2_term must be None or an (m, c) pair, got {type(e2_term).__name__}")
@@ -242,12 +241,9 @@ def _echelon_rows(w: int, basis, trunc: int) -> list[tuple[int, tuple[int, ...]]
     """The (pivot, row) pairs, in reduced echelon form at truncation trunc, of
     the weight-w basis forms, which must reach trunc; DomainError unless
     the basis is a list or tuple of forms."""
-    if not isinstance(basis, (list, tuple)):
-        raise DomainError(
-            f"the basis for weight {w} must be a list or tuple of forms, got {type(basis).__name__}"
-        )
+    check_type(f"the basis for weight {w}", basis, (list, tuple), "a list or tuple of forms")
     for b in basis:
-        check_form(f"a basis form for weight {w}", b)
+        check_type(f"a basis form for weight {w}", b, NearlyHolomorphicForm)
     if any(b.truncation < trunc for b in basis):
         raise InsufficientTruncationError(
             f"basis for weight {w} truncated below the input truncation {trunc}"
@@ -267,7 +263,7 @@ def decompose(
     monomial basis.  Residuals outside the span raise DecompositionError
     carrying the residual (the usual sign of a wrong level or basis).
     """
-    check_form("f", f)
+    check_type("f", f, NearlyHolomorphicForm)
     if f.is_zero:
         return Decomposition(None, f.truncation, (), None)
     k = f.weight
@@ -321,7 +317,7 @@ def decompose(
         if trunc < sturm(max(w, 0)):
             raise InsufficientTruncationError(
                 f"truncation {trunc} below the dimension-detecting bound "
-                f"{sturm(max(w, 0))} for weight {w}"
+                f"{shown(sturm(max(w, 0)), str)} for weight {shown(w, str)}"
             )
         if w < 0:
             # No holomorphic form of negative weight; and c(w, p) may vanish.

@@ -34,7 +34,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, isqrt
 
-from .arith import MAX_TRUNCATION, MAX_WEIGHT, FrozenRecord, check_int
+from .arith import MAX_TRUNCATION, MAX_WEIGHT, FrozenRecord, check_int, check_type, shown
 from .errors import DomainError
 from .series import NearlyHolomorphicForm, _convolve_into
 
@@ -205,10 +205,9 @@ def theta_series(q_form: BinaryForm, truncation: int) -> NearlyHolomorphicForm:
     Only positive definite forms are in scope (the anisotropic, signature
     (2,0) case); indefinite input is refused.
     """
-    if not isinstance(q_form, BinaryForm):
-        raise DomainError(f"q_form must be a BinaryForm, got {type(q_form).__name__}")
+    check_type("q_form", q_form, BinaryForm)
     if not q_form.is_positive_definite:
-        raise DomainError(f"theta series requires a positive definite form, got {q_form}")
+        raise DomainError(f"theta series requires a positive definite form, got {shown(q_form)}")
     check_int("truncation", truncation, 0, MAX_TRUNCATION)
     disc = -q_form.discriminant
     # Gauss-reduce to |b| <= a <= c, by x -> x - k*y and swaps of x and y:

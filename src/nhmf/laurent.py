@@ -34,7 +34,8 @@ import math
 from fractions import Fraction
 
 from .arith import (
-    MAX_DEGREE, MAX_WEIGHT, FrozenRecord, _strip, check_int, prime_power_base, read_rational,
+    MAX_DEGREE, MAX_WEIGHT, FrozenRecord, _strip, check_int, check_type, prime_power_base,
+    read_rational, shown,
 )
 from .errors import (
     DomainError,
@@ -76,7 +77,7 @@ class LaurentScalar(FrozenRecord):
             return NotImplemented
         if self.point != other.point:
             raise DomainError(
-                f"cannot multiply germs at {self.point} and {other.point}"
+                f"cannot multiply germs at {shown(self.point, str)} and {shown(other.point, str)}"
             )
         if self.is_zero or other.is_zero:
             return LaurentScalar(self.point, None)
@@ -108,7 +109,7 @@ class LaurentScalar(FrozenRecord):
         if not isinstance(other, LaurentScalar):
             return NotImplemented
         if self.point != other.point:
-            raise DomainError(f"cannot add germs at {self.point} and {other.point}")
+            raise DomainError(f"cannot add germs at {shown(self.point, str)} and {shown(other.point, str)}")
         if self.is_zero:
             return other
         if other.is_zero:
@@ -165,7 +166,7 @@ def gamma_at(s0) -> LaurentScalar:
     """Laurent data of Gamma(s) at a half-integer point, |s0| <= MAX_WEIGHT."""
     s0 = _point(s0)
     if s0.denominator > 2:
-        raise DomainError(f"gamma Laurent data certified at half-integers only, got {s0}")
+        raise DomainError(f"gamma Laurent data certified at half-integers only, got {shown(s0, str)}")
     order, num, den, t_e = _gamma(s0.numerator * (2 // s0.denominator))
     return LaurentScalar(s0, order, PiScalar.pi_power(Fraction(t_e, 2), Fraction(num, den)))
 
@@ -185,16 +186,16 @@ def zeta_ratio_at(
     check_int("degree d", d, 1, MAX_DEGREE)
     s0 = _point(s0)
     if character not in ("trivial", "nontrivial"):
-        raise DomainError(f"unknown character family tag {character!r}")
+        raise DomainError(f"unknown character family tag {shown(character)}")
     if ramified_L_data is not None:
         if ramified_L_data.point != s0:
             raise DomainError(
-                f"supplied L-data expands at {ramified_L_data.point}, need {s0}"
+                f"supplied L-data expands at {shown(ramified_L_data.point, str)}, need {shown(s0, str)}"
             )
         return ramified_L_data
     if s0.denominator != 1:
         raise DomainError(
-            f"zeta ratio is certified at integer points only, got {s0}; "
+            f"zeta ratio is certified at integer points only, got {shown(s0, str)}; "
             "supply ramified_L_data"
         )
     n = s0.numerator
@@ -216,7 +217,7 @@ def zeta_ratio_at(
     if character == "nontrivial":
         raise DomainError("nontrivial-family L-ratio below s = 1 requires caller data")
     degree = "" if d == 1 else f"degree-{d} "
-    raise DomainError(f"{degree}zeta ratio not certified at {s0}; supply ramified_L_data")
+    raise DomainError(f"{degree}zeta ratio not certified at {shown(s0, str)}; supply ramified_L_data")
 
 
 def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
@@ -233,7 +234,7 @@ def archimedean_factor(s0, ell: int, d: int = 1) -> LaurentScalar:
     s0 = _point(s0)
     if s0.denominator != 1:
         raise DomainError(
-            f"archimedean factor certified at integer points only, got {s0}"
+            f"archimedean factor certified at integer points only, got {shown(s0, str)}"
         )
     n = s0.numerator
     # alpha = (n + 1 + ell)/2 and beta = (n + 1 - ell)/2, each as twice itself
@@ -261,17 +262,17 @@ def unramified_intertwining_constant(q: int, mu, s0) -> Fraction:
     mu = read_rational(mu)
     if mu not in (1, -1):
         raise DomainError(
-            f"only the rational roots of unity +-1 are supported, got {mu}"
+            f"only the rational roots of unity +-1 are supported, got {shown(mu, str)}"
         )
     s0 = _point(s0)
     exp = -s0 * e
     if exp.denominator != 1:
-        raise DomainError(f"q^(-s0) is irrational for q = {q}, s0 = {s0}")
+        raise DomainError(f"q^(-s0) is irrational for q = {shown(q, str)}, s0 = {shown(s0, str)}")
     t = Fraction(p) ** int(exp)
     denom = 1 - mu * t
     if denom == 0:
         raise PoleError(
-            f"intertwining constant has a pole: mu * q^(-s0) = 1 at s0 = {s0}",
+            f"intertwining constant has a pole: mu * q^(-s0) = 1 at s0 = {shown(s0, str)}",
             order=-1,
         )
     return (1 - mu * t / q) / denom
@@ -326,8 +327,7 @@ class ConstantTermReport(FrozenRecord):
 
     def __init__(self, k: int, d: int, character: str, second_term: LaurentScalar):
         check_int("weight k", k, 1, MAX_WEIGHT)
-        if not isinstance(second_term, LaurentScalar):
-            raise DomainError(f"second_term must be a LaurentScalar, got {second_term!r}")
+        check_type("second_term", second_term, LaurentScalar)
         self._freeze((k, d, character, second_term))
 
     @property
@@ -381,7 +381,6 @@ def constant_term_report(
         o_s, o_a, o_b = (_gamma(t)[0] for t in (2 * k - 2, 2 * k, 0))
         total = LaurentScalar(s0, d * (o_s - o_a - o_b) + zeta.order)
     for item in local_data:
-        if not isinstance(item, LaurentScalar):
-            raise DomainError("local data must be LaurentScalar germs")
+        check_type("local data", item, LaurentScalar, "LaurentScalar germs")
         total = total * item
     return ConstantTermReport(k, d, character, total)

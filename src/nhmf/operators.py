@@ -61,9 +61,9 @@ from math import perm
 from operator import add, mul
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import FrozenRecord, check_int, read_rational
+from .arith import FrozenRecord, check_int, check_type, read_rational, shown
 from .errors import DomainError, NonEigenformError
-from .series import MAX_FILE_ENTRIES, NearlyHolomorphicForm, check_form
+from .series import MAX_FILE_ENTRIES, NearlyHolomorphicForm
 
 if TYPE_CHECKING:
     from .pi_scalar import PiScalar
@@ -106,15 +106,15 @@ def iterate_raise(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
     MAX_FILE_ENTRIES, the most a form file may hold, it is refused as
     out-of-domain before any column is built.
     """
-    check_form("f", f)
+    check_type("f", f, NearlyHolomorphicForm)
     check_int("iteration count", ell, 0)
     if not ell or f.is_zero:
         return f
     depth, n = f.depth + ell, f.truncation
     if (depth + 1) * (n + 1) > MAX_FILE_ENTRIES:
         raise DomainError(
-            f"raising {ell} times gives a form of depth up to {depth} and truncation {n}, "
-            f"past {MAX_FILE_ENTRIES} stored coefficients"
+            f"raising {shown(ell, str)} times gives a form of depth up to {shown(depth, str)} "
+            f"and truncation {n}, past {MAX_FILE_ENTRIES} stored coefficients"
         )
     k = f.weight
     ns = range(n + 1)
@@ -141,7 +141,7 @@ def iterate_lower(f: NearlyHolomorphicForm, ell: int) -> NearlyHolomorphicForm:
     One pass by the closed form of the module docstring: column r >= l of f,
     times r! / (r - l)!, is column r - l of the image.
     """
-    check_form("f", f)
+    check_type("f", f, NearlyHolomorphicForm)
     check_int("iteration count", ell, 0)
     if not ell or f.is_zero:
         return f
@@ -176,7 +176,7 @@ def casimir(f: NearlyHolomorphicForm) -> NearlyHolomorphicForm:
     One pass by the closed form of the module docstring: column s of the
     image is (k^2 - 2k + 4 s (s + 1 - k)) f_s + 4 (s + 1) theta f_(s+1).
     """
-    check_form("f", f)
+    check_type("f", f, NearlyHolomorphicForm)
     if f.is_zero:
         return f
     k, cols = f.weight, f._cols
@@ -219,8 +219,8 @@ def _leading_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fracti
 
 def scalar_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fraction | None:
     """c with f = c*g coefficientwise, or None."""
-    check_form("f", f)
-    check_form("g", g)
+    check_type("f", f, NearlyHolomorphicForm)
+    check_type("g", g, NearlyHolomorphicForm)
     if g.is_zero:
         return Fraction(0) if f.is_zero else None
     c = _leading_ratio(f, g)
@@ -230,7 +230,7 @@ def scalar_ratio(f: NearlyHolomorphicForm, g: NearlyHolomorphicForm) -> Fraction
 def casimir_eigenvalue(f: NearlyHolomorphicForm) -> Fraction:
     """w^2 - 2w, w = k - 2m, if casimir(f) is that multiple of f;
     NonEigenformError otherwise."""
-    check_form("f", f)
+    check_type("f", f, NearlyHolomorphicForm)
     if f.is_zero:
         raise NonEigenformError("zero form has no eigenvalue")
     w = f.weight - 2 * f.depth

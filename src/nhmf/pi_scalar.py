@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .arith import check_digits, read_rational
+from .arith import check_digits, check_type, read_rational, shown
 from .errors import DomainError
 
 
@@ -30,7 +30,7 @@ def _coeff(c) -> tuple[Fraction, Fraction]:
 def _exponent(e) -> Fraction:
     e = read_rational(e)
     if e.denominator not in (1, 2):
-        raise DomainError(f"pi-exponent {e} is not a half-integer")
+        raise DomainError(f"pi-exponent {shown(e, str)} is not a half-integer")
     return e
 
 
@@ -51,8 +51,7 @@ class PiScalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
-        if not isinstance(terms, (dict, type(None))):
-            raise DomainError(f"the terms of a PiScalar must be a dict, got {type(terms).__name__}")
+        check_type("the terms of a PiScalar", terms, (dict, type(None)), "a dict")
         pairs = ((_exponent(e), _coeff(c)) for e, c in (terms or {}).items())
         self._terms = _summed(pairs)._terms
 
@@ -85,10 +84,10 @@ class PiScalar:
         if self.is_zero:
             return Fraction(0)
         if set(self._terms) != {Fraction(0)}:
-            raise DomainError(f"{self} is not rational")
+            raise DomainError(f"{shown(self, str)} is not rational")
         re, im = self._terms[Fraction(0)]
         if im:
-            raise DomainError(f"{self} is not real")
+            raise DomainError(f"{shown(self, str)} is not real")
         return re
 
     # -- arithmetic --------------------------------------------------------
@@ -120,7 +119,7 @@ class PiScalar:
     def invert(self) -> "PiScalar":
         """Reciprocal; defined only for monomials c*pi^e."""
         if len(self._terms) != 1:
-            raise DomainError(f"cannot invert non-monomial scalar {self}")
+            raise DomainError(f"cannot invert non-monomial scalar {shown(self, str)}")
         ((e, (re, im)),) = self._terms.items()
         norm = re * re + im * im
         return PiScalar({-e: (re / norm, -im / norm)})

@@ -39,8 +39,8 @@ from itertools import combinations
 from math import prod
 
 from .arith import (
-    SHORT_BITS, FrozenRecord, _strip, check_digits, check_int, check_sign, is_int, is_prime,
-    prime_factors, prime_power_base, read_rational,
+    _MR_EXACT_BOUND, SHORT_BITS, FrozenRecord, _strip, check_digits, check_int, check_sign,
+    check_type, is_int, is_prime, prime_factors, prime_power_base, read_rational, shown,
 )
 from .errors import DomainError, InvariantViolationError
 
@@ -59,13 +59,16 @@ class Place(FrozenRecord):
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == "finite":
-            if not isinstance(p, int) or not is_prime(p):
+            # No p past the exact Miller-Rabin bound is proved prime, so
+            # such a p is refused before it is factored.
+            check_int("the prime of a place", p, 2, _MR_EXACT_BOUND - 1)
+            if not is_prime(p):
                 raise DomainError(f"{p} is not prime")
         elif kind == "real":
             if p is not None:
                 raise DomainError("real place carries no prime")
         else:
-            raise DomainError(f"unknown place kind {kind!r}")
+            raise DomainError(f"unknown place kind {shown(kind)}")
         self._freeze((kind, p))
 
     def __lt__(self, other):
@@ -107,13 +110,6 @@ class Place(FrozenRecord):
             return cls.finite(int(text))
         except ValueError as exc:
             raise DomainError(f"bad place {text!r}") from exc
-
-
-def check_place(name: str, value) -> None:
-    """DomainError unless value is a Place; name is the argument as the
-    refusal calls it."""
-    if not isinstance(value, Place):
-        raise DomainError(f"{name} must be a Place, got {value!r}")
 
 
 # The shared places, keyed by p: the real place under None, and the finite
@@ -222,7 +218,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
     p = 2:  (-1)^(eps(u_a) eps(u_b) + alpha omega(u_b) + beta omega(u_a))
             with eps(u) = (u-1)/2 and omega(u) = (u^2-1)/8 mod 2.
     """
-    check_place("place v", v)
+    check_type("place v", v, Place)
     (na, da), (nb, db) = _terms(a), _terms(b)
     if na == 0 or nb == 0:
         raise DomainError("Hilbert symbol needs nonzero arguments")
@@ -233,7 +229,7 @@ def hilbert_symbol(a, b, v: Place) -> int:
 
 
 def is_local_square(x, v: Place) -> bool:
-    check_place("place v", v)
+    check_type("place v", v, Place)
     n, d = _terms(x)
     if n == 0:
         raise DomainError("square test needs a nonzero argument")
@@ -283,7 +279,7 @@ class LocalInvariant(FrozenRecord):
     __slots__ = ("place", "chi_nontrivial", "epsilon")
 
     def __init__(self, place: Place, chi_nontrivial: bool, epsilon: int):
-        check_place("place", place)
+        check_type("place", place, Place)
         check_sign("epsilon", epsilon)
         if not chi_nontrivial and epsilon == -1:
             raise InvariantViolationError(
@@ -306,9 +302,8 @@ def local_invariants(space: QuadSpace2D, v: Place) -> LocalInvariant:
     epsilon) is built, and checked, on first use and returned from then on:
     at most 3 * 6543 of them.  A larger prime gets a fresh instance.
     """
-    if not isinstance(space, QuadSpace2D):
-        raise DomainError(f"space must be a QuadSpace2D, got {space!r}")
-    check_place("v", v)
+    check_type("space", space, QuadSpace2D)
+    check_type("v", v, Place)
     n1, d1, n2, d2 = space._ints
     if v.kind == "real":
         return _shared_invariant(v, (n1 > 0) == (n2 > 0), -1 if n1 < 0 and n2 < 0 else 1)
@@ -361,15 +356,13 @@ class Collection(FrozenRecord):
         discriminant = read_rational(discriminant)
         if discriminant == 0:
             raise DomainError("discriminant must be nonzero")
-        if not isinstance(epsilons, Iterable):
-            raise DomainError(f"epsilons must be (place, sign) pairs, got {epsilons!r}")
+        check_type("epsilons", epsilons, Iterable, "(place, sign) pairs")
         signs = {}
         for entry in epsilons:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise DomainError(f"an epsilons entry must be a (place, sign) pair, got {entry!r}")
+                raise DomainError(f"an epsilons entry must be a (place, sign) pair, got {shown(entry)}")
             place, sign = entry
-            if not isinstance(place, Place):
-                raise DomainError(f"a Hasse sign must be keyed by a Place, got {place!r}")
+            check_type("a Hasse sign", place, Place, "keyed by a Place")
             check_sign("epsilon", sign)
             if place in signs:
                 raise DomainError(f"duplicate place {place.render()}")
@@ -400,8 +393,7 @@ class Collection(FrozenRecord):
 
 
 def collection_of(space: QuadSpace2D) -> Collection:
-    if not isinstance(space, QuadSpace2D):
-        raise DomainError(f"space must be a QuadSpace2D, got {space!r}")
+    check_type("space", space, QuadSpace2D)
     # -a1*a2 has no prime that a1 or a2 has not.
     places = relevant_places(space.a1, space.a2)
     eps = {v: local_invariants(space, v).epsilon for v in places}
@@ -482,8 +474,7 @@ def check_coherence(collection: Collection) -> CoherenceResult:
     Support entries with eps = -1 at places where the discriminant is a
     local square violate the two-dimensional invariant constraint.
     """
-    if not isinstance(collection, Collection):
-        raise DomainError(f"collection must be a Collection, got {collection!r}")
+    check_type("collection", collection, Collection)
     minus = []
     for place, e in collection.epsilons:
         if e == -1:
@@ -525,7 +516,7 @@ def enumerate_definite_spaces(discriminant, support_bound: int) -> list[Collecti
             if 2 ** (len(candidates) - 1) > MAX_DEFINITE_SPACES:
                 raise DomainError(
                     f"more than {MAX_DEFINITE_SPACES} definite collections: "
-                    f"at least {len(candidates)} candidate primes up to {support_bound}"
+                    f"at least {len(candidates)} candidate primes up to {shown(support_bound, str)}"
                 )
     # combinations come in lexicographic order, so taking the sizes in
     # increasing order yields the collections sorted by size, then primes.
@@ -607,8 +598,7 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
     exists: s in 2 Z_{>=0} with mu = sgn, or s in -1 + 2 Z_{>=0} with mu
     trivial, together with the constituents.
     """
-    if not isinstance(mu, CharacterDescriptor):
-        raise DomainError(f"mu must be a CharacterDescriptor, got {mu!r}")
+    check_type("mu", mu, CharacterDescriptor)
     sigma, tau = read_rational(s_re), read_rational(s_im)
 
     if residue == "real":

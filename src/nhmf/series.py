@@ -33,7 +33,9 @@ silently takes the minimum, because decomposition pipelines naturally mix
 precisions.  The zero form has weight "any" (stored as None) so that graded
 addition with zero always succeeds.
 
-All values are immutable after construction; all operations are pure.
+All values are immutable after construction; all operations are pure.  A
+public entry point that takes a form checks it once with arith.check_type,
+never in a kernel loop.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg, sub
 
-from .arith import check_int, is_int, read_rational
+from .arith import check_int, is_int, read_rational, shown
 from .errors import DomainError, FormFileError, WeightMismatchError
 
 
@@ -163,14 +165,6 @@ def _convolve_into(acc: list, a, b) -> None:
     acc[1:out:2] = map(add, acc[1:out:2], _unpack((plus - minus) >> (half + 1), width, tops[1]))
 
 
-def check_form(name: str, value) -> None:
-    """DomainError unless value is a NearlyHolomorphicForm; name is the
-    argument as the refusal calls it.  One isinstance test, made once at a
-    public entry point that takes a form, never in a kernel loop."""
-    if not isinstance(value, NearlyHolomorphicForm):
-        raise DomainError(f"{name} must be a nearly holomorphic form, got {type(value).__name__}")
-
-
 class NearlyHolomorphicForm:
     __slots__ = ("_weight", "_trunc", "_den", "_cols")
 
@@ -188,7 +182,7 @@ class NearlyHolomorphicForm:
         if coeffs:
             for (r, n), c in coeffs.items():
                 if not (is_int(r) and is_int(n)) or r < 0 or n < 0:
-                    raise DomainError(f"bad exponent pair ({r}, {n})")
+                    raise DomainError(f"bad exponent pair ({shown(r, str)}, {shown(n, str)})")
                 if n > truncation:
                     continue
                 c = read_rational(c)
@@ -199,7 +193,7 @@ class NearlyHolomorphicForm:
         depth = max((r for r, _ in data), default=-1)
         if data and (depth + 1) * (truncation + 1) > MAX_FILE_ENTRIES:
             raise DomainError(
-                f"form of depth {depth} and truncation {truncation} exceeds "
+                f"form of depth {shown(depth, str)} and truncation {shown(truncation, str)} exceeds "
                 f"{MAX_FILE_ENTRIES} stored coefficients"
             )
         # The lcm of reduced denominators is already coprime to the numerators.
@@ -310,7 +304,7 @@ class NearlyHolomorphicForm:
             return self._weight
         if self._weight != other._weight:
             raise WeightMismatchError(
-                f"ungraded addition of weights {self._weight} and {other._weight}"
+                f"ungraded addition of weights {shown(self._weight, str)} and {shown(other._weight, str)}"
             )
         return self._weight
 
@@ -440,18 +434,18 @@ class NearlyHolomorphicForm:
             try:
                 r, n, c = item
             except (ValueError, TypeError) as exc:
-                raise FormFileError(f"bad term entry {item!r}") from exc
+                raise FormFileError(f"bad term entry {shown(item)}") from exc
             if not (is_int(r) and is_int(n)):
-                raise FormFileError(f"bad exponents in term {item!r}")
+                raise FormFileError(f"bad exponents in term {shown(item)}")
             if n > trunc or r < 0 or n < 0:
-                raise FormFileError(f"term {item!r} outside the stated truncation")
+                raise FormFileError(f"term {shown(item)} outside the stated truncation")
             # A JSON float (0.1, 1e400) is inexact or infinite, and null, a
             # bool, a list or an object is no number at all.
             value = read_rational(c, FormFileError)
             if not value:
-                raise FormFileError(f"explicit zero coefficient in term {item!r}")
+                raise FormFileError(f"explicit zero coefficient in term {shown(item)}")
             if (r, n) in coeffs:
-                raise FormFileError(f"duplicate term at (r, n) = ({r}, {n})")
+                raise FormFileError(f"duplicate term at (r, n) = ({shown(r, str)}, {shown(n, str)})")
             coeffs[(r, n)] = value
         try:
             return cls(weight if coeffs else None, trunc, coeffs)

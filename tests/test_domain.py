@@ -26,7 +26,9 @@ from fractions import Fraction
 import pytest
 
 import nhmf
-from nhmf.arith import MAX_DEGREE, MAX_TRUNCATION, MAX_WEIGHT, check_int, prime_power_base
+from nhmf.arith import (
+    MAX_DEGREE, MAX_TRUNCATION, MAX_WEIGHT, check_int, digit_limit, prime_power_base, shown,
+)
 from nhmf.category_o import (
     ModuleClass,
     catalog,
@@ -221,13 +223,24 @@ def test_an_argument_of_the_wrong_kind_is_a_domain_error(name, call):
         assert err.value.code == "out-of-domain", (name, value)
 
 
+# An int and a Fraction past the interpreter's digit limit, which a refusal
+# that writes them into its message cannot convert to text.
+HUGE = 10**5000
+
 # Every value the sweep below passes as each argument.  No value lies in every
 # domain, and each reached a raw attribute read or iteration of some entry
-# point before that entry point checked its arguments.
-SWEEP = (None, "x", 1.5, True, -1, 0, 3, (1, 2), [], eisenstein(4, 3))
+# point before that entry point checked its arguments.  The last two each
+# reached a refusal that let a raw ValueError out, on 1,924 of the calls,
+# before every refusal showed a value through arith.shown; the huge int is
+# negative, since leading_column_factor(w, ell) loops ell times.
+SWEEP = (None, "x", 1.5, True, -1, 0, 3, (1, 2), [], eisenstein(4, 3), -HUGE, Fraction(1, HUGE))
 
 # The longest a swept call may take; the slowest takes under 1 ms on x86-64.
 SWEEP_SECONDS = 0.5
+
+
+def _shown_args(args: tuple) -> str:
+    return f"({', '.join(map(shown, args))})"
 
 
 def _sweep(call, arity: int) -> list[str]:
@@ -242,10 +255,10 @@ def _sweep(call, arity: int) -> list[str]:
         except NhmfError:
             pass
         except Exception as exc:
-            escaped.append(f"{args!r}: {type(exc).__name__}: {exc}")
+            escaped.append(f"{_shown_args(args)}: {type(exc).__name__}: {exc}")
         elapsed = time.perf_counter() - start
         if elapsed > SWEEP_SECONDS:
-            escaped.append(f"{args!r}: took {elapsed:.3f} s")
+            escaped.append(f"{_shown_args(args)}: took {elapsed:.3f} s")
     return escaped
 
 
@@ -262,7 +275,7 @@ def test_no_public_callable_lets_a_raw_exception_out_of_the_sweep():
             continue
         calls += len(SWEEP) ** len(required)
         escaped[name] = _sweep(call, len(required))
-    assert calls == 9903 and sorted(wider) == ["ConstantTermReport", "Decomposition"]
+    assert calls == 16491 and sorted(wider) == ["ConstantTermReport", "Decomposition"]
     assert {name: rows for name, rows in escaped.items() if rows} == {}
 
 
@@ -283,6 +296,53 @@ def test_a_decomposition_lets_no_raw_exception_out_of_the_sweep():
     assert _sweep(build, 4) == []
 
 
+# (path, the call) for each path past the sweep's reach on which a refusal
+# wrote a value past the digit limit into its message, and so let a raw
+# ValueError out.
+PAST_THE_LIMIT = [
+    ("term of depth HUGE", lambda: NearlyHolomorphicForm(4, 2, {(HUGE, 0): 1})),
+    ("term at q^-HUGE", lambda: NearlyHolomorphicForm(4, 2, {(0, -HUGE): 1})),
+    ("from_doc term of depth HUGE", lambda: NearlyHolomorphicForm.from_doc(
+        {"weight": 4, "truncation": 2, "terms": [[HUGE, 0, "1"]]})),
+    ("from_doc term at q^-HUGE", lambda: NearlyHolomorphicForm.from_doc(
+        {"weight": 4, "truncation": 2, "terms": [[0, -HUGE, "1"]]})),
+    ("sum of weights HUGE and 4", lambda: NearlyHolomorphicForm(HUGE, 2, {(0, 0): 1}) + E4),
+    ("decompose of a constant of weight HUGE",
+     lambda: decompose(NearlyHolomorphicForm(HUGE, 2, {(0, 0): 1}))),
+    ("product of germs at 1 and 1/HUGE", lambda: LaurentScalar(1, 0) * LaurentScalar(Fraction(1, HUGE), 0)),
+    ("sum of germs at 1 and 1/HUGE", lambda: LaurentScalar(1, 0) + LaurentScalar(Fraction(1, HUGE), 0)),
+    ("theta_series of x^2 - HUGE y^2", lambda: theta_series(BinaryForm(1, 0, -HUGE), 3)),
+    ("eisenstein of weight HUGE", lambda: eisenstein(HUGE, 2)),
+    ("eisenstein of weight Fraction(HUGE)", lambda: eisenstein(Fraction(HUGE), 2)),
+    ("germ of order Fraction(HUGE)", lambda: LaurentScalar(1, Fraction(HUGE))),
+]
+
+
+@pytest.mark.parametrize("name, call", PAST_THE_LIMIT, ids=[name for name, _ in PAST_THE_LIMIT])
+def test_a_value_past_the_digit_limit_is_refused_by_its_type(name, call):
+    start = time.perf_counter()
+    with pytest.raises(NhmfError) as err:
+        call()
+    assert time.perf_counter() - start < SWEEP_SECONDS
+    if digit_limit():
+        assert f"of more than {digit_limit()} digits" in str(err.value), name
+
+
+def test_a_wrong_kind_is_named_by_its_type_not_its_value():
+    # Each refusal showed a repr of the value, which raised a raw ValueError
+    # for HUGE.
+    for call, message in (
+        (lambda: check_coherence(HUGE), "collection must be a Collection, got int"),
+        (lambda: hilbert_symbol(3, 5, -HUGE), "place v must be a Place, got int"),
+        (lambda: Collection(1, HUGE), "epsilons must be (place, sign) pairs, got int"),
+        (lambda: integral_parallel_filter(HUGE), "lams must be an iterable of rationals, got int"),
+        (lambda: decompose(Fraction(1, HUGE)), "f must be a NearlyHolomorphicForm, got Fraction"),
+    ):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message and err.value.code == "out-of-domain"
+
+
 @pytest.mark.parametrize(
     "low, high, value, message",
     [
@@ -291,6 +351,11 @@ def test_a_decomposition_lets_no_raw_exception_out_of_the_sweep():
         (None, 5, 6, "n must be an integer <= 5, got 6"),
         (1, 5, True, "n must be an integer in 1..5, got True"),
         (1, 5, "3", "n must be an integer in 1..5, got '3'"),
+        pytest.param(
+            0, None, -HUGE, "n must be an integer >= 0, got int of more than 4300 digits",
+            marks=pytest.mark.skipif(digit_limit() != 4300, reason="not the default digit limit"),
+            id="past-the-digit-limit",
+        ),
     ],
 )
 def test_check_int_words_every_refusal_alike(low, high, value, message):

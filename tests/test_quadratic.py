@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nhmf import quadratic
-from nhmf.arith import is_prime
+from nhmf.arith import _MR_EXACT_BOUND, is_prime
 from nhmf.cli import main
 from nhmf.errors import DomainError, InvariantViolationError
 from nhmf.quadratic import (
@@ -426,6 +426,26 @@ def test_the_real_place_and_the_small_finite_places_are_shared():
     for p in (7.0, Fraction(7), True, "7", 49):
         with pytest.raises(DomainError):
             Place.finite(p)
+
+
+# Composites past the exact Miller-Rabin bound with no factor below 2^16, of
+# 340 and 1007 digits.  Place factored each before refusing it: 6.1 s for
+# the first, 46 s for a 1000-digit one, and `local hilbert` 6.5 s.
+PAST_THE_PRIME_BOUND = [(2**521 - 1) * (2**607 - 1), (2**3217 - 1) * (2**127 - 1)]
+
+
+@pytest.mark.parametrize("n", PAST_THE_PRIME_BOUND, ids=["340-digits", "1007-digits"])
+def test_a_place_past_the_prime_bound_is_refused_before_it_is_factored(n, capsys):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="the prime of a place must be an integer in 2\\.\\.") as err:
+        Place.finite(n)
+    assert err.value.code == "out-of-domain"
+    assert main(["local", "hilbert", "3", "5", str(n)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "out-of-domain"
+    assert time.perf_counter() - start < 0.5
+    # The largest int that the bound lets in is refused as no prime.
+    with pytest.raises(DomainError, match="is not prime"):
+        Place("finite", _MR_EXACT_BOUND - 1)
 
 
 class TestCoherence:
