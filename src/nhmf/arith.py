@@ -106,8 +106,14 @@ def check_digits(
     """error unless every int has at most L = digit_limit() digits, the most
     the interpreter converts to text (no bound if L = 0); what names the
     value in the refusal."""
+    # An int of at most SHORT_BITS bits is within any limit, and 10^L has
+    # more than 3L bits, so only a longer int is compared with it.
+    for x in values:
+        if x.bit_length() > SHORT_BITS:
+            break
+    else:
+        return
     limit = digit_limit()
-    # 10^L has more than 3L bits, so only a longer int is compared with it.
     if limit and any(x.bit_length() > 3 * limit and abs(x) >= 10**limit for x in values):
         raise error(f"{what} has more than {limit} digits")
 

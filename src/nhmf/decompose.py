@@ -21,23 +21,28 @@ g off the top column, pops that column, and subtracts b_j theta^(p-j) g from
 each lower column j, the b_j of delta^(p) (operators.delta_coefficients),
 after scaling both sides to lcm(denominator, denominator of g).  The raised
 image delta^(p) g is never built: its X^p column is c(w, p) g, the popped
-column itself.  A step reads its constants from tables instead of computing
-them: the b_j of each (w, p), kept as a tuple in a bounded cache
-(_peel_coefficients), and the columns n^m over the q-indices n, kept with the
-shared basis of the truncation (Level1Basis.powers), grown to the deepest
-step asked for and released with that basis.  theta^(p-j) g is then the
-entrywise product of g with the column n^(p-j), and the update of column j,
-s1 * col_j - (b_j * s2) * (n^(p-j) * g), is one chain of lazy maps into one
-new list.  The seed is built in its canonical storage in one pass (_seed):
-one gcd of den * |c(w, p)| and the top column, with the sign of c(w, p) taken
-in the one division.  The remainder is not reduced between steps: a step drops
-its zero top columns as a form does (series._pop_zero_columns) and takes
-no gcd of the entries, so the denominator and the entries may share a
-factor.  That costs little size: a seed step scales the remainder by
-lcm(den, den_g) / den, which divides c(w, p), and the weight-two step by
-the leading entry of the raised series over its gcd with the top entry.
-Each seed is made canonical when it is built as a form, and a refusal's
-residual, the only remainder ever made a form, is made canonical once, then.
+column itself.  A step reads its constants in one lookup, from the table
+of its (w, p) that the shared basis of the truncation keeps
+(Level1Basis.step): c(w, p) = b_p and the columns T_j = b_j n^(p-j) over
+the q-indices n, j < p, built on first use from the columns n^m
+(Level1Basis.powers), so that the X^j column of delta^(p) g is the
+entrywise product T_j * g.  The step scales the seed once by s2 and
+updates column j as s1 * col_j - T_j * (s2 * g), one chain of lazy maps
+into one new list: a product and a difference per entry.  The tables are
+kept while their entries stay within STEP_BUDGET ints in all; past it, a
+step's T_j is a one-pass map of b_j over n^(p-j), the same update at the
+cost of one more product per entry.  The seed is built in its canonical
+storage in one pass (_seed): one gcd of den * |c(w, p)| and the top column,
+with the sign of c(w, p) taken in the one division.  The remainder is not
+reduced between steps: a step drops its zero top columns as a form does
+(series._pop_zero_columns) and takes no gcd of the entries, so the
+denominator and the entries may share a factor.  That costs little size: a
+seed step scales the remainder by lcm(den, den_g) / den, which divides
+c(w, p), and the weight-two step by the leading entry of the raised series
+over its gcd with the top entry.  Each seed is made canonical when it is
+built as a form, and a refusal's residual, the only remainder ever made a
+form, is made canonical once, then.  The Decomposition is built from the
+fields the peel made, as a seed is, without checking them again.
 
 The seed must lie in the span of the basis of its weight.  The basis is put
 in reduced echelon form, one primitive integer row per pivot q-index, and
@@ -70,7 +75,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from operator import mul, sub
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .arith import FrozenRecord, check_int, check_type, read_rational, reduce_by, reduced_echelon, shown
 from .errors import DecompositionError, DomainError, InsufficientTruncationError
@@ -84,11 +89,9 @@ from .operators import (
 from .series import NearlyHolomorphicForm, _pop_zero_columns
 
 
-@lru_cache(maxsize=128)
-def _peel_coefficients(w: int, p: int) -> tuple[int, ...]:
-    # b_0, ..., b_p of delta^(p) on a holomorphic seed of weight w, b_p =
-    # c(w, p): the constants of a peel step, read once per (w, p).
-    return tuple(delta_coefficients(-w, p))
+# The most ints that the step tables of one Level1Basis keep, all (w, p)
+# together; the Level1Basis docstring states what they take in bytes.
+STEP_BUDGET = 1 << 16
 
 
 def _seed(w: int, factor: int, truncation: int, den: int, top) -> NearlyHolomorphicForm:
@@ -119,13 +122,24 @@ class Level1Basis:
     """Default basis provider: weight w -> the reduced echelon basis of
     M_w(SL_2(Z)), one primitive integer q-series per pivot q-index (the
     Miller basis q^i + O(q^dim) up to scaling), spanning what the monomials
-    E4^a E6^b span.
+    E4^a E6^b span.  Every call returns a fresh list of the (immutable) forms
+    made from the kept rows.
 
-    Each weight's reduced echelon rows are built once (rows); every call
-    returns a fresh list of the (immutable) forms made from them.  The
-    instance also holds the weight-two Eisenstein series at its truncation,
-    keeps each raised image delta^(m) of it once built (raised_e2), and the
-    columns n^m over its q-indices n that the peel multiplies by (powers).
+    An instance at truncation N keeps, for as long as it lives
+    (shared_level1_basis keeps the bases of the 4 most recent truncations):
+    - rows: each weight's reduced echelon rows, built once;
+    - the weight-two Eisenstein series, and each raised image delta^(m) of
+      it once built (raised_e2);
+    - powers: the columns n^m over n = 0..N, to the deepest step asked for;
+    - step tables: c(w, p) and the p columns b_j n^(p-j) of each seed step
+      (w, p) with p >= 1 (step), while their entries, p (N + 1) per table,
+      stay within STEP_BUDGET = 2^16 ints in all.
+    An entry of a step table has at most p (1 + log2 max(N, w + p)) bits.
+    With the seed weights w < 12 N that the level-1 Sturm-type bound admits,
+    a full budget takes at most 8.4 MiB at N = 1000, 48 MiB at N = 100 and
+    136 MiB at N = 30, and about 1.1 GiB at worst, at N = 1, as one table of
+    depth 32768 whose nonzero entries are the b_j themselves.  A supplied
+    basis with a smaller sturm_bound admits larger w, and so larger entries.
     """
 
     def __init__(self, truncation: int):
@@ -134,6 +148,8 @@ class Level1Basis:
         self._rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
         self._raised_e2: dict[int, NearlyHolomorphicForm] = {}
         self._powers: list[tuple[int, ...]] = [(1,) * (truncation + 1)]
+        self._steps: dict[tuple[int, int], tuple[int, tuple[tuple[int, ...], ...]]] = {}
+        self._step_entries = 0
 
     def rows(self, w: int) -> list[tuple[int, tuple[int, ...]]]:
         """The (pivot, row) pairs of the weight-w basis in reduced echelon form."""
@@ -156,6 +172,27 @@ class Level1Basis:
         while len(powers) <= depth:
             powers.append(tuple(map(mul, ns, powers[-1])))
         return powers
+
+    def step(self, w: int, p: int) -> tuple[int, Sequence[Iterable[int]]]:
+        """(c(w, p), [T_0, ..., T_(p-1)]) of a peel step at depth p and seed
+        weight w: T_j = b_j n^(p-j) over n = 0..truncation, the b_j of
+        delta^(p) (operators.delta_coefficients(-w, p)), b_p = c(w, p), so
+        that the X^j column of delta^(p) g is T_j * g entrywise.  The table
+        is kept if its p (truncation + 1) entries keep the kept ones within
+        STEP_BUDGET; if not, each T_j is a one-pass map.  At p = 0 there is
+        no column, and nothing is kept."""
+        kept = self._steps.get((w, p))
+        if kept is not None:
+            return kept
+        b = delta_coefficients(-w, p)
+        powers = self.powers(p)
+        table = [map(b[j].__mul__, powers[p - j]) for j in range(p)]
+        size = p * (self.truncation + 1)
+        if not 0 < size <= STEP_BUDGET - self._step_entries:
+            return b[p], table
+        self._step_entries += size
+        kept = self._steps[w, p] = (b[p], tuple(map(tuple, table)))
+        return kept
 
     def __call__(self, w: int) -> list[NearlyHolomorphicForm]:
         return [
@@ -275,7 +312,6 @@ def decompose(
         def basis_rows(w: int) -> list[tuple[int, tuple[int, ...]]]:
             return _echelon_rows(w, basis_provider(w), trunc)
     sturm = getattr(basis_provider, "sturm_bound", Level1Basis.sturm_bound)
-    powers = shared.powers(f.depth)
     # The remainder: cols over den, stored as a form stores them.
     den, cols = f._den, list(f._cols)
     terms: list[tuple[int, NearlyHolomorphicForm]] = []
@@ -322,10 +358,10 @@ def decompose(
         if w < 0:
             # No holomorphic form of negative weight; and c(w, p) may vanish.
             raise refuse("not decomposable over supplied basis")
-        # delta^(p) g has the popped column at X^p, b_j theta^(p-j) g
-        # below, and b_p = c(w, p), which is nonzero for w > 0 and for p = 0.
-        b = _peel_coefficients(w, p)
-        g = _seed(w, b[p], trunc, den, top)
+        # delta^(p) g has the popped column at X^p, T_j * g below, and
+        # b_p = c(w, p), which is nonzero for w > 0 and for p = 0.
+        factor, table = shared.step(w, p)
+        g = _seed(w, factor, trunc, den, top)
         seed = g._cols[0]
         if any(reduce_by(basis_rows(w), seed)):
             raise refuse("not decomposable over supplied basis")
@@ -333,16 +369,20 @@ def decompose(
         cols.pop()
         new_den = lcm(den, g._den)
         s1, s2 = new_den // den, new_den // g._den
+        if s2 != 1:
+            seed = tuple(map(s2.__mul__, seed))
         for j in range(p):
             scaled = cols[j] if s1 == 1 else map(s1.__mul__, cols[j])
-            theta = map(mul, powers[p - j], seed)
-            cols[j] = list(map(sub, scaled, map((b[j] * s2).__mul__, theta)))
+            cols[j] = list(map(sub, scaled, map(mul, table[j], seed)))
         den = new_den
         _pop_zero_columns(cols)
 
-    # The seeds were taken top-down, at strictly falling depths.
+    # The seeds were taken top-down, at strictly falling depths.  The fields
+    # are well formed as made, so __init__ does not check them again.
     terms.reverse()
-    return Decomposition(k, trunc, tuple(terms), e2_term)
+    out = object.__new__(Decomposition)
+    out._freeze((k, trunc, tuple(terms), e2_term))
+    return out
 
 
 def character_split(

@@ -34,8 +34,8 @@ import math
 from fractions import Fraction
 
 from .arith import (
-    MAX_DEGREE, MAX_WEIGHT, FrozenRecord, _strip, check_int, check_type, prime_power_base,
-    read_rational, shown,
+    MAX_DEGREE, MAX_WEIGHT, SHORT_BITS, FrozenRecord, _strip, check_digits, check_int,
+    check_type, prime_power_base, read_rational, shown,
 )
 from .errors import (
     DomainError,
@@ -50,14 +50,20 @@ class LaurentScalar(FrozenRecord):
 
     A nonzero germ without a leading coefficient certifies its order only
     (exact is False).  The zero germ has no order (None) and no leading
-    coefficient, and is exact.  An order that is no int or None, or a
-    leading coefficient that is no nonzero PiScalar, is a DomainError.
+    coefficient, and is exact.  A point whose numerator or denominator has
+    more digits than the interpreter converts to text, an order that is no
+    int or None, or a leading coefficient that is no nonzero PiScalar, is a
+    DomainError.
     """
 
     __slots__ = ("point", "order", "leading")
 
     def __init__(self, point, order: int | None, leading: PiScalar | None = None):
         point = read_rational(point)
+        # A point within SHORT_BITS bits is within the digit limit; germ
+        # arithmetic builds germs often, so only a longer one is checked.
+        if point.numerator.bit_length() > SHORT_BITS or point.denominator.bit_length() > SHORT_BITS:
+            check_digits(*point.as_integer_ratio(), what="the point of a germ")
         if order is not None:
             check_int("the order of a germ", order)
         if leading is not None and not (isinstance(leading, PiScalar) and leading and order is not None):
@@ -361,9 +367,9 @@ def constant_term_report(
     """Multiply the archimedean factor, the L-ratio and the finite local data
     at s0 = k - 1 into the germ of the intertwined term.
 
-    local_data: germs at s0 for the finite places of the ramified set, e.g.
-    an order-1 germ for a place where the intertwining operator kills the
-    section.
+    local_data: a list or tuple of germs at s0 for the finite places of the
+    ramified set, e.g. an order-1 germ for a place where the intertwining
+    operator kills the section.
 
     The zeta ratio comes first.  Only when it is exact is the archimedean
     factor's leading coefficient built; an order-only ratio makes the
@@ -372,6 +378,7 @@ def constant_term_report(
     alpha = k and beta = 0.
     """
     check_int("weight k", k, 1, MAX_WEIGHT)
+    check_type("local data", local_data, (list, tuple), "a list or tuple of LaurentScalar germs")
     s0 = Fraction(k - 1)
     zeta = zeta_ratio_at(s0, d, character)  # which checks d first
     if zeta.exact:

@@ -618,7 +618,10 @@ def reducibility(residue, mu: CharacterDescriptor, s_re, s_im=0) -> Reducibility
                 )
         return ReducibilityVerdict("real")
 
-    prime_power_base(residue)  # an int, and a prime power
+    # An int with a decimal label, then a prime power.
+    check_int("residue cardinality", residue, 2)
+    check_digits(residue, what="the residue cardinality")
+    prime_power_base(residue)
     label = str(residue)
 
     if mu.order == 2 and not mu.unramified:

@@ -7,7 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -16,8 +16,8 @@ import nhmf.series
 from nhmf.arith import reduce_by, reduced_echelon
 from nhmf.decompose import (
     Decomposition,
+    STEP_BUDGET,
     Level1Basis,
-    _peel_coefficients,
     _seed,
     character_split,
     decompose,
@@ -90,15 +90,23 @@ class TestIterateRaise:
             assert type(seed._cols[0]) is tuple
 
     def test_the_peel_tables_hold_the_closed_form(self):
-        # The b_j of each (w, p) are those of delta_coefficients, and the
+        # The step of each (w, p) holds c(w, p) = b_p and the columns
+        # b_j n^(p-j), j < p, from the b_j of delta_coefficients, and the
         # shared basis holds the columns n^m, grown to the deepest step.
+        basis = Level1Basis(7)
         for w in range(0, 30, 3):
             for p in range(9):
-                assert _peel_coefficients(w, p) == tuple(delta_coefficients(-w, p))
-        basis = Level1Basis(7)
+                b = delta_coefficients(-w, p)
+                factor, table = basis.step(w, p)
+                assert factor == b[p] == leading_column_factor(w, p)
+                powers = basis.powers(p)
+                want = [tuple(b[j] * x for x in powers[p - j]) for j in range(p)]
+                assert [tuple(column) for column in table] == want, (w, p)
+                if p:
+                    assert basis.step(w, p) == (factor, tuple(want))
         powers = basis.powers(3)
-        assert powers == [tuple(n**m for n in range(8)) for m in range(4)]
-        assert basis.powers(1) is powers and len(powers) == 4
+        assert powers[:4] == [tuple(n**m for n in range(8)) for m in range(4)]
+        assert basis.powers(1) is powers and len(powers) == 9
         assert basis.powers(6)[6] == tuple(n**6 for n in range(8))
 
 
@@ -621,6 +629,99 @@ def test_deep_form_with_fractional_seeds_and_e2_reassembles_exactly():
     assert dec.terms == tuple(sorted(seeds.items()))
     assert dec.e2_term == (17, Fraction(-7, 15))
     assert dec.reassemble() == f
+
+
+@pytest.fixture
+def fresh_shared_bases():
+    # The shared bases, and so their step tables, start empty, and those
+    # built under a test's budget leave with it.
+    shared_level1_basis.cache_clear()
+    yield
+    shared_level1_basis.cache_clear()
+
+
+@pytest.mark.parametrize("budget", [0, 300, STEP_BUDGET])
+def test_decompose_on_both_sides_of_the_step_budget_answers_as_before(monkeypatch, fresh_shared_bases, budget):
+    # With no step table kept, with a budget that keeps some tables of a
+    # form and not others, and with the module's budget, decompose answers
+    # as the parent did: forms with E2 terms and fractional seeds, so steps
+    # with s1 != 1 and with s2 != 1, and off-span refusals, under the shared
+    # basis and a supplied one.  A second decompose of each form, which
+    # reads the tables the first kept, answers as the first.
+    module = sys.modules["nhmf.decompose"]
+    monkeypatch.setattr(module, "STEP_BUDGET", budget)
+    visited, scales = set(), set()
+    step = Level1Basis.step
+
+    def recording_step(self, w, p):
+        visited.add((w, p))
+        return step(self, w, p)
+
+    def recording_lcm(den, g_den):
+        new_den = lcm(den, g_den)
+        scales.add((new_den // den != 1, new_den // g_den != 1))
+        return new_den
+
+    monkeypatch.setattr(Level1Basis, "step", recording_step)
+    monkeypatch.setattr(module, "lcm", recording_lcm)
+    trunc = 20
+    rng = random.Random(budget)
+
+    def supplied(w):
+        return level1_basis(w, trunc)
+
+    verdicts = set()
+    for i in range(12):
+        k = rng.choice([16, 20, 24, 28])
+        depths = rng.sample(range(k // 2 - 1), rng.randrange(1, k // 2 - 1))
+        f = deep_form(rng, k, depths, i % 2 == 0, trunc)
+        if i % 4 == 3:
+            f = f + NearlyHolomorphicForm.monomial(k, trunc, rng.choice(depths), trunc, Fraction(1, 3))
+        for provider in (None, supplied):
+            want = decompose_outcome(parent_decompose, f, provider or shared_level1_basis(trunc))
+            first = decompose_outcome(decompose, f, provider)
+            assert first == want, (budget, f)
+            assert decompose_outcome(decompose, f, provider) == first, (budget, f)
+            verdicts.add("ok" if isinstance(want, Decomposition) else want[1].split(" ")[0])
+    assert verdicts == {"ok", "not"}, verdicts
+    assert any(s1 for s1, _ in scales) and any(s2 for _, s2 in scales), scales
+    # Every kept column is b_j n^(p-j), and the kept entries stay within the budget.
+    basis = shared_level1_basis(trunc)
+    for (w, p), (factor, table) in basis._steps.items():
+        b = delta_coefficients(-w, p)
+        assert factor == b[p] and len(table) == p
+        for j, column in enumerate(table):
+            assert column == tuple(b[j] * n ** (p - j) for n in range(trunc + 1)), (w, p, j)
+    kept, tables = set(basis._steps), {(w, p) for w, p in visited if p >= 1}
+    assert kept <= tables and basis._step_entries <= budget
+    assert sum(p * (trunc + 1) for _, p in kept) == basis._step_entries
+    if budget == 0:
+        assert kept == set()
+    elif budget == STEP_BUDGET:
+        assert kept == tables
+    else:
+        assert kept and tables - kept, (kept, tables)
+
+
+def test_a_decompose_past_the_step_budget_stays_within_it(fresh_shared_bases):
+    # The depth-25 form at truncation 300 that the stdlib-only CI job
+    # decomposes has seed steps at depths 1..24, 90,300 table entries in
+    # all: the basis keeps some of its tables, within the budget, and the
+    # second decompose, which reads them, answers as the first.
+    trunc = 300
+    f = sum(
+        (iterate_raise(eisenstein(52 - 2 * p, trunc), p) * Fraction(p + 1, p + 2) for p in range(25)),
+        iterate_raise(eisenstein2(trunc), 25) * Fraction(1, 2),
+    )
+    first = decompose(f)
+    basis = shared_level1_basis(trunc)
+    kept = basis._step_entries
+    assert 0 < kept <= STEP_BUDGET < sum(p * (trunc + 1) for p in range(1, 25))
+    assert 0 < len(basis._steps) < 24
+    second = decompose(f)
+    assert second == first and basis._step_entries == kept
+    assert len(first.terms) == 25 and first.e2_term == (25, Fraction(1, 2))
+    assert first.reassemble() == f
 
 
 def test_a_refusal_after_several_steps_reports_the_canonical_remainder():

@@ -296,36 +296,75 @@ def test_a_decomposition_lets_no_raw_exception_out_of_the_sweep():
     assert _sweep(build, 4) == []
 
 
-# (path, the call) for each path past the sweep's reach on which a refusal
-# wrote a value past the digit limit into its message, and so let a raw
-# ValueError out.
+# (path, the call, the words of the refusal before "more than L digits") for
+# each path past the sweep's reach on which a refusal wrote a value past the
+# digit limit into its message, and so let a raw ValueError out.  Each
+# refusal names the value by its type ("int of more than L digits"), but
+# where the value is now refused at entry, by arith.check_digits, which names
+# the argument: a germ checks its point.
 PAST_THE_LIMIT = [
-    ("term of depth HUGE", lambda: NearlyHolomorphicForm(4, 2, {(HUGE, 0): 1})),
-    ("term at q^-HUGE", lambda: NearlyHolomorphicForm(4, 2, {(0, -HUGE): 1})),
+    ("term of depth HUGE", lambda: NearlyHolomorphicForm(4, 2, {(HUGE, 0): 1}), "of"),
+    ("term at q^-HUGE", lambda: NearlyHolomorphicForm(4, 2, {(0, -HUGE): 1}), "of"),
     ("from_doc term of depth HUGE", lambda: NearlyHolomorphicForm.from_doc(
-        {"weight": 4, "truncation": 2, "terms": [[HUGE, 0, "1"]]})),
+        {"weight": 4, "truncation": 2, "terms": [[HUGE, 0, "1"]]}), "of"),
     ("from_doc term at q^-HUGE", lambda: NearlyHolomorphicForm.from_doc(
-        {"weight": 4, "truncation": 2, "terms": [[0, -HUGE, "1"]]})),
-    ("sum of weights HUGE and 4", lambda: NearlyHolomorphicForm(HUGE, 2, {(0, 0): 1}) + E4),
+        {"weight": 4, "truncation": 2, "terms": [[0, -HUGE, "1"]]}), "of"),
+    ("sum of weights HUGE and 4", lambda: NearlyHolomorphicForm(HUGE, 2, {(0, 0): 1}) + E4, "of"),
     ("decompose of a constant of weight HUGE",
-     lambda: decompose(NearlyHolomorphicForm(HUGE, 2, {(0, 0): 1}))),
-    ("product of germs at 1 and 1/HUGE", lambda: LaurentScalar(1, 0) * LaurentScalar(Fraction(1, HUGE), 0)),
-    ("sum of germs at 1 and 1/HUGE", lambda: LaurentScalar(1, 0) + LaurentScalar(Fraction(1, HUGE), 0)),
-    ("theta_series of x^2 - HUGE y^2", lambda: theta_series(BinaryForm(1, 0, -HUGE), 3)),
-    ("eisenstein of weight HUGE", lambda: eisenstein(HUGE, 2)),
-    ("eisenstein of weight Fraction(HUGE)", lambda: eisenstein(Fraction(HUGE), 2)),
-    ("germ of order Fraction(HUGE)", lambda: LaurentScalar(1, Fraction(HUGE))),
+     lambda: decompose(NearlyHolomorphicForm(HUGE, 2, {(0, 0): 1})), "of"),
+    ("product of germs at 1 and 1/HUGE",
+     lambda: LaurentScalar(1, 0) * LaurentScalar(Fraction(1, HUGE), 0), "the point of a germ has"),
+    ("sum of germs at 1 and 1/HUGE",
+     lambda: LaurentScalar(1, 0) + LaurentScalar(Fraction(1, HUGE), 0), "the point of a germ has"),
+    ("theta_series of x^2 - HUGE y^2", lambda: theta_series(BinaryForm(1, 0, -HUGE), 3), "of"),
+    ("eisenstein of weight HUGE", lambda: eisenstein(HUGE, 2), "of"),
+    ("eisenstein of weight Fraction(HUGE)", lambda: eisenstein(Fraction(HUGE), 2), "of"),
+    ("germ of order Fraction(HUGE)", lambda: LaurentScalar(1, Fraction(HUGE)), "of"),
 ]
 
 
-@pytest.mark.parametrize("name, call", PAST_THE_LIMIT, ids=[name for name, _ in PAST_THE_LIMIT])
-def test_a_value_past_the_digit_limit_is_refused_by_its_type(name, call):
+@pytest.mark.parametrize("name, call, words", PAST_THE_LIMIT, ids=[row[0] for row in PAST_THE_LIMIT])
+def test_a_value_past_the_digit_limit_is_refused_by_its_type(name, call, words):
     start = time.perf_counter()
     with pytest.raises(NhmfError) as err:
         call()
     assert time.perf_counter() - start < SWEEP_SECONDS
     if digit_limit():
-        assert f"of more than {digit_limit()} digits" in str(err.value), name
+        assert f"{words} more than {digit_limit()} digits" in str(err.value), name
+
+
+# (path, the call, the argument named) for each answer that wrote a value past
+# the digit limit as text, and so let a raw ValueError out of a result that
+# was built: each value is now refused at entry, by arith.check_digits.
+PAST_THE_LIMIT_AT_ENTRY = [
+    ("germ at 1/HUGE, rendered", lambda: LaurentScalar(Fraction(1, HUGE), 0).to_json(),
+     "the point of a germ"),
+    ("report holding a germ at 1/HUGE, rendered",
+     lambda: ConstantTermReport(4, 1, "trivial", LaurentScalar(Fraction(1, HUGE), 0)).to_json(),
+     "the point of a germ"),
+    ("reducibility at the prime power 2^20000", lambda: reducibility(2**20000, TRIVIAL, 0, 0),
+     "the residue cardinality"),
+]
+
+
+@pytest.mark.skipif(not digit_limit(), reason="no digit limit")
+@pytest.mark.parametrize(
+    "name, call, what", PAST_THE_LIMIT_AT_ENTRY, ids=[row[0] for row in PAST_THE_LIMIT_AT_ENTRY]
+)
+def test_a_value_past_the_digit_limit_is_refused_at_entry(name, call, what):
+    start = time.perf_counter()
+    with pytest.raises(DomainError) as err:
+        call()
+    assert time.perf_counter() - start < SWEEP_SECONDS
+    assert str(err.value) == f"{what} has more than {digit_limit()} digits"
+    assert err.value.code == "out-of-domain"
+
+
+def test_a_constant_term_report_call_lets_no_raw_exception_out_of_the_sweep():
+    # All four arguments, past the sweep above, which passes k alone: a
+    # local_data of 5 let a raw TypeError out.
+    assert _sweep(lambda local: constant_term_report(4, 1, "trivial", local).to_json(), 1) == []
+    assert _sweep(lambda *args: constant_term_report(*args, [LaurentScalar(3, 1)]).to_json(), 3) == []
 
 
 def test_a_wrong_kind_is_named_by_its_type_not_its_value():
@@ -337,6 +376,8 @@ def test_a_wrong_kind_is_named_by_its_type_not_its_value():
         (lambda: Collection(1, HUGE), "epsilons must be (place, sign) pairs, got int"),
         (lambda: integral_parallel_filter(HUGE), "lams must be an iterable of rationals, got int"),
         (lambda: decompose(Fraction(1, HUGE)), "f must be a NearlyHolomorphicForm, got Fraction"),
+        (lambda: constant_term_report(4, 1, "trivial", HUGE),
+         "local data must be a list or tuple of LaurentScalar germs, got int"),
     ):
         with pytest.raises(DomainError) as err:
             call()
